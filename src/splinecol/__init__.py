@@ -22,6 +22,7 @@ from .collocation import (
 from .config import ExperimentConfig
 from .errors import (
     AssemblyError,
+    CallbackError,
     ConfigError,
     DomainError,
     InvalidRefinementError,
@@ -35,7 +36,7 @@ from .errors import (
     UnsupportedDerivativeError,
 )
 from .estimator import CollocationSolver
-from .geometry import GeometryMap, PullbackData
+from .geometry import GeometryMap
 from .metrics import (
     ErrorReport,
     absolute_error_field,
@@ -75,6 +76,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AssemblyError",
     "BvpDefinition",
+    "CallbackError",
     "CollocationScheme",
     "CollocationSet",
     "CollocationSolver",
@@ -91,7 +93,6 @@ __all__ = [
     "KnotVector",
     "MaterialParams",
     "PreconditionError",
-    "PullbackData",
     "RankDeficientError",
     "STABILITY_KNOTS",
     "SingularGeometryError",

@@ -4,28 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
-
 
 def as_float_array(values, name, ndim=None):
     """Coerce ``values`` to a float64 ndarray, optionally checking ndim."""
     arr = np.asarray(values, dtype=float)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    return arr
-
-
-def check_in_domain(u, lo, hi, name="parameter"):
-    """Raise DomainError unless ``lo <= u <= hi``."""
-    if not (lo <= u <= hi):
-        raise DomainError(f"{name} {u!r} outside knot range [{lo}, {hi}]")
-
-
-def as_point(theta, dim):
-    """Coerce a parameter tuple/scalar to a 1-d float array of length ``dim``."""
-    arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    if arr.shape != (dim,):
-        raise ValueError(f"expected a parameter point of length {dim}, got shape {arr.shape}")
     return arr
 
 
@@ -41,6 +25,16 @@ def as_points(theta, dim):
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"expected points of shape (n, {dim}), got {np.shape(theta)}")
     return arr
+
+
+def per_direction(value, dim, name):
+    """One integer count per direction; a single count applies to every direction."""
+    counts = tuple(int(c) for c in np.atleast_1d(value))
+    if len(counts) == 1:
+        counts *= dim
+    if len(counts) != dim:
+        raise ValueError(f"{name} must give one count per direction, got {value!r}")
+    return counts
 
 
 def check_positive_int(value, name, minimum=1):

@@ -23,7 +23,8 @@ from .bench import (
     write_csv,
     write_json,
 )
-from .config import EXAMPLE_IDS, METHODS, SCHEMES, ExperimentConfig
+from .collocation import SCHEME_KINDS
+from .config import EXAMPLE_IDS, ExperimentConfig
 from .errors import (
     AssemblyError,
     ConfigError,
@@ -31,6 +32,7 @@ from .errors import (
     SingularSystemError,
     SplineColError,
 )
+from .estimator import METHODS
 
 EXIT_CONFIG = 2
 EXIT_ASSEMBLY = 3
@@ -47,7 +49,7 @@ def _add_common(parser, include_method=True):
     parser.add_argument("--example", choices=EXAMPLE_IDS)
     if include_method:
         parser.add_argument("--method", choices=METHODS)
-    parser.add_argument("--scheme", choices=SCHEMES)
+    parser.add_argument("--scheme", choices=SCHEME_KINDS)
     parser.add_argument(
         "-n", "--n-per-dir", type=_counts, dest="n",
         help="control points per direction, e.g. 10 or 15,15",

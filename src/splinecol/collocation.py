@@ -16,14 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._validation import per_direction
 from .errors import (
     AssemblyError,
     InvalidSchemeError,
     PreconditionError,
     SingularGeometryError,
 )
-from .geometry import GeometryMap, push_gradient, push_hessian
-from .problems import BvpDefinition
+from .geometry import (
+    GeometryMap,
+    boundary_normals,
+    lattice_pullbacks,
+    lattice_push_gradient,
+    lattice_push_hessian,
+)
+from .problems import BvpDefinition, callback_values
 from .splines import KnotGrid, KnotVector, TensorSpline
 
 SCHEME_KINDS = ("greville", "uniform")
@@ -49,32 +56,45 @@ class CollocationScheme:
 
 @dataclass(frozen=True)
 class CollocationSet:
-    """Interior and boundary collocation points on a tensor lattice.
+    """Collocation points on a tensor lattice, split by the faces they touch.
 
-    ``boundary_faces`` lists, per boundary point, the ids of all parametric
-    faces the point lies on (corners and edges touch several).
+    ``lattice`` holds the (N, d) points spanned by ``axes`` in C order and
+    ``faces`` (N, 2d) marks the parametric faces each one lies on: face 2a
+    is the lower and face 2a + 1 the upper end of direction a. Corners and
+    edges touch several faces; a point that touches none is interior.
     """
 
     axes: tuple[np.ndarray, ...]
-    interior: np.ndarray
-    boundary: np.ndarray
-    boundary_faces: tuple[tuple[int, ...], ...]
+    lattice: np.ndarray
+    faces: np.ndarray
 
     @property
     def dim(self) -> int:
         return len(self.axes)
 
     @property
+    def on_boundary(self) -> np.ndarray:
+        return self.faces.any(axis=1)
+
+    @property
+    def interior(self) -> np.ndarray:
+        return self.lattice[~self.on_boundary]
+
+    @property
+    def boundary(self) -> np.ndarray:
+        return self.lattice[self.on_boundary]
+
+    @property
     def n_interior(self) -> int:
-        return len(self.interior)
+        return len(self.lattice) - self.n_boundary
 
     @property
     def n_boundary(self) -> int:
-        return len(self.boundary)
+        return int(self.on_boundary.sum())
 
     @property
     def n_points(self) -> int:
-        return self.n_interior + self.n_boundary
+        return len(self.lattice)
 
     def all_points(self) -> np.ndarray:
         return np.vstack([self.interior, self.boundary])
@@ -127,29 +147,15 @@ def generate_collocation_points(
             axes.append(np.linspace(kv.start, kv.end, m))
     axes = tuple(axes)
 
-    lows = [kv.start for kv in kvs]
-    highs = [kv.end for kv in kvs]
-    interior, boundary, faces = [], [], []
-    for point in itertools.product(*axes):
-        touched = []
-        for a, u in enumerate(point):
-            if u == lows[a]:
-                touched.append(2 * a)
-            elif u == highs[a]:
-                touched.append(2 * a + 1)
-        if touched:
-            boundary.append(point)
-            faces.append(tuple(touched))
-        else:
-            interior.append(point)
-
-    dim = len(kvs)
-    cset = CollocationSet(
-        axes=axes,
-        interior=np.array(interior, dtype=float).reshape(-1, dim),
-        boundary=np.array(boundary, dtype=float).reshape(-1, dim),
-        boundary_faces=tuple(faces),
-    )
+    lattice = np.stack(
+        [g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1
+    ).reshape(-1, len(kvs))
+    lows = np.array([kv.start for kv in kvs])
+    highs = np.array([kv.end for kv in kvs])
+    faces = np.empty((len(lattice), 2 * len(kvs)), dtype=bool)
+    faces[:, 0::2] = lattice == lows
+    faces[:, 1::2] = (lattice == highs) & ~faces[:, 0::2]
+    cset = CollocationSet(axes=axes, lattice=lattice, faces=faces)
     if require_cell_coverage:
         empty = empty_cells(cset, KnotGrid(kvs))
         if empty:
@@ -196,11 +202,7 @@ def build_field(
     vectors and weights (a rational field over a rational geometry) and
     starts with zero coefficients.
     """
-    counts = tuple(int(c) for c in np.atleast_1d(counts))
-    if len(counts) == 1 and geometry.dim > 1:
-        counts = counts * geometry.dim
-    if len(counts) != geometry.dim:
-        raise ValueError(f"expected {geometry.dim} basis counts, got {counts}")
+    counts = per_direction(counts, geometry.dim, "counts")
     if min(kv.degree for kv in geometry.kvs) <= operator_order:
         raise PreconditionError(
             "field degree must exceed the operator order in every direction"
@@ -265,19 +267,6 @@ class CollocationSystem:
         return self.matrix.shape[0] == self.matrix.shape[1]
 
 
-def _owning_condition(problem: BvpDefinition, faces):
-    """Boundary condition owning a point that touches ``faces``.
-
-    Dirichlet conditions win over derivative-type ones; remaining ties go
-    to the lowest face id. This keeps corner points from emitting duplicate
-    rows and keeps the interpolatory (square) case square.
-    """
-    conds = [problem.condition_for_face(f) for f in faces]
-    dirichlet = [bc for bc in conds if bc.kind == "dirichlet"]
-    pool = dirichlet if dirichlet else conds
-    return min(pool, key=lambda bc: bc.face)
-
-
 def assemble(
     problem: BvpDefinition,
     field: TensorSpline,
@@ -289,7 +278,11 @@ def assemble(
     Interior rows impose the differential operator, boundary rows the
     owning face's condition scaled by ``boundary_weight``; point
     constraints then replace the matching component row of their nearest
-    collocation point.
+    collocation point. A boundary point on several faces is owned by one
+    condition: Dirichlet conditions win over derivative-type ones, and
+    remaining ties go to the lowest face id. This keeps corner points from
+    emitting duplicate rows and keeps the interpolatory (square) case
+    square.
 
     ``boundary_weight="auto"`` scales every boundary row by the mean
     2-norm of the interior rows. Interior operator rows carry second
@@ -298,6 +291,10 @@ def assemble(
     boundary rows; equalizing the scales keeps the boundary conditions
     enforced as the point count grows. A square system's solution is
     unaffected by the scaling.
+
+    Geometry comes from one pullback of the collocation lattice and basis
+    jets from one batched call per row block; each point's rows fill only
+    its local support block of columns.
     """
     c = problem.field_components
     if field.ncomp != c:
@@ -308,39 +305,40 @@ def assemble(
         raise PreconditionError(
             "field degree must exceed the operator order in every direction"
         )
-    geometry = problem.geometry
-    n_cols = field.n_coeffs * c
-    rows_interior = points.n_interior * c
-    rows_boundary = sum(
-        _owning_condition(problem, faces).n_rows for faces in points.boundary_faces
+    try:
+        x, _, inv, _, second = lattice_pullbacks(problem.geometry, points.axes)
+    except SingularGeometryError as exc:
+        raise AssemblyError(f"singular geometry at a collocation point: {exc}") from exc
+    lattice = points.lattice
+    inner = np.flatnonzero(~points.on_boundary)
+    outer = np.flatnonzero(points.on_boundary)
+
+    conds = [problem.condition_for_face(f) for f in range(2 * points.dim)]
+    rank = np.array(
+        [f + len(conds) * (bc.kind != "dirichlet") for f, bc in enumerate(conds)]
     )
-    A = np.zeros((rows_interior + rows_boundary, n_cols))
-    b = np.zeros(rows_interior + rows_boundary)
-    meta = []
+    owner = np.argmin(np.where(points.faces[outer], rank, 2 * len(conds)), axis=1)
+    n_rows = np.array([bc.n_rows for bc in conds])[owner]
+    rows_interior = len(inner) * c
+    first_row = np.concatenate(
+        [np.arange(len(inner)) * c, rows_interior + np.cumsum(n_rows) - n_rows]
+    )
+    n_cols = field.n_coeffs * c
+    A = np.zeros((rows_interior + int(n_rows.sum()), n_cols))
+    b = np.zeros(len(A))
+
+    def scatter(rows, cols, comp, values):
+        """A[rows[n, i], cols[n, l] * c + comp] = values[n, i, l]."""
+        A[rows[:, :, None], (cols * c + comp)[:, None, :]] = values
 
     # Interior operator rows.
-    row = 0
-    row_of_point = {}
-    for theta in points.interior:
-        try:
-            pb = geometry.pullback(theta)
-        except SingularGeometryError as exc:
-            raise AssemblyError(
-                f"singular geometry at interior point {tuple(theta)}"
-            ) from exc
-        cols, val, grad_t, hess_t = field.basis_jets(theta)
-        grad_x = push_gradient(pb, grad_t[:, :, None])[..., 0]
-        hess_x = push_hessian(pb, grad_x[:, :, None], hess_t[:, :, :, None])[..., 0]
-        fval = np.asarray(problem.source(pb.point_physical), dtype=float)
-        for comp in range(c):
-            rows = problem.operator.basis_rows(val, grad_x, hess_x, comp)
-            for i in range(c):
-                A[row + i, cols * c + comp] = rows[i]
-        for i in range(c):
-            b[row + i] = fval[i]
-            meta.append(RowMeta(tuple(theta), "interior", i))
-        row_of_point[tuple(theta)] = row
-        row += c
+    rows = first_row[: len(inner), None] + np.arange(c)
+    cols, val, grad_t, hess_t = field.basis_jets(lattice[inner])
+    grad_x = lattice_push_gradient(inv[inner], grad_t)
+    hess_x = lattice_push_hessian(inv[inner], second[inner], grad_x, hess_t)
+    for comp in range(c):
+        scatter(rows, cols, comp, problem.operator.basis_rows(val, grad_x, hess_x, comp))
+    b[rows] = callback_values(problem.source, x[inner], c, "source")
 
     if boundary_weight == "auto":
         norms = np.linalg.norm(A[:rows_interior], axis=1)
@@ -348,43 +346,68 @@ def assemble(
     else:
         boundary_weight = float(boundary_weight)
 
-    # Boundary condition rows.
-    for theta, faces in zip(points.boundary, points.boundary_faces):
-        bc = _owning_condition(problem, faces)
-        try:
-            pb = geometry.pullback(theta)
-        except SingularGeometryError as exc:
-            raise AssemblyError(
-                f"singular geometry at boundary point {tuple(theta)}"
-            ) from exc
-        normal = geometry.boundary_normal(pb, bc.axis, bc.side)
-        cols, val, grad_t, _ = field.basis_jets(theta)
-        grad_x = push_gradient(pb, grad_t[:, :, None])[..., 0]
-        gval = bc.rhs(pb.point_physical)
+    # Boundary condition rows, one block per owning condition.
+    cols, val, grad_t, _ = field.basis_jets(lattice[outer])
+    inv_b = inv[outer]
+    grad_x = lattice_push_gradient(inv_b, grad_t)
+    for bc in conds:
+        sel = np.flatnonzero(owner == bc.face)
+        rows = first_row[len(inner) + sel, None] + np.arange(bc.n_rows)
+        normal = boundary_normals(inv_b[sel], bc.axis, bc.side)
         for comp in range(c):
-            rows = bc.rows_for_basis(normal, val, grad_x, comp)
-            for i in range(bc.n_rows):
-                A[row + i, cols * c + comp] = boundary_weight * rows[i]
-        for i in range(bc.n_rows):
-            b[row + i] = boundary_weight * gval[i]
-            meta.append(RowMeta(tuple(theta), "boundary", i, face=bc.face))
-        row_of_point[tuple(theta)] = row
-        row += bc.n_rows
+            block = bc.rows_for_basis(normal, val[sel], grad_x[sel], comp)
+            scatter(rows, cols[sel], comp, boundary_weight * block)
+        name = f"value of the boundary condition on face {bc.face}"
+        b[rows] = boundary_weight * callback_values(
+            bc.value, x[outer[sel]], bc.n_rows, name
+        )
+
+    meta = [
+        RowMeta(point, "interior", i)
+        for point in map(tuple, lattice[inner].tolist())
+        for i in range(c)
+    ]
+    meta += [
+        RowMeta(point, "boundary", i, face=face)
+        for point, face, n in zip(
+            map(tuple, lattice[outer].tolist()), owner.tolist(), n_rows.tolist()
+        )
+        for i in range(n)
+    ]
 
     # Point constraints replace the matching component row of the nearest point.
-    all_points = points.all_points()
-    for pc in problem.point_constraints:
-        target = np.asarray(pc.theta, dtype=float)
-        dist = np.linalg.norm(all_points - target, axis=1)
-        theta = tuple(all_points[int(np.argmin(dist))])
-        base = row_of_point[theta]
-        r = base + pc.component
-        pb = geometry.pullback(theta)
-        cols, val, _, _ = field.basis_jets(theta)
-        A[r, :] = 0.0
-        A[r, cols * c + pc.component] = boundary_weight * val
-        b[r] = boundary_weight * float(pc.value(pb.point_physical))
-        meta[r] = RowMeta(theta, "constraint", pc.component)
+    pcs = problem.point_constraints
+    if pcs:
+        order = np.concatenate([inner, outer])  # the order of points.all_points()
+        targets = np.array([pc.theta for pc in pcs], dtype=float)
+        dist = np.linalg.norm(lattice[order][None] - targets[:, None], axis=-1)
+        k = np.argmin(dist, axis=1)
+        nearest = order[k]
+        comps = np.array([pc.component for pc in pcs])
+        rows = first_row[k] + comps
+        for i, j in itertools.combinations(range(len(pcs)), 2):
+            if rows[i] == rows[j]:
+                raise AssemblyError(
+                    f"point constraints at {pcs[i].theta} and {pcs[j].theta} both "
+                    f"pin component {comps[i]} of the collocation point "
+                    f"{tuple(lattice[nearest[i]].tolist())} (row {rows[i]})"
+                )
+        cols, val, _, _ = field.basis_jets(lattice[nearest])
+        A[rows] = 0.0
+        A[rows[:, None], cols * c + comps[:, None]] = boundary_weight * val
+        for j, pc in enumerate(pcs):
+            name = f"value of the point constraint at {pc.theta}"
+            b[rows[j]] = boundary_weight * callback_values(
+                pc.value, x[nearest[j : j + 1]], 1, name
+            )[0, 0]
+            meta[rows[j]] = RowMeta(
+                tuple(lattice[nearest[j]].tolist()), "constraint", pc.component
+            )
+
+    bad = ~(np.isfinite(A).all(axis=1) & np.isfinite(b))
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise AssemblyError(f"non-finite entry in row {r} of the system: {meta[r]}")
 
     return CollocationSystem(
         matrix=A, rhs=b, row_meta=tuple(meta), n_unknowns=n_cols

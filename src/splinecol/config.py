@@ -5,11 +5,11 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 
+from .collocation import SCHEME_KINDS
 from .errors import ConfigError
+from .estimator import METHODS
 
 EXAMPLE_IDS = ("I", "II", "III", "IV", "V")
-METHODS = ("igac", "igal_fixed", "igal_variable")
-SCHEMES = ("greville", "uniform")
 
 
 def _counts(value, name):
@@ -54,8 +54,10 @@ class ExperimentConfig:
             )
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+        if self.scheme not in SCHEME_KINDS:
+            raise ConfigError(
+                f"unknown scheme {self.scheme!r}; choose from {SCHEME_KINDS}"
+            )
         object.__setattr__(self, "n", _counts(self.n, "n"))
         object.__setattr__(self, "m", _counts(self.m, "m"))
         object.__setattr__(

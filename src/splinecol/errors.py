@@ -33,8 +33,12 @@ class PreconditionError(SplineColError, ValueError):
     """A discretization precondition (e.g. degree vs. operator order) fails."""
 
 
+class CallbackError(SplineColError, ValueError):
+    """A problem callback returned values of the wrong shape."""
+
+
 class AssemblyError(SplineColError, RuntimeError):
-    """System assembly failed; the message names the offending point."""
+    """System assembly failed; the message names the offending point or row."""
 
 
 class SingularSystemError(SplineColError, RuntimeError):

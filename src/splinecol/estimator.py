@@ -12,7 +12,7 @@ import inspect
 
 import numpy as np
 
-from ._validation import as_points
+from ._validation import per_direction
 from .collocation import (
     CollocationScheme,
     assemble,
@@ -105,12 +105,7 @@ class CollocationSolver:
     def _counts(self, value, dim, name):
         if value is None:
             raise ValueError(f"{name} must be set for method {self.method!r}")
-        counts = tuple(int(c) for c in np.atleast_1d(value))
-        if len(counts) == 1 and dim > 1:
-            counts = counts * dim
-        if len(counts) != dim:
-            raise ValueError(f"{name} must give one count per direction, got {value!r}")
-        return counts
+        return per_direction(value, dim, name)
 
     def fit(self, problem: BvpDefinition, y=None):
         """Solve ``problem`` and store the fitted field on the estimator."""
@@ -169,17 +164,20 @@ class CollocationSolver:
     def predict(self, theta) -> np.ndarray:
         """Solution values at parametric points, shape (n, components)."""
         self._check_fitted()
-        pts = as_points(theta, self.field_.dim)
-        return np.stack([self.field_.evaluate(p).value for p in pts])
+        return _values_at(self.field_, theta)
 
     def physical_points(self, theta) -> np.ndarray:
         """Physical images of parametric points under the problem geometry."""
         self._check_fitted()
-        pts = as_points(theta, self.field_.dim)
-        return np.stack(
-            [self.problem_.geometry.physical_point(p) for p in pts]
-        )
+        return _values_at(self.problem_.geometry.spline, theta)
 
     def _check_fitted(self):
         if not hasattr(self, "field_"):
             raise RuntimeError("this solver has not been fitted yet")
+
+
+def _values_at(spline, theta) -> np.ndarray:
+    """Values (n, components) of a spline at parametric points, from its basis jets."""
+    cols, val, _, _ = spline.basis_jets(theta)
+    coeffs = spline.coeffs.reshape(-1, spline.ncomp)
+    return np.einsum("nl,nlc->nc", val, coeffs[cols])

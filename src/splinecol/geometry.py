@@ -1,13 +1,14 @@
 """Geometry mappings from the parametric to the physical domain.
 
 A :class:`GeometryMap` wraps a point-valued tensor spline F mapping the
-parametric box onto the physical domain, and provides the first- and
-second-order chain-rule machinery (pullbacks) needed to express physical
-differential operators at parametric points.
+parametric box onto the physical domain. The functions below provide the
+batched first- and second-order chain-rule machinery (pullbacks) needed to
+express physical differential operators at parametric points.
 
 Conventions: the Jacobian J has entries J[k, a] = dx_k / dtheta_a; the
 second-derivative tensor S has S[a, b, k] = d^2 x_k / dtheta_a dtheta_b
-(component axis last, matching spline jets).
+(component axis last, matching spline jets). Batched arrays carry the
+point index first.
 """
 
 from __future__ import annotations
@@ -16,23 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import as_point
-from .errors import SingularGeometryError, UnsupportedDerivativeError
+from .errors import SingularGeometryError
 from .splines import TensorSpline
 
 DET_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PullbackData:
-    """Geometry derivatives at one parametric point."""
-
-    theta: np.ndarray
-    point_physical: np.ndarray
-    jacobian: np.ndarray
-    inverse_jacobian: np.ndarray
-    det_jacobian: float
-    second_derivs: np.ndarray  # (d, d, d), component axis last
 
 
 @dataclass(frozen=True)
@@ -56,107 +44,58 @@ class GeometryMap:
     def kvs(self):
         return self.spline.kvs
 
-    def physical_point(self, theta) -> np.ndarray:
-        return self.spline.evaluate(theta).value
-
-    def pullback(self, theta) -> PullbackData:
-        """Point, Jacobian, inverse Jacobian and second derivatives at theta."""
-        theta = as_point(theta, self.dim)
-        jet = self.spline.evaluate(theta, max_deriv=2)
-        jac = jet.grad.T  # J[k, a] = dx_k/dtheta_a
-        det = float(np.linalg.det(jac))
-        if abs(det) < DET_TOL:
-            raise SingularGeometryError(
-                f"geometry Jacobian is singular at theta={tuple(theta)} (det={det:.3e})"
-            )
-        return PullbackData(
-            theta=theta,
-            point_physical=jet.value,
-            jacobian=jac,
-            inverse_jacobian=np.linalg.inv(jac),
-            det_jacobian=det,
-            second_derivs=jet.hess,
-        )
-
-    def physical_gradient(self, theta, field: TensorSpline) -> np.ndarray:
-        """Physical-space gradient of a field defined on the same parameters.
-
-        Returns an array of shape (d, c) holding dT_c/dx_k.
-        """
-        pb = self.pullback(theta)
-        jet = field.evaluate(theta, max_deriv=1)
-        return push_gradient(pb, jet.grad)
-
-    def physical_hessian(self, theta, field: TensorSpline) -> np.ndarray:
-        """Physical-space Hessian of a field, shape (d, d, c)."""
-        if min(field.degrees) < 2:
-            raise UnsupportedDerivativeError(
-                "physical Hessians need field degree >= 2 in every direction"
-            )
-        pb = self.pullback(theta)
-        jet = field.evaluate(theta, max_deriv=2)
-        grad_x = push_gradient(pb, jet.grad)
-        return push_hessian(pb, grad_x, jet.hess)
-
-    def boundary_normal(self, pb: PullbackData, axis: int, side: int) -> np.ndarray:
-        """Unit outward physical normal of the parametric face theta_axis = const.
-
-        ``side`` is 0 for the lower face and 1 for the upper face.
-        """
-        if self.dim == 1:
-            n = np.array([1.0])
-        else:
-            n = pb.inverse_jacobian[axis]  # row a of J^{-1} = grad_x theta_a
-            n = n / np.linalg.norm(n)
-        return n if side == 1 else -n
-
-
-def push_gradient(pb: PullbackData, grad_theta: np.ndarray) -> np.ndarray:
-    """Parametric gradient(s) (..., d, c) to physical gradient(s) (..., d, c)."""
-    # grad_x[k] = sum_a Jinv[a, k] grad_theta[a]
-    return np.einsum("ak,...ac->...kc", pb.inverse_jacobian, grad_theta)
-
-
-def push_hessian(pb: PullbackData, grad_x: np.ndarray, hess_theta: np.ndarray) -> np.ndarray:
-    """Physical Hessian from the parametric one, shape (..., d, d, c).
-
-    Implements H_x = J^{-T} (H_theta - sum_k (grad_x)_k S_k) J^{-1} with
-    S the geometry second-derivative tensor.
-    """
-    corr = np.einsum("abk,...kc->...abc", pb.second_derivs, grad_x)
-    inner = hess_theta - corr
-    jinv = pb.inverse_jacobian
-    return np.einsum("ai,...abc,bj->...ijc", jinv, inner, jinv)
-
 
 def lattice_pullbacks(geometry: GeometryMap, axes):
-    """Geometry data on a parameter lattice, flattened to N points.
+    """Geometry data on a parameter lattice, flattened to N points in C order.
 
     Returns (points (N, d), jac (N, d, d), inv_jac (N, d, d), det (N,),
-    second (N, d, d, d)). Raises on singular cells like :meth:`pullback`.
+    second (N, d, d, d)). Raises :class:`SingularGeometryError` naming the
+    first lattice point whose Jacobian is singular.
     """
     jet = geometry.spline.evaluate_lattice(axes, max_deriv=2)
     d = geometry.dim
     pts = jet.value.reshape(-1, d)
     jac = np.swapaxes(jet.grad.reshape(-1, d, d), -1, -2)  # (N, k, a)
     det = np.linalg.det(jac)
-    if np.any(np.abs(det) < DET_TOL):
-        i = int(np.argmin(np.abs(det)))
+    singular = np.abs(det) < DET_TOL
+    if singular.any():
+        i = int(np.argmax(singular))
+        index = np.unravel_index(i, tuple(len(a) for a in axes))
+        theta = tuple(float(a[j]) for a, j in zip(axes, index))
         raise SingularGeometryError(
-            f"geometry Jacobian is singular at lattice point index {i}"
+            f"geometry Jacobian is singular at theta={theta} (det={det[i]:.3e})"
         )
     inv = np.linalg.inv(jac)
     second = jet.hess.reshape(-1, d, d, d)
     return pts, jac, inv, det, second
 
 
+def boundary_normals(inv_jac, axis: int, side: int) -> np.ndarray:
+    """Unit outward physical normals (N, d) of the face theta_axis = const.
+
+    ``inv_jac`` holds the inverse Jacobians (N, d, d) at points on the face;
+    ``side`` is 0 for the lower face and 1 for the upper face.
+    """
+    if inv_jac.shape[-1] == 1:
+        n = np.ones((len(inv_jac), 1))
+    else:
+        n = inv_jac[:, axis]  # row a of J^{-1} = grad_x theta_a
+        n = n / np.linalg.norm(n, axis=1, keepdims=True)
+    return n if side == 1 else -n
+
+
 def lattice_push_gradient(inv_jac, grad_theta):
     """Batched physical gradients: inv_jac (N,d,d), grad_theta (N,d,c)."""
+    # grad_x[k] = sum_a Jinv[a, k] grad_theta[a]
     return np.einsum("nak,nac->nkc", inv_jac, grad_theta)
 
 
 def lattice_push_hessian(inv_jac, second, grad_x, hess_theta):
-    """Batched physical Hessians (N, d, d, c)."""
+    """Batched physical Hessians (N, d, d, c).
+
+    Implements H_x = J^{-T} (H_theta - sum_k (grad_x)_k S_k) J^{-1} with
+    S the geometry second-derivative tensor.
+    """
     corr = np.einsum("nabk,nkc->nabc", second, grad_x)
     inner = hess_theta - corr
     return np.einsum("nai,nabc,nbj->nijc", inv_jac, inner, inv_jac)

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from ._validation import per_direction
 from .errors import UndefinedMetricError
 from .geometry import (
     lattice_pullbacks,
     lattice_push_gradient,
     lattice_push_hessian,
 )
-from .problems import BvpDefinition
+from .problems import BvpDefinition, callback_values
 from .splines import TensorSpline
 
 DEFAULT_ABS_SAMPLES = {1: 1001, 2: 201, 3: 41}
@@ -93,9 +94,9 @@ def relative_solution_error(
     _require_analytic(problem)
     axes, w, _ = quadrature_rule(field, quad_order)
     pts, det, value, _, _ = _field_data(problem, field, axes, max_deriv=0)
-    exact = np.asarray(problem.analytic_solution(pts), dtype=float)
-    if exact.ndim == 1:
-        exact = exact[:, None]
+    exact = callback_values(
+        problem.analytic_solution, pts, field.ncomp, "analytic_solution"
+    )
     dw = det * w
     num = np.sum(((exact - value) ** 2).sum(axis=1) * dw)
     den = np.sum((exact**2).sum(axis=1) * dw)
@@ -137,9 +138,7 @@ def relative_operator_error(
     """
     axes, w, _ = quadrature_rule(field, quad_order)
     pts, det, value, grad_x, hess_x = _field_data(problem, field, axes, max_deriv=2)
-    exact = np.stack(
-        [np.asarray(problem.source(p), dtype=float) for p in pts]
-    ).reshape(len(pts), -1)
+    exact = callback_values(problem.source, pts, field.ncomp, "source")
     approx = problem.operator.apply(value, grad_x, hess_x)
     dw = det * w
     den = np.sum((exact**2).sum(axis=1) * dw)
@@ -158,10 +157,8 @@ def absolute_error_field(problem: BvpDefinition, field: TensorSpline, sample_cou
     _require_analytic(problem)
     d = problem.dim
     if sample_counts is None:
-        sample_counts = (DEFAULT_ABS_SAMPLES[d],) * d
-    sample_counts = tuple(int(c) for c in np.atleast_1d(sample_counts))
-    if len(sample_counts) == 1 and d > 1:
-        sample_counts = sample_counts * d
+        sample_counts = DEFAULT_ABS_SAMPLES[d]
+    sample_counts = per_direction(sample_counts, d, "sample_counts")
     axes = [
         np.linspace(kv.start, kv.end, m) for kv, m in zip(field.kvs, sample_counts)
     ]

@@ -10,7 +10,11 @@ Dirichlet/Neumann variant used for stability experiments.
 Operators and boundary conditions expose two views: ``apply`` acts on a
 full field jet (used by error metrics), ``basis_rows`` on batches of
 scalar basis-function jets placed in one displacement component (used by
-row assembly). Both are vectorized over a leading batch axis.
+row assembly). Both are vectorized over a leading batch axis of points.
+
+Callbacks (``source``, ``analytic_solution``, boundary-condition ``value``
+and ``PointConstraint.value``) take physical points of shape (N, d) and
+return values of shape (N, c); :func:`callback_values` enforces this.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import CallbackError
 from .geometry import GeometryMap
 from .splines import KnotVector, TensorSpline
 
@@ -89,9 +94,13 @@ class ScreenedPoissonOperator:
         return value - lap
 
     def basis_rows(self, value, grad, hess, component):
-        """Rows (components, N) for N basis functions living in ``component``."""
-        lap = np.trace(hess, axis1=-2, axis2=-1)
-        return (value - lap)[None, :]
+        """Rows (N, components, L) for the L basis functions of N points.
+
+        ``value`` (N, L), ``grad`` (N, d, L) and ``hess`` (N, d, d, L) are
+        physical basis jets; the functions live in field ``component``.
+        """
+        lap = np.trace(hess, axis1=1, axis2=2)
+        return (value - lap)[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -127,8 +136,8 @@ class PlaneStressNavierOperator:
         hyy = hess[:, 1, 1]
         hxy = hess[:, 0, 1]
         if component == 0:
-            return np.stack([c1 * hxx + mu * hyy, cxy * hxy])
-        return np.stack([cxy * hxy, c1 * hyy + mu * hxx])
+            return np.stack([c1 * hxx + mu * hyy, cxy * hxy], axis=1)
+        return np.stack([cxy * hxy, c1 * hyy + mu * hxx], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +149,38 @@ def face_id(axis: int, side: int) -> int:
     return 2 * axis + side
 
 
+def callback_values(fn, x, components: int, name: str) -> np.ndarray:
+    """Values (N, components) of a problem callback at physical points x (N, d).
+
+    Raises :class:`CallbackError` naming the callback if it returns any
+    other shape.
+    """
+    values = np.asarray(fn(x), dtype=float)
+    expected = (len(x), components)
+    if values.shape != expected:
+        raise CallbackError(
+            f"{name} must map points of shape {np.shape(x)} to values of shape "
+            f"{expected}, got shape {values.shape}"
+        )
+    return values
+
+
+class _FaceCondition:
+    """Face bookkeeping shared by the boundary conditions (``axis``, ``side``).
+
+    Each condition's ``rows_for_basis(normal, value, grad, component)``
+    takes unit outward normals (N, d) and physical basis jets ``value``
+    (N, L) and ``grad`` (N, d, L) of functions living in field
+    ``component``, and returns the condition's rows (N, n_rows, L).
+    """
+
+    @property
+    def face(self) -> int:
+        return face_id(self.axis, self.side)
+
+
 @dataclass(frozen=True)
-class DirichletBC:
+class DirichletBC(_FaceCondition):
     """Prescribed field values on one parametric face."""
 
     axis: int
@@ -151,24 +190,17 @@ class DirichletBC:
     kind: str = "dirichlet"
 
     @property
-    def face(self) -> int:
-        return face_id(self.axis, self.side)
-
-    @property
     def n_rows(self) -> int:
         return self.components
 
     def rows_for_basis(self, normal, value, grad, component):
-        rows = np.zeros((self.components, value.shape[0]))
-        rows[component] = value
+        rows = np.zeros((value.shape[0], self.components, value.shape[1]))
+        rows[:, component] = value
         return rows
-
-    def rhs(self, x):
-        return np.atleast_1d(np.asarray(self.value(x), dtype=float))
 
 
 @dataclass(frozen=True)
-class NormalDerivativeBC:
+class NormalDerivativeBC(_FaceCondition):
     """Prescribed outward normal derivative of a scalar field on one face."""
 
     axis: int
@@ -177,22 +209,15 @@ class NormalDerivativeBC:
     kind: str = "neumann"
 
     @property
-    def face(self) -> int:
-        return face_id(self.axis, self.side)
-
-    @property
     def n_rows(self) -> int:
         return 1
 
     def rows_for_basis(self, normal, value, grad, component):
-        return (grad @ normal)[None, :]
-
-    def rhs(self, x):
-        return np.atleast_1d(np.asarray(self.value(x), dtype=float))
+        return np.einsum("na,nal->nl", normal, grad)[:, None, :]
 
 
 @dataclass(frozen=True)
-class TractionBC:
+class TractionBC(_FaceCondition):
     """Prescribed traction sigma(u) . n on one face (plane stress)."""
 
     axis: int
@@ -200,10 +225,6 @@ class TractionBC:
     material: MaterialParams
     value: Callable[[np.ndarray], np.ndarray]
     kind: str = "traction"
-
-    @property
-    def face(self) -> int:
-        return face_id(self.axis, self.side)
 
     @property
     def n_rows(self) -> int:
@@ -215,15 +236,13 @@ class TractionBC:
         mu = self.material.shear_modulus
         gx = grad[:, 0]
         gy = grad[:, 1]
-        n0, n1 = normal
+        n0 = normal[:, 0, None]
+        n1 = normal[:, 1, None]
         if component == 0:
             sx, sy, tau = c1 * gx, c1 * nu * gx, mu * gy
         else:
             sx, sy, tau = c1 * nu * gy, c1 * gy, mu * gx
-        return np.stack([sx * n0 + tau * n1, tau * n0 + sy * n1])
-
-    def rhs(self, x):
-        return np.atleast_1d(np.asarray(self.value(x), dtype=float))
+        return np.stack([sx * n0 + tau * n1, tau * n0 + sy * n1], axis=1)
 
 
 @dataclass(frozen=True)
@@ -235,11 +254,12 @@ class PointConstraint:
     collocation point nearest ``theta``; ``value`` is evaluated at that
     point's physical location so the constraint stays consistent with the
     analytic solution even when the nearest point is not exactly ``theta``.
+    Like every callback it maps points (N, d) to values, here (N, 1).
     """
 
     theta: tuple
     component: int
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +371,16 @@ def patch_beam(half_length: float = 5.0, depth: float = 2.0) -> GeometryMap:
 # ---------------------------------------------------------------------------
 
 
+def _constant(*values):
+    """Callback with the same values at every point: (N, d) -> (N, len(values))."""
+    return lambda x: np.tile(values, np.shape(x)[:-1] + (1,))
+
+
+def _column(scalar):
+    """Callback (N, d) -> (N, 1) from a scalar field (N, d) -> (N,)."""
+    return lambda x: scalar(x)[..., None]
+
+
 def _scalar_quantity(analytic):
     return FieldQuantity(
         name="T",
@@ -366,20 +396,20 @@ def example_1d_dirichlet() -> BvpDefinition:
         return np.sin(2.0 * np.pi * x[..., 0])
 
     def source(x):
-        return np.atleast_1d((1.0 + 4.0 * np.pi**2) * np.sin(2.0 * np.pi * x[..., 0]))
+        return (1.0 + 4.0 * np.pi**2) * np.sin(2.0 * np.pi * x[..., 0])
 
-    zero = lambda x: np.zeros(1)
+    zero = _constant(0.0)
     return BvpDefinition(
         example_id="I",
         description="1D source problem with homogeneous Dirichlet ends",
         geometry=curve_unit_interval(),
         operator=ScreenedPoissonOperator(dim=1),
-        source=source,
+        source=_column(source),
         boundary_conditions=(
             DirichletBC(axis=0, side=0, value=zero),
             DirichletBC(axis=0, side=1, value=zero),
         ),
-        analytic_solution=lambda x: np.atleast_1d(analytic(x)),
+        analytic_solution=_column(analytic),
         quantities=(_scalar_quantity(analytic),),
     )
 
@@ -414,9 +444,9 @@ def example_2d_annulus() -> BvpDefinition:
             + (68 * xx - 8 * xx**3 - 8 * xx * yy**2) * cx * sy
             + (68 * yy - 8 * yy**3 - 8 * yy * xx**2) * cy * sx
         )
-        return np.atleast_1d(out)
+        return out
 
-    zero = lambda x: np.zeros(1)
+    zero = _constant(0.0)
     bcs = tuple(
         DirichletBC(axis=a, side=s, value=zero) for a in (0, 1) for s in (0, 1)
     )
@@ -425,9 +455,9 @@ def example_2d_annulus() -> BvpDefinition:
         description="2D source problem on a quarter annulus",
         geometry=patch_quarter_annulus(),
         operator=ScreenedPoissonOperator(dim=2),
-        source=source,
+        source=_column(source),
         boundary_conditions=bcs,
-        analytic_solution=lambda x: np.atleast_1d(analytic(x)),
+        analytic_solution=_column(analytic),
         quantities=(_scalar_quantity(analytic),),
     )
 
@@ -443,9 +473,9 @@ def example_3d_cube() -> BvpDefinition:
         )
 
     def source(x):
-        return np.atleast_1d((1.0 + 12.0 * np.pi**2) * analytic(x))
+        return (1.0 + 12.0 * np.pi**2) * analytic(x)
 
-    zero = lambda x: np.zeros(1)
+    zero = _constant(0.0)
     bcs = tuple(
         DirichletBC(axis=a, side=s, value=zero) for a in (0, 1, 2) for s in (0, 1)
     )
@@ -454,9 +484,9 @@ def example_3d_cube() -> BvpDefinition:
         description="3D source problem on the unit cube",
         geometry=solid_unit_cube(),
         operator=ScreenedPoissonOperator(dim=3),
-        source=source,
+        source=_column(source),
         boundary_conditions=bcs,
-        analytic_solution=lambda x: np.atleast_1d(analytic(x)),
+        analytic_solution=_column(analytic),
         quantities=(_scalar_quantity(analytic),),
     )
 
@@ -465,8 +495,8 @@ def example_1d_mixed() -> BvpDefinition:
     """Example I's PDE with T(0) = 0 and the Neumann condition T'(1) = 2 pi."""
     base = example_1d_dirichlet()
     bcs = (
-        DirichletBC(axis=0, side=0, value=lambda x: np.zeros(1)),
-        NormalDerivativeBC(axis=0, side=1, value=lambda x: np.array([2.0 * np.pi])),
+        DirichletBC(axis=0, side=0, value=_constant(0.0)),
+        NormalDerivativeBC(axis=0, side=1, value=_constant(2.0 * np.pi)),
     )
     return replace(
         base,
@@ -589,9 +619,9 @@ def example_beam(
         left = TractionBC(axis=0, side=0, material=params, value=traction((-1.0, 0.0)))
         right = TractionBC(axis=0, side=1, material=params, value=traction((1.0, 0.0)))
         constraints = (
-            PointConstraint(theta=(0.0, 0.5), component=1, value=lambda x: float(u_y(x))),
-            PointConstraint(theta=(1.0, 0.5), component=1, value=lambda x: float(u_y(x))),
-            PointConstraint(theta=(0.5, 0.5), component=0, value=lambda x: float(u_x(x))),
+            PointConstraint(theta=(0.0, 0.5), component=1, value=_column(u_y)),
+            PointConstraint(theta=(1.0, 0.5), component=1, value=_column(u_y)),
+            PointConstraint(theta=(0.5, 0.5), component=0, value=_column(u_x)),
         )
     else:
         left = DirichletBC(axis=0, side=0, value=displacement, components=2)
@@ -624,7 +654,7 @@ def example_beam(
         description="simply supported plane-stress beam",
         geometry=patch_beam(l, h),
         operator=PlaneStressNavierOperator(params),
-        source=lambda x: np.zeros(2),
+        source=_constant(0.0, 0.0),
         boundary_conditions=(bottom, top, left, right),
         analytic_solution=displacement,
         quantities=quantities,

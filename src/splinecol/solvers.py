@@ -95,7 +95,7 @@ def solve_normal_equations(A, b) -> SolveReport:
     x, info = lapack.dpotrs(chol, rhs, lower=1)
     if info != 0:
         raise RankDeficientError(f"Cholesky solve failed (info={info})")
-    # One step of iterative refinement claws back accuracy lost to the
+    # Two sweeps of iterative refinement claw back accuracy lost to the
     # squared condition number of the normal equations.
     for _ in range(2):
         r = A.T @ (b - A @ x)

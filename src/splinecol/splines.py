@@ -12,11 +12,11 @@ order with the last parametric axis fastest.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import as_float_array, as_point, check_positive_int
+from ._validation import as_float_array, as_points, check_positive_int
 from .errors import (
     DomainError,
     InvalidRefinementError,
@@ -24,20 +24,23 @@ from .errors import (
 )
 
 
-def _basis_ders(knots, degree, span, u, n_ders):
-    """All nonzero basis functions and derivatives at ``u`` (The NURBS Book A2.3).
+def _basis_ders(knots, degree, spans, u, n_ders):
+    """Nonzero basis functions and derivatives at parameters ``u`` (The NURBS Book A2.3).
 
-    Returns an array of shape (n_ders+1, degree+1); row k holds the k-th
-    derivatives of the degree+1 basis functions supported on ``span``.
+    ``spans`` and ``u`` are arrays of shape (m,). Returns an array of shape
+    (m, n_ders+1, degree+1); entry [j, k] holds the k-th derivatives of the
+    degree+1 basis functions supported on ``spans[j]``. The recurrences act
+    on all parameters at once; the loops run over the degree only.
     """
     p = degree
-    ndu = np.empty((p + 1, p + 1))
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
+    m = len(u)
+    ndu = np.empty((p + 1, p + 1, m))
+    left = np.empty((p + 1, m))
+    right = np.empty((p + 1, m))
     ndu[0, 0] = 1.0
     for j in range(1, p + 1):
-        left[j] = u - knots[span + 1 - j]
-        right[j] = knots[span + j] - u
+        left[j] = u - knots[spans + 1 - j]
+        right[j] = knots[spans + j] - u
         saved = 0.0
         for r in range(j):
             ndu[j, r] = right[r + 1] + left[j - r]
@@ -46,19 +49,19 @@ def _basis_ders(knots, degree, span, u, n_ders):
             saved = left[j - r] * temp
         ndu[j, j] = saved
 
-    ders = np.zeros((n_ders + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-    a = np.empty((2, p + 1))
+    ders = np.zeros((n_ders + 1, p + 1, m))
+    ders[0] = ndu[:, p]
+    a = np.empty((2, p + 1, m))
     for r in range(p + 1):
         s1, s2 = 0, 1
         a[0, 0] = 1.0
         for k in range(1, n_ders + 1):
-            d = 0.0
+            d = np.zeros(m)
             rk = r - k
             pk = p - k
             if r >= k:
                 a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                d = a[s2, 0] * ndu[rk, pk]
+                d += a[s2, 0] * ndu[rk, pk]
             j1 = 1 if rk >= -1 else -rk
             j2 = k - 1 if r - 1 <= pk else p - r
             for j in range(j1, j2 + 1):
@@ -72,9 +75,20 @@ def _basis_ders(knots, degree, span, u, n_ders):
 
     r = p
     for k in range(1, n_ders + 1):
-        ders[k, :] *= r
+        ders[k] *= r
         r *= p - k
-    return ders
+    return np.moveaxis(ders, -1, 0)
+
+
+def _local_basis(kv, u, max_deriv):
+    """Spans (m,) and local derivative tables (m, max_deriv+1, p+1) at parameters ``u``."""
+    if max_deriv > kv.degree:
+        raise UnsupportedDerivativeError(
+            f"derivative order {max_deriv} exceeds degree {kv.degree}"
+        )
+    u = np.asarray(u, dtype=float).reshape(-1)
+    spans = kv.find_span(u)
+    return spans, _basis_ders(kv.knots, kv.degree, spans, u, max_deriv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,30 +160,33 @@ class KnotVector:
         bp = self.breakpoints
         return list(zip(bp[:-1], bp[1:]))
 
-    def find_span(self, u: float) -> int:
-        """Index i with knots[i] <= u < knots[i+1].
+    def find_span(self, u):
+        """Index i with knots[i] <= u < knots[i+1], for a scalar or an array of parameters.
 
         The right end of the domain maps to the last nonempty span so that
-        boundary evaluation at the final parameter is valid.
+        boundary evaluation at the final parameter is valid. An array of
+        parameters gives an array of spans of the same shape.
         """
-        if not (self.start <= u <= self.end):
-            raise DomainError(f"parameter {u!r} outside knot range [{self.start}, {self.end}]")
-        span = int(np.searchsorted(self.knots, u, side="right")) - 1
-        return min(max(span, self.degree), self.n_basis - 1)
-
-    def basis_values(self, u: float, max_deriv: int = 0) -> np.ndarray:
-        """Nonzero basis functions and derivatives at ``u``.
-
-        Returns an array of shape (max_deriv+1, degree+1); row 0 sums to 1,
-        higher rows sum to 0. The columns correspond to basis indices
-        span-degree .. span.
-        """
-        if max_deriv > self.degree:
-            raise UnsupportedDerivativeError(
-                f"derivative order {max_deriv} exceeds degree {self.degree}"
+        u = np.asarray(u, dtype=float)
+        bad = ~((u >= self.start) & (u <= self.end))
+        if bad.any():
+            first = float(u.reshape(-1)[np.argmax(bad.reshape(-1))])
+            raise DomainError(
+                f"parameter {first!r} outside knot range [{self.start}, {self.end}]"
             )
-        span = self.find_span(u)
-        return _basis_ders(self.knots, self.degree, span, u, max_deriv)
+        span = np.searchsorted(self.knots, u, side="right") - 1
+        span = np.clip(span, self.degree, self.n_basis - 1)
+        return int(span) if span.ndim == 0 else span
+
+    def basis_values(self, u, max_deriv: int = 0) -> np.ndarray:
+        """Nonzero basis functions and derivatives at ``u`` (a scalar or an array).
+
+        A scalar gives an array of shape (max_deriv+1, degree+1); an array of
+        parameters prepends its shape. Row 0 sums to 1, higher rows sum to 0.
+        The columns correspond to basis indices span-degree .. span.
+        """
+        _, ders = _local_basis(self, u, max_deriv)
+        return ders.reshape(np.shape(u) + ders.shape[1:])
 
     def greville_abscissae(self) -> np.ndarray:
         """Per-basis averages of degree consecutive knots (collocation sites)."""
@@ -245,28 +262,6 @@ class KnotGrid:
     def grid_size_h(self) -> float:
         """Maximum Euclidean diameter over all knot cells."""
         return float(np.sqrt(sum(max(np.diff(kv.breakpoints)) ** 2 for kv in self.kvs)))
-
-    def cells(self):
-        """Iterate over cells as tuples of per-direction (left, right) intervals."""
-        return itertools.product(*(kv.spans for kv in self.kvs))
-
-
-@dataclass(frozen=True)
-class SplineJet:
-    """Value and physical-parameter derivatives of a spline at one point.
-
-    ``value`` has shape (c,); ``grad`` (d, c) and ``hess`` (d, d, c) are None
-    when not requested. ``partials`` maps per-direction derivative orders to
-    (c,) arrays for every computed multi-index.
-    """
-
-    value: np.ndarray
-    grad: np.ndarray | None
-    hess: np.ndarray | None
-    partials: dict = field(repr=False, default_factory=dict)
-
-    def partial(self, orders: tuple[int, ...]) -> np.ndarray:
-        return self.partials[tuple(orders)]
 
 
 @dataclass(frozen=True)
@@ -370,84 +365,18 @@ class TensorSpline:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _local_tables(self, theta, max_deriv):
-        """Spans and per-direction derivative tables at one point."""
-        spans = []
-        tables = []
-        for kv, u in zip(self.kvs, theta):
-            spans.append(kv.find_span(u))
-            tables.append(kv.basis_values(u, max_deriv))
-        return spans, tables
-
     def _homogeneous(self):
         w = self.weights[..., None]
         return np.concatenate([w * self.coeffs, w], axis=-1)
 
-    def evaluate(self, theta, max_deriv: int = 0) -> SplineJet:
-        """Value and partial derivatives at a parameter point.
-
-        Rational derivatives are supported up to order 2; B-splines with unit
-        weights additionally support any order up to the degree.
-        """
-        theta = as_point(theta, self.dim)
-        polynomial = self.is_polynomial
-        if max_deriv > 2 and not polynomial:
-            raise UnsupportedDerivativeError(
-                "rational derivatives are supported up to order 2"
-            )
-        spans, tables = self._local_tables(theta, max_deriv)
-        block = tuple(
-            slice(s - kv.degree, s + 1) for s, kv in zip(spans, self.kvs)
-        )
-        local = self.coeffs[block] if polynomial else self._homogeneous()[block]
-
-        sums = {}
-        for alpha in _deriv_multi_indices(self.dim, max_deriv):
-            x = local
-            for axis in reversed(range(self.dim)):
-                x = np.tensordot(tables[axis][alpha[axis]], x, axes=(0, axis))
-            sums[alpha] = x
-
-        c = self.ncomp
-        partials = {}
-        if polynomial:
-            partials = sums
-        else:
-            d = self.dim
-            zero = (0,) * d
-            w0 = sums[zero][c]
-            partials[zero] = sums[zero][:c] / w0
-            for alpha in _deriv_multi_indices(d, max_deriv):
-                if sum(alpha) == 1:
-                    partials[alpha] = (
-                        sums[alpha][:c] - sums[alpha][c] * partials[zero]
-                    ) / w0
-            for alpha in _deriv_multi_indices(d, max_deriv):
-                if sum(alpha) == 2:
-                    a, b = _split_second_order(alpha)
-                    partials[alpha] = (
-                        sums[alpha][:c]
-                        - sums[alpha][c] * partials[zero]
-                        - sums[a][c] * partials[b]
-                        - sums[b][c] * partials[a]
-                    ) / w0
-
-        return SplineJet(
-            value=partials[(0,) * self.dim],
-            grad=_stack_grad(partials, self.dim) if max_deriv >= 1 else None,
-            hess=_stack_hess(partials, self.dim) if max_deriv >= 2 else None,
-            partials=dict(partials),
-        )
-
-    def evaluate_partial(self, theta, orders) -> np.ndarray:
-        """Single partial derivative of per-direction orders ``orders``."""
-        orders = tuple(int(k) for k in orders)
-        if len(orders) != self.dim:
-            raise ValueError(f"expected {self.dim} derivative orders, got {orders}")
-        return self.evaluate(theta, max_deriv=sum(orders)).partial(orders)
-
     def evaluate_lattice(self, axes, max_deriv: int = 0) -> LatticeJet:
-        """Jet on the tensor lattice spanned by per-direction parameter arrays."""
+        """Jet on the tensor lattice spanned by per-direction parameter arrays.
+
+        The field is contracted one direction at a time with full 1D
+        derivative tables (sum factorization). Rational derivatives are
+        supported up to order 2; B-splines with unit weights additionally
+        support any order up to the degree.
+        """
         axes = [as_float_array(a, f"axes[{i}]", ndim=1) for i, a in enumerate(axes)]
         if len(axes) != self.dim:
             raise ValueError(f"expected {self.dim} axes, got {len(axes)}")
@@ -457,14 +386,13 @@ class TensorSpline:
                 "rational derivatives are supported up to order 2"
             )
 
-        # Full (n_points, n_basis) derivative tables per direction.
+        # Full (max_deriv+1, n_points, n_basis) derivative tables per direction.
         tables = []
         for kv, pts in zip(self.kvs, axes):
+            spans, ders = _local_basis(kv, pts, max_deriv)
             tab = np.zeros((max_deriv + 1, len(pts), kv.n_basis))
-            for j, u in enumerate(pts):
-                span = kv.find_span(u)
-                ders = kv.basis_values(u, max_deriv)
-                tab[:, j, span - kv.degree : span + 1] = ders
+            cols = spans[:, None] + np.arange(-kv.degree, 1)
+            tab[:, np.arange(len(pts))[:, None], cols] = np.moveaxis(ders, 1, 0)
             tables.append(tab)
 
         source = self.coeffs if polynomial else self._homogeneous()
@@ -479,91 +407,49 @@ class TensorSpline:
             ops = [tables[a][alpha[a]] for a in range(self.dim)]
             sums[alpha] = np.einsum(subs, *ops, source, optimize=True)
 
-        c = self.ncomp
-        if polynomial:
-            partials = sums
-        else:
-            d = self.dim
-            zero = (0,) * d
-            w0 = sums[zero][..., c:]
-            partials = {zero: sums[zero][..., :c] / w0}
-            for alpha in _deriv_multi_indices(d, max_deriv):
-                if sum(alpha) == 1:
-                    partials[alpha] = (
-                        sums[alpha][..., :c] - sums[alpha][..., c:] * partials[zero]
-                    ) / w0
-            for alpha in _deriv_multi_indices(d, max_deriv):
-                if sum(alpha) == 2:
-                    a, b = _split_second_order(alpha)
-                    partials[alpha] = (
-                        sums[alpha][..., :c]
-                        - sums[alpha][..., c:] * partials[zero]
-                        - sums[a][..., c:] * partials[b]
-                        - sums[b][..., c:] * partials[a]
-                    ) / w0
-
-        d = self.dim
-        grad = hess = None
-        if max_deriv >= 1:
-            grad = np.stack([partials[_unit(d, a)] for a in range(d)], axis=-2)
-        if max_deriv >= 2:
-            rows = []
-            for a in range(d):
-                cols = [partials[_add(_unit(d, a), _unit(d, b))] for b in range(d)]
-                rows.append(np.stack(cols, axis=-2))
-            hess = np.stack(rows, axis=-3)
-        return LatticeJet(value=partials[(0,) * d], grad=grad, hess=hess)
+        if not polynomial:
+            c = self.ncomp
+            num = {alpha: s[..., :c] for alpha, s in sums.items()}
+            den = {alpha: s[..., c:] for alpha, s in sums.items()}
+            sums = _quotient_rule(num, den)
+        return LatticeJet(*_stack_jet(sums, self.dim, max_deriv))
 
     def basis_jets(self, theta):
-        """Jets of the nonzero (rational) basis functions at one point.
+        """Jets of the nonzero (rational) basis functions at N parameter points.
 
-        Returns ``(cols, value, grad, hess)`` where ``cols`` holds the flat
-        coefficient indices of the local support block, ``value`` has shape
-        (nloc,), ``grad`` (nloc, d) and ``hess`` (nloc, d, d). These are the
-        functions the unknown coefficients multiply, so rows of collocation
-        systems are linear combinations of them.
+        ``theta`` has shape (N, d). Returns ``(cols, value, grad, hess)``:
+        ``cols`` (N, L) holds the flat coefficient indices of each point's
+        local support block of L = prod(degree + 1) functions, ``value`` has
+        shape (N, L), ``grad`` (N, d, L) and ``hess`` (N, d, d, L), the
+        layout of :class:`LatticeJet` with the basis functions in place of
+        the value components. These are the functions the unknown
+        coefficients multiply, so rows of collocation systems are linear
+        combinations of them. Derivatives above a direction's degree are
+        zero.
         """
-        theta = as_point(theta, self.dim)
-        spans, tables = self._local_tables(theta, 2)
-        d = self.dim
+        theta = as_points(theta, self.dim)
+        n = len(theta)
+        cols = np.zeros((n, 1), dtype=np.intp)
+        tables = []
+        for a, kv in enumerate(self.kvs):
+            order = min(2, kv.degree)
+            spans, ders = _local_basis(kv, theta[:, a], order)
+            tab = np.zeros((3, n, kv.degree + 1))
+            tab[: order + 1] = np.moveaxis(ders, 1, 0)
+            tables.append(tab)
+            local = spans[:, None] + np.arange(-kv.degree, 1)
+            cols = _flat_outer(cols * kv.n_basis, local, np.add)
 
-        ranges = [
-            np.arange(s - kv.degree, s + 1) for s, kv in zip(spans, self.kvs)
-        ]
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        cols = np.ravel_multi_index([m.ravel() for m in mesh], self.shape)
-
-        block = tuple(slice(s - kv.degree, s + 1) for s, kv in zip(spans, self.kvs))
-        w_loc = self.weights[block].ravel()
-
-        def local(alpha):
+        def outer(alpha):
             x = tables[0][alpha[0]]
-            for a in range(1, d):
-                x = np.multiply.outer(x, tables[a][alpha[a]])
-            return x.ravel()
+            for a in range(1, self.dim):
+                x = _flat_outer(x, tables[a][alpha[a]], np.multiply)
+            return x
 
-        wn = {alpha: w_loc * local(alpha) for alpha in _deriv_multi_indices(d, 2)}
-        wsum = {alpha: wn[alpha].sum() for alpha in wn}
-
-        zero = (0,) * d
-        w0 = wsum[zero]
-        val = wn[zero] / w0
-        grads = {}
-        for a in range(d):
-            ea = _unit(d, a)
-            grads[a] = (wn[ea] - wsum[ea] * val) / w0
-        grad = np.stack([grads[a] for a in range(d)], axis=-1)
-        hess = np.empty((len(cols), d, d))
-        for a in range(d):
-            for b in range(d):
-                ab = _add(_unit(d, a), _unit(d, b))
-                hess[:, a, b] = (
-                    wn[ab]
-                    - wsum[ab] * val
-                    - wsum[_unit(d, a)] * grads[b]
-                    - wsum[_unit(d, b)] * grads[a]
-                ) / w0
-        return cols, val, grad, hess
+        w_loc = self.weights.reshape(-1)[cols]
+        num = {alpha: w_loc * outer(alpha) for alpha in _deriv_multi_indices(self.dim, 2)}
+        den = {alpha: x.sum(axis=1, keepdims=True) for alpha, x in num.items()}
+        return (cols,) + _stack_jet(_quotient_rule(num, den), self.dim, 2)
 
     # -- refinement ---------------------------------------------------------
 
@@ -636,15 +522,43 @@ def _split_second_order(alpha):
     raise ValueError(f"not a second-order multi-index: {alpha}")
 
 
-def _stack_grad(partials, dim):
-    return np.stack([partials[_unit(dim, a)] for a in range(dim)], axis=0)
+def _flat_outer(x, y, op):
+    """Per-row outer ``op`` of x (N, A) and y (N, B), flattened to (N, A*B) in C order."""
+    return op(x[:, :, None], y[:, None, :]).reshape(len(x), x.shape[1] * y.shape[1])
 
 
-def _stack_hess(partials, dim):
+def _quotient_rule(num, den):
+    """Partial derivatives of num / den up to total order 2.
+
+    ``num`` and ``den`` map per-direction derivative orders to arrays that
+    broadcast against each other: the weighted sums of a NURBS object and
+    of its weights. Differentiating num = q * den by the Leibniz rule gives
+    the derivatives of the rational quotient q.
+    """
+    zero = next(iter(num))
+    w0 = den[zero]
+    q = {zero: num[zero] / w0}
+    for alpha in num:
+        if sum(alpha) == 1:
+            q[alpha] = (num[alpha] - den[alpha] * q[zero]) / w0
+        elif sum(alpha) == 2:
+            a, b = _split_second_order(alpha)
+            q[alpha] = (
+                num[alpha] - den[alpha] * q[zero] - den[a] * q[b] - den[b] * q[a]
+            ) / w0
+    return q
+
+
+def _stack_jet(partials, dim, max_deriv):
+    """Value, gradient (..., d, c) and Hessian (..., d, d, c) from partials (..., c)."""
     d = dim
-    rows = []
-    for a in range(d):
-        rows.append(
-            np.stack([partials[_add(_unit(d, a), _unit(d, b))] for b in range(d)], axis=0)
-        )
-    return np.stack(rows, axis=0)
+    grad = hess = None
+    if max_deriv >= 1:
+        grad = np.stack([partials[_unit(d, a)] for a in range(d)], axis=-2)
+    if max_deriv >= 2:
+        rows = []
+        for a in range(d):
+            cols = [partials[_add(_unit(d, a), _unit(d, b))] for b in range(d)]
+            rows.append(np.stack(cols, axis=-2))
+        hess = np.stack(rows, axis=-3)
+    return partials[(0,) * d], grad, hess

@@ -2,10 +2,12 @@
 
 These are deliberately naive: the recursive Cox-de Boor definition, the
 textbook derivative recursion, finite differences, a hand-rolled
-Householder QR and a best-approximation fit built on both. They share no
-code with the package so they can serve as oracles for it.
+Householder QR, a best-approximation fit built on both, and per-point
+spline, pullback and assembly code. They share no code with the package
+so they can serve as oracles for it.
 """
 
+import itertools
 from functools import reduce
 
 import numpy as np
@@ -138,3 +140,332 @@ def best_l2_relative_error(knot_vectors, weights, axes, target, measure):
     coeffs = householder_qr_solve(basis * root[:, None], target * root)
     residual = target - basis @ coeffs
     return float(np.sqrt(np.sum(measure * residual**2) / np.sum(measure * target**2)))
+
+
+# ---------------------------------------------------------------------------
+# Per-point reference evaluation and assembly
+#
+# The package evaluates splines, geometry and collocation rows in batches.
+# The functions below do the same one parametric point at a time, with
+# their own scalar copy of the basis recursion. They read only the data of
+# package objects (knots, degrees, coefficients, weights, callbacks,
+# ``operator.apply``), never its evaluation code.
+# ---------------------------------------------------------------------------
+
+
+def point_find_span(knots, p, u):
+    """Index i with knots[i] <= u < knots[i+1]; the right end maps to the last span."""
+    knots = np.asarray(knots, dtype=float)
+    if not (knots[0] <= u <= knots[-1]):
+        raise ValueError(f"parameter {u!r} outside the knot range")
+    span = int(np.searchsorted(knots, u, side="right")) - 1
+    return min(max(span, p), len(knots) - p - 2)
+
+
+def point_basis_ders(knots, p, span, u, n_ders):
+    """Scalar The NURBS Book A2.3: (n_ders+1, p+1) derivatives at one parameter.
+
+    Orders above the degree are zero.
+    """
+    ndu = np.empty((p + 1, p + 1))
+    left = np.empty(p + 1)
+    right = np.empty(p + 1)
+    ndu[0, 0] = 1.0
+    for j in range(1, p + 1):
+        left[j] = u - knots[span + 1 - j]
+        right[j] = knots[span + j] - u
+        saved = 0.0
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+
+    ders = np.zeros((n_ders + 1, p + 1))
+    ders[0, :] = ndu[:, p]
+    a = np.empty((2, p + 1))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, min(n_ders, p) + 1):
+            d = 0.0
+            rk = r - k
+            pk = p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                d += a[s2, k] * ndu[r, pk]
+            ders[k, r] = d
+            s1, s2 = s2, s1
+
+    r = p
+    for k in range(1, min(n_ders, p) + 1):
+        ders[k, :] *= r
+        r *= p - k
+    return ders
+
+
+def _local_tables(spline, theta, n_ders):
+    spans, tables = [], []
+    for kv, u in zip(spline.kvs, theta):
+        span = point_find_span(kv.knots, kv.degree, u)
+        spans.append(span)
+        tables.append(point_basis_ders(kv.knots, kv.degree, span, u, n_ders))
+    return spans, tables
+
+
+def _orders(dim, max_total):
+    """Per-direction derivative orders with total order <= max_total."""
+    out = []
+    for total in range(max_total + 1):
+        for alpha in itertools.product(range(total + 1), repeat=dim):
+            if sum(alpha) == total:
+                out.append(alpha)
+    return out
+
+
+def _unit(dim, axis, times=1):
+    e = [0] * dim
+    e[axis] += times
+    return tuple(e)
+
+
+def _pair(dim, a, b):
+    e = [0] * dim
+    e[a] += 1
+    e[b] += 1
+    return tuple(e)
+
+
+def point_jet(spline, theta, max_deriv=0):
+    """Value (c,), gradient (d, c) and Hessian (d, d, c) of a spline at one point.
+
+    Rational splines go through the homogeneous form and the quotient rule
+    (orders up to 2). Returns ``(value, grad, hess, partials)``; ``partials``
+    maps per-direction orders to (c,) arrays.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    d = spline.dim
+    spans, tables = _local_tables(spline, theta, max_deriv)
+    block = tuple(slice(s - kv.degree, s + 1) for s, kv in zip(spans, spline.kvs))
+    w = spline.weights[..., None]
+    hom = np.concatenate([w * spline.coeffs, w], axis=-1)[block]
+    sums = {}
+    for alpha in _orders(d, max_deriv):
+        x = hom
+        for axis in reversed(range(d)):
+            x = np.tensordot(tables[axis][alpha[axis]], x, axes=(0, axis))
+        sums[alpha] = x
+    c = spline.ncomp
+    zero = (0,) * d
+    w0 = sums[zero][c]
+    q = {zero: sums[zero][:c] / w0}
+    for alpha in _orders(d, max_deriv)[1:]:
+        if sum(alpha) == 1:
+            q[alpha] = (sums[alpha][:c] - sums[alpha][c] * q[zero]) / w0
+        elif sum(alpha) == 2:
+            a, b = [ax for ax in range(d) for _ in range(alpha[ax])]
+            ea, eb = _unit(d, a), _unit(d, b)
+            q[alpha] = (
+                sums[alpha][:c]
+                - sums[alpha][c] * q[zero]
+                - sums[ea][c] * q[eb]
+                - sums[eb][c] * q[ea]
+            ) / w0
+        elif not spline.is_polynomial:
+            raise ValueError("rational derivatives are supported up to order 2")
+        else:
+            q[alpha] = sums[alpha][:c]
+    grad = hess = None
+    if max_deriv >= 1:
+        grad = np.stack([q[_unit(d, a)] for a in range(d)])
+    if max_deriv >= 2:
+        hess = np.stack(
+            [np.stack([q[_pair(d, a, b)] for b in range(d)]) for a in range(d)]
+        )
+    return q[zero], grad, hess, q
+
+
+def point_basis_jets(spline, theta):
+    """Rational basis jets at one point: cols (L,), value (L,), grad (L, d), hess (L, d, d)."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    d = spline.dim
+    spans, tables = _local_tables(spline, theta, 2)
+    ranges = [np.arange(s - kv.degree, s + 1) for s, kv in zip(spans, spline.kvs)]
+    mesh = np.meshgrid(*ranges, indexing="ij")
+    cols = np.ravel_multi_index([m.ravel() for m in mesh], spline.shape)
+    block = tuple(slice(s - kv.degree, s + 1) for s, kv in zip(spans, spline.kvs))
+    w_loc = spline.weights[block].ravel()
+
+    def local(alpha):
+        x = tables[0][alpha[0]]
+        for a in range(1, d):
+            x = np.multiply.outer(x, tables[a][alpha[a]])
+        return x.ravel()
+
+    wn = {alpha: w_loc * local(alpha) for alpha in _orders(d, 2)}
+    ws = {alpha: wn[alpha].sum() for alpha in wn}
+    zero = (0,) * d
+    val = wn[zero] / ws[zero]
+    grad = np.stack(
+        [(wn[_unit(d, a)] - ws[_unit(d, a)] * val) / ws[zero] for a in range(d)],
+        axis=-1,
+    )
+    hess = np.empty((len(cols), d, d))
+    for a in range(d):
+        for b in range(d):
+            ab = _pair(d, a, b)
+            hess[:, a, b] = (
+                wn[ab]
+                - ws[ab] * val
+                - ws[_unit(d, a)] * grad[:, b]
+                - ws[_unit(d, b)] * grad[:, a]
+            ) / ws[zero]
+    return cols, val, grad, hess
+
+
+def point_pullback(geometry, theta):
+    """Geometry at one point: (x (d,), J (d, d), J^-1, det J, S (d, d, d))."""
+    value, grad, hess, _ = point_jet(geometry.spline, theta, 2)
+    jac = grad.T  # J[k, a] = dx_k / dtheta_a
+    det = float(np.linalg.det(jac))
+    if abs(det) < 1e-12:
+        raise ValueError(f"singular geometry at {tuple(theta)}")
+    return value, jac, np.linalg.inv(jac), det, hess
+
+
+def push_gradient(inv_jac, grad_theta):
+    """Parametric gradient(s) (..., d, c) to physical ones at one point."""
+    return np.einsum("ak,...ac->...kc", inv_jac, grad_theta)
+
+
+def push_hessian(inv_jac, second, grad_x, hess_theta):
+    """Physical Hessian(s) (..., d, d, c) at one point."""
+    inner = hess_theta - np.einsum("abk,...kc->...abc", second, grad_x)
+    return np.einsum("ai,...abc,bj->...ijc", inv_jac, inner, inv_jac)
+
+
+def boundary_normal(inv_jac, axis, side):
+    """Unit outward normal of the face theta_axis = side at one point."""
+    if len(inv_jac) == 1:
+        n = np.array([1.0])
+    else:
+        n = inv_jac[axis] / np.linalg.norm(inv_jac[axis])
+    return n if side == 1 else -n
+
+
+def _condition_rows(bc, normal, val, grad_x, comp):
+    """Rows (n_rows, L) of a boundary condition for basis functions in ``comp``."""
+    if bc.kind == "dirichlet":
+        rows = np.zeros((bc.n_rows, len(val)))
+        rows[comp] = val
+        return rows
+    if bc.kind == "neumann":
+        return (grad_x @ normal)[None, :]
+    E, nu = bc.material.youngs_modulus, bc.material.poisson_ratio
+    c1, mu = E / (1 - nu**2), E / (2 * (1 + nu))
+    g = np.zeros((len(val), 2, 2))  # g[l, a, k] = d u_k / d x_a
+    g[:, :, comp] = grad_x
+    sx = c1 * (g[:, 0, 0] + nu * g[:, 1, 1])
+    sy = c1 * (g[:, 1, 1] + nu * g[:, 0, 0])
+    tau = mu * (g[:, 1, 0] + g[:, 0, 1])
+    return np.stack([sx * normal[0] + tau * normal[1], tau * normal[0] + sy * normal[1]])
+
+
+def point_assemble(problem, field, points, boundary_weight="auto"):
+    """Collocation system assembled one point at a time.
+
+    Returns ``(A, b, meta)`` with ``meta`` a list of (point, kind, component,
+    face) tuples. Interior rows apply ``problem.operator.apply`` to each
+    basis function placed in one field component; boundary rows use the
+    conditions' textbook formulas.
+    """
+    c = problem.field_components
+    geo = problem.geometry
+    n_cols = field.n_coeffs * c
+
+    def owner(faces):
+        conds = [problem.condition_for_face(f) for f in faces]
+        dirichlet = [bc for bc in conds if bc.kind == "dirichlet"]
+        return min(dirichlet or conds, key=lambda bc: bc.face)
+
+    def faces_of(theta):
+        """Ids of the parametric faces ``theta`` lies on (2a lower, 2a + 1 upper)."""
+        faces = []
+        for a, kv in enumerate(field.kvs):
+            if theta[a] == kv.start:
+                faces.append(2 * a)
+            elif theta[a] == kv.end:
+                faces.append(2 * a + 1)
+        return faces
+
+    grid = [np.array(theta) for theta in itertools.product(*points.axes)]
+    interior = [theta for theta in grid if not faces_of(theta)]
+    boundary = [theta for theta in grid if faces_of(theta)]
+    n_rows = len(interior) * c + sum(owner(faces_of(t)).n_rows for t in boundary)
+    A = np.zeros((n_rows, n_cols))
+    b = np.zeros(n_rows)
+    meta = []
+    row = 0
+    row_of_point = {}
+    for theta in interior:
+        x, _, inv, _, second = point_pullback(geo, theta)
+        cols, val, grad_t, hess_t = point_basis_jets(field, theta)
+        gx = push_gradient(inv, grad_t[:, :, None])[..., 0]
+        hx = push_hessian(inv, second, gx[:, :, None], hess_t[:, :, :, None])[..., 0]
+        f = np.asarray(problem.source(x[None]), dtype=float)[0]
+        for comp in range(c):
+            value = np.zeros((len(cols), c))
+            grad = np.zeros((len(cols), field.dim, c))
+            hess = np.zeros((len(cols), field.dim, field.dim, c))
+            value[:, comp], grad[..., comp], hess[..., comp] = val, gx, hx
+            rows = problem.operator.apply(value, grad, hess).T
+            for i in range(c):
+                A[row + i, cols * c + comp] = rows[i]
+        for i in range(c):
+            b[row + i] = f[i]
+            meta.append((tuple(theta), "interior", i, None))
+        row_of_point[tuple(theta)] = row
+        row += c
+
+    if boundary_weight == "auto":
+        norms = np.linalg.norm(A[:row], axis=1)
+        boundary_weight = float(norms.mean()) if row else 1.0
+
+    for theta in boundary:
+        bc = owner(faces_of(theta))
+        x, _, inv, _, _ = point_pullback(geo, theta)
+        normal = boundary_normal(inv, bc.axis, bc.side)
+        cols, val, grad_t, _ = point_basis_jets(field, theta)
+        gx = push_gradient(inv, grad_t[:, :, None])[..., 0]
+        g = np.asarray(bc.value(x[None]), dtype=float)[0]
+        for comp in range(c):
+            rows = _condition_rows(bc, normal, val, gx, comp)
+            for i in range(bc.n_rows):
+                A[row + i, cols * c + comp] = boundary_weight * rows[i]
+        for i in range(bc.n_rows):
+            b[row + i] = boundary_weight * g[i]
+            meta.append((tuple(theta), "boundary", i, bc.face))
+        row_of_point[tuple(theta)] = row
+        row += bc.n_rows
+
+    all_points = np.array(interior + boundary)
+    for pc in problem.point_constraints:
+        dist = np.linalg.norm(all_points - np.asarray(pc.theta, dtype=float), axis=1)
+        theta = tuple(all_points[int(np.argmin(dist))])
+        r = row_of_point[theta] + pc.component
+        x = point_pullback(geo, theta)[0]
+        cols, val, _, _ = point_basis_jets(field, theta)
+        A[r, :] = 0.0
+        A[r, cols * c + pc.component] = boundary_weight * val
+        b[r] = boundary_weight * float(np.asarray(pc.value(x[None]))[0, 0])
+        meta[r] = (theta, "constraint", pc.component, None)
+    return A, b, meta

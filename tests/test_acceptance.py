@@ -50,6 +50,7 @@ matches neither pairing closely, and only the < 0.1 bound is asserted.
 import numpy as np
 import pytest
 
+from batched import jets_at, value_at, values_at
 from oracles import (
     best_l2_relative_error,
     fd_gradient,
@@ -145,7 +146,7 @@ def test_criterion_03_example2_golden():
         [(kv.knots, kv.degree) for kv in field.kvs],
         field.weights,
         axes,
-        prob.analytic_solution(pts),
+        prob.analytic_solution(pts)[:, 0],
         np.abs(det) * w,
     )
     ok = (
@@ -295,47 +296,41 @@ def test_criterion_10_kernel_property_suite():
 
     # Partition of unity and derivative-sum annihilation.
     kv = uniform_refine(KnotVector([0, 0, 0, 0, 1, 1, 1, 1], 3), 6)
-    worst_pu, worst_der = 0.0, 0.0
-    for u in rng.uniform(0, 1, 1000):
-        ders = kv.basis_values(u, 2)
-        worst_pu = max(worst_pu, abs(ders[0].sum() - 1.0))
-        worst_der = max(worst_der, abs(ders[1].sum()), abs(ders[2].sum()))
+    sums = kv.basis_values(rng.uniform(0, 1, 1000), 2).sum(axis=-1)
+    worst_pu = np.abs(sums[:, 0] - 1.0).max()
+    worst_der = np.abs(sums[:, 1:]).max()
     results.append(("partition of unity", worst_pu < 1e-12 and worst_der < 1e-9))
 
     # Analytic derivatives against finite differences on the annulus.
     geo = patch_quarter_annulus()
     worst_fd = 0.0
-    for theta in rng.uniform(0.05, 0.95, size=(10, 2)):
-        jet = geo.spline.evaluate(theta, max_deriv=2)
-        g = fd_gradient(lambda t: geo.spline.evaluate(t).value, theta)
-        h = fd_hessian(lambda t: geo.spline.evaluate(t).value, theta, step=2e-4)
+    thetas = rng.uniform(0.05, 0.95, size=(10, 2))
+    _, grads, hessians = jets_at(geo.spline, thetas)
+    for theta, grad, hess in zip(thetas, grads, hessians):
+        g = fd_gradient(lambda t: value_at(geo.spline, t), theta)
+        h = fd_hessian(lambda t: value_at(geo.spline, t), theta, step=2e-4)
         worst_fd = max(
             worst_fd,
-            np.abs(jet.grad - g).max() / max(1.0, np.abs(g).max()),
-            np.abs(jet.hess - h).max() / max(1.0, np.abs(h).max()) * 1e-2,
+            np.abs(grad - g).max() / max(1.0, np.abs(g).max()),
+            np.abs(hess - h).max() / max(1.0, np.abs(h).max()) * 1e-2,
         )
     results.append(("derivatives vs finite differences", worst_fd < 1e-6))
 
     # Knot-insertion geometry invariance.
-    worst_ins = 0.0
     coeffs = rng.normal(size=(4, 4, 2))
     weights = rng.uniform(0.5, 2.0, (4, 4))
     base = KnotVector([0, 0, 0, 0, 1, 1, 1, 1], 3)
     surf = TensorSpline((base, base), coeffs, weights)
     refined = surf.insert_knot(0, 0.37).insert_knot(1, 0.81)
-    for theta in rng.uniform(0, 1, size=(100, 2)):
-        diff = np.abs(
-            surf.evaluate(theta).value - refined.evaluate(theta).value
-        ).max()
-        worst_ins = max(worst_ins, diff)
+    thetas = rng.uniform(0, 1, size=(100, 2))
+    worst_ins = np.abs(values_at(surf, thetas) - values_at(refined, thetas)).max()
     results.append(("knot-insertion invariance", worst_ins < 1e-10))
 
     # Greville linear precision.
-    worst_lin = 0.0
     kv2 = uniform_refine(base, 5)
     spline = TensorSpline.polynomial((kv2,), kv2.greville_abscissae())
-    for u in rng.uniform(0, 1, 200):
-        worst_lin = max(worst_lin, abs(spline.evaluate([u]).value[0] - u))
+    us = rng.uniform(0, 1, 200)
+    worst_lin = np.abs(values_at(spline, us)[:, 0] - us).max()
     results.append(("Greville linear precision", worst_lin < 1e-12))
 
     # Manufactured-solution operator closure for all five examples.
@@ -344,11 +339,9 @@ def test_criterion_10_kernel_property_suite():
         prob = make_example(example_id)
         symbols, exprs = closure_expressions(example_id)
         theta = rng.uniform(0.01, 0.99, size=(200, prob.dim))
-        pts = np.stack([prob.geometry.physical_point(t) for t in theta])
+        pts = values_at(prob.geometry.spline, theta)
         res, _, _ = operator_residual(prob, exprs, symbols, pts)
-        scale = max(
-            1.0, max(np.abs(np.atleast_1d(prob.source(p))).max() for p in pts)
-        )
+        scale = max(1.0, np.abs(prob.source(pts)).max())
         worst_closure = max(worst_closure, res.max() / scale)
     results.append(("operator closure (5 examples)", worst_closure < 1e-8))
 

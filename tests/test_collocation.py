@@ -1,9 +1,11 @@
 """Collocation point generation and system assembly."""
 
+import re
+
 import numpy as np
 import pytest
 
-from oracles import naive_basis
+from oracles import naive_basis, point_assemble
 from splinecol.collocation import (
     CollocationScheme,
     assemble,
@@ -16,14 +18,22 @@ from splinecol.collocation import (
 )
 from splinecol.errors import (
     AssemblyError,
+    CallbackError,
     InvalidSchemeError,
     PreconditionError,
 )
-from splinecol.geometry import GeometryMap
+from splinecol.geometry import (
+    GeometryMap,
+    lattice_pullbacks,
+    lattice_push_gradient,
+    lattice_push_hessian,
+)
 from splinecol.problems import (
+    PointConstraint,
     example_1d_dirichlet,
     example_1d_mixed,
     example_2d_annulus,
+    example_3d_cube,
     example_beam,
 )
 from splinecol.splines import KnotGrid, KnotVector, TensorSpline
@@ -65,8 +75,12 @@ class TestPointGeneration:
         pts = generate_collocation_points(
             (CUBIC, CUBIC), CollocationScheme("uniform", (3, 3))
         )
-        corner_idx = [i for i, p in enumerate(pts.boundary) if tuple(p) == (0.0, 0.0)]
-        assert pts.boundary_faces[corner_idx[0]] == (0, 2)
+        corner_idx = [i for i, p in enumerate(pts.lattice) if tuple(p) == (0.0, 0.0)]
+        assert np.flatnonzero(pts.faces[corner_idx[0]]).tolist() == [0, 2]
+        edge_idx = [i for i, p in enumerate(pts.lattice) if tuple(p) == (0.5, 1.0)]
+        assert np.flatnonzero(pts.faces[edge_idx[0]]).tolist() == [3]
+        centre_idx = [i for i, p in enumerate(pts.lattice) if tuple(p) == (0.5, 0.5)]
+        assert not pts.faces[centre_idx[0]].any()
 
     def test_collocation_knot_vector_uniform_interior(self):
         kv = collocation_knot_vector(CUBIC, 16)
@@ -171,15 +185,13 @@ class TestAssembly:
             meta = system.row_meta[row]
             if meta.kind != "interior":
                 continue
-            theta = np.array(meta.point)
-            pb = geo.pullback(theta)
-            jet = trial.evaluate(theta, 2)
-            from splinecol.geometry import push_gradient, push_hessian
-
-            gx = push_gradient(pb, jet.grad)
-            hx = push_hessian(pb, gx, jet.hess)
+            axes = [[u] for u in meta.point]
+            _, _, inv, _, second = lattice_pullbacks(geo, axes)
+            jet = trial.evaluate_lattice(axes, 2)
+            gx = lattice_push_gradient(inv, jet.grad.reshape(1, 2, 1))
+            hx = lattice_push_hessian(inv, second, gx, jet.hess.reshape(1, 2, 2, 1))
             expected = prob.operator.apply(
-                jet.value[None], gx[None], hx[None]
+                jet.value.reshape(1, 1), gx, hx
             )[0, meta.component]
             got = system.matrix[row] @ coeffs
             assert np.isclose(got, expected, atol=1e-10 * max(1, abs(expected)))
@@ -235,7 +247,7 @@ class TestAssembly:
         rng = np.random.default_rng(3)
         coeffs = rng.normal(size=8)
         trial = coefficients_to_field(field, coeffs)
-        deriv = trial.evaluate([1.0], 1).grad[0, 0]
+        deriv = trial.evaluate_lattice([[1.0]], 1).grad[0, 0, 0]
         assert np.isclose(system.matrix[row] @ coeffs, deriv, atol=1e-12)
         assert np.isclose(system.rhs[row], 2 * np.pi)
 
@@ -277,3 +289,124 @@ class TestAssembly:
         system = assemble(prob, field, pts)
         comps = [m.component for m in system.row_meta[: 2 * pts.n_interior]]
         assert comps[:6] == [0, 1, 0, 1, 0, 1]
+
+    def test_lattice_without_interior_points(self):
+        prob = example_2d_annulus()
+        field = build_field(prob.geometry, (4, 4))
+        pts = generate_collocation_points(field.kvs, CollocationScheme("uniform", (2, 2)))
+        system = assemble(prob, field, pts)
+        assert system.shape == (4, 16)
+        assert [m.kind for m in system.row_meta] == ["boundary"] * 4
+        assert np.allclose(system.matrix[:, [0, 3, 12, 15]], np.eye(4))
+
+    def test_duplicate_point_constraints_rejected(self):
+        # Two constraints that pin the same component of the same point
+        # would silently overwrite each other.
+        from dataclasses import replace
+
+        prob = example_beam()
+        pin = prob.point_constraints[0]
+        twin = PointConstraint(theta=(0.01, 0.49), component=pin.component, value=pin.value)
+        prob = replace(prob, point_constraints=prob.point_constraints + (twin,))
+        field = build_field(prob.geometry, (7, 7), components=2)
+        pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (7, 7)))
+        with pytest.raises(AssemblyError, match=r"\(0\.0, 0\.5\) and \(0\.01, 0\.49\)"):
+            assemble(prob, field, pts)
+
+    def test_non_finite_rhs_names_its_row(self):
+        from dataclasses import replace
+
+        base = example_2d_annulus()
+
+        def source(x):
+            out = base.source(x)
+            out[x[:, 0] > 2.0] = np.nan
+            return out
+
+        prob = replace(base, source=source)
+        field = build_field(prob.geometry, (6, 6))
+        pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (8, 8)))
+        meta = assemble(base, field, pts).row_meta
+        first = next(
+            m for m in meta
+            if lattice_pullbacks(prob.geometry, [[u] for u in m.point])[0][0, 0] > 2.0
+        )
+        assert first.kind == "interior" and first != meta[0]
+        with pytest.raises(AssemblyError, match=re.escape(repr(first))):
+            assemble(prob, field, pts)
+
+    def test_non_finite_matrix_entry_names_its_row(self):
+        from dataclasses import replace
+
+        base = example_1d_dirichlet()
+
+        class BrokenOperator:
+            order = 2
+            components = 1
+
+            def basis_rows(self, value, grad, hess, component):
+                rows = base.operator.basis_rows(value, grad, hess, component)
+                rows[3, 0, 1] = np.inf
+                return rows
+
+        prob = replace(base, operator=BrokenOperator())
+        field = build_field(prob.geometry, (8,))
+        pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (10,)))
+        meta = assemble(base, field, pts, boundary_weight=1.0).row_meta
+        with pytest.raises(AssemblyError, match=re.escape(f"row 3 of the system: {meta[3]!r}")):
+            assemble(prob, field, pts, boundary_weight=1.0)
+
+    @pytest.mark.parametrize(
+        "callback", ["source", "boundary", "constraint"],
+    )
+    def test_callback_of_wrong_shape_is_named(self, callback):
+        from dataclasses import replace
+
+        prob = example_beam()
+        if callback == "source":
+            prob = replace(prob, source=lambda x: np.zeros(2))
+            match = "source"
+        elif callback == "boundary":
+            bcs = list(prob.boundary_conditions)
+            bcs[0] = replace(bcs[0], value=lambda x: np.zeros((len(x), 3)))
+            prob = replace(prob, boundary_conditions=tuple(bcs))
+            match = "boundary condition on face 2"
+        else:
+            pcs = list(prob.point_constraints)
+            pcs[1] = replace(pcs[1], value=lambda x: 0.0)
+            prob = replace(prob, point_constraints=tuple(pcs))
+            match = r"point constraint at \(1\.0, 0\.5\)"
+        field = build_field(prob.geometry, (7, 7), components=2)
+        pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (7, 7)))
+        with pytest.raises(CallbackError, match=match):
+            assemble(prob, field, pts)
+
+
+ORACLE_CASES = [
+    ("I", example_1d_dirichlet, 10, "greville", 16),
+    ("II", example_2d_annulus, 6, "greville", 9),
+    ("III", example_3d_cube, 5, "uniform", 6),
+    ("IV-pinned", example_beam, 7, "greville", 9),
+    ("IV-dirichlet", lambda: example_beam(end_condition="dirichlet"), 7, "uniform", 8),
+    ("V", example_1d_mixed, 8, "uniform", 10),
+    ("II-square", example_2d_annulus, 6, "uniform", 6),
+]
+
+
+@pytest.mark.parametrize(
+    "factory,n,scheme,m", [case[1:] for case in ORACLE_CASES],
+    ids=[case[0] for case in ORACLE_CASES],
+)
+@pytest.mark.parametrize("weight", ["auto", 1.0])
+def test_assembly_matches_per_point_oracle(factory, n, scheme, m, weight):
+    # The batched assembly against a per-point one built from independent
+    # spline, pullback and boundary-row code, on every shipped example.
+    prob = factory()
+    field = build_field(prob.geometry, (n,) * prob.dim, components=prob.field_components)
+    pts = generate_collocation_points(field.kvs, CollocationScheme(scheme, (m,) * prob.dim))
+    system = assemble(prob, field, pts, boundary_weight=weight)
+    A, b, meta = point_assemble(prob, field, pts, boundary_weight=weight)
+    assert system.shape == A.shape
+    assert np.abs(system.matrix - A).max() <= 1e-12 * np.abs(A).max()
+    assert np.abs(system.rhs - b).max() <= 1e-12 * max(np.abs(A).max(), np.abs(b).max())
+    assert [(r.point, r.kind, r.component, r.face) for r in system.row_meta] == meta

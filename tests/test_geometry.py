@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
+from batched import value_at
 from oracles import fd_gradient
 from splinecol.errors import SingularGeometryError
-from splinecol.geometry import GeometryMap, push_gradient, push_hessian
+from splinecol.geometry import (
+    GeometryMap,
+    boundary_normals,
+    lattice_pullbacks,
+    lattice_push_gradient,
+    lattice_push_hessian,
+)
 from splinecol.problems import (
     curve_unit_interval,
     patch_beam,
@@ -22,68 +29,81 @@ def random_scalar_field_2d(rng, kvs):
     return TensorSpline.polynomial(kvs, rng.normal(size=shape + (1,)))
 
 
+def random_axes(rng, dim, count, lo=0.0, hi=1.0):
+    return [np.sort(rng.uniform(lo, hi, count)) for _ in range(dim)]
+
+
+def lattice_points(axes):
+    """Parameter points (N, d) of a lattice in C order."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def pullback_at(geo, theta):
+    """Physical point (d,), Jacobian, inverse Jacobian and S (d, d, d) at one point."""
+    pts, jac, inv, _, second = lattice_pullbacks(geo, [[u] for u in theta])
+    return pts[0], jac[0], inv[0], second[0]
+
+
+def physical_jets(geo, field, axes):
+    """Physical gradients (N, d, c) and Hessians (N, d, d, c) of a field on a lattice."""
+    _, _, inv, _, second = lattice_pullbacks(geo, axes)
+    jet = field.evaluate_lattice(axes, max_deriv=2)
+    d, c = field.dim, field.ncomp
+    grad_x = lattice_push_gradient(inv, jet.grad.reshape(-1, d, c))
+    hess_x = lattice_push_hessian(inv, second, grad_x, jet.hess.reshape(-1, d, d, c))
+    return grad_x, hess_x
+
+
 class TestPullback:
     def test_identity_curve(self):
         geo = curve_unit_interval()
-        for u in (0.0, 0.31, 1.0):
-            pb = geo.pullback([u])
-            assert np.allclose(pb.jacobian, [[1.0]], atol=1e-13)
-            assert abs(pb.point_physical[0] - u) < 1e-13
+        pts, jac, _, _, _ = lattice_pullbacks(geo, [[0.0, 0.31, 1.0]])
+        assert np.allclose(jac, 1.0, atol=1e-13)
+        assert np.allclose(pts[:, 0], [0.0, 0.31, 1.0], atol=1e-13)
 
     def test_unit_cube_identity(self):
         geo = solid_unit_cube()
-        rng = np.random.default_rng(0)
-        for theta in rng.uniform(0, 1, size=(5, 3)):
-            pb = geo.pullback(theta)
-            assert np.allclose(pb.jacobian, np.eye(3), atol=1e-12)
-            assert np.allclose(pb.point_physical, theta, atol=1e-12)
+        axes = random_axes(np.random.default_rng(0), 3, 3)
+        pts, jac, _, _, _ = lattice_pullbacks(geo, axes)
+        assert np.allclose(jac, np.eye(3), atol=1e-12)
+        assert np.allclose(pts, lattice_points(axes), atol=1e-12)
 
     def test_annulus_jacobian_vs_fd(self):
         geo = patch_quarter_annulus()
         rng = np.random.default_rng(1)
         for theta in rng.uniform(0.05, 0.95, size=(8, 2)):
-            pb = geo.pullback(theta)
-            fd = fd_gradient(lambda t: geo.physical_point(t), theta).T
+            _, jac, _, _ = pullback_at(geo, theta)
+            fd = fd_gradient(lambda t: value_at(geo.spline, t), theta).T
             scale = max(1.0, np.abs(fd).max())
-            assert np.allclose(pb.jacobian, fd, atol=1e-6 * scale)
+            assert np.allclose(jac, fd, atol=1e-6 * scale)
 
     def test_annulus_corners(self):
         geo = patch_quarter_annulus()
-        corners = {
-            (0.0, 0.0): (1.0, 0.0),
-            (1.0, 0.0): (4.0, 0.0),
-            (0.0, 1.0): (0.0, 1.0),
-            (1.0, 1.0): (0.0, 4.0),
-        }
-        for theta, point in corners.items():
-            assert np.allclose(geo.physical_point(np.array(theta)), point, atol=1e-13)
+        pts = lattice_pullbacks(geo, [[0.0, 1.0], [0.0, 1.0]])[0]
+        assert np.allclose(pts, [(1.0, 0.0), (0.0, 1.0), (4.0, 0.0), (0.0, 4.0)], atol=1e-13)
 
     @pytest.mark.parametrize(
         "factory", [curve_unit_interval, solid_unit_cube, patch_beam]
     )
     def test_affine_geometries_have_zero_second_derivatives(self, factory):
         geo = factory()
-        rng = np.random.default_rng(2)
-        for theta in rng.uniform(0, 1, size=(10, geo.dim)):
-            pb = geo.pullback(theta)
-            assert np.all(np.abs(pb.second_derivs) < 1e-12)
+        axes = random_axes(np.random.default_rng(2), geo.dim, 10 if geo.dim == 1 else 4)
+        second = lattice_pullbacks(geo, axes)[4]
+        assert np.all(np.abs(second) < 1e-12)
 
     def test_inverse_jacobian(self):
         geo = patch_quarter_annulus()
-        rng = np.random.default_rng(3)
-        for theta in rng.uniform(0, 1, size=(20, 2)):
-            pb = geo.pullback(theta)
-            assert np.allclose(
-                pb.jacobian @ pb.inverse_jacobian, np.eye(2), atol=1e-10
-            )
+        axes = random_axes(np.random.default_rng(3), 2, 5)
+        _, jac, inv, _, _ = lattice_pullbacks(geo, axes)
+        assert np.allclose(jac @ inv, np.eye(2), atol=1e-10)
 
     def test_singular_geometry_raises(self):
         collapsed = TensorSpline.polynomial(
             (CUBIC, CUBIC), np.zeros((4, 4, 2))
         )
         geo = GeometryMap(collapsed)
-        with pytest.raises(SingularGeometryError):
-            geo.pullback([0.5, 0.5])
+        with pytest.raises(SingularGeometryError, match=r"theta=\(0.5, 0.25\)"):
+            lattice_pullbacks(geo, [[0.5], [0.25, 0.5]])
 
 
 class TestPhysicalDerivatives:
@@ -93,14 +113,14 @@ class TestPhysicalDerivatives:
         field = TensorSpline.polynomial(
             (CUBIC,) * 3, rng.normal(size=(4, 4, 4, 1))
         )
-        theta = np.array([0.3, 0.7, 0.2])
-        grad = geo.physical_gradient(theta, field)
-        assert np.allclose(grad, field.evaluate(theta, 1).grad, atol=1e-12)
+        axes = [[0.3], [0.7], [0.2]]
+        grad, _ = physical_jets(geo, field, axes)
+        assert np.allclose(grad[0], field.evaluate_lattice(axes, 1).grad[0, 0, 0], atol=1e-12)
 
     def test_constant_field_gradient_vanishes(self):
         geo = patch_quarter_annulus()
         field = TensorSpline.polynomial((CUBIC, CUBIC), np.full((4, 4, 1), 3.7))
-        grad = geo.physical_gradient([0.4, 0.6], field)
+        grad, _ = physical_jets(geo, field, [[0.4], [0.6]])
         assert np.all(np.abs(grad) < 1e-12)
 
     def test_annulus_gradient_vs_fd_through_map(self):
@@ -111,67 +131,66 @@ class TestPhysicalDerivatives:
         kvs = (uniform_refine(CUBIC, 2), uniform_refine(CUBIC, 1))
         field = random_scalar_field_2d(rng, kvs)
         for theta in rng.uniform(0.1, 0.9, size=(5, 2)):
-            pb = geo.pullback(theta)
-            grad = geo.physical_gradient(theta, field)
+            x0, _, inv0, _ = pullback_at(geo, theta)
+            grad, _ = physical_jets(geo, field, [[u] for u in theta])
 
-            def field_at_physical(x, pb=pb, x0=pb.point_physical):
-                # First-order parametric correction, refined once by Newton.
-                t = pb.theta + pb.inverse_jacobian @ (x - x0)
+            def field_at_physical(x, theta=theta, x0=x0, inv0=inv0):
+                # First-order parametric correction, refined by Newton.
+                t = theta + inv0 @ (x - x0)
                 for _ in range(4):
-                    r = geo.physical_point(t) - x
-                    t = t - geo.pullback(t).inverse_jacobian @ r
-                return field.evaluate(t).value
+                    xt, _, inv, _ = pullback_at(geo, t)
+                    t = t - inv @ (xt - x)
+                return value_at(field, t)
 
-            fd = fd_gradient(field_at_physical, pb.point_physical, step=1e-5)
+            fd = fd_gradient(field_at_physical, x0, step=1e-5)
             scale = max(1.0, np.abs(fd).max())
-            assert np.allclose(grad, fd, atol=1e-5 * scale)
+            assert np.allclose(grad[0], fd, atol=1e-5 * scale)
 
     def test_identity_geometry_hessian(self):
         geo = solid_unit_cube()
         rng = np.random.default_rng(6)
         field = TensorSpline.polynomial((CUBIC,) * 3, rng.normal(size=(4, 4, 4, 1)))
-        theta = np.array([0.25, 0.5, 0.75])
-        hess = geo.physical_hessian(theta, field)
-        assert np.allclose(hess, field.evaluate(theta, 2).hess, atol=1e-11)
+        axes = [[0.25], [0.5], [0.75]]
+        _, hess = physical_jets(geo, field, axes)
+        assert np.allclose(hess[0], field.evaluate_lattice(axes, 2).hess[0, 0, 0], atol=1e-11)
 
     def test_affine_geometry_hessian(self):
         geo = patch_beam()
         rng = np.random.default_rng(7)
         field = random_scalar_field_2d(rng, (CUBIC, CUBIC))
-        theta = np.array([0.4, 0.3])
-        pb = geo.pullback(theta)
-        jet = field.evaluate(theta, 2)
-        expected = np.einsum(
-            "ai,abc,bj->ijc", pb.inverse_jacobian, jet.hess, pb.inverse_jacobian
-        )
-        assert np.allclose(geo.physical_hessian(theta, field), expected, atol=1e-12)
+        axes = [[0.4], [0.3]]
+        _, _, inv, _ = pullback_at(geo, [0.4, 0.3])
+        jet = field.evaluate_lattice(axes, 2)
+        expected = np.einsum("ai,abc,bj->ijc", inv, jet.hess[0, 0], inv)
+        assert np.allclose(physical_jets(geo, field, axes)[1][0], expected, atol=1e-12)
 
     def test_hessian_symmetry(self):
         geo = patch_quarter_annulus()
         rng = np.random.default_rng(8)
         kvs = (uniform_refine(CUBIC, 1), uniform_refine(CUBIC, 2))
         field = random_scalar_field_2d(rng, kvs)
-        for theta in rng.uniform(0, 1, size=(10, 2)):
-            hess = geo.physical_hessian(theta, field)
-            assert np.allclose(hess, np.swapaxes(hess, 0, 1), atol=1e-9)
+        _, hess = physical_jets(geo, field, random_axes(rng, 2, 4))
+        assert np.allclose(hess, np.swapaxes(hess, 1, 2), atol=1e-9)
 
     def test_squared_radius_through_annulus(self):
         # The exact parametric jet of G = |F|^2 pushed through the inverse
         # chain rule must produce the physical Hessian of x^2 + y^2, i.e. 2I.
         geo = patch_quarter_annulus()
-        rng = np.random.default_rng(9)
-        for theta in rng.uniform(0, 1, size=(10, 2)):
-            pb = geo.pullback(theta)
-            jet = geo.spline.evaluate(theta, max_deriv=2)
-            g_theta = 2.0 * np.einsum("k,ak->a", jet.value, jet.grad)[:, None]
-            h_theta = 2.0 * (
-                np.einsum("ak,bk->ab", jet.grad, jet.grad)
-                + np.einsum("k,abk->ab", jet.value, jet.hess)
-            )[..., None]
-            grad_x = push_gradient(pb, g_theta)
-            hess_x = push_hessian(pb, grad_x, h_theta)
-            assert np.allclose(hess_x[..., 0], 2.0 * np.eye(2), atol=1e-6)
-            assert np.allclose(grad_x[:, 0], 2.0 * pb.point_physical, atol=1e-8)
+        axes = random_axes(np.random.default_rng(9), 2, 4)
+        pts, _, inv, _, second = lattice_pullbacks(geo, axes)
+        jet = geo.spline.evaluate_lattice(axes, max_deriv=2)
+        value = jet.value.reshape(-1, 2)
+        grad = jet.grad.reshape(-1, 2, 2)
+        hess = jet.hess.reshape(-1, 2, 2, 2)
+        g_theta = 2.0 * np.einsum("nk,nak->na", value, grad)[..., None]
+        h_theta = 2.0 * (
+            np.einsum("nak,nbk->nab", grad, grad)
+            + np.einsum("nk,nabk->nab", value, hess)
+        )[..., None]
+        grad_x = lattice_push_gradient(inv, g_theta)
+        hess_x = lattice_push_hessian(inv, second, grad_x, h_theta)
+        assert np.allclose(hess_x[..., 0], 2.0 * np.eye(2), atol=1e-6)
+        assert np.allclose(grad_x[..., 0], 2.0 * pts, atol=1e-8)
 
     def test_annulus_operator_plumbing_reproduces_source(self):
         # Compose the 2D benchmark's analytic solution with the map: its
@@ -191,24 +210,25 @@ class TestPhysicalDerivatives:
             [sp.lambdify((x, y), sp.diff(T, a, b), "numpy") for b in (x, y)]
             for a in (x, y)
         ]
-        rng = np.random.default_rng(12)
-        for theta in rng.uniform(0.02, 0.98, size=(100, 2)):
-            pb = geo.pullback(theta)
-            px, py = pb.point_physical
-            gx_exact = np.array([g(px, py) for g in gf])
-            hx_exact = np.array([[hf[a][b](px, py) for b in (0, 1)] for a in (0, 1)])
-            # Forward chain rule to the parametric jet, then back again.
-            g_theta = (pb.jacobian.T @ gx_exact)[:, None]
-            h_theta = (
-                pb.jacobian.T @ hx_exact @ pb.jacobian
-                + np.einsum("k,abk->ab", gx_exact, pb.second_derivs)
-            )[..., None]
-            grad_back = push_gradient(pb, g_theta)[:, 0]
-            hess_back = push_hessian(pb, grad_back[:, None], h_theta)[..., 0]
-            value = tf(px, py)
-            applied = value - np.trace(hess_back)
-            f = prob.source(pb.point_physical)[0]
-            assert abs(applied - f) <= 1e-6 * max(1.0, abs(f))
+        axes = random_axes(np.random.default_rng(12), 2, 10, 0.02, 0.98)
+        pts, jac, inv, _, second = lattice_pullbacks(geo, axes)
+        px, py = pts[:, 0], pts[:, 1]
+        gx_exact = np.stack([g(px, py) for g in gf], axis=-1)
+        hx_exact = np.stack(
+            [np.stack([hf[a][b](px, py) for b in (0, 1)], axis=-1) for a in (0, 1)],
+            axis=-2,
+        )
+        # Forward chain rule to the parametric jet, then back again.
+        g_theta = np.einsum("nka,nk->na", jac, gx_exact)[..., None]
+        h_theta = (
+            np.einsum("nka,nkl,nlb->nab", jac, hx_exact, jac)
+            + np.einsum("nk,nabk->nab", gx_exact, second)
+        )[..., None]
+        grad_back = lattice_push_gradient(inv, g_theta)
+        hess_back = lattice_push_hessian(inv, second, grad_back, h_theta)[..., 0]
+        applied = tf(px, py) - np.trace(hess_back, axis1=1, axis2=2)
+        f = prob.source(pts)[:, 0]
+        assert np.all(np.abs(applied - f) <= 1e-6 * np.maximum(1.0, np.abs(f)))
 
     def test_linearity_in_the_field(self):
         geo = patch_quarter_annulus()
@@ -218,24 +238,24 @@ class TestPhysicalDerivatives:
         f2 = random_scalar_field_2d(rng, kvs)
         alpha, beta = 1.7, -0.45
         combo = f1.with_coefficients(alpha * f1.coeffs + beta * f2.coeffs)
-        theta = np.array([0.35, 0.65])
-        assert np.allclose(
-            geo.physical_gradient(theta, combo),
-            alpha * geo.physical_gradient(theta, f1)
-            + beta * geo.physical_gradient(theta, f2),
-            atol=1e-10,
-        )
-        assert np.allclose(
-            geo.physical_hessian(theta, combo),
-            alpha * geo.physical_hessian(theta, f1)
-            + beta * geo.physical_hessian(theta, f2),
-            atol=1e-10,
-        )
+        axes = [[0.35], [0.65]]
+        g, h = physical_jets(geo, combo, axes)
+        g1, h1 = physical_jets(geo, f1, axes)
+        g2, h2 = physical_jets(geo, f2, axes)
+        assert np.allclose(g, alpha * g1 + beta * g2, atol=1e-10)
+        assert np.allclose(h, alpha * h1 + beta * h2, atol=1e-10)
 
     def test_boundary_normals_on_beam(self):
         geo = patch_beam()
-        pb = geo.pullback([0.5, 1.0])
-        assert np.allclose(geo.boundary_normal(pb, 1, 1), [0, 1], atol=1e-13)
-        assert np.allclose(geo.boundary_normal(pb, 1, 0), [0, -1], atol=1e-13)
-        pb = geo.pullback([0.0, 0.5])
-        assert np.allclose(geo.boundary_normal(pb, 0, 0), [-1, 0], atol=1e-13)
+        inv = lattice_pullbacks(geo, [[0.5], [1.0]])[2]
+        assert np.allclose(boundary_normals(inv, 1, 1), [[0, 1]], atol=1e-13)
+        assert np.allclose(boundary_normals(inv, 1, 0), [[0, -1]], atol=1e-13)
+        inv = lattice_pullbacks(geo, [[0.0], [0.5]])[2]
+        assert np.allclose(boundary_normals(inv, 0, 0), [[-1, 0]], atol=1e-13)
+
+    def test_boundary_normals_on_annulus_are_unit_and_outward(self):
+        # On the outer arc (u = 1) the outward normal is the radial direction.
+        geo = patch_quarter_annulus()
+        pts, _, inv, _, _ = lattice_pullbacks(geo, [[1.0], np.linspace(0, 1, 7)])
+        normals = boundary_normals(inv, 0, 1)
+        assert np.allclose(normals, pts / np.linalg.norm(pts, axis=1, keepdims=True))

@@ -34,7 +34,7 @@ def cubic_exact_problem(scale=1.0):
         return scale * x[..., 0] ** 3
 
     def source(x):
-        return np.atleast_1d(scale * (-6.0 * x[..., 0] + x[..., 0] ** 3))
+        return scale * (-6.0 * x[..., :1] + x[..., :1] ** 3)
 
     return BvpDefinition(
         example_id="cubic",
@@ -43,10 +43,10 @@ def cubic_exact_problem(scale=1.0):
         operator=ScreenedPoissonOperator(dim=1),
         source=source,
         boundary_conditions=(
-            DirichletBC(axis=0, side=0, value=lambda x: np.zeros(1)),
-            DirichletBC(axis=0, side=1, value=lambda x: np.array([scale])),
+            DirichletBC(axis=0, side=0, value=lambda x: np.zeros((len(x), 1))),
+            DirichletBC(axis=0, side=1, value=lambda x: np.full((len(x), 1), scale)),
         ),
-        analytic_solution=lambda x: np.atleast_1d(analytic(x)),
+        analytic_solution=lambda x: analytic(x)[:, None],
         quantities=(
             FieldQuantity(
                 "T",
@@ -67,7 +67,7 @@ class IdentityOperator:
         return value
 
     def basis_rows(self, value, grad, hess, component):
-        return value[None, :]
+        return value[:, None, :]
 
 
 class TestExactSolution:
@@ -120,7 +120,7 @@ class TestOperatorError:
         prob = replace(
             base,
             operator=IdentityOperator(),
-            source=lambda x: np.atleast_1d(x[..., 0] ** 3),
+            source=lambda x: x[:, :1] ** 3,
         )
         solver = CollocationSolver(method="igal_fixed", n_per_dir=6, m_per_dir=9).fit(
             prob

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from batched import values_at
 from splinecol.problems import (
     STABILITY_KNOTS,
     BvpDefinition,
@@ -26,6 +27,7 @@ from splinecol.problems import (
     make_example,
 )
 from splinecol.collocation import build_field_from_knots
+from splinecol.geometry import boundary_normals, lattice_pullbacks
 
 RNG = np.random.default_rng(42)
 
@@ -57,8 +59,7 @@ def operator_residual(problem, expr_list, symbols, points):
             for b in range(d):
                 hess[:, a, b, k] = hf[a][b](*coords)
     applied = problem.operator.apply(value, grad, hess)
-    source = np.stack([np.atleast_1d(problem.source(p)) for p in points])
-    return np.abs(applied - source.reshape(n, c)), value, grad
+    return np.abs(applied - problem.source(points)), value, grad
 
 
 class TestExample1D:
@@ -81,25 +82,19 @@ class TestExample2D:
     def test_solution_vanishes_on_boundary(self):
         prob = example_2d_annulus()
         geo = prob.geometry
-        for v in RNG.uniform(0, 1, 20):
-            inner = geo.physical_point(np.array([0.0, v]))
-            outer = geo.physical_point(np.array([1.0, v]))
-            assert abs(prob.analytic_solution(inner)[0]) < 1e-10
-            assert abs(prob.analytic_solution(outer)[0]) < 1e-10
-        for u in RNG.uniform(0, 1, 20):
-            e1 = geo.physical_point(np.array([u, 0.0]))
-            e2 = geo.physical_point(np.array([u, 1.0]))
-            assert abs(prob.analytic_solution(e1)[0]) < 1e-12
-            assert abs(prob.analytic_solution(e2)[0]) < 1e-12
+        arcs = lattice_pullbacks(geo, [[0.0, 1.0], RNG.uniform(0, 1, 20)])[0]
+        assert np.abs(prob.analytic_solution(arcs)).max() < 1e-10
+        edges = lattice_pullbacks(geo, [RNG.uniform(0, 1, 20), [0.0, 1.0]])[0]
+        assert np.abs(prob.analytic_solution(edges)).max() < 1e-12
 
     def test_source_matches_operator_of_analytic(self):
         prob = example_2d_annulus()
         x, y = sp.symbols("x y")
         T = (x**2 + y**2 - 1) * (x**2 + y**2 - 16) * sp.sin(x) * sp.sin(y)
         theta = RNG.uniform(0.02, 0.98, size=(100, 2))
-        pts = np.stack([prob.geometry.physical_point(t) for t in theta])
+        pts = values_at(prob.geometry.spline, theta)
         res, _, _ = operator_residual(prob, [T], (x, y), pts)
-        scale = np.abs([prob.source(p)[0] for p in pts]).max()
+        scale = np.abs(prob.source(pts)).max()
         assert res.max() < 1e-6 * scale
 
 
@@ -223,10 +218,10 @@ class TestBeam:
         sigma_x, sigma_y, tau_xy = beam_stresses(self.params)
         top = prob.condition_for_face(3)  # axis 1, side 1
         bottom = prob.condition_for_face(2)
-        x = np.array([1.3, 1.0])
-        assert np.allclose(top.rhs(x), [tau_xy(x), sigma_y(x)])
-        xb = np.array([1.3, -1.0])
-        assert np.allclose(bottom.rhs(xb), [-tau_xy(xb), -sigma_y(xb)])
+        x = np.array([[1.3, 1.0], [-0.4, 1.0]])
+        assert np.allclose(top.value(x), np.stack([tau_xy(x), sigma_y(x)], axis=-1))
+        xb = np.array([[1.3, -1.0], [4.2, -1.0]])
+        assert np.allclose(bottom.value(xb), -np.stack([tau_xy(xb), sigma_y(xb)], axis=-1))
 
 
 class TestExampleV:
@@ -236,8 +231,8 @@ class TestExampleV:
         right = prob.condition_for_face(1)
         assert left.kind == "dirichlet"
         assert right.kind == "neumann"
-        assert np.isclose(right.rhs(np.array([1.0]))[0], 2.0 * np.pi)
-        assert np.isclose(left.rhs(np.array([0.0]))[0], 0.0)
+        assert np.array_equal(right.value(np.array([[1.0]])), [[2.0 * np.pi]])
+        assert np.array_equal(left.value(np.array([[0.0]])), [[0.0]])
 
     def test_stability_knots_give_ten_basis_functions(self):
         field = build_field_from_knots(curve_unit_interval(), STABILITY_KNOTS)
@@ -275,21 +270,21 @@ class TestManufacturedClosure:
         d = geo.dim
 
         theta = RNG.uniform(0.01, 0.99, size=(200, d))
-        pts = np.stack([geo.physical_point(t) for t in theta])
+        pts = values_at(geo.spline, theta)
         res, _, _ = operator_residual(prob, exprs, symbols, pts)
-        scale = max(1.0, max(np.abs(np.atleast_1d(prob.source(p))).max() for p in pts))
+        scale = max(1.0, np.abs(prob.source(pts)).max())
         assert res.max() < 1e-8 * scale
 
         # Boundary conditions, face by face.
         for bc in prob.boundary_conditions:
-            btheta = RNG.uniform(0, 1, size=(40, d))
-            btheta[:, bc.axis] = float(bc.side)
-            bpts = np.stack([geo.physical_point(t) for t in btheta])
+            axes = [RNG.uniform(0, 1, 40 if d == 2 else 7) for _ in range(d)]
+            axes[bc.axis] = [float(bc.side)]
+            bpts, _, inv, _, _ = lattice_pullbacks(geo, axes)
             _, value, grad = operator_residual(prob, exprs, symbols, bpts)
-            for i, t in enumerate(btheta):
-                pb = geo.pullback(t)
-                normal = geo.boundary_normal(pb, bc.axis, bc.side)
-                g = bc.rhs(bpts[i])
+            normals = boundary_normals(inv, bc.axis, bc.side)
+            values = bc.value(bpts)
+            assert values.shape == (len(bpts), bc.n_rows)
+            for i, (normal, g) in enumerate(zip(normals, values)):
                 if bc.kind == "dirichlet":
                     got = value[i, : bc.n_rows]
                 elif bc.kind == "neumann":
@@ -340,19 +335,15 @@ def _traction_of(material, grad, normal):
 class TestGeometryRoundTrips:
     def test_corner_interpolation(self):
         geo1 = curve_unit_interval()
-        assert geo1.physical_point(np.array([0.0]))[0] == 0.0
-        assert geo1.physical_point(np.array([1.0]))[0] == 1.0
+        assert values_at(geo1.spline, [0.0, 1.0]).tolist() == [[0.0], [1.0]]
 
         geo3 = example_3d_cube().geometry
-        assert np.allclose(geo3.physical_point(np.array([0, 0, 0.0])), [0, 0, 0])
-        assert np.allclose(geo3.physical_point(np.array([1, 1, 1.0])), [1, 1, 1])
+        assert np.allclose(values_at(geo3.spline, [[0, 0, 0.0], [1, 1, 1]]), [[0, 0, 0], [1, 1, 1]])
 
         geo4 = example_beam().geometry
-        assert np.allclose(geo4.physical_point(np.array([0, 0.0])), [-5, -1])
-        assert np.allclose(geo4.physical_point(np.array([1, 1.0])), [5, 1])
+        assert np.allclose(values_at(geo4.spline, [[0, 0.0], [1, 1]]), [[-5, -1], [5, 1]])
 
     def test_greville_images_reproduce_control_net_for_identity(self):
         geo = curve_unit_interval()
         g = geo.kvs[0].greville_abscissae()
-        for u, c in zip(g, geo.spline.coeffs[:, 0]):
-            assert abs(geo.physical_point(np.array([u]))[0] - c) < 1e-13
+        assert np.abs(values_at(geo.spline, g) - geo.spline.coeffs).max() < 1e-13

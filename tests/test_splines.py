@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import all_basis_derivs, fd_gradient, fd_hessian
+from batched import jets_at, value_at, values_at
+from oracles import all_basis_derivs, fd_gradient, fd_hessian, point_basis_jets, point_jet
 from splinecol.errors import (
     DomainError,
     InvalidRefinementError,
@@ -106,16 +107,33 @@ class TestBasisValues:
     def test_local_support_exact_zero(self):
         # A basis function evaluated outside its support block is exactly 0.
         kv = uniform_refine(CUBIC, 4)
+        us = np.linspace(0.01, 0.99, 23)
+        spans = kv.find_span(us)
         for i in range(kv.n_basis):
             coeffs = np.zeros(kv.n_basis)
             coeffs[i] = 1.0
             spline = TensorSpline.polynomial((kv,), coeffs)
-            for u in np.linspace(0.01, 0.99, 23):
-                span = kv.find_span(u)
-                inside = span - kv.degree <= i <= span
-                value = spline.evaluate([u]).value[0]
-                if not inside:
-                    assert value == 0.0
+            outside = ~((spans - kv.degree <= i) & (i <= spans))
+            assert np.all(spline.evaluate_lattice([us]).value[outside, 0] == 0.0)
+            assert np.all(values_at(spline, us)[outside, 0] == 0.0)
+
+    def test_vectorised_matches_scalar_calls(self):
+        # An array of parameters gives, entry by entry, the scalar results.
+        rng = np.random.default_rng(17)
+        kv = random_knot_vector(rng)
+        us = rng.uniform(0, 1, 40)
+        spans = kv.find_span(us)
+        ders = kv.basis_values(us, min(2, kv.degree))
+        assert ders.shape == (40, min(2, kv.degree) + 1, kv.degree + 1)
+        for j, u in enumerate(us):
+            assert spans[j] == kv.find_span(u)
+            assert np.array_equal(ders[j], kv.basis_values(u, min(2, kv.degree)))
+
+    def test_domain_error_names_first_bad_parameter(self):
+        with pytest.raises(DomainError, match="parameter 1.5 outside"):
+            CUBIC.basis_values(np.array([0.2, 1.5, -2.0, 0.7]))
+        with pytest.raises(DomainError, match="parameter nan outside"):
+            CUBIC.find_span(np.array([0.2, np.nan]))
 
 
 class TestGreville:
@@ -147,8 +165,8 @@ class TestGreville:
         for _ in range(10):
             kv = random_knot_vector(rng)
             spline = TensorSpline.polynomial((kv,), kv.greville_abscissae())
-            for u in rng.uniform(0, 1, 50):
-                assert abs(spline.evaluate([u]).value[0] - u) < 1e-12
+            us = rng.uniform(0, 1, 50)
+            assert np.abs(values_at(spline, us)[:, 0] - us).max() < 1e-12
 
 
 class TestRefinement:
@@ -201,17 +219,13 @@ class TestKnotGrid:
         grid = KnotGrid((CUBIC5, CUBIC))
         assert np.isclose(grid.grid_size_h, np.hypot(0.5, 1.0))
 
-    def test_cells(self):
-        cells = list(KnotGrid((CUBIC5, CUBIC5)).cells())
-        assert len(cells) == 4
-
 
 class TestTensorSpline:
     def test_identity_curve(self):
         curve = TensorSpline.polynomial((CUBIC,), CUBIC.greville_abscissae())
-        jet = curve.evaluate([0.4], max_deriv=1)
-        assert abs(jet.value[0] - 0.4) < 1e-14
-        assert abs(jet.grad[0, 0] - 1.0) < 1e-12
+        value, grad, _ = jets_at(curve, [0.4])
+        assert abs(value[0, 0] - 0.4) < 1e-14
+        assert abs(grad[0, 0, 0] - 1.0) < 1e-12
 
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -219,8 +233,10 @@ class TestTensorSpline:
 
     def test_out_of_domain(self):
         curve = TensorSpline.polynomial((CUBIC,), CUBIC.greville_abscissae())
-        with pytest.raises(DomainError):
-            curve.evaluate([1.2])
+        with pytest.raises(DomainError, match="1.2"):
+            curve.basis_jets([0.5, 1.2])
+        with pytest.raises(DomainError, match="1.2"):
+            curve.evaluate_lattice([[0.5, 1.2]])
 
     def test_rational_derivative_cap(self):
         kv = KnotVector([0, 0, 0, 1, 1, 1], 2)
@@ -229,15 +245,17 @@ class TestTensorSpline:
             np.array([1.0, np.sqrt(2) / 2, 1.0]),
         )
         with pytest.raises(UnsupportedDerivativeError):
-            arc.evaluate([0.5], max_deriv=3)
+            arc.evaluate_lattice([[0.5]], max_deriv=3)
 
     def test_polynomial_higher_partials(self):
         # x^3 has third derivative 6 everywhere; unit weights allow order 3.
         g = CUBIC.greville_abscissae()
         curve = TensorSpline.polynomial((CUBIC,), g**3 * 0 + np.array([0, 0, 0, 1.0]))
         # Bezier cubic with coefficients (0,0,0,1) is exactly u^3.
-        assert abs(curve.evaluate([0.3]).value[0] - 0.027) < 1e-14
-        assert abs(curve.evaluate_partial([0.3], (3,))[0] - 6.0) < 1e-11
+        assert abs(value_at(curve, [0.3])[0] - 0.027) < 1e-14
+        assert abs(curve.evaluate_lattice([[0.3]], max_deriv=3).value[0, 0] - 0.027) < 1e-14
+        third = CUBIC.basis_values(0.3, 3)[3] @ curve.coeffs[:, 0]
+        assert abs(third - 6.0) < 1e-11
 
     def test_rational_derivatives_vs_fd(self):
         rng = np.random.default_rng(2)
@@ -245,14 +263,15 @@ class TestTensorSpline:
         coeffs = rng.normal(size=(kvu.n_basis, 4, 2))
         weights = rng.uniform(0.5, 2.0, size=(kvu.n_basis, 4))
         surf = TensorSpline((kvu, CUBIC), coeffs, weights)
-        for theta in rng.uniform(0.05, 0.95, size=(10, 2)):
-            jet = surf.evaluate(theta, max_deriv=2)
-            g = fd_gradient(lambda t: surf.evaluate(t).value, theta)
-            h = fd_hessian(lambda t: surf.evaluate(t).value, theta, step=2e-4)
+        thetas = rng.uniform(0.05, 0.95, size=(10, 2))
+        _, grads, hessians = jets_at(surf, thetas)
+        for theta, grad, hess in zip(thetas, grads, hessians):
+            g = fd_gradient(lambda t: value_at(surf, t), theta)
+            h = fd_hessian(lambda t: value_at(surf, t), theta, step=2e-4)
             scale = max(1.0, np.abs(g).max())
-            assert np.allclose(jet.grad, g, atol=1e-6 * scale)
+            assert np.allclose(grad, g, atol=1e-6 * scale)
             hscale = max(1.0, np.abs(h).max())
-            assert np.allclose(jet.hess, h, atol=5e-5 * hscale)
+            assert np.allclose(hess, h, atol=5e-5 * hscale)
 
     def test_lattice_matches_pointwise(self):
         rng = np.random.default_rng(4)
@@ -264,10 +283,10 @@ class TestTensorSpline:
         lat = surf.evaluate_lattice(axes, max_deriv=2)
         for i, u in enumerate(axes[0]):
             for j, v in enumerate(axes[1]):
-                jet = surf.evaluate([u, v], max_deriv=2)
-                assert np.allclose(lat.value[i, j], jet.value, atol=1e-13)
-                assert np.allclose(lat.grad[i, j], jet.grad, atol=1e-11)
-                assert np.allclose(lat.hess[i, j], jet.hess, atol=1e-9)
+                value, grad, hess, _ = point_jet(surf, [u, v], max_deriv=2)
+                assert np.allclose(lat.value[i, j], value, atol=1e-13)
+                assert np.allclose(lat.grad[i, j], grad, atol=1e-11)
+                assert np.allclose(lat.hess[i, j], hess, atol=1e-9)
 
     def test_basis_jets_reconstruct_field(self):
         rng = np.random.default_rng(9)
@@ -275,13 +294,31 @@ class TestTensorSpline:
         coeffs = rng.normal(size=(kvu.n_basis, 4, 2))
         weights = rng.uniform(0.5, 2.0, size=(kvu.n_basis, 4))
         surf = TensorSpline((kvu, CUBIC), coeffs, weights)
-        theta = np.array([0.37, 0.81])
-        cols, val, grad, hess = surf.basis_jets(theta)
+        thetas = np.array([[0.37, 0.81], [0.0, 1.0], [0.5, 0.25], [1.0, 0.6]])
+        cols, val, grad, hess = surf.basis_jets(thetas)
+        assert cols.shape == val.shape == (4, 16)
+        assert grad.shape == (4, 2, 16) and hess.shape == (4, 2, 2, 16)
         flat = surf.coeffs.reshape(-1, 2)
-        jet = surf.evaluate(theta, max_deriv=2)
-        assert np.allclose(np.einsum("n,nc->c", val, flat[cols]), jet.value)
-        assert np.allclose(np.einsum("na,nc->ac", grad, flat[cols]), jet.grad, atol=1e-11)
-        assert np.allclose(np.einsum("nab,nc->abc", hess, flat[cols]), jet.hess, atol=1e-9)
+        for n, theta in enumerate(thetas):
+            value, g, h, _ = point_jet(surf, theta, max_deriv=2)
+            local = flat[cols[n]]
+            assert np.allclose(val[n] @ local, value)
+            assert np.allclose(grad[n] @ local, g, atol=1e-11)
+            assert np.allclose(hess[n] @ local, h, atol=1e-9)
+            ref_cols, ref_val, ref_grad, ref_hess = point_basis_jets(surf, theta)
+            assert np.array_equal(cols[n], ref_cols)
+            assert np.allclose(val[n], ref_val, atol=1e-14)
+            assert np.allclose(grad[n], ref_grad.T, atol=1e-12)
+            assert np.allclose(hess[n], np.moveaxis(ref_hess, 0, -1), atol=1e-10)
+
+    def test_basis_jets_of_linear_spline(self):
+        # Degree 1 has no second derivatives: its Hessian jets are zero.
+        kv = KnotVector([0, 0, 0.5, 1, 1], 1)
+        line = TensorSpline.polynomial((kv,), np.array([0.0, 2.0, 3.0]))
+        _, val, grad, hess = line.basis_jets([0.25, 0.75])
+        assert np.allclose(np.sum(val * [[0, 2], [2, 3]], axis=1), [1.0, 2.5])
+        assert np.allclose(np.sum(grad[:, 0] * [[0, 2], [2, 3]], axis=1), [4.0, 2.0])
+        assert np.all(hess == 0.0)
 
 
 class TestKnotInsertion:
@@ -295,10 +332,8 @@ class TestKnotInsertion:
     def test_curve_values_preserved(self):
         curve = TensorSpline.polynomial((CUBIC,), np.array([0, 1 / 3, 2 / 3, 1.0]))
         inserted = curve.insert_knot(0, 0.5)
-        for u in (0.1, 0.5, 0.9):
-            assert abs(
-                inserted.evaluate([u]).value[0] - curve.evaluate([u]).value[0]
-            ) < 1e-12
+        us = [0.1, 0.5, 0.9]
+        assert np.abs(values_at(inserted, us) - values_at(curve, us)).max() < 1e-12
 
     def test_straight_line_stays_collinear(self):
         g = CUBIC.greville_abscissae()
@@ -322,10 +357,8 @@ class TestKnotInsertion:
             if spline.kvs[0].multiplicity(u_new) >= kv.degree:
                 continue
             inserted = spline.insert_knot(0, u_new)
-            for u in rng.uniform(0, 1, 100):
-                a = spline.evaluate([u]).value
-                b = inserted.evaluate([u]).value
-                assert np.allclose(a, b, atol=1e-10)
+            us = rng.uniform(0, 1, 100)
+            assert np.allclose(values_at(spline, us), values_at(inserted, us), atol=1e-10)
 
     def test_2d_insertion_preserves_surface(self):
         rng = np.random.default_rng(13)
@@ -333,12 +366,8 @@ class TestKnotInsertion:
         weights = rng.uniform(0.5, 2.0, (4, 4))
         surf = TensorSpline((CUBIC, CUBIC), coeffs, weights)
         refined = surf.insert_knot(1, 0.25).insert_knot(0, 0.6)
-        for theta in rng.uniform(0, 1, size=(50, 2)):
-            assert np.allclose(
-                surf.evaluate(theta).value,
-                refined.evaluate(theta).value,
-                atol=1e-10,
-            )
+        thetas = rng.uniform(0, 1, size=(50, 2))
+        assert np.allclose(values_at(surf, thetas), values_at(refined, thetas), atol=1e-10)
 
     def test_multiplicity_overflow(self):
         curve = TensorSpline.polynomial((CUBIC,), np.zeros(4))
