@@ -37,14 +37,7 @@ from .errors import (
 )
 from .estimator import CollocationSolver
 from .geometry import GeometryMap
-from .metrics import (
-    ErrorReport,
-    absolute_error_field,
-    error_report,
-    relative_operator_error,
-    relative_quantity_errors,
-    relative_solution_error,
-)
+from .metrics import ErrorReport, absolute_error_field, error_report
 from .problems import (
     STABILITY_KNOTS,
     BvpDefinition,
@@ -63,13 +56,7 @@ from .solvers import (
     solve_normal_equations,
     solve_square,
 )
-from .splines import (
-    KnotGrid,
-    KnotVector,
-    TensorSpline,
-    refine_to_count,
-    uniform_refine,
-)
+from .splines import KnotVector, TensorSpline
 
 __version__ = "0.1.0"
 
@@ -89,7 +76,6 @@ __all__ = [
     "GeometryMap",
     "InvalidRefinementError",
     "InvalidSchemeError",
-    "KnotGrid",
     "KnotVector",
     "MaterialParams",
     "PreconditionError",
@@ -118,11 +104,6 @@ __all__ = [
     "flop_cost_model",
     "generate_collocation_points",
     "make_example",
-    "refine_to_count",
-    "relative_operator_error",
-    "relative_quantity_errors",
-    "relative_solution_error",
     "solve_normal_equations",
     "solve_square",
-    "uniform_refine",
 ]

@@ -36,8 +36,3 @@ def per_direction(value, dim, name):
         raise ValueError(f"{name} must give one count per direction, got {value!r}")
     return counts
 
-
-def check_positive_int(value, name, minimum=1):
-    if int(value) != value or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)

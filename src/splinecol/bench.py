@@ -6,7 +6,8 @@ reports to JSON. Row order and float formatting are deterministic so
 identical configurations reproduce byte-identical files.
 
 The environment variable ``SPLINECOL_JOBS`` controls how many convergence
-cells run in parallel (unset or 1 = serial, 0 = one per CPU).
+cells run in parallel (unset or 1 = serial, 0 = one per CPU); any other
+value that is not a positive integer raises :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -224,7 +225,6 @@ def run_stability(config: ExperimentConfig):
                 m=m_counts,
                 quad_order=config.quad_order,
                 boundary_weight=config.boundary_weight,
-                seed=config.seed,
             )
             cell_rows, report, _ = solve_cell(
                 cell_cfg, interior_knots=STABILITY_KNOTS
@@ -259,11 +259,15 @@ def _parallel_jobs() -> int:
     raw = os.environ.get("SPLINECOL_JOBS", "1")
     try:
         jobs = int(raw)
+        if jobs < 0:
+            raise ValueError
     except ValueError:
-        return 1
+        raise ConfigError(
+            f"SPLINECOL_JOBS must be a non-negative integer, got {raw!r}"
+        ) from None
     if jobs == 0:
         return os.cpu_count() or 1
-    return max(jobs, 1)
+    return jobs
 
 
 def _write_outputs(config: ExperimentConfig, rows, payload):

@@ -44,16 +44,9 @@ def _counts(text):
     return tuple(int(tok) for tok in text.split(",") if tok)
 
 
-def _add_common(parser, include_method=True):
+def _add_run_options(parser):
+    """Options of every run command, the stability experiment included."""
     parser.add_argument("--config", help="JSON configuration file; flags override it")
-    parser.add_argument("--example", choices=EXAMPLE_IDS)
-    if include_method:
-        parser.add_argument("--method", choices=METHODS)
-    parser.add_argument("--scheme", choices=SCHEME_KINDS)
-    parser.add_argument(
-        "-n", "--n-per-dir", type=_counts, dest="n",
-        help="control points per direction, e.g. 10 or 15,15",
-    )
     parser.add_argument(
         "-m", "--m-per-dir", type=_counts, dest="m",
         help="collocation points per direction",
@@ -63,10 +56,21 @@ def _add_common(parser, include_method=True):
         "--boundary-weight", dest="boundary_weight",
         help="scalar weight for boundary rows, or 'auto' (default)",
     )
-    parser.add_argument("--seed", type=int)
     parser.add_argument(
         "-o", "--output",
         help="path stem for <stem>.csv and <stem>.json result files",
+    )
+
+
+def _add_problem_options(parser, include_method=True):
+    """Options that choose the example, method, scheme and control counts."""
+    parser.add_argument("--example", choices=EXAMPLE_IDS)
+    if include_method:
+        parser.add_argument("--method", choices=METHODS)
+    parser.add_argument("--scheme", choices=SCHEME_KINDS)
+    parser.add_argument(
+        "-n", "--n-per-dir", type=_counts, dest="n",
+        help="control points per direction, e.g. 10 or 15,15",
     )
 
 
@@ -75,7 +79,7 @@ def _merge_config(args, **extra) -> ExperimentConfig:
     if args.config:
         data.update(ExperimentConfig.from_file(args.config).to_dict())
     for key in ("example", "method", "scheme", "n", "m", "quad_order",
-                "boundary_weight", "seed", "output"):
+                "boundary_weight", "output"):
         value = getattr(args, key, None)
         if value is not None:
             data[key] = list(value) if isinstance(value, tuple) else value
@@ -170,11 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run one solve and report its errors")
-    _add_common(p)
+    _add_problem_options(p)
+    _add_run_options(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("converge", help="sweep control/collocation counts")
-    _add_common(p, include_method=False)
+    _add_problem_options(p, include_method=False)
+    _add_run_options(p)
     p.add_argument(
         "--method", dest="methods", action="append", choices=METHODS,
         help="repeatable; each method is swept over the same sequences",
@@ -189,8 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_converge)
 
+    # The experiment fixes example V, both methods and both schemes, and
+    # derives its field from the stability knots, so it takes no problem options.
     p = sub.add_parser("stability", help="non-uniform-knot stability experiment")
-    _add_common(p)
+    _add_run_options(p)
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("cost-model", help="closed-form flop counts")

@@ -10,8 +10,8 @@ points it is overdetermined and meant for a least-squares solve.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +31,7 @@ from .geometry import (
     lattice_push_hessian,
 )
 from .problems import BvpDefinition, callback_values
-from .splines import KnotGrid, KnotVector, TensorSpline
+from .splines import KnotVector, TensorSpline
 
 SCHEME_KINDS = ("greville", "uniform")
 
@@ -124,9 +124,7 @@ def collocation_knot_vector(kv: KnotVector, m: int) -> KnotVector:
     return KnotVector(knots, p)
 
 
-def generate_collocation_points(
-    kvs, scheme: CollocationScheme, *, require_cell_coverage: bool = False
-) -> CollocationSet:
+def generate_collocation_points(kvs, scheme: CollocationScheme) -> CollocationSet:
     """Tensor-product collocation points for a field on knot vectors ``kvs``.
 
     Greville placement takes the Greville abscissae of a per-direction
@@ -155,41 +153,24 @@ def generate_collocation_points(
     faces = np.empty((len(lattice), 2 * len(kvs)), dtype=bool)
     faces[:, 0::2] = lattice == lows
     faces[:, 1::2] = (lattice == highs) & ~faces[:, 0::2]
-    cset = CollocationSet(axes=axes, lattice=lattice, faces=faces)
-    if require_cell_coverage:
-        empty = empty_cells(cset, KnotGrid(kvs))
-        if empty:
-            warnings.warn(
-                f"{len(empty)} knot cells contain no collocation point; "
-                "the consistency hypothesis does not hold for this scheme",
-                stacklevel=2,
-            )
-    return cset
+    return CollocationSet(axes=axes, lattice=lattice, faces=faces)
 
 
-def empty_cells(points: CollocationSet, grid: KnotGrid):
+def empty_cells(points: CollocationSet, kvs):
     """Knot cells (as per-direction span indices) without any collocation point.
 
-    A point on a shared cell face counts for every adjacent cell.
+    ``kvs`` are the field's knot vectors. A point on a shared cell face
+    counts for every adjacent cell. The consistency analysis of
+    least-squares collocation assumes every cell holds a point.
     """
-    per_dir_hits = []
-    for axis, kv in enumerate(grid.kvs):
-        bp = kv.breakpoints
-        spans = len(bp) - 1
-        hits = np.zeros((spans, len(points.axes[axis])), dtype=bool)
-        for j, u in enumerate(points.axes[axis]):
-            for s in range(spans):
-                if bp[s] <= u <= bp[s + 1]:
-                    hits[s, j] = True
-        per_dir_hits.append(hits)
-
     # A lattice point covers a cell iff each coordinate covers the matching
     # per-direction span, so coverage separates by direction.
-    empty = []
-    for cell in itertools.product(*(range(h.shape[0]) for h in per_dir_hits)):
-        if not all(per_dir_hits[a][cell[a]].any() for a in range(len(cell))):
-            empty.append(cell)
-    return empty
+    covered = [
+        ((kv.breakpoints[:-1, None] <= u) & (u <= kv.breakpoints[1:, None])).any(axis=1)
+        for kv, u in zip(kvs, points.axes)
+    ]
+    full = functools.reduce(np.logical_and.outer, covered)
+    return [tuple(int(i) for i in cell) for cell in np.argwhere(~full)]
 
 
 def build_field(

@@ -45,7 +45,6 @@ class ExperimentConfig:
     quad_order: int | None = None
     boundary_weight: object = "auto"
     output: str | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.example not in EXAMPLE_IDS:

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._validation import per_direction
-from .errors import UndefinedMetricError
+from .errors import PreconditionError, UndefinedMetricError
 from .geometry import (
     lattice_pullbacks,
     lattice_push_gradient,
@@ -47,8 +47,8 @@ def quadrature_rule(field: TensorSpline, quad_order=None):
     if quad_order is None:
         quad_order = default_quad_order(field)
     if quad_order < max(field.degrees) + 1:
-        raise ValueError(
-            f"quad_order must be at least degree+1 = {max(field.degrees) + 1}"
+        raise PreconditionError(
+            f"quad_order {quad_order} is below degree+1 = {max(field.degrees) + 1}"
         )
     axes, wts = zip(*(_gauss_axis(kv, quad_order) for kv in field.kvs))
     w = wts[0]
@@ -73,88 +73,16 @@ def _field_data(problem, field, axes, max_deriv):
     return pts, np.abs(det), value, grad_x, hess_x
 
 
-def field_l2_norm(problem: BvpDefinition, func, field: TensorSpline, quad_order=None):
-    """L2 norm over the physical domain of a callable of physical points.
-
-    The quadrature cells come from ``field``; ``func`` maps (N, d) points to
-    (N,) or (N, c) values.
-    """
-    axes, w, _ = quadrature_rule(field, quad_order)
-    pts, _, inv, det, _ = lattice_pullbacks(problem.geometry, axes)
-    vals = np.asarray(func(pts), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return float(np.sqrt(np.sum((vals**2).sum(axis=1) * np.abs(det) * w)))
-
-
-def relative_solution_error(
-    problem: BvpDefinition, field: TensorSpline, quad_order=None
-) -> float:
-    """Relative L2 error of the discrete solution against the analytic one."""
-    _require_analytic(problem)
-    axes, w, _ = quadrature_rule(field, quad_order)
-    pts, det, value, _, _ = _field_data(problem, field, axes, max_deriv=0)
-    exact = callback_values(
-        problem.analytic_solution, pts, field.ncomp, "analytic_solution"
-    )
-    dw = det * w
-    num = np.sum(((exact - value) ** 2).sum(axis=1) * dw)
-    den = np.sum((exact**2).sum(axis=1) * dw)
-    if den == 0.0:
-        raise UndefinedMetricError("analytic solution has zero L2 norm")
-    return float(np.sqrt(num / den))
-
-
-def relative_quantity_errors(
-    problem: BvpDefinition, field: TensorSpline, quad_order=None
-) -> dict:
-    """Relative L2 error per reported output quantity (solution, stresses, ...)."""
-    _require_analytic(problem)
-    axes, w, _ = quadrature_rule(field, quad_order)
-    needs_grad = any(qty.needs_gradient for qty in problem.quantities)
-    pts, det, value, grad_x, _ = _field_data(
-        problem, field, axes, max_deriv=1 if needs_grad else 0
-    )
-    dw = det * w
-    out = {}
-    for qty in problem.quantities:
-        exact = np.asarray(qty.analytic(pts), dtype=float)
-        approx = np.asarray(qty.extract(value, grad_x), dtype=float)
-        den = np.sum(exact**2 * dw)
-        if den == 0.0:
-            raise UndefinedMetricError(f"quantity {qty.name!r} has zero L2 norm")
-        out[qty.name] = float(np.sqrt(np.sum((exact - approx) ** 2 * dw) / den))
-    return out
-
-
-def relative_operator_error(
-    problem: BvpDefinition, field: TensorSpline, quad_order=None
-) -> float:
-    """Relative L2 error of the differential operator applied to the solution.
-
-    For a manufactured solution the reference operator values equal the
-    source term, so this measures how far the discrete field is from
-    satisfying the strong-form equation.
-    """
-    axes, w, _ = quadrature_rule(field, quad_order)
-    pts, det, value, grad_x, hess_x = _field_data(problem, field, axes, max_deriv=2)
-    exact = callback_values(problem.source, pts, field.ncomp, "source")
-    approx = problem.operator.apply(value, grad_x, hess_x)
-    dw = det * w
-    den = np.sum((exact**2).sum(axis=1) * dw)
-    if den == 0.0:
-        raise UndefinedMetricError("operator of the analytic solution is identically zero")
-    num = np.sum(((exact - approx) ** 2).sum(axis=1) * dw)
-    return float(np.sqrt(num / den))
-
-
 def absolute_error_field(problem: BvpDefinition, field: TensorSpline, sample_counts=None):
     """Pointwise absolute errors on a parametric lattice mapped to physical space.
 
     Returns (points, errors) with ``points`` of shape (N, d) in physical
     coordinates and ``errors`` a dict mapping quantity names to (N,) arrays.
     """
-    _require_analytic(problem)
+    if problem.analytic_solution is None:
+        raise UndefinedMetricError(
+            f"example {problem.example_id} carries no analytic solution"
+        )
     d = problem.dim
     if sample_counts is None:
         sample_counts = DEFAULT_ABS_SAMPLES[d]
@@ -172,13 +100,6 @@ def absolute_error_field(problem: BvpDefinition, field: TensorSpline, sample_cou
         approx = np.asarray(qty.extract(value, grad_x), dtype=float)
         errors[qty.name] = np.abs(exact - approx)
     return pts, errors
-
-
-def _require_analytic(problem):
-    if problem.analytic_solution is None:
-        raise UndefinedMetricError(
-            f"example {problem.example_id} carries no analytic solution"
-        )
 
 
 @dataclass(frozen=True)
@@ -232,27 +153,52 @@ class ErrorReport:
         return out
 
 
+def _relative_l2(exact, approx, dw):
+    """Relative L2 distance of ``approx`` from ``exact`` under quadrature weights ``dw``.
+
+    Both take one row per quadrature point, (N,) or (N, c). Returns None
+    when ``exact`` has zero L2 norm.
+    """
+    exact = exact.reshape(len(dw), -1)
+    approx = approx.reshape(len(dw), -1)
+    den = np.sum((exact**2).sum(axis=1) * dw)
+    if den == 0.0:
+        return None
+    return float(np.sqrt(np.sum(((exact - approx) ** 2).sum(axis=1) * dw) / den))
+
+
 def error_report(
     problem: BvpDefinition,
     field: TensorSpline,
     quad_order=None,
     sample_counts=None,
 ) -> ErrorReport:
-    """Full error report: relative errors, operator error, absolute samples."""
-    _, _, order = quadrature_rule(field, quad_order)
-    rel = relative_quantity_errors(problem, field, order)
+    """Full error report: relative errors, operator error, absolute samples.
+
+    One pass over the quadrature lattice gives every quantity's relative L2
+    error and the operator error e_DT. For a manufactured solution the
+    reference operator values equal the source term, so e_DT measures how
+    far the discrete field is from satisfying the strong-form equation; it
+    is None when the source has zero L2 norm. The absolute errors are
+    sampled on a separate lattice (:func:`absolute_error_field`).
+    """
+    axes, w, order = quadrature_rule(field, quad_order)
     pts, abs_errors = absolute_error_field(problem, field, sample_counts)
-    try:
-        e_dt = relative_operator_error(problem, field, order)
-    except UndefinedMetricError:
-        e_dt = None
-    quantities = tuple(
-        QuantityError(name, rel[name], float(abs_errors[name].max()))
-        for name in (q.name for q in problem.quantities)
-    )
+    x, det, value, grad_x, hess_x = _field_data(problem, field, axes, max_deriv=2)
+    dw = det * w
+    quantities = []
+    for qty in problem.quantities:
+        exact = np.asarray(qty.analytic(x), dtype=float)
+        approx = np.asarray(qty.extract(value, grad_x), dtype=float)
+        rel = _relative_l2(exact, approx, dw)
+        if rel is None:
+            raise UndefinedMetricError(f"quantity {qty.name!r} has zero L2 norm")
+        quantities.append(QuantityError(qty.name, rel, float(abs_errors[qty.name].max())))
+    source = callback_values(problem.source, x, field.ncomp, "source")
+    e_dt = _relative_l2(source, problem.operator.apply(value, grad_x, hess_x), dw)
     return ErrorReport(
         example_id=problem.example_id,
-        quantities=quantities,
+        quantities=tuple(quantities),
         e_DT=e_dt,
         quadrature_order=order,
         sample_points=pts,

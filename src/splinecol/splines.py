@@ -1,7 +1,7 @@
 """B-spline / NURBS fundamentals.
 
 Knot vectors, basis-function evaluation with derivatives, Greville
-abscissae, knot insertion, refinement strategies, and tensor-product
+abscissae, knot insertion and uniform refinement, and tensor-product
 (rational) spline objects of dimension 1 to 3.
 
 All objects are immutable after construction; refinement operations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import as_float_array, as_points, check_positive_int
+from ._validation import as_float_array, as_points
 from .errors import (
     DomainError,
     InvalidRefinementError,
@@ -214,56 +214,6 @@ class KnotVector:
         return KnotVector(np.insert(self.knots, idx, u), self.degree)
 
 
-def refine_to_count(kv: KnotVector, target_basis_count: int) -> KnotVector:
-    """Insert midpoints of the longest knot interval until the basis count is reached.
-
-    Ties between equally long intervals are broken toward the leftmost one,
-    which makes refinement sequences reproducible.
-    """
-    target = check_positive_int(target_basis_count, "target_basis_count")
-    if target < kv.n_basis:
-        raise InvalidRefinementError(
-            f"target basis count {target} below current count {kv.n_basis}"
-        )
-    while kv.n_basis < target:
-        bp = kv.breakpoints
-        lengths = np.diff(bp)
-        i = int(np.argmax(lengths))
-        kv = kv.insert(0.5 * (bp[i] + bp[i + 1]))
-    return kv
-
-
-def uniform_refine(kv: KnotVector, count: int) -> KnotVector:
-    """Insert ``count`` equally spaced interior knots over the knot range."""
-    if int(count) != count or count < 0:
-        raise ValueError(f"count must be a non-negative integer, got {count!r}")
-    lo, hi = kv.start, kv.end
-    for i in range(1, int(count) + 1):
-        kv = kv.insert(lo + i * (hi - lo) / (count + 1))
-    return kv
-
-
-@dataclass(frozen=True)
-class KnotGrid:
-    """Tensor grid of knot cells with its refinement parameter h."""
-
-    kvs: tuple[KnotVector, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "kvs", tuple(self.kvs))
-        if not 1 <= len(self.kvs) <= 3:
-            raise ValueError("a knot grid has 1 to 3 directions")
-
-    @property
-    def dim(self) -> int:
-        return len(self.kvs)
-
-    @property
-    def grid_size_h(self) -> float:
-        """Maximum Euclidean diameter over all knot cells."""
-        return float(np.sqrt(sum(max(np.diff(kv.breakpoints)) ** 2 for kv in self.kvs)))
-
-
 @dataclass(frozen=True)
 class LatticeJet:
     """Batched jet on a tensor lattice of parameters.
@@ -350,10 +300,6 @@ class TensorSpline:
     @property
     def degrees(self) -> tuple[int, ...]:
         return tuple(kv.degree for kv in self.kvs)
-
-    @property
-    def grid(self) -> KnotGrid:
-        return KnotGrid(self.kvs)
 
     @property
     def is_polynomial(self) -> bool:

@@ -4,13 +4,18 @@ These are deliberately naive: the recursive Cox-de Boor definition, the
 textbook derivative recursion, finite differences, a hand-rolled
 Householder QR, a best-approximation fit built on both, and per-point
 spline, pullback and assembly code. They share no code with the package
-so they can serve as oracles for it.
+so they can serve as oracles for it. The last section holds two small
+helpers that are built on the package instead: a knot-vector fixture
+builder and the L2 norm under the quadrature of ``error_report``.
 """
 
 import itertools
 from functools import reduce
 
 import numpy as np
+
+from splinecol.geometry import lattice_pullbacks
+from splinecol.metrics import quadrature_rule
 
 
 def naive_basis(knots, p, i, u):
@@ -469,3 +474,28 @@ def point_assemble(problem, field, points, boundary_weight="auto"):
         b[r] = boundary_weight * float(np.asarray(pc.value(x[None]))[0, 0])
         meta[r] = (theta, "constraint", pc.component, None)
     return A, b, meta
+
+
+# ---------------------------------------------------------------------------
+# Helpers built on the package
+# ---------------------------------------------------------------------------
+
+
+def uniform_refine(kv, count):
+    """``kv`` with ``count`` equally spaced interior knots inserted over its range."""
+    lo, hi = kv.start, kv.end
+    for i in range(1, count + 1):
+        kv = kv.insert(lo + i * (hi - lo) / (count + 1))
+    return kv
+
+
+def field_l2_norm(problem, func, field, quad_order=None):
+    """L2 norm over the physical domain of ``func`` (N, d) -> (N,) or (N, c).
+
+    Uses the quadrature cells of ``field`` and the Jacobian weights of
+    ``problem.geometry``, the rule ``error_report`` integrates with.
+    """
+    axes, w, _ = quadrature_rule(field, quad_order)
+    pts, _, _, det, _ = lattice_pullbacks(problem.geometry, axes)
+    vals = np.asarray(func(pts), dtype=float).reshape(len(pts), -1)
+    return float(np.sqrt(np.sum((vals**2).sum(axis=1) * np.abs(det) * w)))

@@ -12,7 +12,7 @@ solution against two oracles: its coefficients agree with the Householder
 QR oracle on the same assembled system to 1e-8, and its e_T is no lower
 than the best L2 approximation of the exact solution in the same space
 (1.21e-4, from a Cox-de Boor basis that shares no code with the package,
-under the quadrature of ``relative_solution_error``). An absolute band
+under the quadrature of ``error_report``). An absolute band
 [2.9e-4, 4.8e-4] around the paper's least-squares 3.84e-4 was removed:
 the method promises no such value for a given point placement, and
 neither PAPER.md nor the README nor the docstrings record the placement
@@ -56,25 +56,21 @@ from oracles import (
     fd_gradient,
     fd_hessian,
     householder_qr_solve,
+    uniform_refine,
 )
 from test_problems import closure_expressions, operator_residual
 
 from splinecol.collocation import empty_cells
 from splinecol.estimator import CollocationSolver
 from splinecol.geometry import lattice_pullbacks
-from splinecol.metrics import (
-    error_report,
-    quadrature_rule,
-    relative_operator_error,
-    relative_solution_error,
-)
+from splinecol.metrics import error_report, quadrature_rule
 from splinecol.problems import (
     STABILITY_KNOTS,
     make_example,
     patch_quarter_annulus,
 )
 from splinecol.solvers import flop_cost_model, solve_normal_equations
-from splinecol.splines import KnotGrid, KnotVector, TensorSpline, uniform_refine
+from splinecol.splines import KnotVector, TensorSpline
 
 
 def check(criterion, ok, detail):
@@ -130,8 +126,8 @@ def test_criterion_03_example2_golden():
     prob = make_example("II")
     igac = CollocationSolver(method="igac", n_per_dir=15).fit(prob)
     igal = CollocationSolver(method="igal_fixed", n_per_dir=15, m_per_dir=20).fit(prob)
-    e_c = relative_solution_error(prob, igac.field_)
-    e_l = relative_solution_error(prob, igal.field_)
+    e_c = error_report(prob, igac.field_).e_T
+    e_l = error_report(prob, igal.field_).e_T
 
     x = igal.solve_report_.coefficients
     x_qr = householder_qr_solve(igal.system_.matrix, igal.system_.rhs)
@@ -167,8 +163,8 @@ def test_criterion_04_example3_golden():
     prob = make_example("III")
     igac = CollocationSolver(method="igac", n_per_dir=7).fit(prob)
     igal = CollocationSolver(method="igal_fixed", n_per_dir=7, m_per_dir=10).fit(prob)
-    e_c = relative_solution_error(prob, igac.field_)
-    e_l = relative_solution_error(prob, igal.field_)
+    e_c = error_report(prob, igac.field_).e_T
+    e_l = error_report(prob, igal.field_).e_T
     ok = in_band(e_c, 0.14, 0.16) and in_band(e_l, 0.017, 0.029)
     check(
         4, ok,
@@ -223,7 +219,7 @@ def test_criterion_06_stability():
                 method=method, m_per_dir=m, scheme=scheme,
                 interior_knots=STABILITY_KNOTS,
             ).fit(prob)
-            values[(method, scheme)] = relative_solution_error(prob, solver.field_)
+            values[(method, scheme)] = error_report(prob, solver.field_).e_T
     ok = (
         values[("igac", "uniform")] > 1e2
         and values[("igac", "greville")] > 1e2
@@ -250,8 +246,8 @@ def test_criterion_07_operator_error_decline():
         errors = []
         for n in ns:
             solver = CollocationSolver(method="igal_variable", n_per_dir=n).fit(prob)
-            errors.append(relative_operator_error(prob, solver.field_))
-            empty = empty_cells(solver.points_, KnotGrid(solver.field_.kvs))
+            errors.append(error_report(prob, solver.field_).e_DT)
+            empty = empty_cells(solver.points_, solver.field_.kvs)
             ok = ok and not empty
         drop = errors[0] / errors[-1]
         ok = ok and drop >= 10.0

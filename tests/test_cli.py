@@ -2,12 +2,14 @@
 
 import csv
 import json
+import os
+import re
 
 import numpy as np
 import pytest
 
 import splinecol.cli as cli
-from splinecol.bench import run_convergence, run_solve, run_stability
+from splinecol.bench import _parallel_jobs, run_convergence, run_solve, run_stability
 from splinecol.config import ExperimentConfig
 from splinecol.errors import (
     AssemblyError,
@@ -25,7 +27,6 @@ class TestConfig:
             m=(20, 20),
             quad_order=6,
             boundary_weight=2.5,
-            seed=7,
         )
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
@@ -38,6 +39,11 @@ class TestConfig:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown configuration keys"):
             ExperimentConfig.from_dict({"points": 3})
+
+    def test_seed_is_not_a_key(self):
+        # The pipeline has no randomness, so there is nothing to seed.
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig.from_dict({"example": "I", "seed": 0})
 
     def test_method_consistency_rules(self):
         with pytest.raises(ConfigError):
@@ -107,6 +113,31 @@ class TestBench:
         for a, b in zip(serial, parallel):
             assert a["e_T"] == b["e_T"]
             assert a["n_per_dir"] == b["n_per_dir"]
+
+    def test_low_quad_order_marks_row_failed(self):
+        config = ExperimentConfig(
+            example="I", method="igac", n_seq=[(8,), (10,)], quad_order=2
+        )
+        rows = run_convergence(config)
+        assert len(rows) == 2
+        for row in rows:
+            assert row["error"].startswith("PreconditionError")
+            assert "quad_order 2" in row["error"]
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_bad_jobs_variable_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("SPLINECOL_JOBS", value)
+        config = ExperimentConfig(example="I", method="igac", n_seq=[(6,), (8,)])
+        with pytest.raises(ConfigError, match=f"SPLINECOL_JOBS.*{re.escape(repr(value))}"):
+            run_convergence(config)
+
+    def test_jobs_variable_meanings(self, monkeypatch):
+        monkeypatch.delenv("SPLINECOL_JOBS", raising=False)
+        assert _parallel_jobs() == 1
+        monkeypatch.setenv("SPLINECOL_JOBS", "1")
+        assert _parallel_jobs() == 1
+        monkeypatch.setenv("SPLINECOL_JOBS", "0")
+        assert _parallel_jobs() == (os.cpu_count() or 1)
 
     def test_fixed_control_points_plateau(self):
         # With the control points fixed, adding collocation points first
@@ -192,6 +223,32 @@ class TestCli:
             "igac_uniform", "igac_greville",
             "igal_fixed_uniform", "igal_fixed_greville",
         }
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--method", "igac"], ["--example", "II"], ["--scheme", "uniform"], ["-n", "40"]],
+    )
+    def test_stability_rejects_options_it_ignores(self, flags, capsys):
+        # The experiment fixes example V, both methods and both schemes.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["stability", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_seed_flag_removed(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["solve", "--example", "I", "--method", "igac", "-n", "8",
+                      "--seed", "1"])
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    def test_low_quad_order_exit_code(self, capsys):
+        code = cli.main(
+            ["solve", "--example", "I", "--method", "igac", "-n", "10",
+             "--quad-order", "2"]
+        )
+        assert code == cli.EXIT_OTHER
+        err = capsys.readouterr().err
+        assert "PreconditionError" in err and "quad_order 2" in err
 
     def test_cost_model_bracketed_flag(self, capsys):
         code = cli.main(

@@ -36,7 +36,7 @@ from splinecol.problems import (
     example_3d_cube,
     example_beam,
 )
-from splinecol.splines import KnotGrid, KnotVector, TensorSpline
+from splinecol.splines import KnotVector, TensorSpline
 
 CUBIC = KnotVector([0, 0, 0, 0, 1, 1, 1, 1], 3)
 
@@ -87,25 +87,35 @@ class TestPointGeneration:
         assert kv.n_basis == 16
         assert np.allclose(np.diff(kv.breakpoints), 1.0 / 13.0)
 
-    def test_cell_coverage_warning(self):
-        field = build_field(example_1d_dirichlet().geometry, (10,))
-        with pytest.warns(UserWarning, match="no collocation point"):
-            generate_collocation_points(
-                field.kvs,
-                CollocationScheme("uniform", (2,)),
-                require_cell_coverage=True,
-            )
-
     def test_empty_cells_detects_gaps(self):
         field = build_field(example_1d_dirichlet().geometry, (10,))
         pts = generate_collocation_points(field.kvs, CollocationScheme("uniform", (2,)))
-        empty = empty_cells(pts, KnotGrid(field.kvs))
+        empty = empty_cells(pts, field.kvs)
         assert len(empty) == 5  # the endpoints cover only the outer cells
 
     def test_dense_set_covers_all_cells(self):
         field = build_field(example_2d_annulus().geometry, (8, 8))
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (10, 10)))
-        assert empty_cells(pts, KnotGrid(field.kvs)) == []
+        assert empty_cells(pts, field.kvs) == []
+
+    def test_empty_cells_2d_match_brute_force(self):
+        # A coarse uniform lattice on a finer field leaves cells empty in
+        # both directions; the listed cells are exactly those no lattice
+        # point touches, in C order.
+        field = build_field(example_2d_annulus().geometry, (9, 7))
+        pts = generate_collocation_points(field.kvs, CollocationScheme("uniform", (3, 4)))
+        bps = [kv.breakpoints for kv in field.kvs]
+        expected = [
+            (i, j)
+            for i in range(len(bps[0]) - 1)
+            for j in range(len(bps[1]) - 1)
+            if not any(
+                bps[0][i] <= p[0] <= bps[0][i + 1] and bps[1][j] <= p[1] <= bps[1][j + 1]
+                for p in pts.lattice
+            )
+        ]
+        assert expected  # the configuration does leave gaps
+        assert empty_cells(pts, field.kvs) == expected
 
 
 class TestBuildField:

@@ -5,7 +5,13 @@ import pytest
 
 from splinecol.errors import InvalidSchemeError
 from splinecol.estimator import CollocationSolver
-from splinecol.problems import STABILITY_KNOTS, example_1d_dirichlet, example_1d_mixed
+from splinecol.metrics import error_report
+from splinecol.problems import (
+    STABILITY_KNOTS,
+    example_1d_dirichlet,
+    example_1d_mixed,
+    example_3d_cube,
+)
 
 
 class TestParams:
@@ -101,6 +107,23 @@ class TestFit:
         bnd = [i for i, m in enumerate(solver.system_.row_meta) if m.kind == "boundary"]
         norms = np.linalg.norm(solver.system_.matrix[bnd], axis=1)
         assert np.all(norms > 10.0)  # Dirichlet rows have unit-scale bases
+
+    def test_auto_boundary_weight_beats_unit_weight(self):
+        # On the cube the boundary rows of unit weight are swamped by the
+        # second-derivative interior rows: e_T 0.835 with weight 1.0 against
+        # 0.0353 with "auto".
+        prob = example_3d_cube()
+        e_t = {
+            weight: error_report(
+                prob,
+                CollocationSolver(
+                    method="igal_variable", n_per_dir=8, boundary_weight=weight
+                ).fit(prob).field_,
+            ).e_T
+            for weight in ("auto", 1.0)
+        }
+        assert e_t["auto"] < 0.05
+        assert e_t[1.0] >= 10.0 * e_t["auto"]
 
     def test_square_least_squares_reproduces_interpolation(self):
         prob = example_1d_dirichlet()

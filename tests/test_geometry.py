@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from batched import value_at
-from oracles import fd_gradient
+from oracles import fd_gradient, uniform_refine
 from splinecol.errors import SingularGeometryError
 from splinecol.geometry import (
     GeometryMap,
@@ -19,7 +19,7 @@ from splinecol.problems import (
     patch_quarter_annulus,
     solid_unit_cube,
 )
-from splinecol.splines import KnotVector, TensorSpline, uniform_refine
+from splinecol.splines import KnotVector, TensorSpline
 
 CUBIC = KnotVector([0, 0, 0, 0, 1, 1, 1, 1], 3)
 

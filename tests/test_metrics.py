@@ -1,19 +1,16 @@
 """Error functionals: quadrature, relative errors, absolute error fields."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from oracles import field_l2_norm
+from splinecol import metrics
 from splinecol.collocation import build_field
-from splinecol.errors import UndefinedMetricError
+from splinecol.errors import PreconditionError, UndefinedMetricError
 from splinecol.estimator import CollocationSolver
-from splinecol.metrics import (
-    absolute_error_field,
-    error_report,
-    field_l2_norm,
-    relative_operator_error,
-    relative_quantity_errors,
-    relative_solution_error,
-)
+from splinecol.metrics import absolute_error_field, error_report
 from splinecol.problems import (
     BvpDefinition,
     DirichletBC,
@@ -74,8 +71,9 @@ class TestExactSolution:
     def test_spline_exact_solution_has_zero_errors(self):
         prob = cubic_exact_problem()
         solver = CollocationSolver(method="igac", n_per_dir=6).fit(prob)
-        assert relative_solution_error(prob, solver.field_) < 1e-12
-        assert relative_operator_error(prob, solver.field_) < 1e-10
+        report = error_report(prob, solver.field_)
+        assert report.e_T < 1e-12
+        assert report.e_DT < 1e-10
         _, errors = absolute_error_field(prob, solver.field_)
         assert errors["T"].max() < 1e-12
 
@@ -93,8 +91,8 @@ class TestQuadrature:
     def test_order_below_degree_rejected(self):
         prob = example_1d_dirichlet()
         field = build_field(prob.geometry, (10,))
-        with pytest.raises(ValueError):
-            relative_solution_error(prob, field, quad_order=3)
+        with pytest.raises(PreconditionError, match="quad_order 3"):
+            error_report(prob, field, quad_order=3)
 
     @pytest.mark.parametrize(
         "factory,n",
@@ -107,15 +105,13 @@ class TestQuadrature:
         prob = factory()
         solver = CollocationSolver(method="igac", n_per_dir=n).fit(prob)
         q = max(solver.field_.degrees) + 6
-        e1 = relative_solution_error(prob, solver.field_, quad_order=q)
-        e2 = relative_solution_error(prob, solver.field_, quad_order=q + 2)
+        e1 = error_report(prob, solver.field_, quad_order=q).e_T
+        e2 = error_report(prob, solver.field_, quad_order=q + 2).e_T
         assert abs(e1 - e2) < 1e-8 * e1
 
 
 class TestOperatorError:
     def test_identity_operator_coincides_with_solution_error(self):
-        from dataclasses import replace
-
         base = cubic_exact_problem()
         prob = replace(
             base,
@@ -125,9 +121,8 @@ class TestOperatorError:
         solver = CollocationSolver(method="igal_fixed", n_per_dir=6, m_per_dir=9).fit(
             prob
         )
-        e_t = relative_solution_error(prob, solver.field_)
-        e_dt = relative_operator_error(prob, solver.field_)
-        assert e_dt == pytest.approx(e_t, rel=1e-12, abs=1e-15)
+        report = error_report(prob, solver.field_)
+        assert report.e_DT == pytest.approx(report.e_T, rel=1e-12, abs=1e-15)
 
     def test_decline_along_refinement(self):
         # Interpolatory collocation on the 1D benchmark: the operator error
@@ -136,7 +131,7 @@ class TestOperatorError:
         errors = []
         for n in range(6, 15, 2):
             solver = CollocationSolver(method="igac", n_per_dir=n).fit(prob)
-            errors.append(relative_operator_error(prob, solver.field_))
+            errors.append(error_report(prob, solver.field_).e_DT)
         for previous, current in zip(errors, errors[1:]):
             assert current <= 1.5 * previous
         assert errors[-1] < errors[0]
@@ -144,8 +139,6 @@ class TestOperatorError:
     def test_zero_source_is_undefined(self):
         prob = example_beam()
         solver = CollocationSolver(method="igac", n_per_dir=5).fit(prob)
-        with pytest.raises(UndefinedMetricError):
-            relative_operator_error(prob, solver.field_)
         report = error_report(prob, solver.field_)
         assert report.e_DT is None
 
@@ -169,8 +162,8 @@ class TestScaleEquivariance:
         _, e_scaled = absolute_error_field(scaled, f_scaled, (101,))
         assert np.allclose(e_scaled["T"], abs(alpha) * e_base["T"], atol=1e-12)
 
-        r_base = relative_solution_error(base, f_base)
-        r_scaled = relative_solution_error(scaled, f_scaled)
+        r_base = error_report(base, f_base).e_T
+        r_scaled = error_report(scaled, f_scaled).e_T
         assert r_scaled == pytest.approx(r_base, rel=1e-12)
 
 
@@ -180,8 +173,6 @@ class TestVectorQuantities:
         solver = CollocationSolver(method="igal_fixed", n_per_dir=7, m_per_dir=9).fit(
             prob
         )
-        rel = relative_quantity_errors(prob, solver.field_)
-        assert set(rel) == {"sigma_x", "sigma_y", "tau_xy"}
         report = error_report(prob, solver.field_)
         assert [q.name for q in report.quantities] == ["sigma_x", "sigma_y", "tau_xy"]
         assert all(q.relative >= 0 and q.max_abs >= 0 for q in report.quantities)
@@ -195,3 +186,38 @@ class TestVectorQuantities:
         assert payload["quantities"][0]["name"] == "T"
         with_samples = report.to_dict(include_samples=True)
         assert len(with_samples["samples"]["points"]) == len(report.sample_points)
+
+
+class TestSinglePass:
+    def test_one_pullback_and_field_evaluation_per_lattice(self, monkeypatch):
+        # The quadrature lattice serves every relative error and e_DT; the
+        # absolute-error samples have their own lattice.
+        prob = example_2d_annulus()
+        field = CollocationSolver(method="igac", n_per_dir=6).fit(prob).field_
+        lattices, evaluations = [], []
+        pullbacks = metrics.lattice_pullbacks
+        evaluate = type(field).evaluate_lattice
+
+        def counting_pullbacks(geometry, axes):
+            lattices.append(tuple(len(a) for a in axes))
+            return pullbacks(geometry, axes)
+
+        def counting_evaluate(spline, axes, max_deriv=0):
+            if spline is field:
+                evaluations.append(tuple(len(a) for a in axes))
+            return evaluate(spline, axes, max_deriv)
+
+        monkeypatch.setattr(metrics, "lattice_pullbacks", counting_pullbacks)
+        monkeypatch.setattr(type(field), "evaluate_lattice", counting_evaluate)
+        report = error_report(prob, field, sample_counts=(11, 13))
+        quad_axes, _, _ = metrics.quadrature_rule(field)
+        quad_lattice = tuple(len(a) for a in quad_axes)
+        assert sorted(lattices) == sorted([quad_lattice, (11, 13)])
+        assert sorted(evaluations) == sorted(lattices)
+        assert report.e_DT is not None
+
+    def test_missing_analytic_solution_is_undefined(self):
+        prob = example_1d_dirichlet()
+        field = CollocationSolver(method="igac", n_per_dir=8).fit(prob).field_
+        with pytest.raises(UndefinedMetricError, match="no analytic solution"):
+            error_report(replace(prob, analytic_solution=None), field)

@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 
 from batched import jets_at, value_at, values_at
-from oracles import all_basis_derivs, fd_gradient, fd_hessian, point_basis_jets, point_jet
+from oracles import (
+    all_basis_derivs,
+    fd_gradient,
+    fd_hessian,
+    point_basis_jets,
+    point_jet,
+    uniform_refine,
+)
 from splinecol.errors import (
     DomainError,
     InvalidRefinementError,
     UnsupportedDerivativeError,
 )
-from splinecol.splines import (
-    KnotGrid,
-    KnotVector,
-    TensorSpline,
-    refine_to_count,
-    uniform_refine,
-)
+from splinecol.splines import KnotVector, TensorSpline
 
 CUBIC = KnotVector([0, 0, 0, 0, 1, 1, 1, 1], 3)
 CUBIC5 = KnotVector([0, 0, 0, 0, 0.5, 1, 1, 1, 1], 3)
@@ -171,24 +172,6 @@ class TestGreville:
 
 class TestRefinement:
     @pytest.mark.parametrize(
-        "target,interior",
-        [
-            (5, [0.5]),
-            (6, [0.25, 0.5]),
-            (8, [0.125, 0.25, 0.5, 0.75]),
-        ],
-    )
-    def test_refine_to_count_leftmost_ties(self, target, interior):
-        kv = refine_to_count(CUBIC, target)
-        got = kv.knots[(kv.knots > 0) & (kv.knots < 1)]
-        assert kv.n_basis == target
-        assert np.allclose(got, interior)
-
-    def test_refine_to_count_below_current(self):
-        with pytest.raises(InvalidRefinementError):
-            refine_to_count(CUBIC5, 4)
-
-    @pytest.mark.parametrize(
         "count,interior",
         [(1, [0.5]), (3, [0.25, 0.5, 0.75])],
     )
@@ -209,15 +192,6 @@ class TestRefinement:
     def test_insert_outside_range(self):
         with pytest.raises(InvalidRefinementError):
             CUBIC.insert(0.0)
-
-
-class TestKnotGrid:
-    def test_1d_h(self):
-        assert KnotGrid((CUBIC5,)).grid_size_h == 0.5
-
-    def test_2d_h_is_cell_diagonal(self):
-        grid = KnotGrid((CUBIC5, CUBIC))
-        assert np.isclose(grid.grid_size_h, np.hypot(0.5, 1.0))
 
 
 class TestTensorSpline:
