@@ -24,7 +24,7 @@ from .bench import (
     write_json,
 )
 from .collocation import SCHEME_KINDS
-from .config import EXAMPLE_IDS, ExperimentConfig
+from .config import EXAMPLE_IDS, ExperimentConfig, read_config_file
 from .errors import (
     AssemblyError,
     ConfigError,
@@ -74,10 +74,20 @@ def _add_problem_options(parser, include_method=True):
     )
 
 
-def _merge_config(args, **extra) -> ExperimentConfig:
-    data = {}
+def _merge_config(args, defaults=None, fixed=(), **extra) -> ExperimentConfig:
+    """Configuration from ``defaults``, then the ``--config`` file, then the flags.
+
+    File keys listed in ``fixed`` are rejected; ``extra`` overrides everything.
+    """
+    data = dict(defaults or {})
     if args.config:
-        data.update(ExperimentConfig.from_file(args.config).to_dict())
+        loaded = read_config_file(args.config)
+        for key in fixed:
+            if key in loaded:
+                raise ConfigError(
+                    f"{args.config} sets {key!r}, which this command fixes"
+                )
+        data.update(loaded)
     for key in ("example", "method", "scheme", "n", "m", "quad_order",
                 "boundary_weight", "output"):
         value = getattr(args, key, None)
@@ -145,8 +155,10 @@ def cmd_converge(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    config = _merge_config(args, example="V", method="igal_fixed",
-                           m=list(args.m) if args.m else [16])
+    config = _merge_config(
+        args, defaults={"m": [16]}, fixed=("example", "method", "scheme", "n"),
+        example="V", method="igal_fixed",
+    )
     rows, summary = run_stability(config)
     _print_rows(rows)
     for name, info in summary.items():

@@ -77,27 +77,8 @@ class CollocationSet:
         return self.faces.any(axis=1)
 
     @property
-    def interior(self) -> np.ndarray:
-        return self.lattice[~self.on_boundary]
-
-    @property
-    def boundary(self) -> np.ndarray:
-        return self.lattice[self.on_boundary]
-
-    @property
-    def n_interior(self) -> int:
-        return len(self.lattice) - self.n_boundary
-
-    @property
-    def n_boundary(self) -> int:
-        return int(self.on_boundary.sum())
-
-    @property
     def n_points(self) -> int:
         return len(self.lattice)
-
-    def all_points(self) -> np.ndarray:
-        return np.vstack([self.interior, self.boundary])
 
 
 def collocation_knot_vector(kv: KnotVector, m: int) -> KnotVector:
@@ -248,6 +229,17 @@ class CollocationSystem:
         return self.matrix.shape[0] == self.matrix.shape[1]
 
 
+def _basis_rows(apply, comp, c, *jets):
+    """Rows (N, rows, L) of ``apply`` for L basis functions in field component ``comp``.
+
+    Each basis jet (N, ..., L) is placed in component ``comp`` of a zero
+    field jet (N, L, ..., c); ``apply`` maps those field jets to (N, L, rows).
+    """
+    place = np.arange(c) == comp
+    fields = [np.where(place, np.moveaxis(jet, -1, 1)[..., None], 0.0) for jet in jets]
+    return np.moveaxis(apply(*fields), -1, 1)
+
+
 def assemble(
     problem: BvpDefinition,
     field: TensorSpline,
@@ -318,7 +310,8 @@ def assemble(
     grad_x = lattice_push_gradient(inv[inner], grad_t)
     hess_x = lattice_push_hessian(inv[inner], second[inner], grad_x, hess_t)
     for comp in range(c):
-        scatter(rows, cols, comp, problem.operator.basis_rows(val, grad_x, hess_x, comp))
+        block = _basis_rows(problem.operator.apply, comp, c, val, grad_x, hess_x)
+        scatter(rows, cols, comp, block)
     b[rows] = callback_values(problem.source, x[inner], c, "source")
 
     if boundary_weight == "auto":
@@ -334,9 +327,10 @@ def assemble(
     for bc in conds:
         sel = np.flatnonzero(owner == bc.face)
         rows = first_row[len(inner) + sel, None] + np.arange(bc.n_rows)
-        normal = boundary_normals(inv_b[sel], bc.axis, bc.side)
+        normal = boundary_normals(inv_b[sel], bc.axis, bc.side)[:, None]
+        apply = functools.partial(bc.apply, normal)
         for comp in range(c):
-            block = bc.rows_for_basis(normal, val[sel], grad_x[sel], comp)
+            block = _basis_rows(apply, comp, c, val[sel], grad_x[sel])
             scatter(rows, cols[sel], comp, boundary_weight * block)
         name = f"value of the boundary condition on face {bc.face}"
         b[rows] = boundary_weight * callback_values(
@@ -359,7 +353,7 @@ def assemble(
     # Point constraints replace the matching component row of the nearest point.
     pcs = problem.point_constraints
     if pcs:
-        order = np.concatenate([inner, outer])  # the order of points.all_points()
+        order = np.concatenate([inner, outer])  # interior points, then boundary points
         targets = np.array([pc.theta for pc in pcs], dtype=float)
         dist = np.linalg.norm(lattice[order][None] - targets[:, None], axis=-1)
         k = np.argmin(dist, axis=1)

@@ -26,6 +26,20 @@ def _counts(value, name):
     return out
 
 
+def read_config_file(path) -> dict:
+    """The JSON object in ``path``, not yet validated as a configuration."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("configuration must be a JSON object")
+    return data
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One benchmark run (or sweep) of the collocation pipeline.
@@ -103,14 +117,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_config_file(path))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -7,10 +7,14 @@ the same PDE on a quarter annulus (2D, rational geometry) and a unit cube
 (3D), a simply supported plane-stress beam, and a 1D mixed
 Dirichlet/Neumann variant used for stability experiments.
 
-Operators and boundary conditions expose two views: ``apply`` acts on a
-full field jet (used by error metrics), ``basis_rows`` on batches of
-scalar basis-function jets placed in one displacement component (used by
-row assembly). Both are vectorized over a leading batch axis of points.
+Every operator and boundary condition is written once, as ``apply`` on
+field jets with any leading batch shape and a trailing component axis:
+``value`` (..., c), ``grad`` (..., d, c) and ``hess`` (..., d, d, c), where
+``grad[..., a, k]`` is the derivative of component k along x_a. The error
+metrics apply it to the discrete field; assembly applies it to basis
+functions placed in one component (``collocation._basis_rows``), so the
+rows of the system and the operator error cannot disagree. The
+plane-stress law is written once too, in :func:`plane_stress`.
 
 Callbacks (``source``, ``analytic_solution``, boundary-condition ``value``
 and ``PointConstraint.value``) take physical points of shape (N, d) and
@@ -25,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CallbackError
+from .errors import CallbackError, PreconditionError
 from .geometry import GeometryMap
 from .splines import KnotVector, TensorSpline
 
@@ -58,12 +62,15 @@ class MaterialParams:
     half_length: float = 5.0
 
     def __post_init__(self):
-        if self.youngs_modulus <= 0:
-            raise ValueError("youngs_modulus must be positive")
+        for name in ("youngs_modulus", "depth", "half_length"):
+            if getattr(self, name) <= 0:
+                raise PreconditionError(
+                    f"{name} must be positive, got {getattr(self, name)!r}"
+                )
         if not 0.0 < self.poisson_ratio < 0.5:
-            raise ValueError("poisson_ratio must lie in (0, 0.5)")
-        if self.depth <= 0 or self.half_length <= 0:
-            raise ValueError("depth and half_length must be positive")
+            raise PreconditionError(
+                f"poisson_ratio must lie in (0, 0.5), got {self.poisson_ratio!r}"
+            )
 
     @property
     def stiffness(self) -> float:
@@ -73,6 +80,21 @@ class MaterialParams:
     @property
     def shear_modulus(self) -> float:
         return self.youngs_modulus / (2.0 * (1.0 + self.poisson_ratio))
+
+
+def plane_stress(material: MaterialParams, grad):
+    """Plane-stress (sigma_x, sigma_y, tau_xy) of displacement gradients.
+
+    ``grad`` (..., 2, 2) holds ``grad[..., a, k]`` = d u_k / d x_a; each
+    stress has the leading shape of ``grad``.
+    """
+    c1, nu = material.stiffness, material.poisson_ratio
+    ex, ey = grad[..., 0, 0], grad[..., 1, 1]
+    return (
+        c1 * (ex + nu * ey),
+        c1 * (ey + nu * ex),
+        material.shear_modulus * (grad[..., 1, 0] + grad[..., 0, 1]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -89,18 +111,7 @@ class ScreenedPoissonOperator:
     components: int = 1
 
     def apply(self, value, grad, hess):
-        """Operator value for field jets with a leading batch shape."""
-        lap = np.trace(hess, axis1=-3, axis2=-2)
-        return value - lap
-
-    def basis_rows(self, value, grad, hess, component):
-        """Rows (N, components, L) for the L basis functions of N points.
-
-        ``value`` (N, L), ``grad`` (N, d, L) and ``hess`` (N, d, d, L) are
-        physical basis jets; the functions live in field ``component``.
-        """
-        lap = np.trace(hess, axis1=1, axis2=2)
-        return (value - lap)[:, None, :]
+        return value - np.trace(hess, axis1=-3, axis2=-2)
 
 
 @dataclass(frozen=True)
@@ -108,7 +119,8 @@ class PlaneStressNavierOperator:
     """Displacement-form equilibrium operator of plane-stress elasticity.
 
     Acts on (u_x, u_y); with zero body force the interior equations are
-    div sigma(u) = 0 built from the plane-stress constitutive law.
+    div sigma(u) = 0. The law is linear, so d sigma / d x_a is the law
+    applied to the gradient of d u / d x_a, ``hess[..., a, :, :]``.
     """
 
     material: MaterialParams
@@ -116,28 +128,9 @@ class PlaneStressNavierOperator:
     components: int = 2
 
     def apply(self, value, grad, hess):
-        c1 = self.material.stiffness
-        mu = self.material.shear_modulus
-        cxy = c1 * self.material.poisson_ratio + mu
-        out = np.empty(value.shape)
-        out[..., 0] = (
-            c1 * hess[..., 0, 0, 0] + mu * hess[..., 1, 1, 0] + cxy * hess[..., 0, 1, 1]
-        )
-        out[..., 1] = (
-            c1 * hess[..., 1, 1, 1] + mu * hess[..., 0, 0, 1] + cxy * hess[..., 0, 1, 0]
-        )
-        return out
-
-    def basis_rows(self, value, grad, hess, component):
-        c1 = self.material.stiffness
-        mu = self.material.shear_modulus
-        cxy = c1 * self.material.poisson_ratio + mu
-        hxx = hess[:, 0, 0]
-        hyy = hess[:, 1, 1]
-        hxy = hess[:, 0, 1]
-        if component == 0:
-            return np.stack([c1 * hxx + mu * hyy, cxy * hxy], axis=1)
-        return np.stack([cxy * hxy, c1 * hyy + mu * hxx], axis=1)
+        sx_x, _, tau_x = plane_stress(self.material, hess[..., 0, :, :])
+        _, sy_y, tau_y = plane_stress(self.material, hess[..., 1, :, :])
+        return np.stack([sx_x + tau_y, tau_x + sy_y], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +161,10 @@ def callback_values(fn, x, components: int, name: str) -> np.ndarray:
 class _FaceCondition:
     """Face bookkeeping shared by the boundary conditions (``axis``, ``side``).
 
-    Each condition's ``rows_for_basis(normal, value, grad, component)``
-    takes unit outward normals (N, d) and physical basis jets ``value``
-    (N, L) and ``grad`` (N, d, L) of functions living in field
-    ``component``, and returns the condition's rows (N, n_rows, L).
+    Each condition's ``apply(normal, value, grad)`` takes unit outward
+    normals (..., d) and field jets ``value`` (..., c) and ``grad``
+    (..., d, c) and returns the condition's ``n_rows`` left-hand sides
+    (..., n_rows), to be matched by ``value(x)``.
     """
 
     @property
@@ -193,10 +186,8 @@ class DirichletBC(_FaceCondition):
     def n_rows(self) -> int:
         return self.components
 
-    def rows_for_basis(self, normal, value, grad, component):
-        rows = np.zeros((value.shape[0], self.components, value.shape[1]))
-        rows[:, component] = value
-        return rows
+    def apply(self, normal, value, grad):
+        return value
 
 
 @dataclass(frozen=True)
@@ -212,8 +203,8 @@ class NormalDerivativeBC(_FaceCondition):
     def n_rows(self) -> int:
         return 1
 
-    def rows_for_basis(self, normal, value, grad, component):
-        return np.einsum("na,nal->nl", normal, grad)[:, None, :]
+    def apply(self, normal, value, grad):
+        return np.einsum("...a,...ac->...c", normal, grad)
 
 
 @dataclass(frozen=True)
@@ -230,19 +221,10 @@ class TractionBC(_FaceCondition):
     def n_rows(self) -> int:
         return 2
 
-    def rows_for_basis(self, normal, value, grad, component):
-        c1 = self.material.stiffness
-        nu = self.material.poisson_ratio
-        mu = self.material.shear_modulus
-        gx = grad[:, 0]
-        gy = grad[:, 1]
-        n0 = normal[:, 0, None]
-        n1 = normal[:, 1, None]
-        if component == 0:
-            sx, sy, tau = c1 * gx, c1 * nu * gx, mu * gy
-        else:
-            sx, sy, tau = c1 * nu * gy, c1 * gy, mu * gx
-        return np.stack([sx * n0 + tau * n1, tau * n0 + sy * n1], axis=1)
+    def apply(self, normal, value, grad):
+        sx, sy, tau = plane_stress(self.material, grad)
+        n0, n1 = normal[..., 0], normal[..., 1]
+        return np.stack([sx * n0 + tau * n1, tau * n0 + sy * n1], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -294,11 +276,14 @@ class BvpDefinition:
 
     def __post_init__(self):
         if self.operator.order > 2:
-            raise ValueError("operators above second order are not supported")
+            raise PreconditionError(
+                f"operators above second order are not supported, got order "
+                f"{self.operator.order}"
+            )
         covered = sorted(bc.face for bc in self.boundary_conditions)
         expected = list(range(2 * self.geometry.dim))
         if covered != expected:
-            raise ValueError(
+            raise PreconditionError(
                 f"every parametric face must carry exactly one boundary condition; "
                 f"got faces {covered}, expected {expected}"
             )
@@ -595,7 +580,9 @@ def example_beam(
     """
     params = params or MaterialParams()
     if end_condition not in ("pinned", "dirichlet"):
-        raise ValueError(f"unknown end_condition {end_condition!r}")
+        raise PreconditionError(
+            f"unknown end_condition {end_condition!r}; choose 'pinned' or 'dirichlet'"
+        )
     q, h, l = params.load, params.depth, params.half_length
     sigma_x, sigma_y, tau_xy = beam_stresses(params)
     u_x, u_y = beam_displacements(params)
@@ -628,25 +615,14 @@ def example_beam(
         right = DirichletBC(axis=0, side=1, value=displacement, components=2)
         constraints = ()
 
-    quantities = (
-        FieldQuantity(
-            "sigma_x",
-            analytic=sigma_x,
-            extract=_stress_extractor(params, "sigma_x"),
-            needs_gradient=True,
-        ),
-        FieldQuantity(
-            "sigma_y",
-            analytic=sigma_y,
-            extract=_stress_extractor(params, "sigma_y"),
-            needs_gradient=True,
-        ),
-        FieldQuantity(
-            "tau_xy",
-            analytic=tau_xy,
-            extract=_stress_extractor(params, "tau_xy"),
-            needs_gradient=True,
-        ),
+    def stress(i):
+        return lambda value, grad: plane_stress(params, grad)[i]
+
+    quantities = tuple(
+        FieldQuantity(name, analytic=analytic, extract=stress(i), needs_gradient=True)
+        for i, (name, analytic) in enumerate(
+            (("sigma_x", sigma_x), ("sigma_y", sigma_y), ("tau_xy", tau_xy))
+        )
     )
 
     return BvpDefinition(
@@ -661,25 +637,6 @@ def example_beam(
         point_constraints=constraints,
         field_components=2,
     )
-
-
-def _stress_extractor(params: MaterialParams, which: str):
-    """Plane-stress recovery of one stress component from displacement jets."""
-    c1 = params.stiffness
-    nu = params.poisson_ratio
-    mu = params.shear_modulus
-
-    def extract(value, grad):
-        ex = grad[..., 0, 0]
-        ey = grad[..., 1, 1]
-        gxy = grad[..., 1, 0] + grad[..., 0, 1]
-        if which == "sigma_x":
-            return c1 * (ex + nu * ey)
-        if which == "sigma_y":
-            return c1 * (ey + nu * ex)
-        return mu * gxy
-
-    return extract
 
 
 #: Factory registry keyed by the benchmark identifiers used on the CLI.

@@ -367,6 +367,25 @@ def boundary_normal(inv_jac, axis, side):
     return n if side == 1 else -n
 
 
+def _operator_rows(operator, val, hess_x, comp):
+    """Interior rows (c, L) of an operator for basis functions in ``comp``.
+
+    The textbook forms: -laplace(T) + T for the scalar operator, and the
+    plane-stress Navier equations c1 u_x,xx + mu u_x,yy + (c1 nu + mu) u_y,xy
+    = 0 (and the same with x and y swapped) for the elastic one.
+    """
+    material = getattr(operator, "material", None)
+    if material is None:
+        lap = sum(hess_x[:, a, a] for a in range(hess_x.shape[1]))
+        return (val - lap)[None, :]
+    E, nu = material.youngs_modulus, material.poisson_ratio
+    c1, mu = E / (1 - nu**2), E / (2 * (1 + nu))
+    hxx, hyy, hxy = hess_x[:, 0, 0], hess_x[:, 1, 1], hess_x[:, 0, 1]
+    if comp == 0:
+        return np.stack([c1 * hxx + mu * hyy, (c1 * nu + mu) * hxy])
+    return np.stack([(c1 * nu + mu) * hxy, c1 * hyy + mu * hxx])
+
+
 def _condition_rows(bc, normal, val, grad_x, comp):
     """Rows (n_rows, L) of a boundary condition for basis functions in ``comp``."""
     if bc.kind == "dirichlet":
@@ -389,9 +408,9 @@ def point_assemble(problem, field, points, boundary_weight="auto"):
     """Collocation system assembled one point at a time.
 
     Returns ``(A, b, meta)`` with ``meta`` a list of (point, kind, component,
-    face) tuples. Interior rows apply ``problem.operator.apply`` to each
-    basis function placed in one field component; boundary rows use the
-    conditions' textbook formulas.
+    face) tuples. Interior rows use the operators' and boundary rows the
+    conditions' textbook formulas, written out here and not taken from the
+    package.
     """
     c = problem.field_components
     geo = problem.geometry
@@ -428,11 +447,7 @@ def point_assemble(problem, field, points, boundary_weight="auto"):
         hx = push_hessian(inv, second, gx[:, :, None], hess_t[:, :, :, None])[..., 0]
         f = np.asarray(problem.source(x[None]), dtype=float)[0]
         for comp in range(c):
-            value = np.zeros((len(cols), c))
-            grad = np.zeros((len(cols), field.dim, c))
-            hess = np.zeros((len(cols), field.dim, field.dim, c))
-            value[:, comp], grad[..., comp], hess[..., comp] = val, gx, hx
-            rows = problem.operator.apply(value, grad, hess).T
+            rows = _operator_rows(problem.operator, val, hx, comp)
             for i in range(c):
                 A[row + i, cols * c + comp] = rows[i]
         for i in range(c):

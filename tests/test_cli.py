@@ -235,6 +235,26 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,m", [([], 24), (["-m", "20"], 20)], ids=["file", "flag-over-file"]
+    )
+    def test_stability_config_file_sets_m(self, tmp_path, capsys, argv, m):
+        cfg = tmp_path / "stab.json"
+        cfg.write_text(json.dumps({"m": [24]}))
+        assert cli.main(["stability", "--config", str(cfg), *argv]) == 0
+        out = capsys.readouterr().out
+        assert f"m={m} " in out and "m=16" not in out
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("example", "II"), ("method", "igal_fixed"), ("scheme", "uniform"), ("n", [40])],
+    )
+    def test_stability_config_file_rejects_fixed_keys(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "stab.json"
+        cfg.write_text(json.dumps({key: value, "m": [24]}))
+        assert cli.main(["stability", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+
     def test_seed_flag_removed(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["solve", "--example", "I", "--method", "igac", "-n", "8",

@@ -24,6 +24,7 @@ from splinecol.errors import (
 )
 from splinecol.geometry import (
     GeometryMap,
+    boundary_normals,
     lattice_pullbacks,
     lattice_push_gradient,
     lattice_push_hessian,
@@ -48,20 +49,19 @@ class TestPointGeneration:
             field.kvs, CollocationScheme("greville", (16,))
         )
         assert pts.n_points == 16
-        assert pts.n_interior == 14
-        assert pts.boundary[:, 0].tolist() == [0.0, 1.0]
+        assert np.count_nonzero(~pts.on_boundary) == 14
+        assert pts.lattice[pts.on_boundary, 0].tolist() == [0.0, 1.0]
 
     def test_greville_equal_counts_is_interpolatory_set(self):
         pts = generate_collocation_points((CUBIC,), CollocationScheme("greville", (4,)))
-        axis = np.sort(np.concatenate([pts.interior[:, 0], pts.boundary[:, 0]]))
-        assert np.allclose(axis, [0, 1 / 3, 2 / 3, 1])
+        assert np.allclose(np.sort(pts.lattice[:, 0]), [0, 1 / 3, 2 / 3, 1])
 
     def test_2d_uniform_boundary_split(self):
         pts = generate_collocation_points(
             (CUBIC, CUBIC), CollocationScheme("uniform", (4, 4))
         )
-        assert pts.n_boundary == 12
-        assert pts.n_interior == 4
+        assert np.count_nonzero(pts.on_boundary) == 12
+        assert np.count_nonzero(~pts.on_boundary) == 4
 
     def test_counts_below_basis_rejected(self):
         with pytest.raises(InvalidSchemeError):
@@ -180,31 +180,55 @@ class TestAssembly:
         assert system.shape == (98, 98)
         assert sum(m.kind == "constraint" for m in system.row_meta) == 3
 
-    def test_rows_encode_the_operator(self):
-        # A row dotted with coefficients equals the operator applied to the
-        # corresponding field at that row's point.
+    @pytest.mark.parametrize(
+        "factory,n",
+        [
+            (example_2d_annulus, 7),
+            (example_beam, 7),
+            (lambda: example_beam(end_condition="dirichlet"), 7),
+            (example_1d_mixed, 8),
+        ],
+        ids=["II", "IV-pinned", "IV-dirichlet", "V"],
+    )
+    def test_rows_encode_the_operator(self, factory, n):
+        # A row dotted with coefficients equals the operator, the owning
+        # face's condition times the boundary weight, or the pinned
+        # component times the weight, applied to the corresponding field at
+        # that row's point: vector operators, traction and Neumann rows included.
         rng = np.random.default_rng(0)
-        prob = example_2d_annulus()
-        field = build_field(prob.geometry, (7, 7))
-        pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (9, 9)))
-        system = assemble(prob, field, pts)
-        coeffs = rng.normal(size=(49,))
+        prob = factory()
+        c, weight = prob.field_components, 2.5
+        field = build_field(prob.geometry, (n,) * prob.dim, components=c)
+        pts = generate_collocation_points(
+            field.kvs, CollocationScheme("greville", (n + 2,) * prob.dim)
+        )
+        system = assemble(prob, field, pts, boundary_weight=weight)
+        coeffs = rng.normal(size=system.n_unknowns)
         trial = coefficients_to_field(field, coeffs)
-        geo = prob.geometry
-        for row in rng.integers(0, len(system.rhs), 12):
-            meta = system.row_meta[row]
-            if meta.kind != "interior":
-                continue
-            axes = [[u] for u in meta.point]
-            _, _, inv, _, second = lattice_pullbacks(geo, axes)
-            jet = trial.evaluate_lattice(axes, 2)
-            gx = lattice_push_gradient(inv, jet.grad.reshape(1, 2, 1))
-            hx = lattice_push_hessian(inv, second, gx, jet.hess.reshape(1, 2, 2, 1))
-            expected = prob.operator.apply(
-                jet.value.reshape(1, 1), gx, hx
-            )[0, meta.component]
+        _, _, inv, _, second = lattice_pullbacks(prob.geometry, pts.axes)
+        jet = trial.evaluate_lattice(pts.axes, 2)
+        d = prob.dim
+        value = jet.value.reshape(-1, c)
+        grad = lattice_push_gradient(inv, jet.grad.reshape(-1, d, c))
+        hess = lattice_push_hessian(inv, second, grad, jet.hess.reshape(-1, d, d, c))
+        index = {tuple(p): i for i, p in enumerate(pts.lattice.tolist())}
+        kinds = set()
+        for row, meta in enumerate(system.row_meta):
+            i = index[meta.point]
+            at = slice(i, i + 1)
+            if meta.kind == "interior":
+                applied = prob.operator.apply(value[at], grad[at], hess[at])
+            elif meta.kind == "boundary":
+                bc = prob.condition_for_face(meta.face)
+                normal = boundary_normals(inv[at], bc.axis, bc.side)
+                applied = weight * bc.apply(normal, value[at], grad[at])
+                kinds.add(bc.kind)
+            else:
+                applied = weight * value[at]
+            expected = applied[0, meta.component]
             got = system.matrix[row] @ coeffs
-            assert np.isclose(got, expected, atol=1e-10 * max(1, abs(expected)))
+            assert np.isclose(got, expected, atol=1e-10 * max(1.0, abs(expected)))
+        assert kinds == {bc.kind for bc in prob.boundary_conditions}
 
     def test_row_linearity(self):
         rng = np.random.default_rng(1)
@@ -297,7 +321,8 @@ class TestAssembly:
         field = build_field(prob.geometry, (7, 7), components=2)
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (9, 9)))
         system = assemble(prob, field, pts)
-        comps = [m.component for m in system.row_meta[: 2 * pts.n_interior]]
+        n_interior = np.count_nonzero(~pts.on_boundary)
+        comps = [m.component for m in system.row_meta[: 2 * n_interior]]
         assert comps[:6] == [0, 1, 0, 1, 0, 1]
 
     def test_lattice_without_interior_points(self):
@@ -354,10 +379,10 @@ class TestAssembly:
             order = 2
             components = 1
 
-            def basis_rows(self, value, grad, hess, component):
-                rows = base.operator.basis_rows(value, grad, hess, component)
-                rows[3, 0, 1] = np.inf
-                return rows
+            def apply(self, value, grad, hess):
+                out = base.operator.apply(value, grad, hess)
+                out[3, 1, 0] = np.inf  # point 3, basis function 1
+                return out
 
         prob = replace(base, operator=BrokenOperator())
         field = build_field(prob.geometry, (8,))

@@ -63,9 +63,6 @@ class IdentityOperator:
     def apply(self, value, grad, hess):
         return value
 
-    def basis_rows(self, value, grad, hess, component):
-        return value[:, None, :]
-
 
 class TestExactSolution:
     def test_spline_exact_solution_has_zero_errors(self):

@@ -5,6 +5,8 @@ independent oracle and substituted into its own operator and boundary
 conditions.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -27,6 +29,7 @@ from splinecol.problems import (
     make_example,
 )
 from splinecol.collocation import build_field_from_knots
+from splinecol.errors import PreconditionError
 from splinecol.geometry import boundary_normals, lattice_pullbacks
 
 RNG = np.random.default_rng(42)
@@ -213,6 +216,23 @@ class TestBeam:
         with pytest.raises(ValueError):
             example_beam(end_condition="clamped")
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"youngs_modulus": -1.0}, r"youngs_modulus must be positive, got -1\.0"),
+            ({"poisson_ratio": 0.5}, r"poisson_ratio .* got 0\.5"),
+            ({"depth": 0.0}, r"depth must be positive, got 0\.0"),
+            ({"half_length": -5.0}, r"half_length must be positive, got -5\.0"),
+        ],
+    )
+    def test_material_error_names_the_value(self, kwargs, match):
+        with pytest.raises(PreconditionError, match=match):
+            MaterialParams(**kwargs)
+
+    def test_unknown_end_condition_is_named(self):
+        with pytest.raises(PreconditionError, match="'clamped'"):
+            example_beam(end_condition="clamped")
+
     def test_traction_values_on_faces(self):
         prob = example_beam()
         sigma_x, sigma_y, tau_xy = beam_stresses(self.params)
@@ -284,6 +304,8 @@ class TestManufacturedClosure:
             normals = boundary_normals(inv, bc.axis, bc.side)
             values = bc.value(bpts)
             assert values.shape == (len(bpts), bc.n_rows)
+            applied = bc.apply(normals, value, grad)
+            assert np.allclose(applied, values, atol=1e-8 * max(1.0, np.abs(values).max()))
             for i, (normal, g) in enumerate(zip(normals, values)):
                 if bc.kind == "dirichlet":
                     got = value[i, : bc.n_rows]
@@ -299,10 +321,15 @@ class TestManufacturedClosure:
             faces = sorted(bc.face for bc in prob.boundary_conditions)
             assert faces == list(range(2 * prob.dim))
 
+    def test_operator_above_second_order_rejected(self):
+        base = example_1d_dirichlet()
+        with pytest.raises(PreconditionError, match="got order 3"):
+            replace(base, operator=ScreenedPoissonOperator(dim=1, order=3))
+
     def test_duplicate_face_rejected(self):
         base = example_1d_dirichlet()
         zero = lambda x: np.zeros(1)
-        with pytest.raises(ValueError, match="exactly one boundary condition"):
+        with pytest.raises(PreconditionError, match="exactly one boundary condition"):
             BvpDefinition(
                 example_id="bad",
                 description="",
