@@ -2,8 +2,8 @@
 
 The package solves second-order boundary value problems in strong form on
 NURBS-mapped domains, either interpolatory (as many collocation points as
-unknowns, solved by Gaussian elimination) or least-squares (more points
-than unknowns, solved through the normal equations), and ships five
+unknowns, solved by sparse LU) or least-squares (more points than
+unknowns, solved through the sparse normal equations), and ships five
 manufactured-solution benchmarks with error metrics and a CLI harness.
 """
 

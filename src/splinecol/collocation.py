@@ -1,7 +1,7 @@
 """Collocation point generation and strong-form system assembly.
 
-Turns a boundary value problem plus a discrete unknown field into the
-dense linear system: one block of interior operator rows followed by one
+Turns a boundary value problem plus a discrete unknown field into a
+sparse linear system: one block of interior operator rows followed by one
 block of boundary-condition rows, both in lexicographic point order with
 field components interleaved per point. With as many collocation points
 as unknowns the system is square (interpolatory collocation); with more
@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._validation import per_direction
 from .errors import (
@@ -195,8 +196,7 @@ def build_field_from_knots(
         interior_knots = (interior_knots,)
     refined = geometry.spline
     for axis, knots in enumerate(interior_knots):
-        for u in knots:
-            refined = refined.insert_knot(axis, float(u))
+        refined = refined.insert_knots(axis, knots)
     shape = tuple(kv.n_basis for kv in refined.kvs)
     return TensorSpline(refined.kvs, np.zeros(shape + (components,)), refined.weights)
 
@@ -213,20 +213,25 @@ class RowMeta:
 
 @dataclass(frozen=True)
 class CollocationSystem:
-    """Dense collocation matrix with right-hand side and row provenance."""
+    """Sparse collocation matrix (CSR) with right-hand side and row provenance."""
 
-    matrix: np.ndarray
+    csr: sp.csr_array
     rhs: np.ndarray
     row_meta: tuple
     n_unknowns: int
 
     @property
+    def matrix(self) -> np.ndarray:
+        """A dense copy of the matrix, made on each access; the solve never needs one."""
+        return self.csr.toarray()
+
+    @property
     def shape(self):
-        return self.matrix.shape
+        return self.csr.shape
 
     @property
     def is_square(self) -> bool:
-        return self.matrix.shape[0] == self.matrix.shape[1]
+        return self.shape[0] == self.shape[1]
 
 
 def _basis_rows(apply, comp, c, *jets):
@@ -266,8 +271,9 @@ def assemble(
     unaffected by the scaling.
 
     Geometry comes from one pullback of the collocation lattice and basis
-    jets from one batched call per row block; each point's rows fill only
-    its local support block of columns.
+    jets from one batched call per row block. Each point's rows fill only
+    its local support block of columns; the blocks are collected as
+    (row, column, value) entries and become one CSR matrix at the end.
     """
     c = problem.field_components
     if field.ncomp != c:
@@ -297,12 +303,19 @@ def assemble(
         [np.arange(len(inner)) * c, rows_interior + np.cumsum(n_rows) - n_rows]
     )
     n_cols = field.n_coeffs * c
-    A = np.zeros((rows_interior + int(n_rows.sum()), n_cols))
-    b = np.zeros(len(A))
+    n_total = rows_interior + int(n_rows.sum())
+    b = np.zeros(n_total)
+    entries = []  # (rows, cols, values) of each local support block
 
     def scatter(rows, cols, comp, values):
-        """A[rows[n, i], cols[n, l] * c + comp] = values[n, i, l]."""
-        A[rows[:, :, None], (cols * c + comp)[:, None, :]] = values
+        """Entries A[rows[n, i], cols[n, l] * c + comp] = values[n, i, l]."""
+        r, k = np.broadcast_arrays(rows[:, :, None], (cols * c + comp)[:, None, :])
+        entries.append((r.ravel(), k.ravel(), values.ravel()))
+
+    def merged():
+        """All entries so far as one (rows, cols, values) triple."""
+        entries[:] = [tuple(np.concatenate(e) for e in zip(*entries))]
+        return entries[0]
 
     # Interior operator rows.
     rows = first_row[: len(inner), None] + np.arange(c)
@@ -315,7 +328,8 @@ def assemble(
     b[rows] = callback_values(problem.source, x[inner], c, "source")
 
     if boundary_weight == "auto":
-        norms = np.linalg.norm(A[:rows_interior], axis=1)
+        r, _, v = merged()
+        norms = np.sqrt(np.bincount(r, weights=np.square(v), minlength=rows_interior))
         boundary_weight = float(norms.mean()) if rows_interior else 1.0
     else:
         boundary_weight = float(boundary_weight)
@@ -368,8 +382,10 @@ def assemble(
                     f"{tuple(lattice[nearest[i]].tolist())} (row {rows[i]})"
                 )
         cols, val, _, _ = field.basis_jets(lattice[nearest])
-        A[rows] = 0.0
-        A[rows[:, None], cols * c + comps[:, None]] = boundary_weight * val
+        r, k, v = merged()
+        keep = ~np.isin(r, rows)
+        entries[:] = [(r[keep], k[keep], v[keep])]
+        scatter(rows[:, None], cols, comps[:, None], boundary_weight * val[:, None])
         for j, pc in enumerate(pcs):
             name = f"value of the point constraint at {pc.theta}"
             b[rows[j]] = boundary_weight * callback_values(
@@ -379,14 +395,17 @@ def assemble(
                 tuple(lattice[nearest[j]].tolist()), "constraint", pc.component
             )
 
-    bad = ~(np.isfinite(A).all(axis=1) & np.isfinite(b))
+    r, k, v = merged()
+    bad = np.zeros(n_total, dtype=bool)
+    bad[r[~np.isfinite(v)]] = True
+    bad |= ~np.isfinite(b)
     if bad.any():
-        r = int(np.argmax(bad))
-        raise AssemblyError(f"non-finite entry in row {r} of the system: {meta[r]}")
+        row = int(np.argmax(bad))
+        raise AssemblyError(f"non-finite entry in row {row} of the system: {meta[row]}")
 
-    return CollocationSystem(
-        matrix=A, rhs=b, row_meta=tuple(meta), n_unknowns=n_cols
-    )
+    A = sp.csr_array((v, (r, k)), shape=(n_total, n_cols))
+    A.eliminate_zeros()
+    return CollocationSystem(csr=A, rhs=b, row_meta=tuple(meta), n_unknowns=n_cols)
 
 
 def coefficients_to_field(field: TensorSpline, x: np.ndarray) -> TensorSpline:

@@ -42,15 +42,33 @@ class AssemblyError(SplineColError, RuntimeError):
 
 
 class SingularSystemError(SplineColError, RuntimeError):
-    """Gaussian elimination hit a pivot below the singularity tolerance."""
+    """The sparse LU factor of a square system is singular.
+
+    For a pivot below the tolerance the message names its 1-based step in
+    the factor's column order and the unknown (0-based column of A) that
+    step eliminates. SuperLU reports an exactly zero pivot without its
+    step; the message then names an unknown that no row touches or a row
+    without entries, if there is one.
+    """
 
 
 class RankDeficientError(SplineColError, RuntimeError):
-    """Cholesky factorization of the normal equations broke down."""
+    """The symmetric factor of the normal equations A^T A broke down.
 
-    def __init__(self, message, pivot_index=None):
+    ``pivot_index`` is the unknown (0-based column of A) at fault, never
+    None: one that no row touches, else the one eliminated at the first
+    non-positive pivot. For an exactly zero pivot, whose step SuperLU does
+    not report, it is the unknown whose pivot is smallest relative to its
+    diagonal entry in a factor of A^T A shifted by 1e-14 ||A^T A||_1. The
+    message names the same unknown and the 1-based step.
+    """
+
+    def __init__(self, message, pivot_index):
         super().__init__(message)
         self.pivot_index = pivot_index
+
+    def __reduce__(self):  # pickles across process pools
+        return type(self), (str(self), self.pivot_index)
 
 
 class UndefinedMetricError(SplineColError, ValueError):

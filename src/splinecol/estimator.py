@@ -1,7 +1,7 @@
 """Scikit-learn style solver facade.
 
 :class:`CollocationSolver` wires field construction, point generation,
-assembly and the dense solve into a fit/predict estimator with
+assembly and the sparse direct solve into a fit/predict estimator with
 ``get_params``/``set_params`` semantics, so discretization studies compose
 with generic parameter-sweep tooling.
 """
@@ -35,10 +35,10 @@ class CollocationSolver:
     ----------
     method:
         ``"igac"`` collocates at exactly as many points as unknowns and
-        solves the square system by Gaussian elimination. ``"igal_fixed"``
-        uses the explicit ``m_per_dir`` point counts (more points than
-        unknowns) and solves the normal equations. ``"igal_variable"``
-        derives the point counts as n + 2 per direction.
+        solves the square system by sparse LU. ``"igal_fixed"`` uses the
+        explicit ``m_per_dir`` point counts (more points than unknowns) and
+        solves the normal equations with a sparse symmetric factor.
+        ``"igal_variable"`` derives the point counts as n + 2 per direction.
     n_per_dir:
         Control-point count per direction (int or tuple). Ignored when
         ``interior_knots`` is given.
@@ -147,9 +147,9 @@ class CollocationSolver:
         )
         system = assemble(problem, field, points, boundary_weight=self.boundary_weight)
         if self.method == "igac":
-            report = solve_square(system.matrix, system.rhs)
+            report = solve_square(system.csr, system.rhs)
         else:
-            report = solve_normal_equations(system.matrix, system.rhs)
+            report = solve_normal_equations(system.csr, system.rhs)
 
         self.problem_ = problem
         self.points_ = points

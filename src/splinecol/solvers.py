@@ -1,10 +1,14 @@
-"""Dense direct solvers and the flop cost model.
+"""Sparse direct solvers and the flop cost model.
 
-Square interpolatory systems are solved by Gaussian elimination with
-partial pivoting; overdetermined least-squares systems by forming the
-normal equations and Cholesky-factorizing them. Both report a flop
-estimate from the closed-form cost model and a cheap 1-norm condition
-estimate of the factorized matrix.
+Both solvers take the collocation matrix as a sparse array (a dense one
+is converted) and factor with SuperLU. Square interpolatory systems get an
+LU factor with partial pivoting in COLAMD column order. Overdetermined
+least-squares systems form G = A^T A and factor it in a symmetric
+minimum-degree order with diagonal pivots only, which for a positive
+definite G is its LDL^T factor; two refinement sweeps against A then make
+this Björck's corrected semi-normal equations. Both report a flop estimate
+from the closed-form cost model and a Hager-Higham 1-norm condition
+estimate of the factored matrix.
 """
 
 from __future__ import annotations
@@ -12,107 +16,167 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, norm, onenormest, splu
 
 from .errors import RankDeficientError, SingularSystemError
 
 PIVOT_TOL = 1e-14
+#: SuperLU settings for G = A^T A: minimum-degree order on G's pattern,
+#: the same permutation for rows and columns, and no off-diagonal pivots.
+SYMMETRIC_FACTOR = dict(
+    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+)
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Result of one dense solve."""
+    """Result of one sparse direct solve."""
 
     coefficients: np.ndarray
     residual_norm: float
     method: str  # "gauss" | "normal_cholesky"
-    flop_estimate: float
+    flop_estimate: float  # dense count of the closed-form cost model
     condition_estimate: float | None = None
     normal_residual_norm: float | None = None
 
 
 def solve_square(A, b) -> SolveReport:
-    """Solve a square system by LU with partial pivoting.
+    """Solve a square system by sparse LU with partial pivoting.
 
-    Raises :class:`SingularSystemError` when a pivot falls below
-    1e-14 * ||A||_1; ill-conditioned but factorizable systems solve and are
-    left to downstream error metrics to flag.
+    Raises :class:`SingularSystemError` when SuperLU meets an exactly zero
+    pivot or a pivot falls below 1e-14 * ||A||_1; ill-conditioned but
+    factorizable systems solve and are left to downstream error metrics to
+    flag.
     """
-    A = np.asarray(A, dtype=float)
+    A = sp.csc_array(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[0]
-    anorm = np.linalg.norm(A, 1)
-    lu, piv, info = lapack.dgetrf(A)
-    if info > 0:
-        raise SingularSystemError(f"exact zero pivot at elimination step {info}")
-    pivots = np.abs(np.diag(lu))
+    anorm = norm(A, 1)
+    try:
+        lu = splu(A)
+    except RuntimeError as exc:
+        raise SingularSystemError(_exactly_singular(A)) from exc
+    pivots = np.abs(lu.U.diagonal())
     if pivots.min() < PIVOT_TOL * anorm:
         k = int(np.argmin(pivots))
         raise SingularSystemError(
-            f"pivot {pivots[k]:.3e} at step {k + 1} below tolerance "
-            f"{PIVOT_TOL:.0e} * ||A|| = {PIVOT_TOL * anorm:.3e}"
+            f"pivot {pivots[k]:.3e} at step {k + 1} (unknown {_elimination_order(lu)[k]}) "
+            f"below tolerance {PIVOT_TOL:.0e} * ||A|| = {PIVOT_TOL * anorm:.3e}"
         )
-    x, info = lapack.dgetrs(lu, piv, b)
-    if info != 0:
-        raise SingularSystemError(f"triangular solve failed (info={info})")
-    rcond, _ = lapack.dgecon(lu, anorm)
+    x = lu.solve(b)
     residual = float(np.linalg.norm(A @ x - b))
     return SolveReport(
         coefficients=x,
         residual_norm=residual,
         method="gauss",
         flop_estimate=2.0 * n**3 / 3.0,
-        condition_estimate=float(1.0 / rcond) if rcond > 0 else np.inf,
+        condition_estimate=_condition_estimate(lu, anorm),
     )
 
 
 def solve_normal_equations(A, b) -> SolveReport:
     """Least-squares solve of an m >= n system via the normal equations.
 
-    Forms G = A^T A and c = A^T b and Cholesky-factorizes G. A breakdown
-    (non-positive pivot) raises :class:`RankDeficientError` carrying the
-    pivot index. The reported condition estimate refers to G, whose
-    condition number is the square of A's.
+    Forms G = A^T A and c = A^T b and factors G symmetrically without
+    pivoting. A non-positive pivot raises :class:`RankDeficientError`
+    naming the unknown it belongs to. The reported condition estimate
+    refers to G, whose condition number is the square of A's.
     """
-    A = np.asarray(A, dtype=float)
+    A = sp.csr_array(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
     if m < n:
         raise ValueError(f"need at least as many rows as unknowns, got {A.shape}")
-    G = A.T @ A
-    rhs = A.T @ b
-    gnorm = np.linalg.norm(G, 1)
-    chol, info = lapack.dpotrf(G, lower=1)
-    if info > 0:
-        raise RankDeficientError(
-            f"normal equations not positive definite at pivot {info}",
-            pivot_index=int(info),
-        )
-    if info < 0:
-        raise ValueError(f"invalid argument {-info} to Cholesky factorization")
-    x, info = lapack.dpotrs(chol, rhs, lower=1)
-    if info != 0:
-        raise RankDeficientError(f"Cholesky solve failed (info={info})")
-    # Two sweeps of iterative refinement claw back accuracy lost to the
-    # squared condition number of the normal equations.
+    G = sp.csc_array(A.T @ A)
+    gnorm = norm(G, 1)
+    lu = _factor_normal(G, gnorm)
+    x = lu.solve(A.T @ b)
+    # Two sweeps of iterative refinement against A claw back accuracy lost
+    # to the squared condition number of the normal equations.
     for _ in range(2):
-        r = A.T @ (b - A @ x)
-        dx, info = lapack.dpotrs(chol, r, lower=1)
-        if info != 0:
-            break
-        x = x + dx
-    rcond, _ = lapack.dpocon(chol, gnorm, uplo=b"L")
+        x = x + lu.solve(A.T @ (b - A @ x))
     residual = A @ x - b
     return SolveReport(
         coefficients=x,
         residual_norm=float(np.linalg.norm(residual)),
         method="normal_cholesky",
         flop_estimate=float(m) * n**2 + n**3 / 3.0,
-        condition_estimate=float(1.0 / rcond) if rcond > 0 else np.inf,
+        condition_estimate=_condition_estimate(lu, gnorm),
         normal_residual_norm=float(np.linalg.norm(A.T @ residual)),
     )
+
+
+def _factor_normal(G, gnorm):
+    """Symmetric factor of G = A^T A; :class:`RankDeficientError` if G is not positive definite."""
+    try:
+        lu = splu(G, **SYMMETRIC_FACTOR)
+    except RuntimeError:
+        diag = G.diagonal()
+        if not diag.all():
+            j = int(np.argmin(diag != 0))
+            raise RankDeficientError(
+                f"unknown {j} appears in no row of the system", pivot_index=j
+            ) from None
+        # SuperLU hides the step of an exactly zero pivot. A diagonal shift
+        # keeps G's pattern, hence the order, and makes every pivot
+        # positive; the smallest pivot relative to its diagonal entry marks
+        # the unknown most nearly spanned by those eliminated before it.
+        shift = PIVOT_TOL * gnorm * sp.eye_array(len(diag), format="csc")
+        lu = splu(G + shift, **SYMMETRIC_FACTOR)
+        order = _elimination_order(lu)
+        k = int(np.argmin(lu.U.diagonal() / diag[order]))
+        raise RankDeficientError(
+            f"normal equations exactly singular at step {k + 1} (unknown {order[k]})",
+            pivot_index=int(order[k]),
+        ) from None
+    order = _elimination_order(lu)
+    bad = ~(lu.U.diagonal() > 0) | (np.argsort(lu.perm_r) != order)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise RankDeficientError(
+            f"normal equations not positive definite at step {k + 1} (unknown {order[k]})",
+            pivot_index=int(order[k]),
+        )
+    return lu
+
+
+def _elimination_order(lu):
+    """Unknowns (columns of the factored matrix) in the order the factor eliminates them."""
+    return np.argsort(lu.perm_c)
+
+
+def _exactly_singular(A):
+    """Message for a square CSC matrix that SuperLU found exactly singular.
+
+    Names an unknown that no row touches, else a row without entries;
+    otherwise SuperLU does not report the step of the zero pivot.
+    """
+    nonzero = A.data != 0
+    cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))[nonzero]
+    untouched = np.setdiff1d(np.arange(A.shape[1]), cols)
+    if untouched.size:
+        return f"unknown {untouched[0]} appears in no row of the system"
+    empty = np.setdiff1d(np.arange(A.shape[0]), A.indices[nonzero])
+    if empty.size:
+        return f"row {empty[0]} of the system is zero"
+    return "exactly zero pivot; SuperLU does not report its step"
+
+
+def _condition_estimate(lu, matrix_norm):
+    """1-norm condition estimate ||M||_1 ||M^-1||_1 of the factored matrix M.
+
+    ``onenormest`` with one probe vector (Hager and Higham's estimator, as
+    in LAPACK's xGECON) applies the factor's solves and draws no random
+    numbers, so the estimate is deterministic.
+    """
+    n = lu.shape[0]
+    inverse = LinearOperator(
+        (n, n), matvec=lu.solve, rmatvec=lambda y: lu.solve(y, trans="T"), dtype=float
+    )
+    return float(matrix_norm * onenormest(inverse, t=1))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +221,9 @@ def flop_cost_model(
     ``n`` and ``m`` are per-direction control-point and collocation-point
     counts. The square solve costs 2 n^{3d} / 3 flops (Gaussian
     elimination); the least-squares solve costs m^d n^{2d} + n^{3d} / 3
-    (normal equations plus Cholesky).
+    (normal equations plus Cholesky). These are dense counts, kept as the
+    reference model; the sparse factors of :func:`solve_square` and
+    :func:`solve_normal_equations` do far less work.
     """
     if dimension not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")

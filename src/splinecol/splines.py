@@ -200,18 +200,31 @@ class KnotVector:
     def multiplicity(self, u: float) -> int:
         return int(np.count_nonzero(self.knots == u))
 
-    def insert(self, u: float) -> "KnotVector":
-        """New knot vector with ``u`` inserted once (no coefficient update)."""
-        if not (self.start < u < self.end):
+    def insert(self, knots) -> "KnotVector":
+        """New knot vector with ``knots`` (one value or several) inserted, no coefficient update.
+
+        Raises :class:`InvalidRefinementError` when a knot does not lie
+        strictly inside the domain or would raise its multiplicity above the
+        degree.
+        """
+        new = np.atleast_1d(np.asarray(knots, dtype=float))
+        outside = ~((new > self.start) & (new < self.end))
+        if outside.any():
             raise InvalidRefinementError(
-                f"insertion parameter {u!r} must lie strictly inside ({self.start}, {self.end})"
+                f"insertion parameter {float(new[outside][0])!r} must lie strictly "
+                f"inside ({self.start}, {self.end})"
             )
-        if self.multiplicity(u) >= self.degree:
+        values, counts = np.unique(new, return_counts=True)
+        have = np.searchsorted(self.knots, values, "right") - np.searchsorted(
+            self.knots, values, "left"
+        )
+        over = have + counts > self.degree
+        if over.any():
             raise InvalidRefinementError(
-                f"inserting {u!r} would raise its multiplicity above the degree"
+                f"inserting {float(values[over][0])!r} would raise its multiplicity "
+                "above the degree"
             )
-        idx = int(np.searchsorted(self.knots, u, side="right"))
-        return KnotVector(np.insert(self.knots, idx, u), self.degree)
+        return KnotVector(np.sort(np.concatenate([self.knots, new])), self.degree)
 
 
 @dataclass(frozen=True)
@@ -399,38 +412,32 @@ class TensorSpline:
 
     # -- refinement ---------------------------------------------------------
 
-    def insert_knot(self, direction: int, u: float) -> "TensorSpline":
-        """Insert ``u`` once along ``direction``; geometry is preserved exactly.
+    def insert_knots(self, direction: int, knots) -> "TensorSpline":
+        """Insert ``knots`` along ``direction`` in one pass; geometry is preserved exactly.
 
-        Weights and weighted coefficients are updated by the same convex
-        combinations (Boehm's algorithm in homogeneous coordinates).
+        Weights and weighted coefficients are updated together, in
+        homogeneous coordinates, by knot-vector refinement (The NURBS Book
+        A5.4).
         """
         if not 0 <= direction < self.dim:
             raise ValueError(f"direction {direction} out of range for dim {self.dim}")
         kv = self.kvs[direction]
-        new_kv = kv.insert(u)  # validates range and multiplicity
-        p = kv.degree
-        k = kv.find_span(u)
-        mult = kv.multiplicity(u)
-        t = kv.knots
-
+        new_kv = kv.insert(knots)  # validates range and multiplicity
+        inserted = np.sort(np.atleast_1d(np.asarray(knots, dtype=float)))
+        if not inserted.size:
+            return self
         hom = np.moveaxis(self._homogeneous(), direction, 0)
-        trailing = hom.shape[1:]
-        hom = hom.reshape(hom.shape[0], -1)
-        n = hom.shape[0]
-        out = np.empty((n + 1, hom.shape[1]))
-        out[: k - p + 1] = hom[: k - p + 1]
-        for i in range(k - p + 1, k - mult + 1):
-            alpha = (u - t[i]) / (t[i + p] - t[i])
-            out[i] = alpha * hom[i] + (1.0 - alpha) * hom[i - 1]
-        out[k - mult + 1 :] = hom[k - mult :]
-
-        out = np.moveaxis(out.reshape((n + 1,) + trailing), 0, direction)
+        out = _refine_homogeneous(kv, new_kv, inserted, hom)
+        out = np.moveaxis(out, 0, direction)
         weights = out[..., -1]
         coeffs = out[..., :-1] / weights[..., None]
         kvs = list(self.kvs)
         kvs[direction] = new_kv
         return TensorSpline(tuple(kvs), coeffs, weights)
+
+    def insert_knot(self, direction: int, u: float) -> "TensorSpline":
+        """Insert ``u`` once along ``direction``; geometry is preserved exactly."""
+        return self.insert_knots(direction, [u])
 
     def refine_uniform(self, counts) -> "TensorSpline":
         """Uniformly insert interior knots per direction (count per direction)."""
@@ -440,9 +447,43 @@ class TensorSpline:
         s = self
         for a, count in enumerate(counts):
             lo, hi = s.kvs[a].start, s.kvs[a].end
-            for i in range(1, count + 1):
-                s = s.insert_knot(a, lo + i * (hi - lo) / (count + 1))
+            s = s.insert_knots(a, lo + np.arange(1, count + 1) * (hi - lo) / (count + 1))
         return s
+
+
+def _refine_homogeneous(kv, new_kv, X, hom):
+    """Homogeneous coefficients on ``new_kv`` after refining ``kv`` (The NURBS Book A5.4).
+
+    ``X`` holds the inserted knots in ascending order and ``new_kv`` is
+    ``kv`` with them merged in; ``hom`` (n, ...) holds the homogeneous
+    coefficients with the refined direction first. The loops run over the
+    inserted knots and the degree; each step updates a whole slice.
+    """
+    p, U, Ubar = kv.degree, kv.knots, new_kv.knots
+    r = len(X) - 1
+    n = len(hom) - 1
+    a = kv.find_span(X[0])
+    b = kv.find_span(X[r]) + 1
+    Q = np.empty((n + r + 2,) + hom.shape[1:])
+    Q[: a - p + 1] = hom[: a - p + 1]
+    Q[b + r :] = hom[b - 1 :]
+    i, k = b + p - 1, b + p + r
+    for j in range(r, -1, -1):
+        while X[j] <= U[i] and i > a:
+            Q[k - p - 1] = hom[i - p - 1]
+            k -= 1
+            i -= 1
+        Q[k - p - 1] = Q[k - p]
+        for l in range(1, p + 1):
+            ind = k - p + l
+            alpha = Ubar[k + l] - X[j]
+            if alpha == 0.0:
+                Q[ind - 1] = Q[ind]
+            else:
+                alpha /= Ubar[k + l] - U[i - p + l]
+                Q[ind - 1] = alpha * Q[ind - 1] + (1.0 - alpha) * Q[ind]
+        k -= 1
+    return Q
 
 
 def _unit(dim, axis):

@@ -2,9 +2,10 @@
 
 These are deliberately naive: the recursive Cox-de Boor definition, the
 textbook derivative recursion, finite differences, a hand-rolled
-Householder QR, a best-approximation fit built on both, and per-point
-spline, pullback and assembly code. They share no code with the package
-so they can serve as oracles for it. The last section holds two small
+Householder QR, dense LAPACK LU and Cholesky solves, a best-approximation
+fit, per-point spline, pullback and assembly code, and single-knot
+insertion. They share no code with the package so they can serve as
+oracles for it. The last section holds two small
 helpers that are built on the package instead: a knot-vector fixture
 builder and the L2 norm under the quadrature of ``error_report``.
 """
@@ -13,6 +14,7 @@ import itertools
 from functools import reduce
 
 import numpy as np
+from scipy.linalg import lapack
 
 from splinecol.geometry import lattice_pullbacks
 from splinecol.metrics import quadrature_rule
@@ -119,6 +121,41 @@ def householder_qr_solve(A, b):
     for i in range(n - 1, -1, -1):
         sol[i] = (y[i] - R[i, i + 1 : n] @ sol[i + 1 :]) / R[i, i]
     return sol
+
+
+def dense_lu_solve(A, b):
+    """Dense LU with partial pivoting (LAPACK dgetrf) and its dgecon condition estimate.
+
+    Returns ``(x, cond)`` with cond the 1-norm condition estimate of A.
+    """
+    A = np.array(A, dtype=float)
+    anorm = np.linalg.norm(A, 1)
+    lu, piv, info = lapack.dgetrf(A)
+    if info != 0:
+        raise ValueError(f"dgetrf failed (info={info})")
+    x, info = lapack.dgetrs(lu, piv, np.asarray(b, dtype=float))
+    rcond, _ = lapack.dgecon(lu, anorm)
+    return x, 1.0 / rcond
+
+
+def dense_normal_cholesky_solve(A, b):
+    """Normal equations by dense Cholesky (dpotrf), two refinement sweeps against A.
+
+    Returns ``(x, cond)`` with cond the dpocon 1-norm condition estimate of
+    A^T A.
+    """
+    A = np.array(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    G = A.T @ A
+    chol, info = lapack.dpotrf(G, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrf failed (info={info})")
+    x, _ = lapack.dpotrs(chol, A.T @ b, lower=1)
+    for _ in range(2):
+        dx, _ = lapack.dpotrs(chol, A.T @ (b - A @ x), lower=1)
+        x = x + dx
+    rcond, _ = lapack.dpocon(chol, np.linalg.norm(G, 1), uplo=b"L")
+    return x, 1.0 / rcond
 
 
 def best_l2_relative_error(knot_vectors, weights, axes, target, measure):
@@ -489,6 +526,31 @@ def point_assemble(problem, field, points, boundary_weight="auto"):
         b[r] = boundary_weight * float(np.asarray(pc.value(x[None]))[0, 0])
         meta[r] = (theta, "constraint", pc.component, None)
     return A, b, meta
+
+
+# ---------------------------------------------------------------------------
+# Single-knot insertion
+# ---------------------------------------------------------------------------
+
+
+def boehm_insert(knots, p, hom, u):
+    """Insert ``u`` once into ``knots`` by Boehm's algorithm (The NURBS Book A5.1).
+
+    ``hom`` (n, k) holds homogeneous coefficients (weighted values, then the
+    weight) along the refined direction. Returns the new knots and
+    coefficients; inserting knots one at a time with this is the reference
+    for the package's knot-vector refinement.
+    """
+    knots = np.asarray(knots, dtype=float)
+    k = int(np.searchsorted(knots, u, side="right")) - 1
+    mult = int(np.count_nonzero(knots == u))
+    out = np.empty((len(hom) + 1, hom.shape[1]))
+    out[: k - p + 1] = hom[: k - p + 1]
+    for i in range(k - p + 1, k - mult + 1):
+        alpha = (u - knots[i]) / (knots[i + p] - knots[i])
+        out[i] = alpha * hom[i] + (1.0 - alpha) * hom[i - 1]
+    out[k - mult + 1 :] = hom[k - mult :]
+    return np.insert(knots, k + 1, u), out
 
 
 # ---------------------------------------------------------------------------

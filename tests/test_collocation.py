@@ -443,5 +443,6 @@ def test_assembly_matches_per_point_oracle(factory, n, scheme, m, weight):
     A, b, meta = point_assemble(prob, field, pts, boundary_weight=weight)
     assert system.shape == A.shape
     assert np.abs(system.matrix - A).max() <= 1e-12 * np.abs(A).max()
+    assert system.csr.nnz == np.count_nonzero(system.matrix)  # no stored zeros
     assert np.abs(system.rhs - b).max() <= 1e-12 * max(np.abs(A).max(), np.abs(b).max())
     assert [(r.point, r.kind, r.component, r.face) for r in system.row_meta] == meta

@@ -1,5 +1,7 @@
 """The fit/predict estimator facade."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from splinecol.problems import (
     example_1d_dirichlet,
     example_1d_mixed,
     example_3d_cube,
+    make_example,
 )
 
 
@@ -124,6 +127,19 @@ class TestFit:
         }
         assert e_t["auto"] < 0.05
         assert e_t[1.0] >= 10.0 * e_t["auto"]
+
+    def test_fit_never_allocates_the_dense_matrix(self):
+        prob = make_example("II")
+        solver = CollocationSolver(method="igal_variable", n_per_dir=40)
+        tracemalloc.start()
+        try:
+            solver.fit(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows, cols = solver.system_.shape
+        assert (rows, cols) == (1764, 1600)
+        assert peak < rows * cols * 8  # 22.6 MB, one dense copy of A
 
     def test_square_least_squares_reproduces_interpolation(self):
         prob = example_1d_dirichlet()

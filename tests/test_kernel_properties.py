@@ -1,10 +1,11 @@
-"""Property tests of the vectorised basis kernel on random clamped knot vectors."""
+"""Property tests of the vectorised basis kernel and of knot refinement on random NURBS."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_basis_derivs, point_basis_jets
+from batched import values_at
+from oracles import all_basis_derivs, boehm_insert, point_basis_jets
 from splinecol.splines import KnotVector, TensorSpline
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -81,3 +82,45 @@ def test_batched_basis_jets_match_per_point_oracle(case):
         assert np.allclose(val[n], ref_val, rtol=0, atol=1e-13)
         assert np.allclose(grad[n], ref_grad.T, rtol=0, atol=1e-11 * scale)
         assert np.allclose(hess[n], np.moveaxis(ref_hess, 0, -1), rtol=0, atol=1e-11 * scale)
+
+
+@st.composite
+def refinements(draw):
+    """A random rational 1-3D spline, a direction and knots it may take there."""
+    dim = draw(st.integers(1, 3))
+    kvs = tuple(draw(knot_vectors(max_degree=4 if dim < 3 else 3)) for _ in range(dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = tuple(kv.n_basis for kv in kvs)
+    spline = TensorSpline(kvs, rng.normal(size=shape + (2,)), rng.uniform(0.5, 2.0, shape))
+    axis = draw(st.integers(0, dim - 1))
+    kv = kvs[axis]
+    knots = []
+    for k in draw(st.lists(st.integers(1, 31), min_size=1, max_size=10)):
+        u = k / 32
+        if kv.multiplicity(u) + knots.count(u) < kv.degree:
+            knots.append(u)
+    return spline, axis, knots
+
+
+@SETTINGS
+@given(case=refinements())
+def test_refinement_preserves_geometry_and_matches_sequential_insertion(case):
+    spline, axis, knots = case
+    refined = spline.insert_knots(axis, knots)
+
+    rng = np.random.default_rng(len(knots))
+    theta = rng.uniform(0.0, 1.0, (50, spline.dim))
+    before, after = values_at(spline, theta), values_at(refined, theta)
+    assert np.abs(after - before).max() <= 1e-13 * max(1.0, np.abs(before).max())
+
+    w = spline.weights[..., None]
+    hom = np.moveaxis(np.concatenate([w * spline.coeffs, w], axis=-1), axis, 0)
+    flat = hom.reshape(len(hom), -1)
+    seq = spline.kvs[axis].knots
+    for u in knots:
+        seq, flat = boehm_insert(seq, spline.kvs[axis].degree, flat, u)
+    expected = np.moveaxis(flat.reshape((len(flat),) + hom.shape[1:]), 0, axis)
+    assert np.array_equal(refined.kvs[axis].knots, seq)
+    assert np.allclose(refined.weights, expected[..., -1], rtol=1e-13, atol=0)
+    coeffs = expected[..., :-1] / expected[..., -1:]
+    assert np.allclose(refined.coeffs, coeffs, rtol=0, atol=1e-13 * np.abs(coeffs).max())

@@ -1,9 +1,15 @@
-"""Dense solvers and the closed-form flop model."""
+"""Sparse solvers, their dense LAPACK oracles, and the closed-form flop model."""
+
+import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import householder_qr_solve
+from oracles import dense_lu_solve, dense_normal_cholesky_solve, householder_qr_solve
+from splinecol import CollocationSolver, make_example
 from splinecol.errors import RankDeficientError, SingularSystemError
 from splinecol.solvers import flop_cost_model, solve_normal_equations, solve_square
 
@@ -32,6 +38,21 @@ class TestSolveSquare:
         A = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularSystemError):
             solve_square(A, np.array([1.0, 2.0]))
+
+    def test_exactly_singular_names_what_it_can(self):
+        # Dependent rows and columns but no empty one: SuperLU reports no step.
+        A = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(SingularSystemError, match="zero pivot"):
+            solve_square(sp.csr_array(A), np.ones(3))
+        A[2, 2] = 0.0
+        A[2, 0] = 1.0
+        with pytest.raises(SingularSystemError, match="unknown 2 appears in no row"):
+            solve_square(sp.csr_array(A), np.ones(3))
+
+    def test_tiny_pivot_names_its_unknown(self):
+        A = np.diag([1.0, 1e-17, 1.0])
+        with pytest.raises(SingularSystemError, match=r"unknown 1\)"):
+            solve_square(A, np.ones(3))
 
     def test_rectangular_rejected(self):
         with pytest.raises(ValueError):
@@ -98,11 +119,69 @@ class TestNormalEquations:
         A[:, 2] = A[:, 0]  # duplicate column
         with pytest.raises(RankDeficientError) as err:
             solve_normal_equations(A, np.ones(6))
-        assert err.value.pivot_index is not None
+        assert err.value.pivot_index in range(3)
+        assert f"(unknown {err.value.pivot_index})" in str(err.value)
+
+    def test_duplicate_column_is_named(self):
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(30, 8))
+        A[:, 5] = A[:, 2]
+        with pytest.raises(RankDeficientError) as err:
+            solve_normal_equations(sp.csr_array(A), rng.normal(size=30))
+        assert err.value.pivot_index in (2, 5)
+
+    def test_zero_column_names_the_unknown(self):
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(12, 5))
+        A[:, 3] = 0.0
+        with pytest.raises(RankDeficientError, match="unknown 3 appears in no row") as err:
+            solve_normal_equations(sp.csr_array(A), np.ones(12))
+        assert err.value.pivot_index == 3
+        assert pickle.loads(pickle.dumps(err.value)).pivot_index == 3
 
     def test_underdetermined_rejected(self):
         with pytest.raises(ValueError):
             solve_normal_equations(np.ones((2, 3)), np.ones(2))
+
+
+@st.composite
+def square_sparse_systems(draw):
+    """Diagonally dominant sparse square systems with a random pattern."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = sp.random_array((n, n), density=draw(st.floats(0.05, 0.5)), rng=rng)
+    A = sp.csr_array(A + sp.diags_array(np.abs(A).sum(axis=1) + 1.0))
+    return A, rng.normal(size=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=square_sparse_systems())
+def test_square_least_squares_matches_lu(case):
+    A, b = case
+    x_lu = solve_square(A, b).coefficients
+    x_ls = solve_normal_equations(A, b).coefficients
+    assert np.linalg.norm(x_ls - x_lu) <= 1e-10 * np.linalg.norm(x_lu)
+
+
+# Collocation systems of the examples, from a square 3D one to the beam
+# whose normal equations have cond(A^T A) of about 6e9.
+ORACLE_CASES = [
+    ("II", "igal_variable", 30, None),
+    ("III", "igac", 8, None),
+    ("III", "igal_variable", 8, None),
+    ("IV", "igal_fixed", 11, 18),
+    ("I", "igal_variable", 1000, None),
+]
+
+
+@pytest.mark.parametrize("example,method,n,m", ORACLE_CASES)
+def test_sparse_solvers_match_dense_lapack(example, method, n, m):
+    fit = CollocationSolver(method=method, n_per_dir=n, m_per_dir=m).fit(make_example(example))
+    system, report = fit.system_, fit.solve_report_
+    oracle = dense_lu_solve if method == "igac" else dense_normal_cholesky_solve
+    x, cond = oracle(system.matrix, system.rhs)
+    assert np.linalg.norm(report.coefficients - x) <= 1e-10 * np.linalg.norm(x)
+    assert cond / 3 <= report.condition_estimate <= 3 * cond
 
 
 class TestCostModel:

@@ -350,3 +350,12 @@ class TestKnotInsertion:
             s = s.insert_knot(0, 0.5)
         with pytest.raises(InvalidRefinementError):
             s.insert_knot(0, 0.5)
+
+    @pytest.mark.parametrize(
+        "knots,named",
+        [([0.2, 0.5, 0.5, 0.5, 0.5], "0.5"), ([0.2, 1.0], "1.0"), ([0.3, np.nan], "nan")],
+    )
+    def test_several_knots_checked_at_once(self, knots, named):
+        curve = TensorSpline.polynomial((CUBIC,), np.zeros(4))
+        with pytest.raises(InvalidRefinementError, match=named):
+            curve.insert_knots(0, knots)
