@@ -197,9 +197,6 @@ class KnotVector:
         # Rounding must not push boundary sites outside the knot range.
         return np.clip(windows[: self.n_basis].mean(axis=1), self.start, self.end)
 
-    def multiplicity(self, u: float) -> int:
-        return int(np.count_nonzero(self.knots == u))
-
     def insert(self, knots) -> "KnotVector":
         """New knot vector with ``knots`` (one value or several) inserted, no coefficient update.
 

@@ -3,7 +3,8 @@
 These are deliberately naive: the recursive Cox-de Boor definition, the
 textbook derivative recursion, finite differences, a hand-rolled
 Householder QR, dense LAPACK LU and Cholesky solves, a best-approximation
-fit, per-point spline, pullback and assembly code, and single-knot
+fit, per-point spline, pullback and assembly code, LAPACK Jacobian
+determinants and inverses with einsum chain-rule pushes, and single-knot
 insertion. They share no code with the package so they can serve as
 oracles for it. The last section holds two small
 helpers that are built on the package instead: a knot-vector fixture
@@ -378,21 +379,30 @@ def point_pullback(geometry, theta):
     """Geometry at one point: (x (d,), J (d, d), J^-1, det J, S (d, d, d))."""
     value, grad, hess, _ = point_jet(geometry.spline, theta, 2)
     jac = grad.T  # J[k, a] = dx_k / dtheta_a
-    det = float(np.linalg.det(jac))
+    det, inv = lapack_det_inv(jac)
     if abs(det) < 1e-12:
         raise ValueError(f"singular geometry at {tuple(theta)}")
-    return value, jac, np.linalg.inv(jac), det, hess
+    return value, jac, inv, float(det), hess
+
+
+def lapack_det_inv(jac):
+    """Determinant(s) and inverse(s) of Jacobians (..., d, d) by LAPACK LU."""
+    return np.linalg.det(jac), np.linalg.inv(jac)
 
 
 def push_gradient(inv_jac, grad_theta):
-    """Parametric gradient(s) (..., d, c) to physical ones at one point."""
-    return np.einsum("ak,...ac->...kc", inv_jac, grad_theta)
+    """Parametric gradients (..., d, c) to physical ones, as one einsum.
+
+    ``inv_jac`` is (d, d) at one point or (N, d, d) with a point per row of
+    ``grad_theta`` (N, d, c); the leading axes broadcast.
+    """
+    return np.einsum("...ak,...ac->...kc", inv_jac, grad_theta)
 
 
 def push_hessian(inv_jac, second, grad_x, hess_theta):
-    """Physical Hessian(s) (..., d, d, c) at one point."""
-    inner = hess_theta - np.einsum("abk,...kc->...abc", second, grad_x)
-    return np.einsum("ai,...abc,bj->...ijc", inv_jac, inner, inv_jac)
+    """Physical Hessians (..., d, d, c), as unoptimised einsums; axes as above."""
+    inner = hess_theta - np.einsum("...abk,...kc->...abc", second, grad_x)
+    return np.einsum("...ai,...abc,...bj->...ijc", inv_jac, inner, inv_jac)
 
 
 def boundary_normal(inv_jac, axis, side):

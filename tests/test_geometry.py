@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batched import value_at
-from oracles import fd_gradient, uniform_refine
+from oracles import fd_gradient, lapack_det_inv, push_gradient, push_hessian, uniform_refine
 from splinecol.errors import SingularGeometryError
 from splinecol.geometry import (
+    DET_TOL,
     GeometryMap,
     boundary_normals,
     lattice_pullbacks,
@@ -14,6 +17,7 @@ from splinecol.geometry import (
     lattice_push_hessian,
 )
 from splinecol.problems import (
+    EXAMPLES,
     curve_unit_interval,
     patch_beam,
     patch_quarter_annulus,
@@ -259,3 +263,73 @@ class TestPhysicalDerivatives:
         pts, _, inv, _, _ = lattice_pullbacks(geo, [[1.0], np.linspace(0, 1, 7)])
         normals = boundary_normals(inv, 0, 1)
         assert np.allclose(normals, pts / np.linalg.norm(pts, axis=1, keepdims=True))
+
+
+def near_linear_map(rng, dim, kvs):
+    """A rational map close to a random linear one with singular values in [0.5, 2]."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    linear = q * rng.uniform(0.5, 2.0, dim)
+    greville = np.meshgrid(*(kv.greville_abscissae() for kv in kvs), indexing="ij")
+    coeffs = np.stack(greville, axis=-1) @ linear.T
+    coeffs += 0.01 * rng.normal(size=coeffs.shape)
+    weights = rng.uniform(0.9, 1.1, coeffs.shape[:-1])
+    return GeometryMap(TensorSpline(kvs, coeffs, weights))
+
+
+def assert_matches_oracles(geo, axes, rng, c):
+    """Closed-form det and inverse and the package pushes against LAPACK and einsum, to 1e-12."""
+    _, jac, inv, det, second = lattice_pullbacks(geo, axes)
+    det_ref, inv_ref = lapack_det_inv(jac)
+    assert np.all(np.abs(det - det_ref) <= 1e-12 * np.abs(det_ref))
+    scale = np.abs(inv_ref).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(inv - inv_ref) <= 1e-12 * scale)
+
+    d = geo.dim
+    grad_t = rng.normal(size=(len(jac), d, c))
+    # Not symmetrised, so a push that swaps the two Hessian axes shows.
+    hess_t = rng.normal(size=(len(jac), d, d, c))
+    grad_ref = push_gradient(inv_ref, grad_t)
+    grad_x = lattice_push_gradient(inv, grad_t)
+    assert np.abs(grad_x - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+    hess_ref = push_hessian(inv_ref, second, grad_ref, hess_t)
+    hess_x = lattice_push_hessian(inv, second, grad_x, hess_t)
+    assert np.abs(hess_x - hess_ref).max() <= 1e-12 * np.abs(hess_ref).max()
+
+
+class TestClosedFormAlgebra:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        interior=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 4),
+        c=st.sampled_from([1, 2, 16, 64]),
+    )
+    def test_random_maps_match_lapack_and_einsum(self, dim, interior, seed, count, c):
+        rng = np.random.default_rng(seed)
+        kvs = (uniform_refine(CUBIC, interior),) * dim
+        geo = near_linear_map(rng, dim, kvs)
+        assert_matches_oracles(geo, random_axes(rng, dim, count), rng, c)
+
+    @pytest.mark.parametrize("example", sorted(EXAMPLES))
+    def test_example_geometries_match_lapack_and_einsum(self, example):
+        geo = EXAMPLES[example]().geometry
+        rng = np.random.default_rng(11)
+        axes = [np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 4)]) for _ in range(geo.dim)]
+        for c in (1, 2, 64):
+            assert_matches_oracles(geo, axes, rng, c)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_tiny_determinant_names_its_point(self, dim):
+        # x_0 = theta_0^3 and x_k = theta_k: det J = 3 theta_0^2, which is
+        # positive but below DET_TOL at theta_0 = 2e-7 and only there.
+        g = CUBIC.greville_abscissae()
+        coeffs = np.stack(np.meshgrid(*(g,) * dim, indexing="ij"), axis=-1)
+        coeffs[..., 0] = np.array([0.0, 0.0, 0.0, 1.0]).reshape((4,) + (1,) * (dim - 1))
+        geo = GeometryMap(TensorSpline.polynomial((CUBIC,) * dim, coeffs))
+        axes = [[0.5, 2e-7, 0.7]] + [[0.3, 0.6]] * (dim - 1)
+        assert 0.0 < 3 * 2e-7**2 < DET_TOL
+        named = ", ".join(["2e-07"] + ["0.3"] * (dim - 1))
+        message = rf"theta=\({named},?\) \(det=1\.200e-13\)"
+        with pytest.raises(SingularGeometryError, match=message):
+            lattice_pullbacks(geo, axes)
