@@ -11,7 +11,7 @@ points it is overdetermined and meant for a least-squares solve.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,22 +202,20 @@ def build_field_from_knots(
 
 
 @dataclass(frozen=True)
-class RowMeta:
-    """Provenance of one assembled row."""
-
-    point: tuple
-    kind: str  # "interior" | "boundary" | "constraint"
-    component: int
-    face: int | None = None
-
-
-@dataclass(frozen=True)
 class CollocationSystem:
-    """Sparse collocation matrix (CSR) with right-hand side and row provenance."""
+    """Sparse collocation matrix (CSR) with right-hand side and row provenance.
+
+    Row i is a ``row_kind[i]`` row ("interior", "boundary" or "constraint")
+    at ``points.lattice[row_point[i]]`` for component ``row_component[i]``;
+    ``row_face[i]`` is the face owning a boundary row, -1 on other rows.
+    """
 
     csr: sp.csr_array
     rhs: np.ndarray
-    row_meta: tuple
+    row_point: np.ndarray
+    row_kind: np.ndarray
+    row_component: np.ndarray
+    row_face: np.ndarray
     n_unknowns: int
 
     @property
@@ -268,12 +266,14 @@ def assemble(
     unweighted least-squares stack would let them drown out the O(1)
     boundary rows; equalizing the scales keeps the boundary conditions
     enforced as the point count grows. A square system's solution is
-    unaffected by the scaling.
+    unaffected by the scaling. A numeric weight must be positive and finite.
 
     Geometry comes from one pullback of the collocation lattice and basis
-    jets from one batched call per row block. Each point's rows fill only
-    its local support block of columns; the blocks are collected as
-    (row, column, value) entries and become one CSR matrix at the end.
+    jets from one batched call per row block. Each row touches only the
+    L = prod(degree + 1) basis functions supported at its point, so every
+    block writes its rows in place into a fixed-width table, ``cols``
+    (rows, L) and ``values`` (rows, L, c); read row by row, the table is
+    the CSR matrix, with column ``cols * c + component``.
     """
     c = problem.field_components
     if field.ncomp != c:
@@ -284,6 +284,12 @@ def assemble(
         raise PreconditionError(
             "field degree must exceed the operator order in every direction"
         )
+    if boundary_weight != "auto":
+        boundary_weight = float(boundary_weight)
+        if not 0.0 < boundary_weight < np.inf:
+            raise PreconditionError(
+                f"boundary_weight must be positive and finite, got {boundary_weight!r}"
+            )
     try:
         x, _, inv, _, second = lattice_pullbacks(problem.geometry, points.axes)
     except SingularGeometryError as exc:
@@ -297,45 +303,46 @@ def assemble(
         [f + len(conds) * (bc.kind != "dirichlet") for f, bc in enumerate(conds)]
     )
     owner = np.argmin(np.where(points.faces[outer], rank, 2 * len(conds)), axis=1)
-    n_rows = np.array([bc.n_rows for bc in conds])[owner]
-    rows_interior = len(inner) * c
-    first_row = np.concatenate(
-        [np.arange(len(inner)) * c, rows_interior + np.cumsum(n_rows) - n_rows]
+
+    # Each point owns a run of consecutive rows: interior points first, with
+    # c operator rows each, then boundary points with their owner's rows.
+    order = np.concatenate([inner, outer])
+    n_rows = np.concatenate(
+        [np.full(len(inner), c), np.array([bc.n_rows for bc in conds])[owner]]
     )
-    n_cols = field.n_coeffs * c
-    n_total = rows_interior + int(n_rows.sum())
+    first_row = np.cumsum(n_rows) - n_rows
+    n_total = int(n_rows.sum())
+    row_point = np.repeat(order, n_rows)
+    row_face = np.repeat(np.concatenate([np.full(len(inner), -1), owner]), n_rows)
+    row_component = np.arange(n_total) - np.repeat(first_row, n_rows)
+    row_kind = np.where(row_face < 0, "interior", "boundary").astype("U10")
+
+    width = math.prod(p + 1 for p in field.degrees)
+    values = np.zeros((n_total, width, c))
+    cols = np.zeros((n_total, width), dtype=np.intp)
     b = np.zeros(n_total)
-    entries = []  # (rows, cols, values) of each local support block
-
-    def scatter(rows, cols, comp, values):
-        """Entries A[rows[n, i], cols[n, l] * c + comp] = values[n, i, l]."""
-        r, k = np.broadcast_arrays(rows[:, :, None], (cols * c + comp)[:, None, :])
-        entries.append((r.ravel(), k.ravel(), values.ravel()))
-
-    def merged():
-        """All entries so far as one (rows, cols, values) triple."""
-        entries[:] = [tuple(np.concatenate(e) for e in zip(*entries))]
-        return entries[0]
 
     # Interior operator rows.
     rows = first_row[: len(inner), None] + np.arange(c)
-    cols, val, grad_t, hess_t = field.basis_jets(lattice[inner])
+    support, val, grad_t, hess_t = field.basis_jets(lattice[inner])
     grad_x = lattice_push_gradient(inv[inner], grad_t)
     hess_x = lattice_push_hessian(inv[inner], second[inner], grad_x, hess_t)
+    cols[rows] = support[:, None]
     for comp in range(c):
-        block = _basis_rows(problem.operator.apply, comp, c, val, grad_x, hess_x)
-        scatter(rows, cols, comp, block)
+        values[rows, :, comp] = _basis_rows(
+            problem.operator.apply, comp, c, val, grad_x, hess_x
+        )
     b[rows] = callback_values(problem.source, x[inner], c, "source")
 
     if boundary_weight == "auto":
-        r, _, v = merged()
-        norms = np.sqrt(np.bincount(r, weights=np.square(v), minlength=rows_interior))
-        boundary_weight = float(norms.mean()) if rows_interior else 1.0
-    else:
-        boundary_weight = float(boundary_weight)
+        # Each row's squares are added in turn, component by component, so
+        # the weight does not depend on how numpy blocks a reduction.
+        squares = np.square(values[: len(inner) * c]).T.reshape(width * c, -1)
+        norms = np.sqrt(functools.reduce(np.add, squares))
+        boundary_weight = float(norms.mean()) if len(inner) else 1.0
 
     # Boundary condition rows, one block per owning condition.
-    cols, val, grad_t, _ = field.basis_jets(lattice[outer])
+    support, val, grad_t, _ = field.basis_jets(lattice[outer])
     inv_b = inv[outer]
     grad_x = lattice_push_gradient(inv_b, grad_t)
     for bc in conds:
@@ -343,69 +350,63 @@ def assemble(
         rows = first_row[len(inner) + sel, None] + np.arange(bc.n_rows)
         normal = boundary_normals(inv_b[sel], bc.axis, bc.side)[:, None]
         apply = functools.partial(bc.apply, normal)
+        cols[rows] = support[sel, None]
         for comp in range(c):
             block = _basis_rows(apply, comp, c, val[sel], grad_x[sel])
-            scatter(rows, cols[sel], comp, boundary_weight * block)
+            values[rows, :, comp] = boundary_weight * block
         name = f"value of the boundary condition on face {bc.face}"
         b[rows] = boundary_weight * callback_values(
             bc.value, x[outer[sel]], bc.n_rows, name
         )
 
-    meta = [
-        RowMeta(point, "interior", i)
-        for point in map(tuple, lattice[inner].tolist())
-        for i in range(c)
-    ]
-    meta += [
-        RowMeta(point, "boundary", i, face=face)
-        for point, face, n in zip(
-            map(tuple, lattice[outer].tolist()), owner.tolist(), n_rows.tolist()
-        )
-        for i in range(n)
-    ]
-
-    # Point constraints replace the matching component row of the nearest point.
+    # Point constraints replace the matching component row of the nearest
+    # point, whose support block is the one the pin needs.
     pcs = problem.point_constraints
     if pcs:
-        order = np.concatenate([inner, outer])  # interior points, then boundary points
         targets = np.array([pc.theta for pc in pcs], dtype=float)
         dist = np.linalg.norm(lattice[order][None] - targets[:, None], axis=-1)
         k = np.argmin(dist, axis=1)
         nearest = order[k]
         comps = np.array([pc.component for pc in pcs])
         rows = first_row[k] + comps
-        for i, j in itertools.combinations(range(len(pcs)), 2):
-            if rows[i] == rows[j]:
-                raise AssemblyError(
-                    f"point constraints at {pcs[i].theta} and {pcs[j].theta} both "
-                    f"pin component {comps[i]} of the collocation point "
-                    f"{tuple(lattice[nearest[i]].tolist())} (row {rows[i]})"
-                )
-        cols, val, _, _ = field.basis_jets(lattice[nearest])
-        r, k, v = merged()
-        keep = ~np.isin(r, rows)
-        entries[:] = [(r[keep], k[keep], v[keep])]
-        scatter(rows[:, None], cols, comps[:, None], boundary_weight * val[:, None])
+        twins = np.argwhere(np.triu(rows[:, None] == rows, k=1))
+        if len(twins):
+            i, j = twins[0]
+            raise AssemblyError(
+                f"point constraints at {pcs[i].theta} and {pcs[j].theta} both "
+                f"pin component {comps[i]} of the collocation point "
+                f"{tuple(lattice[nearest[i]].tolist())} (row {rows[i]})"
+            )
+        _, val, _, _ = field.basis_jets(lattice[nearest])
+        values[rows] = 0.0
+        values[rows, :, comps] = boundary_weight * val
         for j, pc in enumerate(pcs):
             name = f"value of the point constraint at {pc.theta}"
             b[rows[j]] = boundary_weight * callback_values(
                 pc.value, x[nearest[j : j + 1]], 1, name
             )[0, 0]
-            meta[rows[j]] = RowMeta(
-                tuple(lattice[nearest[j]].tolist()), "constraint", pc.component
-            )
+        row_kind[rows] = "constraint"
+        row_face[rows] = -1
 
-    r, k, v = merged()
-    bad = np.zeros(n_total, dtype=bool)
-    bad[r[~np.isfinite(v)]] = True
-    bad |= ~np.isfinite(b)
+    bad = ~np.isfinite(values).all(axis=(1, 2)) | ~np.isfinite(b)
     if bad.any():
         row = int(np.argmax(bad))
-        raise AssemblyError(f"non-finite entry in row {row} of the system: {meta[row]}")
+        raise AssemblyError(
+            f"non-finite entry in row {row} of the system: {row_kind[row]} row, "
+            f"component {row_component[row]}, point "
+            f"{tuple(lattice[row_point[row]].tolist())}, face {row_face[row]}"
+        )
 
-    A = sp.csr_array((v, (r, k)), shape=(n_total, n_cols))
+    indices = (cols[:, :, None] * c + np.arange(c)).reshape(-1)
+    indptr = np.arange(n_total + 1) * (width * c)
+    A = sp.csr_array(
+        (values.reshape(-1), indices, indptr), shape=(n_total, field.n_coeffs * c)
+    )
     A.eliminate_zeros()
-    return CollocationSystem(csr=A, rhs=b, row_meta=tuple(meta), n_unknowns=n_cols)
+    return CollocationSystem(
+        csr=A, rhs=b, row_point=row_point, row_kind=row_kind,
+        row_component=row_component, row_face=row_face, n_unknowns=A.shape[1],
+    )
 
 
 def coefficients_to_field(field: TensorSpline, x: np.ndarray) -> TensorSpline:

@@ -1,8 +1,9 @@
-"""Experiment configuration: validation, JSON round-trip, CLI merging."""
+"""Experiment configuration: validation, JSON files, CLI merging."""
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 from .collocation import SCHEME_KINDS
@@ -12,18 +13,22 @@ from .estimator import METHODS
 EXAMPLE_IDS = ("I", "II", "III", "IV", "V")
 
 
+def _integer(value, name, minimum):
+    """``value`` as an int, if it is a whole number >= ``minimum``."""
+    whole = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (whole and float(value).is_integer() and value >= minimum):
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _counts(value, name):
     if value is None:
         return None
-    if isinstance(value, (int, float)):
+    if isinstance(value, numbers.Real):
         value = (value,)
-    try:
-        out = tuple(int(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer or a list of integers") from None
-    if any(int(v) != v or v < 2 for v in out):
-        raise ConfigError(f"{name} entries must be integers >= 2, got {value!r}")
-    return out
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be an integer or a list of integers")
+    return tuple(_integer(v, name, 2) for v in value)
 
 
 def read_config_file(path) -> dict:
@@ -79,8 +84,8 @@ class ExperimentConfig:
         object.__setattr__(
             self, "m_seq", tuple(_counts(v, "m_seq entry") for v in self.m_seq)
         )
-        if self.quad_order is not None and int(self.quad_order) < 1:
-            raise ConfigError("quad_order must be a positive integer")
+        if self.quad_order is not None:
+            object.__setattr__(self, "quad_order", _integer(self.quad_order, "quad_order", 1))
         if self.boundary_weight != "auto":
             try:
                 object.__setattr__(self, "boundary_weight", float(self.boundary_weight))
@@ -114,10 +119,3 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
         return cls(**data)
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(read_config_file(path))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -42,6 +42,16 @@ from splinecol.splines import KnotVector, TensorSpline
 CUBIC = KnotVector([0, 0, 0, 0, 1, 1, 1, 1], 3)
 
 
+def describe(system, pts, row):
+    """How an assembly error names ``row``: index, kind, component, point and face."""
+    point = tuple(pts.lattice[system.row_point[row]].tolist())
+    return (
+        f"row {row} of the system: {system.row_kind[row]} row, "
+        f"component {system.row_component[row]}, point {point}, "
+        f"face {system.row_face[row]}"
+    )
+
+
 class TestPointGeneration:
     def test_1d_greville_16_of_10(self):
         field = build_field(example_1d_dirichlet().geometry, (10,))
@@ -161,7 +171,7 @@ class TestAssembly:
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (16,)))
         system = assemble(prob, field, pts)
         assert system.shape == (16, 10)
-        kinds = [m.kind for m in system.row_meta]
+        kinds = system.row_kind.tolist()
         assert kinds.count("interior") == 14
         assert kinds.count("boundary") == 2
 
@@ -178,7 +188,7 @@ class TestAssembly:
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (7, 7)))
         system = assemble(prob, field, pts)
         assert system.shape == (98, 98)
-        assert sum(m.kind == "constraint" for m in system.row_meta) == 3
+        assert np.count_nonzero(system.row_kind == "constraint") == 3
 
     @pytest.mark.parametrize(
         "factory,n",
@@ -211,21 +221,22 @@ class TestAssembly:
         value = jet.value.reshape(-1, c)
         grad = lattice_push_gradient(inv, jet.grad.reshape(-1, d, c))
         hess = lattice_push_hessian(inv, second, grad, jet.hess.reshape(-1, d, d, c))
-        index = {tuple(p): i for i, p in enumerate(pts.lattice.tolist())}
         kinds = set()
-        for row, meta in enumerate(system.row_meta):
-            i = index[meta.point]
+        provenance = zip(
+            system.row_point, system.row_kind, system.row_component, system.row_face
+        )
+        for row, (i, kind, comp, face) in enumerate(provenance):
             at = slice(i, i + 1)
-            if meta.kind == "interior":
+            if kind == "interior":
                 applied = prob.operator.apply(value[at], grad[at], hess[at])
-            elif meta.kind == "boundary":
-                bc = prob.condition_for_face(meta.face)
+            elif kind == "boundary":
+                bc = prob.condition_for_face(face)
                 normal = boundary_normals(inv[at], bc.axis, bc.side)
                 applied = weight * bc.apply(normal, value[at], grad[at])
                 kinds.add(bc.kind)
             else:
                 applied = weight * value[at]
-            expected = applied[0, meta.component]
+            expected = applied[0, comp]
             got = system.matrix[row] @ coeffs
             assert np.isclose(got, expected, atol=1e-10 * max(1.0, abs(expected)))
         assert kinds == {bc.kind for bc in prob.boundary_conditions}
@@ -253,10 +264,8 @@ class TestAssembly:
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (16,)))
         system = assemble(prob, field, pts)
         kv = field.kvs[0]
-        for row, meta in enumerate(system.row_meta):
-            if meta.kind != "interior":
-                continue
-            span = kv.find_span(meta.point[0])
+        for row in np.flatnonzero(system.row_kind == "interior"):
+            span = kv.find_span(pts.lattice[system.row_point[row], 0])
             block = set(range(span - kv.degree, span + 1))
             nz = set(np.nonzero(system.matrix[row])[0])
             assert nz <= block
@@ -266,7 +275,7 @@ class TestAssembly:
         field = build_field(prob.geometry, (6, 6))
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (8, 8)))
         system = assemble(prob, field, pts)
-        faces = {m.face for m in system.row_meta if m.kind == "boundary"}
+        faces = set(system.row_face[system.row_kind == "boundary"].tolist())
         assert faces == {0, 1, 2, 3}
 
     def test_neumann_row_is_the_end_derivative(self):
@@ -275,8 +284,8 @@ class TestAssembly:
         pts = generate_collocation_points(field.kvs, CollocationScheme("uniform", (10,)))
         system = assemble(prob, field, pts, boundary_weight=1.0)
         row = next(
-            i for i, m in enumerate(system.row_meta)
-            if m.kind == "boundary" and m.point == (1.0,)
+            i for i in np.flatnonzero(system.row_kind == "boundary")
+            if pts.lattice[system.row_point[i]].tolist() == [1.0]
         )
         rng = np.random.default_rng(3)
         coeffs = rng.normal(size=8)
@@ -322,7 +331,7 @@ class TestAssembly:
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (9, 9)))
         system = assemble(prob, field, pts)
         n_interior = np.count_nonzero(~pts.on_boundary)
-        comps = [m.component for m in system.row_meta[: 2 * n_interior]]
+        comps = system.row_component[: 2 * n_interior].tolist()
         assert comps[:6] == [0, 1, 0, 1, 0, 1]
 
     def test_lattice_without_interior_points(self):
@@ -331,8 +340,18 @@ class TestAssembly:
         pts = generate_collocation_points(field.kvs, CollocationScheme("uniform", (2, 2)))
         system = assemble(prob, field, pts)
         assert system.shape == (4, 16)
-        assert [m.kind for m in system.row_meta] == ["boundary"] * 4
+        assert system.row_kind.tolist() == ["boundary"] * 4
         assert np.allclose(system.matrix[:, [0, 3, 12, 15]], np.eye(4))
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, np.nan, np.inf])
+    def test_boundary_weight_must_be_positive_and_finite(self, weight):
+        # A zero weight drops every boundary condition; nan and inf poison
+        # every boundary row.
+        prob = example_2d_annulus()
+        field = build_field(prob.geometry, (6, 6))
+        pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (8, 8)))
+        with pytest.raises(PreconditionError, match=f"boundary_weight.*got {weight!r}"):
+            assemble(prob, field, pts, boundary_weight=weight)
 
     def test_duplicate_point_constraints_rejected(self):
         # Two constraints that pin the same component of the same point
@@ -361,13 +380,11 @@ class TestAssembly:
         prob = replace(base, source=source)
         field = build_field(prob.geometry, (6, 6))
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (8, 8)))
-        meta = assemble(base, field, pts).row_meta
-        first = next(
-            m for m in meta
-            if lattice_pullbacks(prob.geometry, [[u] for u in m.point])[0][0, 0] > 2.0
-        )
-        assert first.kind == "interior" and first != meta[0]
-        with pytest.raises(AssemblyError, match=re.escape(repr(first))):
+        system = assemble(base, field, pts)
+        x = lattice_pullbacks(prob.geometry, pts.axes)[0]
+        first = int(np.argmax(x[system.row_point, 0] > 2.0))
+        assert system.row_kind[first] == "interior" and first != 0
+        with pytest.raises(AssemblyError, match=re.escape(describe(system, pts, first))):
             assemble(prob, field, pts)
 
     def test_non_finite_matrix_entry_names_its_row(self):
@@ -387,8 +404,8 @@ class TestAssembly:
         prob = replace(base, operator=BrokenOperator())
         field = build_field(prob.geometry, (8,))
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (10,)))
-        meta = assemble(base, field, pts, boundary_weight=1.0).row_meta
-        with pytest.raises(AssemblyError, match=re.escape(f"row 3 of the system: {meta[3]!r}")):
+        system = assemble(base, field, pts, boundary_weight=1.0)
+        with pytest.raises(AssemblyError, match=re.escape(describe(system, pts, 3))):
             assemble(prob, field, pts, boundary_weight=1.0)
 
     @pytest.mark.parametrize(
@@ -444,5 +461,10 @@ def test_assembly_matches_per_point_oracle(factory, n, scheme, m, weight):
     assert system.shape == A.shape
     assert np.abs(system.matrix - A).max() <= 1e-12 * np.abs(A).max()
     assert system.csr.nnz == np.count_nonzero(system.matrix)  # no stored zeros
+    assert system.csr.has_canonical_format
     assert np.abs(system.rhs - b).max() <= 1e-12 * max(np.abs(A).max(), np.abs(b).max())
-    assert [(r.point, r.kind, r.component, r.face) for r in system.row_meta] == meta
+    points = map(tuple, pts.lattice[system.row_point].tolist())
+    faces = [None if face < 0 else face for face in system.row_face.tolist()]
+    assert list(zip(
+        points, system.row_kind.tolist(), system.row_component.tolist(), faces
+    )) == meta

@@ -107,7 +107,7 @@ class TestFit:
         solver = CollocationSolver(
             method="igal_fixed", n_per_dir=10, m_per_dir=16, boundary_weight=50.0
         ).fit(prob)
-        bnd = [i for i, m in enumerate(solver.system_.row_meta) if m.kind == "boundary"]
+        bnd = solver.system_.row_kind == "boundary"
         norms = np.linalg.norm(solver.system_.matrix[bnd], axis=1)
         assert np.all(norms > 10.0)  # Dirichlet rows have unit-scale bases
 
