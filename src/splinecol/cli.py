@@ -151,6 +151,9 @@ def cmd_converge(args) -> int:
             {"configs": [c.to_dict() for c in configs], "rows": rows},
         )
     _print_rows(rows)
+    if all(row["error"] for row in rows):
+        print("error: every cell of the sweep failed", file=sys.stderr)
+        return EXIT_OTHER
     return 0
 
 

@@ -324,7 +324,7 @@ def assemble(
 
     # Interior operator rows.
     rows = first_row[: len(inner), None] + np.arange(c)
-    support, val, grad_t, hess_t = field.basis_jets(lattice[inner])
+    support, val, grad_t, hess_t = field.basis_jets(lattice[inner], max_deriv=2)
     grad_x = lattice_push_gradient(inv[inner], grad_t)
     hess_x = lattice_push_hessian(inv[inner], second[inner], grad_x, hess_t)
     cols[rows] = support[:, None]
@@ -342,7 +342,7 @@ def assemble(
         boundary_weight = float(norms.mean()) if len(inner) else 1.0
 
     # Boundary condition rows, one block per owning condition.
-    support, val, grad_t, _ = field.basis_jets(lattice[outer])
+    support, val, grad_t, _ = field.basis_jets(lattice[outer], max_deriv=1)
     inv_b = inv[outer]
     grad_x = lattice_push_gradient(inv_b, grad_t)
     for bc in conds:
@@ -377,7 +377,7 @@ def assemble(
                 f"pin component {comps[i]} of the collocation point "
                 f"{tuple(lattice[nearest[i]].tolist())} (row {rows[i]})"
             )
-        _, val, _, _ = field.basis_jets(lattice[nearest])
+        _, val, _, _ = field.basis_jets(lattice[nearest], max_deriv=0)
         values[rows] = 0.0
         values[rows, :, comps] = boundary_weight * val
         for j, pc in enumerate(pcs):

@@ -178,6 +178,6 @@ class CollocationSolver:
 
 def _values_at(spline, theta) -> np.ndarray:
     """Values (n, components) of a spline at parametric points, from its basis jets."""
-    cols, val, _, _ = spline.basis_jets(theta)
+    cols, val, _, _ = spline.basis_jets(theta, max_deriv=0)
     coeffs = spline.coeffs.reshape(-1, spline.ncomp)
     return np.einsum("nl,nlc->nc", val, coeffs[cols])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularGeometryError
+from .errors import SingularGeometryError, UnsupportedDerivativeError
 from .splines import TensorSpline
 
 DET_TOL = 1e-12
@@ -62,17 +62,23 @@ def _cofactors(jac):
     return a[..., nxt] * b[..., far] - a[..., far] * b[..., nxt]
 
 
-def lattice_pullbacks(geometry: GeometryMap, axes):
+def lattice_pullbacks(geometry: GeometryMap, axes, max_deriv: int = 2):
     """Geometry data on a parameter lattice, flattened to N points in C order.
 
     Returns (points (N, d), jac (N, d, d), inv_jac (N, d, d), det (N,),
-    second (N, d, d, d)). The determinant and inverse are closed form:
-    det J is the cofactor expansion along row 0 and J^{-1} = adj(J) / det J.
-    Raises :class:`SingularGeometryError` naming the first lattice point
-    whose Jacobian is singular, before anything is divided by its
-    determinant.
+    second (N, d, d, d)). ``max_deriv`` is the order the geometry is
+    evaluated to: 2, or 1 for callers that read no second derivatives, in
+    which case ``second`` is None. The determinant and inverse are closed
+    form: det J is the cofactor expansion along row 0 and
+    J^{-1} = adj(J) / det J. Raises :class:`SingularGeometryError` naming
+    the first lattice point whose Jacobian is singular, before anything is
+    divided by its determinant.
     """
-    jet = geometry.spline.evaluate_lattice(axes, max_deriv=2)
+    if max_deriv not in (1, 2):
+        raise UnsupportedDerivativeError(
+            f"pullbacks need the Jacobian and go up to order 2, got {max_deriv!r}"
+        )
+    jet = geometry.spline.evaluate_lattice(axes, max_deriv=max_deriv)
     d = geometry.dim
     pts = jet.value.reshape(-1, d)
     jac = np.swapaxes(jet.grad.reshape(-1, d, d), -1, -2)  # (N, k, a)
@@ -87,7 +93,7 @@ def lattice_pullbacks(geometry: GeometryMap, axes):
             f"geometry Jacobian is singular at theta={theta} (det={det[i]:.3e})"
         )
     inv = np.swapaxes(cof, -1, -2) / det[:, None, None]
-    second = jet.hess.reshape(-1, d, d, d)
+    second = None if jet.hess is None else jet.hess.reshape(-1, d, d, d)
     return pts, jac, inv, det, second
 
 

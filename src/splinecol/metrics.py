@@ -59,7 +59,9 @@ def quadrature_rule(field: TensorSpline, quad_order=None):
 
 def _field_data(problem, field, axes, max_deriv):
     """Physical points, Jacobian weights and pushed field jets on a lattice."""
-    pts, _, inv, det, second = lattice_pullbacks(problem.geometry, axes)
+    pts, _, inv, det, second = lattice_pullbacks(
+        problem.geometry, axes, max_deriv=max(1, max_deriv)
+    )
     jet = field.evaluate_lattice(axes, max_deriv=max_deriv)
     c = field.ncomp
     value = jet.value.reshape(-1, c)

@@ -287,6 +287,12 @@ class BvpDefinition:
                 f"every parametric face must carry exactly one boundary condition; "
                 f"got faces {covered}, expected {expected}"
             )
+        for pc in self.point_constraints:
+            if not 0 <= pc.component < self.field_components:
+                raise PreconditionError(
+                    f"point constraint at theta={pc.theta} pins component "
+                    f"{pc.component}, outside 0..{self.field_components - 1}"
+                )
 
     @property
     def dim(self) -> int:

@@ -178,16 +178,6 @@ class KnotVector:
         span = np.clip(span, self.degree, self.n_basis - 1)
         return int(span) if span.ndim == 0 else span
 
-    def basis_values(self, u, max_deriv: int = 0) -> np.ndarray:
-        """Nonzero basis functions and derivatives at ``u`` (a scalar or an array).
-
-        A scalar gives an array of shape (max_deriv+1, degree+1); an array of
-        parameters prepends its shape. Row 0 sums to 1, higher rows sum to 0.
-        The columns correspond to basis indices span-degree .. span.
-        """
-        _, ders = _local_basis(self, u, max_deriv)
-        return ders.reshape(np.shape(u) + ders.shape[1:])
-
     def greville_abscissae(self) -> np.ndarray:
         """Per-basis averages of degree consecutive knots (collocation sites)."""
         p = self.degree
@@ -370,7 +360,7 @@ class TensorSpline:
             sums = _quotient_rule(num, den)
         return LatticeJet(*_stack_jet(sums, self.dim, max_deriv))
 
-    def basis_jets(self, theta):
+    def basis_jets(self, theta, max_deriv: int = 2):
         """Jets of the nonzero (rational) basis functions at N parameter points.
 
         ``theta`` has shape (N, d). Returns ``(cols, value, grad, hess)``:
@@ -381,16 +371,21 @@ class TensorSpline:
         the value components. These are the functions the unknown
         coefficients multiply, so rows of collocation systems are linear
         combinations of them. Derivatives above a direction's degree are
-        zero.
+        zero. Only the partials up to total order ``max_deriv`` (0 to 2)
+        are computed; ``grad`` and ``hess`` are None above it.
         """
+        if max_deriv not in (0, 1, 2):
+            raise UnsupportedDerivativeError(
+                f"basis jets are supported up to order 2, got {max_deriv!r}"
+            )
         theta = as_points(theta, self.dim)
         n = len(theta)
         cols = np.zeros((n, 1), dtype=np.intp)
         tables = []
         for a, kv in enumerate(self.kvs):
-            order = min(2, kv.degree)
+            order = min(max_deriv, kv.degree)
             spans, ders = _local_basis(kv, theta[:, a], order)
-            tab = np.zeros((3, n, kv.degree + 1))
+            tab = np.zeros((max_deriv + 1, n, kv.degree + 1))
             tab[: order + 1] = np.moveaxis(ders, 1, 0)
             tables.append(tab)
             local = spans[:, None] + np.arange(-kv.degree, 1)
@@ -403,9 +398,10 @@ class TensorSpline:
             return x
 
         w_loc = self.weights.reshape(-1)[cols]
-        num = {alpha: w_loc * outer(alpha) for alpha in _deriv_multi_indices(self.dim, 2)}
+        alphas = _deriv_multi_indices(self.dim, max_deriv)
+        num = {alpha: w_loc * outer(alpha) for alpha in alphas}
         den = {alpha: x.sum(axis=1, keepdims=True) for alpha, x in num.items()}
-        return (cols,) + _stack_jet(_quotient_rule(num, den), self.dim, 2)
+        return (cols,) + _stack_jet(_quotient_rule(num, den), self.dim, max_deriv)
 
     # -- refinement ---------------------------------------------------------
 

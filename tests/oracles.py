@@ -6,9 +6,10 @@ Householder QR, dense LAPACK LU and Cholesky solves, a best-approximation
 fit, per-point spline, pullback and assembly code, LAPACK Jacobian
 determinants and inverses with einsum chain-rule pushes, and single-knot
 insertion. They share no code with the package so they can serve as
-oracles for it. The last section holds two small
-helpers that are built on the package instead: a knot-vector fixture
-builder and the L2 norm under the quadrature of ``error_report``.
+oracles for it. The last section holds three small
+helpers that are built on the package instead: the local basis table of a
+knot vector, a knot-vector fixture builder and the L2 norm under the
+quadrature of ``error_report``.
 """
 
 import itertools
@@ -19,6 +20,7 @@ from scipy.linalg import lapack
 
 from splinecol.geometry import lattice_pullbacks
 from splinecol.metrics import quadrature_rule
+from splinecol.splines import _local_basis
 
 
 def naive_basis(knots, p, i, u):
@@ -566,6 +568,17 @@ def boehm_insert(knots, p, hom, u):
 # ---------------------------------------------------------------------------
 # Helpers built on the package
 # ---------------------------------------------------------------------------
+
+
+def basis_values(kv, u, max_deriv=0):
+    """Nonzero basis functions and derivatives of ``kv`` at ``u`` (a scalar or an array).
+
+    A scalar gives an array of shape (max_deriv+1, degree+1); an array of
+    parameters prepends its shape. The columns correspond to basis indices
+    span-degree .. span.
+    """
+    _, ders = _local_basis(kv, u, max_deriv)
+    return ders.reshape(np.shape(u) + ders.shape[1:])
 
 
 def uniform_refine(kv, count):

@@ -217,6 +217,27 @@ class TestCli:
         assert len(rows) == 4
         assert {r["method"] for r in rows} == {"igac", "igal_variable"}
 
+    @pytest.mark.parametrize(
+        "flags,failed,code",
+        [
+            (["--n-seq", "6", "--n-seq", "8", "--boundary-weight", "0"], 2, cli.EXIT_OTHER),
+            (["--n-seq", "3", "--n-seq", "8"], 1, 0),
+        ],
+    )
+    def test_converge_exits_nonzero_only_when_every_cell_failed(
+        self, tmp_path, capsys, flags, failed, code
+    ):
+        # The rows are printed and written either way; a sweep in which
+        # nothing ran is an error a script can see.
+        out = tmp_path / "conv"
+        argv = ["converge", "--example", "I", "--method", "igac", *flags, "-o", str(out)]
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out.count("FAILED") == failed
+        assert ("every cell of the sweep failed" in captured.err) == (code != 0)
+        with open(f"{out}.csv") as fh:
+            assert sum(bool(r["error"]) for r in csv.DictReader(fh)) == failed
+
     def test_stability_command(self, tmp_path, capsys):
         code = cli.main(["stability", "-o", str(tmp_path / "stab")])
         assert code == 0

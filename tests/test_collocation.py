@@ -367,6 +367,23 @@ class TestAssembly:
         with pytest.raises(AssemblyError, match=r"\(0\.0, 0\.5\) and \(0\.01, 0\.49\)"):
             assemble(prob, field, pts)
 
+    def test_row_blocks_ask_for_the_orders_they_read(self, monkeypatch):
+        # Interior operator rows read second derivatives, traction rows
+        # first derivatives and point constraints values only.
+        prob = example_beam()
+        field = build_field(prob.geometry, (7, 7), components=2)
+        pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (7, 7)))
+        orders = []
+        jets = TensorSpline.basis_jets
+
+        def recording(spline, theta, max_deriv=2):
+            orders.append(max_deriv)
+            return jets(spline, theta, max_deriv)
+
+        monkeypatch.setattr(TensorSpline, "basis_jets", recording)
+        assemble(prob, field, pts)
+        assert orders == [2, 1, 0]
+
     def test_non_finite_rhs_names_its_row(self):
         from dataclasses import replace
 

@@ -15,6 +15,7 @@ from splinecol.problems import (
     example_3d_cube,
     make_example,
 )
+from splinecol.splines import TensorSpline
 
 
 class TestParams:
@@ -149,3 +150,18 @@ class TestFit:
             igal.solve_report_.coefficients - igac.solve_report_.coefficients
         ) / np.linalg.norm(igac.solve_report_.coefficients)
         assert rel < 1e-10
+
+
+def test_predict_and_physical_points_ask_for_values_only(monkeypatch):
+    solver = CollocationSolver(method="igac", n_per_dir=6).fit(make_example("II"))
+    orders = []
+    jets = TensorSpline.basis_jets
+
+    def recording(spline, theta, max_deriv=2):
+        orders.append(max_deriv)
+        return jets(spline, theta, max_deriv)
+
+    monkeypatch.setattr(TensorSpline, "basis_jets", recording)
+    solver.predict([[0.3, 0.7]])
+    solver.physical_points([[0.3, 0.7]])
+    assert orders == [0, 0]

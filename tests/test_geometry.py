@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from batched import value_at
 from oracles import fd_gradient, lapack_det_inv, push_gradient, push_hessian, uniform_refine
-from splinecol.errors import SingularGeometryError
+from splinecol.errors import SingularGeometryError, UnsupportedDerivativeError
 from splinecol.geometry import (
     DET_TOL,
     GeometryMap,
@@ -333,3 +333,33 @@ class TestClosedFormAlgebra:
         message = rf"theta=\({named},?\) \(det=1\.200e-13\)"
         with pytest.raises(SingularGeometryError, match=message):
             lattice_pullbacks(geo, axes)
+
+
+class TestPullbackOrders:
+    @pytest.mark.parametrize("example", sorted(EXAMPLES))
+    def test_first_order_matches_second(self, example):
+        geo = EXAMPLES[example]().geometry
+        rng = np.random.default_rng(12)
+        axes = [
+            np.concatenate([[kv.start, kv.end], rng.uniform(kv.start, kv.end, 5)])
+            for kv in geo.kvs
+        ]
+        full = lattice_pullbacks(geo, axes)
+        first = lattice_pullbacks(geo, axes, max_deriv=1)
+        for got, want in zip(first[:4], full[:4]):
+            assert np.array_equal(got, want)
+        assert first[4] is None and full[4] is not None
+
+    def test_first_order_still_checks_singular_points(self):
+        # x_0 = theta_0^3, x_1 = theta_1: det J = 3 theta_0^2 vanishes at 0.
+        g = CUBIC.greville_abscissae()
+        coeffs = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1)
+        coeffs[..., 0] = np.array([0.0, 0.0, 0.0, 1.0])[:, None]
+        geo = GeometryMap(TensorSpline.polynomial((CUBIC, CUBIC), coeffs))
+        with pytest.raises(SingularGeometryError, match=r"theta=\(0\.0, 0\.25\)"):
+            lattice_pullbacks(geo, [[0.5, 0.0], [0.25]], max_deriv=1)
+
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_order_outside_1_to_2_rejected(self, order):
+        with pytest.raises(UnsupportedDerivativeError, match=f"got {order}"):
+            lattice_pullbacks(curve_unit_interval(), [[0.5]], max_deriv=order)

@@ -195,9 +195,9 @@ class TestSinglePass:
         pullbacks = metrics.lattice_pullbacks
         evaluate = type(field).evaluate_lattice
 
-        def counting_pullbacks(geometry, axes):
+        def counting_pullbacks(geometry, axes, max_deriv=2):
             lattices.append(tuple(len(a) for a in axes))
-            return pullbacks(geometry, axes)
+            return pullbacks(geometry, axes, max_deriv)
 
         def counting_evaluate(spline, axes, max_deriv=0):
             if spline is field:
@@ -212,6 +212,25 @@ class TestSinglePass:
         assert sorted(lattices) == sorted([quad_lattice, (11, 13)])
         assert sorted(evaluations) == sorted(lattices)
         assert report.e_DT is not None
+
+    @pytest.mark.parametrize("factory", [example_2d_annulus, example_beam])
+    def test_pullback_orders(self, monkeypatch, factory):
+        # The samples read at most gradients (the beam's stresses); only the
+        # quadrature lattice needs geometry second derivatives, for e_DT.
+        prob = factory()
+        field = CollocationSolver(method="igac", n_per_dir=7).fit(prob).field_
+        calls = []
+        pullbacks = metrics.lattice_pullbacks
+
+        def recording(geometry, axes, max_deriv=2):
+            calls.append((tuple(len(a) for a in axes), max_deriv))
+            return pullbacks(geometry, axes, max_deriv)
+
+        monkeypatch.setattr(metrics, "lattice_pullbacks", recording)
+        error_report(prob, field, sample_counts=(11, 13))
+        quad_axes, _, _ = metrics.quadrature_rule(field)
+        quad_lattice = tuple(len(a) for a in quad_axes)
+        assert sorted(calls) == sorted([((11, 13), 1), (quad_lattice, 2)])
 
     def test_missing_analytic_solution_is_undefined(self):
         prob = example_1d_dirichlet()

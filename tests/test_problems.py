@@ -17,6 +17,7 @@ from splinecol.problems import (
     BvpDefinition,
     DirichletBC,
     MaterialParams,
+    PointConstraint,
     ScreenedPoissonOperator,
     beam_displacements,
     beam_stresses,
@@ -343,6 +344,17 @@ class TestManufacturedClosure:
                 analytic_solution=base.analytic_solution,
                 quantities=base.quantities,
             )
+
+
+    @pytest.mark.parametrize("component", [1, -1])
+    def test_point_constraint_component_out_of_range(self, component):
+        # Example I has one field component; any other pin would index past
+        # its row or into a neighbouring point's row.
+        zero = lambda x: np.zeros((len(x), 1))
+        pin = PointConstraint(theta=(0.5,), component=component, value=zero)
+        match = rf"theta=\(0\.5,\) pins component {component}, outside 0\.\.0"
+        with pytest.raises(PreconditionError, match=match):
+            replace(example_1d_dirichlet(), point_constraints=(pin,))
 
 
 def _traction_of(material, grad, normal):

@@ -6,17 +6,20 @@ import pytest
 from batched import jets_at, value_at, values_at
 from oracles import (
     all_basis_derivs,
+    basis_values,
     fd_gradient,
     fd_hessian,
     point_basis_jets,
     point_jet,
     uniform_refine,
 )
+from splinecol.collocation import build_field
 from splinecol.errors import (
     DomainError,
     InvalidRefinementError,
     UnsupportedDerivativeError,
 )
+from splinecol.problems import EXAMPLES
 from splinecol.splines import KnotVector, TensorSpline
 
 CUBIC = KnotVector([0, 0, 0, 0, 1, 1, 1, 1], 3)
@@ -63,7 +66,7 @@ class TestKnotVector:
 
 class TestBasisValues:
     def test_bernstein_midpoint(self):
-        vals = CUBIC.basis_values(0.5)[0]
+        vals = basis_values(CUBIC, 0.5)[0]
         assert np.allclose(vals, [0.125, 0.375, 0.375, 0.125], atol=1e-15)
 
     def test_against_recursive_oracle(self):
@@ -73,7 +76,7 @@ class TestBasisValues:
             1: [-1.5, -0.375, 1.5, 0.375],
             2: [12.0, -15.0, 0.0, 3.0],
         }
-        ders = CUBIC5.basis_values(0.25, 2)
+        ders = basis_values(CUBIC5, 0.25, 2)
         for k, row in expected.items():
             assert np.allclose(ders[k], row, atol=1e-12)
 
@@ -84,7 +87,7 @@ class TestBasisValues:
             for u in rng.uniform(0.01, 0.99, 5):
                 span = kv.find_span(u)
                 kmax = min(2, kv.degree)
-                ders = kv.basis_values(u, kmax)
+                ders = basis_values(kv, u, kmax)
                 for k in range(kmax + 1):
                     full = np.zeros(kv.n_basis)
                     full[span - kv.degree : span + 1] = ders[k]
@@ -96,14 +99,14 @@ class TestBasisValues:
         rng = np.random.default_rng(3)
         kv = random_knot_vector(rng)
         for u in rng.uniform(0, 1, 1000):
-            ders = kv.basis_values(u, min(2, kv.degree))
+            ders = basis_values(kv, u, min(2, kv.degree))
             assert abs(ders[0].sum() - 1.0) < 1e-12
             for k in range(1, ders.shape[0]):
                 assert abs(ders[k].sum()) < 1e-9
 
     def test_derivative_order_above_degree(self):
         with pytest.raises(UnsupportedDerivativeError):
-            CUBIC.basis_values(0.5, 4)
+            basis_values(CUBIC, 0.5, 4)
 
     def test_local_support_exact_zero(self):
         # A basis function evaluated outside its support block is exactly 0.
@@ -124,15 +127,15 @@ class TestBasisValues:
         kv = random_knot_vector(rng)
         us = rng.uniform(0, 1, 40)
         spans = kv.find_span(us)
-        ders = kv.basis_values(us, min(2, kv.degree))
+        ders = basis_values(kv, us, min(2, kv.degree))
         assert ders.shape == (40, min(2, kv.degree) + 1, kv.degree + 1)
         for j, u in enumerate(us):
             assert spans[j] == kv.find_span(u)
-            assert np.array_equal(ders[j], kv.basis_values(u, min(2, kv.degree)))
+            assert np.array_equal(ders[j], basis_values(kv, u, min(2, kv.degree)))
 
     def test_domain_error_names_first_bad_parameter(self):
         with pytest.raises(DomainError, match="parameter 1.5 outside"):
-            CUBIC.basis_values(np.array([0.2, 1.5, -2.0, 0.7]))
+            basis_values(CUBIC, np.array([0.2, 1.5, -2.0, 0.7]))
         with pytest.raises(DomainError, match="parameter nan outside"):
             CUBIC.find_span(np.array([0.2, np.nan]))
 
@@ -228,7 +231,7 @@ class TestTensorSpline:
         # Bezier cubic with coefficients (0,0,0,1) is exactly u^3.
         assert abs(value_at(curve, [0.3])[0] - 0.027) < 1e-14
         assert abs(curve.evaluate_lattice([[0.3]], max_deriv=3).value[0, 0] - 0.027) < 1e-14
-        third = CUBIC.basis_values(0.3, 3)[3] @ curve.coeffs[:, 0]
+        third = basis_values(CUBIC, 0.3, 3)[3] @ curve.coeffs[:, 0]
         assert abs(third - 6.0) < 1e-11
 
     def test_rational_derivatives_vs_fd(self):
@@ -293,6 +296,42 @@ class TestTensorSpline:
         assert np.allclose(np.sum(val * [[0, 2], [2, 3]], axis=1), [1.0, 2.5])
         assert np.allclose(np.sum(grad[:, 0] * [[0, 2], [2, 3]], axis=1), [4.0, 2.0])
         assert np.all(hess == 0.0)
+
+
+class TestBasisJetOrders:
+    @pytest.mark.parametrize("part", ["geometry", "field"])
+    @pytest.mark.parametrize("example", sorted(EXAMPLES))
+    def test_lower_orders_match_the_full_jet(self, example, part):
+        # The geometries and refined fields of examples I-V: d = 1..3,
+        # rational (II) and polynomial, scalar and two-component.
+        prob = EXAMPLES[example]()
+        spline = prob.geometry.spline
+        if part == "field":
+            counts = [kv.n_basis + 3 for kv in spline.kvs]
+            spline = build_field(
+                prob.geometry, counts, prob.field_components, prob.operator.order
+            )
+        rng = np.random.default_rng(8)
+        lo = [kv.start for kv in spline.kvs]
+        hi = [kv.end for kv in spline.kvs]
+        theta = np.concatenate([[lo, hi], rng.uniform(lo, hi, (30, spline.dim))])
+        cols, value, grad, hess = spline.basis_jets(theta, 2)
+        assert grad is not None and hess is not None
+        first = spline.basis_jets(theta, 1)
+        assert np.array_equal(first[0], cols)
+        assert np.array_equal(first[1], value)
+        assert np.array_equal(first[2], grad)
+        assert first[3] is None
+        values = spline.basis_jets(theta, 0)
+        assert np.array_equal(values[0], cols)
+        assert np.array_equal(values[1], value)
+        assert values[2] is None and values[3] is None
+
+    @pytest.mark.parametrize("order", [-1, 3])
+    def test_order_outside_0_to_2_rejected(self, order):
+        curve = TensorSpline.polynomial((CUBIC,), CUBIC.greville_abscissae())
+        with pytest.raises(UnsupportedDerivativeError, match=f"got {order}"):
+            curve.basis_jets([0.5], order)
 
 
 class TestKnotInsertion:
