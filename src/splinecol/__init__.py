@@ -10,7 +10,6 @@ manufactured-solution benchmarks with error metrics and a CLI harness.
 from .collocation import (
     CollocationScheme,
     CollocationSet,
-    CollocationSystem,
     assemble,
     build_field,
     build_field_from_knots,
@@ -37,25 +36,9 @@ from .errors import (
 )
 from .estimator import CollocationSolver
 from .geometry import GeometryMap
-from .metrics import ErrorReport, absolute_error_field, error_report
-from .problems import (
-    STABILITY_KNOTS,
-    BvpDefinition,
-    MaterialParams,
-    example_1d_dirichlet,
-    example_1d_mixed,
-    example_2d_annulus,
-    example_3d_cube,
-    example_beam,
-    make_example,
-)
-from .solvers import (
-    CostModel,
-    SolveReport,
-    flop_cost_model,
-    solve_normal_equations,
-    solve_square,
-)
+from .metrics import absolute_error_field, error_report
+from .problems import STABILITY_KNOTS, BvpDefinition, MaterialParams, make_example
+from .solvers import flop_cost_model, solve_normal_equations, solve_square
 from .splines import KnotVector, TensorSpline
 
 __version__ = "0.1.0"
@@ -67,11 +50,8 @@ __all__ = [
     "CollocationScheme",
     "CollocationSet",
     "CollocationSolver",
-    "CollocationSystem",
     "ConfigError",
-    "CostModel",
     "DomainError",
-    "ErrorReport",
     "ExperimentConfig",
     "GeometryMap",
     "InvalidRefinementError",
@@ -83,7 +63,6 @@ __all__ = [
     "STABILITY_KNOTS",
     "SingularGeometryError",
     "SingularSystemError",
-    "SolveReport",
     "SplineColError",
     "TensorSpline",
     "UndefinedMetricError",
@@ -96,11 +75,6 @@ __all__ = [
     "collocation_knot_vector",
     "empty_cells",
     "error_report",
-    "example_1d_dirichlet",
-    "example_1d_mixed",
-    "example_2d_annulus",
-    "example_3d_cube",
-    "example_beam",
     "flop_cost_model",
     "generate_collocation_points",
     "make_example",

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
+
+from .errors import PreconditionError
 
 
 def as_float_array(values, name, ndim=None):
@@ -27,9 +31,27 @@ def as_points(theta, dim):
     return arr
 
 
+def whole_number(value, name, minimum=None, error=PreconditionError):
+    """``value`` as an int, if it is a whole number (and >= ``minimum``, if given)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and float(value).is_integer() and (minimum is None or value >= minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def whole_counts(value, name, minimum=None, error=PreconditionError):
+    """A count or a sequence of counts as a tuple of ints (see :func:`whole_number`)."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)):
+        value = [value]
+    return tuple(whole_number(v, name, minimum, error) for v in value)
+
+
 def per_direction(value, dim, name):
     """One integer count per direction; a single count applies to every direction."""
-    counts = tuple(int(c) for c in np.atleast_1d(value))
+    counts = whole_counts(value, name)
     if len(counts) == 1:
         counts *= dim
     if len(counts) != dim:

@@ -1,13 +1,15 @@
-"""Benchmark harness: single solves, convergence sweeps, stability study.
+"""Benchmark harness: one runner for single solves, sweeps and the stability study.
 
-Every run produces rows with a fixed column set suitable for plotting;
-rows serialize to CSV (one row per reported quantity) and the full
-reports to JSON. Row order and float formatting are deterministic so
-identical configurations reproduce byte-identical files.
+A cell is one concrete configuration of the pipeline (fixed counts, plus
+explicit interior knots for the stability study). Every run command expands
+to a list of cells, runs them through :func:`run_cells` and writes one CSV
+(one row per reported quantity) and one JSON file. Row order and float
+formatting are deterministic so identical configurations reproduce
+byte-identical files.
 
-The environment variable ``SPLINECOL_JOBS`` controls how many convergence
-cells run in parallel (unset or 1 = serial, 0 = one per CPU); any other
-value that is not a positive integer raises :class:`ConfigError`.
+The environment variable ``SPLINECOL_JOBS`` controls how many cells run in
+parallel (unset or 1 = serial, 0 = one per CPU); any other value that is
+not a positive integer raises :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .config import ExperimentConfig
 from .errors import ConfigError, SplineColError
@@ -48,196 +49,172 @@ CSV_COLUMNS = (
 STABILITY_THRESHOLD = 10.0
 
 
+@dataclass(frozen=True)
+class Cell:
+    """One concrete run: counts fixed (no sequences), optional interior knots."""
+
+    config: ExperimentConfig
+    interior_knots: tuple | None = None
+
+
+@dataclass(frozen=True)
+class CellResult:
+    """The rows of one cell, its report and solver summary, or its error."""
+
+    cell: Cell
+    rows: list
+    report: dict | None = None
+    solver: dict | None = None
+    error: SplineColError | None = None
+
+    def to_dict(self) -> dict:
+        knots = self.cell.interior_knots
+        return {
+            "config": self.cell.config.to_dict(),
+            "interior_knots": None if knots is None else list(knots),
+            "report": self.report,
+            "solver": self.solver,
+        }
+
+
+def sweep_cells(config: ExperimentConfig) -> list[Cell]:
+    """One cell per ``m_seq`` or ``n_seq`` step, else the configuration itself."""
+    if config.n is None and not config.n_seq:
+        raise ConfigError(f"method {config.method!r} needs control counts n")
+    if config.m_seq:
+        return [Cell(replace(config, m=m, m_seq=())) for m in config.m_seq]
+    if config.n_seq:
+        return [Cell(replace(config, n=n, n_seq=())) for n in config.n_seq]
+    return [Cell(config)]
+
+
+def stability_cells(config: ExperimentConfig) -> list[Cell]:
+    """The 1D stability experiment: interpolatory vs least-squares collocation.
+
+    The mixed-boundary example V on the non-uniform stability knots, with
+    m = n (igac) and with the configuration's m points (igal_fixed), each
+    at uniform and Greville points.
+    """
+    return [
+        Cell(
+            replace(config, example="V", method=method, scheme=scheme, n=None,
+                    m=config.m if method == "igal_fixed" else None),
+            STABILITY_KNOTS,
+        )
+        for method in ("igac", "igal_fixed")
+        for scheme in ("uniform", "greville")
+    ]
+
+
+def _counts_label(counts):
+    return None if counts is None else "x".join(str(c) for c in counts)
+
+
+def solve_cell(cell: Cell) -> CellResult:
+    """Run one cell; a library error fails the cell and is kept on its result."""
+    config = cell.config
+    problem = make_example(config.example)
+    solver = CollocationSolver(
+        method=config.method,
+        n_per_dir=config.n,
+        m_per_dir=config.m,
+        scheme=config.scheme,
+        boundary_weight=config.boundary_weight,
+        interior_knots=cell.interior_knots,
+    )
+    base = dict.fromkeys(CSV_COLUMNS)
+    base.update(
+        example=config.example,
+        method=config.method,
+        scheme=config.scheme,
+        n_per_dir=_counts_label(config.n),
+        m_per_dir=_counts_label(config.m),
+    )
+    start = time.perf_counter()
+    try:
+        solver.fit(problem)
+        report = error_report(problem, solver.field_, quad_order=config.quad_order)
+    except SplineColError as exc:
+        row = dict(
+            base,
+            seconds=time.perf_counter() - start,
+            stable=False,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+        return CellResult(cell, [row], error=exc)
+    elapsed = time.perf_counter() - start
+    solve = solver.solve_report_
+    base["n_per_dir"] = _counts_label(kv.n_basis for kv in solver.field_.kvs)
+    base["m_per_dir"] = _counts_label(len(a) for a in solver.points_.axes)
+    rows = [
+        dict(
+            base,
+            quantity=q.name,
+            e_T=q.relative,
+            e_DT=report.e_DT,
+            max_abs=q.max_abs,
+            flops=solve.flop_estimate,
+            seconds=elapsed,
+            stable=q.relative <= STABILITY_THRESHOLD,
+        )
+        for q in report.quantities
+    ]
+    solver_summary = {
+        "method": solve.method,
+        "residual_norm": solve.residual_norm,
+        "flop_estimate": solve.flop_estimate,
+        "condition_estimate": solve.condition_estimate,
+    }
+    return CellResult(cell, rows, report.to_dict(), solver_summary)
+
+
+def run_cells(cells, output=None, summary=False):
+    """Run ``cells`` in order, serially or on ``SPLINECOL_JOBS`` workers.
+
+    Returns the results and the JSON payload; with ``output`` set, writes
+    the rows to ``<output>.csv`` and the payload to ``<output>.json``. The
+    payload holds every cell (``cells``: its configuration, interior knots,
+    error report and solver summary; the last two None when it failed) and
+    every row (``rows``). With ``summary``, it also maps each cell that ran
+    to its e_T and stability flag under ``"<method>_<scheme>"``.
+    """
+    jobs = _parallel_jobs()
+    if jobs > 1 and len(cells) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+            results = list(pool.map(solve_cell, cells))
+    else:
+        results = [solve_cell(cell) for cell in cells]
+    rows = [row for result in results for row in result.rows]
+    payload = {"cells": [result.to_dict() for result in results], "rows": rows}
+    if summary:
+        payload["summary"] = {
+            f"{row['method']}_{row['scheme']}": {"e_T": row["e_T"], "stable": row["stable"]}
+            for row in rows
+            if not row["error"]
+        }
+    if output:
+        write_outputs(output, payload)
+    return results, payload
+
+
+def write_outputs(stem, payload):
+    """``payload["rows"]`` to ``<stem>.csv`` and ``payload`` to ``<stem>.json``."""
+    with open(f"{stem}.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer.writeheader()
+        for row in payload["rows"]:
+            writer.writerow({k: _fmt(row[k]) for k in CSV_COLUMNS})
+    with open(f"{stem}.json", "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _fmt(value):
     if value is None:
         return ""
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def write_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row.get(k)) for k in CSV_COLUMNS})
-
-
-def write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _counts_label(counts):
-    return "x".join(str(c) for c in counts)
-
-
-def solve_cell(config: ExperimentConfig, n=None, m=None, interior_knots=None):
-    """Run one (n, m) cell of the pipeline and report rows + diagnostics."""
-    problem = make_example(config.example)
-    dim = problem.dim
-    n = n if n is not None else config.n
-    m = m if m is not None else config.m
-    solver = CollocationSolver(
-        method=config.method,
-        n_per_dir=n,
-        m_per_dir=m,
-        scheme=config.scheme,
-        boundary_weight=config.boundary_weight,
-        interior_knots=interior_knots,
-    )
-    start = time.perf_counter()
-    rows = []
-    base = {
-        "example": config.example,
-        "method": config.method,
-        "scheme": config.scheme,
-        "n_per_dir": None if n is None else _counts_label(np.atleast_1d(n)),
-        "m_per_dir": None if m is None else _counts_label(np.atleast_1d(m)),
-    }
-    try:
-        solver.fit(problem)
-        report = error_report(problem, solver.field_, quad_order=config.quad_order)
-        elapsed = time.perf_counter() - start
-        n_dirs = tuple(kv.n_basis for kv in solver.field_.kvs)
-        m_dirs = tuple(len(a) for a in solver.points_.axes)
-        base["n_per_dir"] = _counts_label(n_dirs)
-        base["m_per_dir"] = _counts_label(m_dirs)
-        for q in report.quantities:
-            rows.append(
-                dict(
-                    base,
-                    quantity=q.name,
-                    e_T=q.relative,
-                    e_DT=report.e_DT,
-                    max_abs=q.max_abs,
-                    flops=solver.solve_report_.flop_estimate,
-                    seconds=elapsed,
-                    stable=q.relative <= STABILITY_THRESHOLD,
-                    error=None,
-                )
-            )
-        return rows, report, solver.solve_report_
-    except SplineColError as exc:
-        elapsed = time.perf_counter() - start
-        rows.append(
-            dict(
-                base,
-                quantity=None,
-                e_T=None,
-                e_DT=None,
-                max_abs=None,
-                flops=None,
-                seconds=elapsed,
-                stable=False,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        )
-        return rows, None, None
-
-
-def _require_counts(config: ExperimentConfig):
-    if config.n is None and not config.n_seq:
-        raise ConfigError(f"method {config.method!r} needs control counts n")
-
-
-def run_solve(config: ExperimentConfig):
-    """Full pipeline for a single configuration; writes CSV + JSON reports."""
-    _require_counts(config)
-    rows, report, solve_report = solve_cell(config)
-    if report is None:
-        raise SplineColError(rows[0]["error"])
-    payload = {
-        "config": config.to_dict(),
-        "report": report.to_dict(),
-        "solver": {
-            "method": solve_report.method,
-            "residual_norm": solve_report.residual_norm,
-            "flop_estimate": solve_report.flop_estimate,
-            "condition_estimate": solve_report.condition_estimate,
-        },
-        "rows": rows,
-    }
-    _write_outputs(config, rows, payload)
-    return rows, report, solve_report
-
-
-def _convergence_cells(config: ExperimentConfig):
-    cells = []
-    if config.m_seq:
-        for m in config.m_seq:
-            cells.append({"n": config.n, "m": m})
-    elif config.n_seq:
-        for n in config.n_seq:
-            cells.append({"n": n, "m": None})
-    else:
-        cells.append({"n": config.n, "m": config.m})
-    return cells
-
-
-def _run_cell_task(args):
-    config_dict, cell = args
-    config = ExperimentConfig.from_dict(config_dict)
-    rows, _, _ = solve_cell(config, n=cell["n"], m=cell["m"])
-    return rows
-
-
-def run_convergence(config: ExperimentConfig):
-    """One row group per (n, m) cell, in configuration order.
-
-    A failing cell annotates its row and the sweep continues.
-    """
-    _require_counts(config)
-    cells = _convergence_cells(config)
-    jobs = _parallel_jobs()
-    if jobs > 1 and len(cells) > 1:
-        args = [(config.to_dict(), cell) for cell in cells]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(_run_cell_task, args))
-    else:
-        groups = [solve_cell(config, n=cell["n"], m=cell["m"])[0] for cell in cells]
-    rows = [row for group in groups for row in group]
-    payload = {"config": config.to_dict(), "rows": rows}
-    _write_outputs(config, rows, payload)
-    return rows
-
-
-def run_stability(config: ExperimentConfig):
-    """The 1D stability experiment: interpolatory vs least-squares collocation.
-
-    Solves the mixed-boundary problem on the non-uniform knot vector with
-    both point layouts, interpolatory (m = n) and least-squares (m points),
-    and flags each run stable or unstable.
-    """
-    if config.example != "V":
-        raise SplineColError("the stability experiment is defined for example V")
-    m = config.m or (16,)
-    rows = []
-    summary = {}
-    for method, m_counts in (("igac", None), ("igal_fixed", m)):
-        for scheme in ("uniform", "greville"):
-            cell_cfg = ExperimentConfig(
-                example="V",
-                method=method,
-                scheme=scheme,
-                m=m_counts,
-                quad_order=config.quad_order,
-                boundary_weight=config.boundary_weight,
-            )
-            cell_rows, report, _ = solve_cell(
-                cell_cfg, interior_knots=STABILITY_KNOTS
-            )
-            rows.extend(cell_rows)
-            e_t = report.e_T if report is not None else float("inf")
-            summary[f"{method}_{scheme}"] = {
-                "e_T": e_t,
-                "stable": bool(e_t <= STABILITY_THRESHOLD),
-            }
-    payload = {"config": config.to_dict(), "summary": summary, "rows": rows}
-    _write_outputs(config, rows, payload)
-    return rows, summary
 
 
 def cost_model_rows(dimension, degree, n, m, kind="scalar", bracketed=False):
@@ -268,10 +245,3 @@ def _parallel_jobs() -> int:
     if jobs == 0:
         return os.cpu_count() or 1
     return jobs
-
-
-def _write_outputs(config: ExperimentConfig, rows, payload):
-    if not config.output:
-        return
-    write_csv(f"{config.output}.csv", rows)
-    write_json(f"{config.output}.json", payload)

@@ -7,7 +7,7 @@ configuration fields; ``--config`` loads a JSON file with the same keys
 and explicit flags override it.
 
 Exit codes: 0 success, 2 configuration error, 3 assembly error, 4 solver
-error, 1 any other library failure.
+error, 1 any other library failure or a sweep in which no cell ran.
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import (
-    cost_model_rows,
-    run_convergence,
-    run_solve,
-    run_stability,
-    write_csv,
-    write_json,
-)
+from .bench import cost_model_rows, run_cells, stability_cells, sweep_cells
 from .collocation import SCHEME_KINDS
 from .config import EXAMPLE_IDS, ExperimentConfig, read_config_file
 from .errors import (
@@ -77,7 +70,8 @@ def _add_problem_options(parser, include_method=True):
 def _merge_config(args, defaults=None, fixed=(), **extra) -> ExperimentConfig:
     """Configuration from ``defaults``, then the ``--config`` file, then the flags.
 
-    File keys listed in ``fixed`` are rejected; ``extra`` overrides everything.
+    File keys listed in ``fixed`` are rejected; ``extra`` values that are not
+    None override everything.
     """
     data = dict(defaults or {})
     if args.config:
@@ -88,21 +82,21 @@ def _merge_config(args, defaults=None, fixed=(), **extra) -> ExperimentConfig:
                     f"{args.config} sets {key!r}, which this command fixes"
                 )
         data.update(loaded)
-    for key in ("example", "method", "scheme", "n", "m", "quad_order",
-                "boundary_weight", "output"):
+    for key in ("example", "method", "scheme", "n", "m", "n_seq", "m_seq",
+                "quad_order", "boundary_weight", "output"):
         value = getattr(args, key, None)
         if value is not None:
             data[key] = list(value) if isinstance(value, tuple) else value
-    data.update(extra)
+    data.update({key: value for key, value in extra.items() if value is not None})
     return ExperimentConfig.from_dict(data)
 
 
 def _print_rows(rows):
     for row in rows:
-        if row.get("error"):
+        if row["error"]:
             print(
-                f"{row['example']} {row['method']:<13} n={row['n_per_dir']} "
-                f"m={row['m_per_dir']} FAILED: {row['error']}"
+                f"{row['example']} {row['method']:<13} {row['scheme']:<8} "
+                f"n={row['n_per_dir']} m={row['m_per_dir']} FAILED: {row['error']}"
             )
             continue
         e_dt = "" if row["e_DT"] is None else f" e_DT={row['e_DT']:.4g}"
@@ -115,59 +109,55 @@ def _print_rows(rows):
         )
 
 
+def _run(cells, output, reraise=False, summary=False):
+    """Run, write and print ``cells``; then the one exit rule of every run command.
+
+    Exit 1 when every cell failed, else 0. With ``reraise`` (``solve``, one
+    cell), the failed cell's own exception propagates instead, so that its
+    typed exit code applies.
+    """
+    results, payload = run_cells(cells, output, summary)
+    _print_rows(payload["rows"])
+    for name, info in payload.get("summary", {}).items():
+        state = "stable" if info["stable"] else "UNSTABLE"
+        print(f"{name:<22} e_T={info['e_T']:.4g}  {state}")
+    if output:
+        print(f"wrote {output}.csv and {output}.json")
+    errors = [result.error for result in results if result.error is not None]
+    if len(errors) < len(results):
+        return results, 0
+    if reraise:
+        raise errors[0]
+    print("error: every cell of the sweep failed", file=sys.stderr)
+    return results, EXIT_OTHER
+
+
 def cmd_solve(args) -> int:
     config = _merge_config(args)
-    rows, report, solve_report = run_solve(config)
-    _print_rows(rows)
+    ([result], code) = _run(sweep_cells(config), config.output, reraise=True)
+    solver = result.solver
     print(
-        f"solver {solve_report.method}: residual={solve_report.residual_norm:.3e} "
-        f"flops={solve_report.flop_estimate:.3g} "
-        f"cond~{solve_report.condition_estimate:.2e}"
+        f"solver {solver['method']}: residual={solver['residual_norm']:.3e} "
+        f"flops={solver['flop_estimate']:.3g} cond~{solver['condition_estimate']:.2e}"
     )
-    if config.output:
-        print(f"wrote {config.output}.csv and {config.output}.json")
-    return 0
+    return code
 
 
 def cmd_converge(args) -> int:
-    extra = {}
-    if args.n_seq:
-        extra["n_seq"] = [list(v) for v in args.n_seq]
-    if args.m_seq:
-        extra["m_seq"] = [list(v) for v in args.m_seq]
-    methods = args.methods or ["igac"]
-    rows = []
-    configs = []
-    for method in methods:
-        # Each method sweeps the same sequences; the combined rows land in
-        # one output file in method-major, sequence-minor order.
-        config = _merge_config(args, method=method, output=None, **extra)
-        configs.append(config)
-        rows.extend(run_convergence(config))
-    if args.output:
-        write_csv(f"{args.output}.csv", rows)
-        write_json(
-            f"{args.output}.json",
-            {"configs": [c.to_dict() for c in configs], "rows": rows},
-        )
-    _print_rows(rows)
-    if all(row["error"] for row in rows):
-        print("error: every cell of the sweep failed", file=sys.stderr)
-        return EXIT_OTHER
-    return 0
+    # Each method sweeps the same sequences; the cells run as one list, in
+    # method-major, sequence-minor order.
+    configs = [_merge_config(args, method=method) for method in args.methods or [None]]
+    cells = [cell for config in configs for cell in sweep_cells(config)]
+    return _run(cells, configs[0].output)[1]
 
 
 def cmd_stability(args) -> int:
     config = _merge_config(
-        args, defaults={"m": [16]}, fixed=("example", "method", "scheme", "n"),
+        args, defaults={"m": [16]},
+        fixed=("example", "method", "scheme", "n", "n_seq", "m_seq"),
         example="V", method="igal_fixed",
     )
-    rows, summary = run_stability(config)
-    _print_rows(rows)
-    for name, info in summary.items():
-        state = "stable" if info["stable"] else "UNSTABLE"
-        print(f"{name:<22} e_T={info['e_T']:.4g}  {state}")
-    return 0
+    return _run(stability_cells(config), config.output, summary=True)[1]
 
 
 def cmd_cost_model(args) -> int:
@@ -201,11 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="repeatable; each method is swept over the same sequences",
     )
     p.add_argument(
-        "--n-seq", type=_counts, action="append", default=[],
+        "--n-seq", type=_counts, action="append",
         help="repeatable control-count step, e.g. --n-seq 6 --n-seq 8",
     )
     p.add_argument(
-        "--m-seq", type=_counts, action="append", default=[],
+        "--m-seq", type=_counts, action="append",
         help="repeatable collocation-count step (requires fixed -n)",
     )
     p.set_defaults(func=cmd_converge)
@@ -245,7 +235,7 @@ def main(argv=None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except SplineColError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_OTHER
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._validation import per_direction
+from ._validation import per_direction, whole_counts
 from .errors import (
     AssemblyError,
     InvalidSchemeError,
@@ -49,7 +49,7 @@ class CollocationScheme:
             raise InvalidSchemeError(
                 f"unknown scheme kind {self.kind!r}; expected one of {SCHEME_KINDS}"
             )
-        counts = tuple(int(c) for c in np.atleast_1d(self.counts))
+        counts = whole_counts(self.counts, "counts")
         if any(c < 2 for c in counts):
             raise InvalidSchemeError("need at least 2 collocation points per direction")
         object.__setattr__(self, "counts", counts)

@@ -3,32 +3,19 @@
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass, fields
 
+from ._validation import whole_counts, whole_number
 from .collocation import SCHEME_KINDS
 from .errors import ConfigError
 from .estimator import METHODS
+from .problems import EXAMPLES
 
-EXAMPLE_IDS = ("I", "II", "III", "IV", "V")
-
-
-def _integer(value, name, minimum):
-    """``value`` as an int, if it is a whole number >= ``minimum``."""
-    whole = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (whole and float(value).is_integer() and value >= minimum):
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+EXAMPLE_IDS = tuple(EXAMPLES)
 
 
 def _counts(value, name):
-    if value is None:
-        return None
-    if isinstance(value, numbers.Real):
-        value = (value,)
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{name} must be an integer or a list of integers")
-    return tuple(_integer(v, name, 2) for v in value)
+    return None if value is None else whole_counts(value, name, 2, ConfigError)
 
 
 def read_config_file(path) -> dict:
@@ -85,7 +72,8 @@ class ExperimentConfig:
             self, "m_seq", tuple(_counts(v, "m_seq entry") for v in self.m_seq)
         )
         if self.quad_order is not None:
-            object.__setattr__(self, "quad_order", _integer(self.quad_order, "quad_order", 1))
+            quad_order = whole_number(self.quad_order, "quad_order", 1, ConfigError)
+            object.__setattr__(self, "quad_order", quad_order)
         if self.boundary_weight != "auto":
             try:
                 object.__setattr__(self, "boundary_weight", float(self.boundary_weight))
@@ -93,7 +81,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     "boundary_weight must be a number or 'auto'"
                 ) from None
-        if self.method == "igac" and self.m is not None and self.m != self.n:
+        if self.method == "igac" and (self.m_seq or self.m not in (None, self.n)):
             raise ConfigError("igac collocates at exactly n points; omit m")
         if self.method == "igal_variable" and (self.m is not None or self.m_seq):
             raise ConfigError("igal_variable derives m = n + 2; omit m")

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CallbackError, PreconditionError
+from .errors import CallbackError, ConfigError, PreconditionError
 from .geometry import GeometryMap
 from .splines import KnotVector, TensorSpline
 
@@ -659,7 +659,7 @@ def make_example(example_id: str, **kwargs) -> BvpDefinition:
     try:
         factory = EXAMPLES[example_id]
     except KeyError:
-        raise KeyError(
+        raise ConfigError(
             f"unknown example {example_id!r}; choose one of {sorted(EXAMPLES)}"
         ) from None
     return factory(**kwargs)

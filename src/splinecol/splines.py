@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import as_float_array, as_points
+from ._validation import as_float_array, as_points, whole_counts
 from .errors import (
     DomainError,
     InvalidRefinementError,
@@ -434,7 +434,7 @@ class TensorSpline:
 
     def refine_uniform(self, counts) -> "TensorSpline":
         """Uniformly insert interior knots per direction (count per direction)."""
-        counts = tuple(int(c) for c in np.atleast_1d(counts))
+        counts = whole_counts(counts, "counts")
         if len(counts) != self.dim:
             raise ValueError(f"expected {self.dim} counts, got {counts}")
         s = self

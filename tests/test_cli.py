@@ -9,17 +9,32 @@ import numpy as np
 import pytest
 
 import splinecol.cli as cli
-from splinecol.bench import _parallel_jobs, run_convergence, run_solve, run_stability
+from splinecol.bench import _parallel_jobs, run_cells, stability_cells, sweep_cells
 from splinecol.config import ExperimentConfig
 from splinecol.errors import (
     AssemblyError,
     ConfigError,
+    RankDeficientError,
     SingularSystemError,
 )
 
 
 #: Integer configuration fields given values that are not whole numbers.
 NON_INTEGER_FIELDS = [("n", [10.6]), ("n", 10.6), ("quad_order", "x"), ("quad_order", 5.5)]
+
+
+def sweep_rows(config):
+    """The rows of every cell of ``config``, in order, written nowhere."""
+    return run_cells(sweep_cells(config))[1]["rows"]
+
+
+def csv_rows(path):
+    """A CSV file's rows without the wall-clock column."""
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        row.pop("seconds")
+    return rows
 
 
 class TestConfig:
@@ -51,6 +66,8 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(method="igac", n=(10,), m=(12,))
         with pytest.raises(ConfigError):
+            ExperimentConfig(method="igac", n=(10,), m_seq=[(12,)])
+        with pytest.raises(ConfigError):
             ExperimentConfig(example="VI")
 
     def test_scalar_counts_normalized(self):
@@ -69,11 +86,11 @@ class TestBench:
         config = ExperimentConfig(
             example="I", method="igac", n=(8,), output=str(tmp_path / "run")
         )
-        rows, report, solve_report = run_solve(config)
+        run_cells(sweep_cells(config), config.output)
         assert (tmp_path / "run.csv").exists()
         assert (tmp_path / "run.json").exists()
         payload = json.loads((tmp_path / "run.json").read_text())
-        assert payload["config"]["example"] == "I"
+        assert payload["cells"][0]["config"]["example"] == "I"
         assert payload["rows"][0]["quantity"] == "T"
 
     def test_csv_determinism(self, tmp_path):
@@ -84,12 +101,8 @@ class TestBench:
                 example="I", method="igal_fixed", n=(9,), m=(13,),
                 output=str(tmp_path / stem),
             )
-            run_solve(config)
-            with open(tmp_path / f"{stem}.csv") as fh:
-                rows = list(csv.DictReader(fh))
-            for row in rows:
-                row.pop("seconds")
-            return rows
+            run_cells(sweep_cells(config), config.output)
+            return csv_rows(tmp_path / f"{stem}.csv")
 
         assert run("a") == run("b")
 
@@ -97,7 +110,7 @@ class TestBench:
         config = ExperimentConfig(
             example="I", method="igac", n_seq=[(3,), (8,)]
         )
-        rows = run_convergence(config)
+        rows = sweep_rows(config)
         assert rows[0]["error"] is not None  # n below the geometry count
         assert rows[1]["error"] is None
         assert rows[1]["e_T"] < 0.2
@@ -106,14 +119,14 @@ class TestBench:
         config = ExperimentConfig(
             example="I", method="igal_fixed", n=(9,), m_seq=[(11,), (13,), (15,)]
         )
-        rows = run_convergence(config)
+        rows = sweep_rows(config)
         assert [r["m_per_dir"] for r in rows] == ["11", "13", "15"]
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         config = ExperimentConfig(example="I", method="igac", n_seq=[(6,), (8,)])
-        serial = run_convergence(config)
+        serial = sweep_rows(config)
         monkeypatch.setenv("SPLINECOL_JOBS", "2")
-        parallel = run_convergence(config)
+        parallel = sweep_rows(config)
         for a, b in zip(serial, parallel):
             assert a["e_T"] == b["e_T"]
             assert a["n_per_dir"] == b["n_per_dir"]
@@ -122,7 +135,7 @@ class TestBench:
         config = ExperimentConfig(
             example="I", method="igac", n_seq=[(8,), (10,)], quad_order=2
         )
-        rows = run_convergence(config)
+        rows = sweep_rows(config)
         assert len(rows) == 2
         for row in rows:
             assert row["error"].startswith("PreconditionError")
@@ -133,7 +146,7 @@ class TestBench:
         monkeypatch.setenv("SPLINECOL_JOBS", value)
         config = ExperimentConfig(example="I", method="igac", n_seq=[(6,), (8,)])
         with pytest.raises(ConfigError, match=f"SPLINECOL_JOBS.*{re.escape(repr(value))}"):
-            run_convergence(config)
+            sweep_rows(config)
 
     def test_jobs_variable_meanings(self, monkeypatch):
         monkeypatch.delenv("SPLINECOL_JOBS", raising=False)
@@ -150,7 +163,7 @@ class TestBench:
             example="I", method="igal_fixed", n=(9,),
             m_seq=[(m,) for m in range(9, 18)],
         )
-        rows = run_convergence(config)
+        rows = sweep_rows(config)
         errors = np.array([r["e_T"] for r in rows])
         assert errors[-1] < errors[0]
         assert errors[-1] / errors.min() < 3.0
@@ -159,21 +172,22 @@ class TestBench:
         for n in range(6, 15):
             cfg_c = ExperimentConfig(example="I", method="igac", n=(n,))
             cfg_v = ExperimentConfig(example="I", method="igal_variable", n=(n,))
-            e_c = run_solve(cfg_c)[0][0]["e_T"]
-            e_v = run_solve(cfg_v)[0][0]["e_T"]
+            e_c = sweep_rows(cfg_c)[0]["e_T"]
+            e_v = sweep_rows(cfg_v)[0]["e_T"]
             assert e_v < e_c
 
     def test_single_entry_sweep_reduces_to_solve(self):
         sweep = ExperimentConfig(example="I", method="igac", n_seq=[(8,)])
         single = ExperimentConfig(example="I", method="igac", n=(8,))
-        row_sweep = run_convergence(sweep)[0]
-        row_single = run_solve(single)[0][0]
+        row_sweep = sweep_rows(sweep)[0]
+        row_single = sweep_rows(single)[0]
         for key in ("e_T", "e_DT", "max_abs", "flops", "n_per_dir", "m_per_dir"):
             assert row_sweep[key] == row_single[key]
 
     def test_stability_summary(self):
         config = ExperimentConfig(example="V", method="igal_fixed", m=(16,))
-        rows, summary = run_stability(config)
+        _, payload = run_cells(stability_cells(config), summary=True)
+        rows, summary = payload["rows"], payload["summary"]
         assert len(rows) == 4
         assert not summary["igac_uniform"]["stable"]
         assert not summary["igac_greville"]["stable"]
@@ -182,7 +196,7 @@ class TestBench:
 
     def test_missing_counts(self):
         with pytest.raises(ConfigError):
-            run_solve(ExperimentConfig(example="I", method="igac"))
+            sweep_cells(ExperimentConfig(example="I", method="igac"))
 
 
 class TestCli:
@@ -238,6 +252,57 @@ class TestCli:
         with open(f"{out}.csv") as fh:
             assert sum(bool(r["error"]) for r in csv.DictReader(fh)) == failed
 
+    def test_stability_exits_nonzero_when_no_cell_ran(self, tmp_path, capsys):
+        # A configuration error in every cell is not an unstable method:
+        # each cell prints one FAILED line naming its scheme, no summary
+        # entry claims an e_T, and the command exits 1.
+        out = tmp_path / "stab"
+        argv = ["stability", "--boundary-weight", "0", "-o", str(out)]
+        assert cli.main(argv) == cli.EXIT_OTHER
+        captured = capsys.readouterr()
+        failed = [line for line in captured.out.splitlines() if "FAILED" in line]
+        assert [line.split()[1:3] for line in failed] == [
+            ["igac", "uniform"], ["igac", "greville"],
+            ["igal_fixed", "uniform"], ["igal_fixed", "greville"],
+        ]
+        assert "e_T=inf" not in captured.out and "UNSTABLE" not in captured.out
+        assert "every cell of the sweep failed" in captured.err
+        assert json.loads(out.with_suffix(".json").read_text())["summary"] == {}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stability"],
+            ["converge", "--example", "I", "--method", "igac",
+             "--method", "igal_variable", "--n-seq", "6", "--n-seq", "8"],
+        ],
+        ids=["stability", "converge"],
+    )
+    def test_parallel_rows_equal_serial_rows(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.delenv("SPLINECOL_JOBS", raising=False)
+        assert cli.main([*argv, "-o", str(tmp_path / "serial")]) == 0
+        monkeypatch.setenv("SPLINECOL_JOBS", "2")
+        assert cli.main([*argv, "-o", str(tmp_path / "parallel")]) == 0
+        serial = csv_rows(tmp_path / "serial.csv")
+        assert serial == csv_rows(tmp_path / "parallel.csv")
+        assert len(serial) == 4
+        if argv[0] == "converge":  # method-major, sequence-minor
+            assert [(r["method"], r["n_per_dir"]) for r in serial] == [
+                ("igac", "6"), ("igac", "8"), ("igal_variable", "6"), ("igal_variable", "8"),
+            ]
+
+    def test_converge_reads_method_and_sequence_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "conv.json"
+        cfg.write_text(json.dumps(
+            {"example": "I", "method": "igal_variable", "n_seq": [[6], [8]]}
+        ))
+        out = tmp_path / "conv"
+        assert cli.main(["converge", "--config", str(cfg), "-o", str(out)]) == 0
+        rows = csv_rows(f"{out}.csv")
+        assert [(r["method"], r["n_per_dir"]) for r in rows] == [
+            ("igal_variable", "6"), ("igal_variable", "8"),
+        ]
+
     def test_stability_command(self, tmp_path, capsys):
         code = cli.main(["stability", "-o", str(tmp_path / "stab")])
         assert code == 0
@@ -272,7 +337,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("example", "II"), ("method", "igal_fixed"), ("scheme", "uniform"), ("n", [40])],
+        [("example", "II"), ("method", "igal_fixed"), ("scheme", "uniform"), ("n", [40]),
+         ("n_seq", [[10]]), ("m_seq", [[20]])],
     )
     def test_stability_config_file_rejects_fixed_keys(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "stab.json"
@@ -329,16 +395,40 @@ class TestCli:
         assert cli.main(["solve", "--example", "I", "--method", "igac"]) == cli.EXIT_CONFIG
 
     def test_assembly_and_solver_exit_codes(self, monkeypatch):
-        def boom_assembly(config):
+        def boom_assembly(*args):
             raise AssemblyError("singular geometry at interior point (0.5,)")
 
-        monkeypatch.setattr(cli, "run_solve", boom_assembly)
+        monkeypatch.setattr(cli, "run_cells", boom_assembly)
         code = cli.main(["solve", "--example", "I", "--method", "igac", "-n", "8"])
         assert code == cli.EXIT_ASSEMBLY
 
-        def boom_solver(config):
+        def boom_solver(*args):
             raise SingularSystemError("pivot below tolerance")
 
-        monkeypatch.setattr(cli, "run_solve", boom_solver)
+        monkeypatch.setattr(cli, "run_cells", boom_solver)
         code = cli.main(["solve", "--example", "I", "--method", "igac", "-n", "8"])
         assert code == cli.EXIT_SOLVER
+
+    @pytest.mark.parametrize(
+        "exc,code",
+        [
+            (AssemblyError("singular geometry at interior point (0.5,)"), cli.EXIT_ASSEMBLY),
+            (SingularSystemError("pivot below tolerance"), cli.EXIT_SOLVER),
+            (RankDeficientError("zero pivot at unknown 3", 3), cli.EXIT_SOLVER),
+        ],
+        ids=["assembly", "singular", "rank-deficient"],
+    )
+    def test_solve_keeps_the_cell_error_type(self, monkeypatch, capsys, exc, code):
+        # An error raised inside the pipeline keeps its type through the
+        # cell runner, so ``solve`` exits with that type's code; the sweep
+        # commands record it on the row and exit 1 when no cell ran.
+        def fit(self, problem, y=None):
+            raise exc
+
+        monkeypatch.setattr("splinecol.bench.CollocationSolver.fit", fit)
+        assert cli.main(["solve", "--example", "I", "--method", "igac", "-n", "8"]) == code
+        assert str(exc) in capsys.readouterr().err
+        argv = ["converge", "--example", "I", "--n-seq", "6", "--n-seq", "8"]
+        assert cli.main(argv) == cli.EXIT_OTHER
+        out = capsys.readouterr().out
+        assert out.count(f"FAILED: {type(exc).__name__}: {exc}") == 2

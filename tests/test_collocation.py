@@ -77,6 +77,11 @@ class TestPointGeneration:
         with pytest.raises(InvalidSchemeError):
             generate_collocation_points((CUBIC,), CollocationScheme("greville", (3,)))
 
+    @pytest.mark.parametrize("counts", [(4.5,), 4.5, (4, "4"), (True,)])
+    def test_fractional_counts_rejected(self, counts):
+        with pytest.raises(PreconditionError, match="counts must be an integer"):
+            CollocationScheme("greville", counts)
+
     def test_unknown_scheme_kind(self):
         with pytest.raises(InvalidSchemeError):
             CollocationScheme("chebyshev", (4,))

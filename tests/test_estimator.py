@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splinecol.errors import InvalidSchemeError
+from splinecol.errors import InvalidSchemeError, PreconditionError
 from splinecol.estimator import CollocationSolver
 from splinecol.metrics import error_report
 from splinecol.problems import (
@@ -63,6 +63,25 @@ class TestFit:
             CollocationSolver(method="igal_fixed", n_per_dir=10, m_per_dir=8).fit(prob)
         with pytest.raises(TypeError):
             CollocationSolver(n_per_dir=8).fit("not a problem")
+
+    @pytest.mark.parametrize(
+        "params,name",
+        [
+            ({"method": "igac", "n_per_dir": 10.6}, "n_per_dir"),
+            ({"method": "igac", "n_per_dir": "10"}, "n_per_dir"),
+            ({"method": "igal_fixed", "n_per_dir": 10, "m_per_dir": 16.9}, "m_per_dir"),
+            ({"method": "igal_fixed", "n_per_dir": 10, "m_per_dir": [16.5]}, "m_per_dir"),
+        ],
+    )
+    def test_counts_must_be_whole_numbers(self, params, name):
+        # A fractional count is an error naming the parameter, not a floor.
+        with pytest.raises(PreconditionError, match=f"{name} must be an integer"):
+            CollocationSolver(**params).fit(example_1d_dirichlet())
+
+    def test_whole_float_counts_accepted(self):
+        solver = CollocationSolver(method="igal_fixed", n_per_dir=10.0, m_per_dir=16.0)
+        solver.fit(example_1d_dirichlet())
+        assert solver.field_.n_coeffs == 10 and solver.points_.n_points == 16
 
     def test_interior_knots_override_counts(self):
         prob = example_1d_mixed()

@@ -232,6 +232,13 @@ class TestSinglePass:
         quad_lattice = tuple(len(a) for a in quad_axes)
         assert sorted(calls) == sorted([((11, 13), 1), (quad_lattice, 2)])
 
+    @pytest.mark.parametrize("counts", [(11.5, 13), 12.2])
+    def test_fractional_sample_counts_rejected(self, counts):
+        prob = example_2d_annulus()
+        field = CollocationSolver(method="igac", n_per_dir=6).fit(prob).field_
+        with pytest.raises(PreconditionError, match="sample_counts must be an integer"):
+            error_report(prob, field, sample_counts=counts)
+
     def test_missing_analytic_solution_is_undefined(self):
         prob = example_1d_dirichlet()
         field = CollocationSolver(method="igac", n_per_dir=8).fit(prob).field_

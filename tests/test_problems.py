@@ -30,7 +30,7 @@ from splinecol.problems import (
     make_example,
 )
 from splinecol.collocation import build_field_from_knots
-from splinecol.errors import PreconditionError
+from splinecol.errors import ConfigError, PreconditionError
 from splinecol.geometry import boundary_normals, lattice_pullbacks
 
 RNG = np.random.default_rng(42)
@@ -321,6 +321,10 @@ class TestManufacturedClosure:
             prob = make_example(example_id)
             faces = sorted(bc.face for bc in prob.boundary_conditions)
             assert faces == list(range(2 * prob.dim))
+
+    def test_unknown_example_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="unknown example 'VI'"):
+            make_example("VI")
 
     def test_operator_above_second_order_rejected(self):
         base = example_1d_dirichlet()
