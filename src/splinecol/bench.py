@@ -21,9 +21,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
+from .collocation import knots_per_direction
 from .config import ExperimentConfig
 from .errors import ConfigError, SplineColError
-from .estimator import CollocationSolver
+from .estimator import CollocationSolver, point_counts
 from .metrics import error_report
 from .problems import STABILITY_KNOTS, make_example
 from .solvers import flop_cost_model
@@ -110,10 +111,25 @@ def _counts_label(counts):
     return None if counts is None else "x".join(str(c) for c in counts)
 
 
+def _planned_counts(cell: Cell, problem):
+    """Basis and point counts per direction that a cell asks for, before it runs.
+
+    A field refined by explicit knots has as many basis functions per
+    direction as the geometry plus the knots inserted there.
+    """
+    config = cell.config
+    n = config.n
+    if cell.interior_knots is not None:
+        knots = knots_per_direction(cell.interior_knots, problem.dim)
+        n = tuple(kv.n_basis + len(k) for kv, k in zip(problem.geometry.kvs, knots))
+    return n, config.m if n is None else point_counts(config.method, n, config.m)
+
+
 def solve_cell(cell: Cell) -> CellResult:
     """Run one cell; a library error fails the cell and is kept on its result."""
     config = cell.config
     problem = make_example(config.example)
+    n_counts, m_counts = _planned_counts(cell, problem)
     solver = CollocationSolver(
         method=config.method,
         n_per_dir=config.n,
@@ -127,8 +143,8 @@ def solve_cell(cell: Cell) -> CellResult:
         example=config.example,
         method=config.method,
         scheme=config.scheme,
-        n_per_dir=_counts_label(config.n),
-        m_per_dir=_counts_label(config.m),
+        n_per_dir=_counts_label(n_counts),
+        m_per_dir=_counts_label(m_counts),
     )
     start = time.perf_counter()
     try:

@@ -185,17 +185,20 @@ def build_field(
     return TensorSpline(refined.kvs, np.zeros(shape + (components,)), refined.weights)
 
 
+def knots_per_direction(interior_knots, dim):
+    """Interior knots as one sequence per direction; in 1D a flat sequence is one direction."""
+    interior_knots = tuple(interior_knots)
+    if dim == 1 and (not interior_knots or np.ndim(interior_knots[0]) == 0):
+        return (interior_knots,)
+    return interior_knots
+
+
 def build_field_from_knots(
     geometry: GeometryMap, interior_knots, components: int = 1
 ) -> TensorSpline:
     """Unknown field obtained by inserting explicit interior knots per direction."""
-    interior_knots = tuple(interior_knots)
-    if geometry.dim == 1 and (
-        not interior_knots or np.ndim(interior_knots[0]) == 0
-    ):
-        interior_knots = (interior_knots,)
     refined = geometry.spline
-    for axis, knots in enumerate(interior_knots):
+    for axis, knots in enumerate(knots_per_direction(interior_knots, geometry.dim)):
         refined = refined.insert_knots(axis, knots)
     shape = tuple(kv.n_basis for kv in refined.kvs)
     return TensorSpline(refined.kvs, np.zeros(shape + (components,)), refined.weights)

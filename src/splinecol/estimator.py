@@ -9,6 +9,7 @@ with generic parameter-sweep tooling.
 from __future__ import annotations
 
 import inspect
+import time
 
 import numpy as np
 
@@ -26,6 +27,19 @@ from .problems import BvpDefinition
 from .solvers import solve_normal_equations, solve_square
 
 METHODS = ("igac", "igal_fixed", "igal_variable")
+FIT_STAGES = ("refine", "points", "assemble", "solve")
+
+
+def point_counts(method, n_counts, m_counts=None):
+    """Collocation-point counts per direction: n for igac, n + 2 for igal_variable.
+
+    ``igal_fixed`` takes its counts as given, ``m_counts``.
+    """
+    if method == "igac":
+        return tuple(n_counts)
+    if method == "igal_variable":
+        return tuple(n + 2 for n in n_counts)
+    return m_counts
 
 
 class CollocationSolver:
@@ -61,6 +75,9 @@ class CollocationSolver:
     points_ : the collocation point set
     system_ : the assembled collocation system
     solve_report_ : solver diagnostics (residual, flops, condition estimate)
+    timings_ : ``perf_counter`` seconds of each stage of ``fit``, keyed by
+        ``FIT_STAGES``: ``refine`` (the field), ``points``, ``assemble`` and
+        ``solve``
     """
 
     def __init__(
@@ -115,6 +132,7 @@ class CollocationSolver:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         dim = problem.dim
         c = problem.field_components
+        stamps = [time.perf_counter()]
 
         if self.interior_knots is not None:
             field = build_field_from_knots(
@@ -128,14 +146,12 @@ class CollocationSolver:
                 components=c,
                 operator_order=problem.operator.order,
             )
+        stamps.append(time.perf_counter())
         n_dirs = tuple(kv.n_basis for kv in field.kvs)
 
-        if self.method == "igac":
-            m_counts = n_dirs
-        elif self.method == "igal_variable":
-            m_counts = tuple(n + 2 for n in n_dirs)
-        else:
-            m_counts = self._counts(self.m_per_dir, dim, "m_per_dir")
+        m_counts = point_counts(self.method, n_dirs, self.m_per_dir)
+        if self.method == "igal_fixed":
+            m_counts = self._counts(m_counts, dim, "m_per_dir")
             if any(m < n for m, n in zip(m_counts, n_dirs)):
                 raise InvalidSchemeError(
                     f"least-squares point counts {m_counts} must reach the "
@@ -145,11 +161,14 @@ class CollocationSolver:
         points = generate_collocation_points(
             field.kvs, CollocationScheme(self.scheme, m_counts)
         )
+        stamps.append(time.perf_counter())
         system = assemble(problem, field, points, boundary_weight=self.boundary_weight)
+        stamps.append(time.perf_counter())
         if self.method == "igac":
             report = solve_square(system.csr, system.rhs)
         else:
             report = solve_normal_equations(system.csr, system.rhs)
+        stamps.append(time.perf_counter())
 
         self.problem_ = problem
         self.points_ = points
@@ -157,6 +176,9 @@ class CollocationSolver:
         self.solve_report_ = report
         self.field_ = coefficients_to_field(field, report.coefficients)
         self.n_unknowns_ = system.n_unknowns
+        self.timings_ = {
+            stage: end - start for stage, start, end in zip(FIT_STAGES, stamps, stamps[1:])
+        }
         return self
 
     # -- prediction ----------------------------------------------------------

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._validation import as_float_array, as_points, whole_counts
 from .errors import (
@@ -89,6 +90,56 @@ def _local_basis(kv, u, max_deriv):
     u = np.asarray(u, dtype=float).reshape(-1)
     spans = kv.find_span(u)
     return spans, _basis_ders(kv.knots, kv.degree, spans, u, max_deriv)
+
+
+def _direction_tables(kv, u, max_deriv):
+    """First basis index (m,) and local tables (max_deriv+1, m, p+1) at parameters ``u``.
+
+    Row k of the tables holds the k-th derivatives of the p+1 functions
+    first .. first+p; orders above the degree are zero rows.
+    """
+    order = min(max_deriv, kv.degree)
+    spans, ders = _local_basis(kv, u, order)
+    local = np.zeros((max_deriv + 1, len(spans), kv.degree + 1))
+    local[: order + 1] = np.moveaxis(ders, 1, 0)
+    return spans - kv.degree, local
+
+
+#: Largest dense direction table, in entries (orders x points x basis), that
+#: ``evaluate_lattice`` builds; a larger direction is contracted through its
+#: band as a CSR matrix with p+1 entries per row. Placed by timing both
+#: forms on each direction of the benchmark fields (one BLAS thread, median
+#: ms per call, dense -> band): 1D fields gain from about 5e4 entries on
+#: (51300: 0.61 -> 0.55, 120120: 0.79 -> 0.53, 1.5e7: 43 -> 1.5) and differ
+#: by under 0.1 ms below that; the widest 2D/3D table, II n = 60 at 51300
+#: entries, ties (11.2 -> 10.9) and smaller ones tie or lose up to 0.7 ms.
+#: 2**16 keeps every 2D/3D direction of the benchmark dense.
+DENSE_TABLE_LIMIT = 1 << 16
+
+
+def _direction_operators(kv, u, max_deriv):
+    """One (points, basis) matrix per derivative order, and whether they are banded.
+
+    The matrices are dense while their table fits ``DENSE_TABLE_LIMIT``
+    and CSR over the band of p+1 nonzero columns per row above it.
+    """
+    first, local = _direction_tables(kv, u, max_deriv)
+    orders, m, width = local.shape
+    cols = first[:, None] + np.arange(width)
+    if orders * m * kv.n_basis <= DENSE_TABLE_LIMIT:
+        table = np.zeros((orders, m, kv.n_basis))
+        table[:, np.arange(m)[:, None], cols] = local
+        return list(table), False
+    indptr = np.arange(0, m * width + 1, width)
+    shape = (m, kv.n_basis)
+    return [sp.csr_array((k.ravel(), cols.ravel(), indptr), shape=shape) for k in local], True
+
+
+def _contract_axis(op, x, axis):
+    """Contract ``axis`` of ``x`` with the (points, basis) matrix ``op``."""
+    x = np.moveaxis(x, axis, 0)
+    y = op @ x.reshape(len(x), -1)
+    return np.moveaxis(y.reshape((op.shape[0],) + x.shape[1:]), 0, axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,10 +369,12 @@ class TensorSpline:
     def evaluate_lattice(self, axes, max_deriv: int = 0) -> LatticeJet:
         """Jet on the tensor lattice spanned by per-direction parameter arrays.
 
-        The field is contracted one direction at a time with full 1D
-        derivative tables (sum factorization). Rational derivatives are
+        The field is contracted one direction at a time with 1D derivative
+        tables (sum factorization): dense tables through one ``einsum``, and
+        directions whose dense table would exceed ``DENSE_TABLE_LIMIT``
+        entries first, through their band. Rational derivatives are
         supported up to order 2; B-splines with unit weights additionally
-        support any order up to the degree.
+        support any order, partials above a direction's degree being zero.
         """
         axes = [as_float_array(a, f"axes[{i}]", ndim=1) for i, a in enumerate(axes)]
         if len(axes) != self.dim:
@@ -332,26 +385,26 @@ class TensorSpline:
                 "rational derivatives are supported up to order 2"
             )
 
-        # Full (max_deriv+1, n_points, n_basis) derivative tables per direction.
-        tables = []
-        for kv, pts in zip(self.kvs, axes):
-            spans, ders = _local_basis(kv, pts, max_deriv)
-            tab = np.zeros((max_deriv + 1, len(pts), kv.n_basis))
-            cols = spans[:, None] + np.arange(-kv.degree, 1)
-            tab[:, np.arange(len(pts))[:, None], cols] = np.moveaxis(ders, 1, 0)
-            tables.append(tab)
+        ops, banded = zip(
+            *(_direction_operators(kv, pts, max_deriv) for kv, pts in zip(self.kvs, axes))
+        )
+        band = [a for a in range(self.dim) if banded[a]]
+        dense = [a for a in range(self.dim) if not banded[a]]
+        # Banded directions are contracted first, so their axes enter the
+        # einsum over the dense ones already indexed by points.
+        basis, point = "ijk"[: self.dim], "uvw"[: self.dim]
+        source_subs = "".join(point[a] if banded[a] else basis[a] for a in range(self.dim))
+        subs = ",".join([point[a] + basis[a] for a in dense] + [source_subs + "c"])
+        subs += f"->{point}c"
 
         source = self.coeffs if polynomial else self._homogeneous()
-        subs = {
-            1: "ui,ic->uc",
-            2: "ui,vj,ijc->uvc",
-            3: "ui,vj,wk,ijkc->uvwc",
-        }[self.dim]
-
         sums = {}
         for alpha in _deriv_multi_indices(self.dim, max_deriv):
-            ops = [tables[a][alpha[a]] for a in range(self.dim)]
-            sums[alpha] = np.einsum(subs, *ops, source, optimize=True)
+            x = source
+            for a in band:
+                x = _contract_axis(ops[a][alpha[a]], x, a)
+            dense_ops = [ops[a][alpha[a]] for a in dense]
+            sums[alpha] = np.einsum(subs, *dense_ops, x, optimize=True)
 
         if not polynomial:
             c = self.ncomp
@@ -383,12 +436,9 @@ class TensorSpline:
         cols = np.zeros((n, 1), dtype=np.intp)
         tables = []
         for a, kv in enumerate(self.kvs):
-            order = min(max_deriv, kv.degree)
-            spans, ders = _local_basis(kv, theta[:, a], order)
-            tab = np.zeros((max_deriv + 1, n, kv.degree + 1))
-            tab[: order + 1] = np.moveaxis(ders, 1, 0)
+            first, tab = _direction_tables(kv, theta[:, a], max_deriv)
             tables.append(tab)
-            local = spans[:, None] + np.arange(-kv.degree, 1)
+            local = first[:, None] + np.arange(kv.degree + 1)
             cols = _flat_outer(cols * kv.n_basis, local, np.add)
 
         def outer(alpha):

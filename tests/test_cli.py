@@ -252,6 +252,22 @@ class TestCli:
         with open(f"{out}.csv") as fh:
             assert sum(bool(r["error"]) for r in csv.DictReader(fh)) == failed
 
+    def test_failed_knot_cells_are_labelled_with_their_counts(self, tmp_path, capsys):
+        # The stability knots give 10 basis functions; igac collocates at
+        # as many points, igal_fixed at the configured 16.
+        out = tmp_path / "stab"
+        argv = ["stability", "--boundary-weight", "0", "-o", str(out)]
+        assert cli.main(argv) == cli.EXIT_OTHER
+        failed = [line for line in capsys.readouterr().out.splitlines() if "FAILED" in line]
+        assert [line.split()[3:5] for line in failed] == [
+            ["n=10", "m=10"], ["n=10", "m=10"], ["n=10", "m=16"], ["n=10", "m=16"],
+        ]
+        with open(f"{out}.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["n_per_dir"], r["m_per_dir"]) for r in rows] == [
+            ("10", "10"), ("10", "10"), ("10", "16"), ("10", "16"),
+        ]
+
     def test_stability_exits_nonzero_when_no_cell_ran(self, tmp_path, capsys):
         # A configuration error in every cell is not an unstable method:
         # each cell prints one FAILED line naming its scheme, no summary

@@ -1,12 +1,13 @@
 """The fit/predict estimator facade."""
 
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from splinecol.errors import InvalidSchemeError, PreconditionError
-from splinecol.estimator import CollocationSolver
+from splinecol.estimator import FIT_STAGES, CollocationSolver
 from splinecol.metrics import error_report
 from splinecol.problems import (
     STABILITY_KNOTS,
@@ -160,6 +161,17 @@ class TestFit:
         rows, cols = solver.system_.shape
         assert (rows, cols) == (1764, 1600)
         assert peak < rows * cols * 8  # 22.6 MB, one dense copy of A
+
+    @pytest.mark.parametrize("method", ["igac", "igal_variable"])
+    def test_stage_timings(self, method):
+        # Every stage of fit is timed, and the stages nest inside the call.
+        solver = CollocationSolver(method=method, n_per_dir=12)
+        start = time.perf_counter()
+        solver.fit(make_example("II"))
+        wall = time.perf_counter() - start
+        assert tuple(solver.timings_) == FIT_STAGES == ("refine", "points", "assemble", "solve")
+        assert all(t >= 0.0 for t in solver.timings_.values())
+        assert sum(solver.timings_.values()) <= wall
 
     def test_square_least_squares_reproduces_interpolation(self):
         prob = example_1d_dirichlet()

@@ -1,5 +1,6 @@
 """Error functionals: quadrature, relative errors, absolute error fields."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -183,6 +184,20 @@ class TestVectorQuantities:
         assert payload["quantities"][0]["name"] == "T"
         with_samples = report.to_dict(include_samples=True)
         assert len(with_samples["samples"]["points"]) == len(report.sample_points)
+
+
+def test_error_report_memory_stays_bounded():
+    # The n = 1000 field's quadrature lattice holds about 5000 points; a
+    # dense (3, points, basis) table per direction would take 120 MB.
+    prob = example_1d_dirichlet()
+    field = CollocationSolver(method="igac", n_per_dir=1000).fit(prob).field_
+    tracemalloc.start()
+    try:
+        error_report(prob, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 class TestSinglePass:

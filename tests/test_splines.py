@@ -13,6 +13,7 @@ from oracles import (
     point_jet,
     uniform_refine,
 )
+from splinecol import splines
 from splinecol.collocation import build_field
 from splinecol.errors import (
     DomainError,
@@ -24,6 +25,12 @@ from splinecol.splines import KnotVector, TensorSpline
 
 CUBIC = KnotVector([0, 0, 0, 0, 1, 1, 1, 1], 3)
 CUBIC5 = KnotVector([0, 0, 0, 0, 0.5, 1, 1, 1, 1], 3)
+
+
+def wide_knot_vector(n, p=3):
+    """Uniform clamped knot vector on [0, 1] with n basis functions of degree p."""
+    interior = np.linspace(0.0, 1.0, n - p + 1)[1:-1]
+    return KnotVector(np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]), p)
 
 
 def random_knot_vector(rng, max_interior=6):
@@ -296,6 +303,84 @@ class TestTensorSpline:
         assert np.allclose(np.sum(val * [[0, 2], [2, 3]], axis=1), [1.0, 2.5])
         assert np.allclose(np.sum(grad[:, 0] * [[0, 2], [2, 3]], axis=1), [4.0, 2.0])
         assert np.all(hess == 0.0)
+
+
+def off_knot_axis(rng, kv, count):
+    """``count`` sorted random parameters (off the knots) between both ends of ``kv``."""
+    return np.concatenate([[kv.start], np.sort(rng.uniform(kv.start, kv.end, count)), [kv.end]])
+
+
+def banded(kv, axis, max_deriv):
+    """Whether ``evaluate_lattice`` contracts this direction through its band."""
+    return (max_deriv + 1) * len(axis) * kv.n_basis > splines.DENSE_TABLE_LIMIT
+
+
+class TestLatticeTableForms:
+    """Dense and banded direction tables against the per-point oracle."""
+
+    @staticmethod
+    def assert_matches_point_oracle(spline, axes):
+        index = list(np.ndindex(*(len(a) for a in axes)))
+        oracle = [point_jet(spline, [a[i] for a, i in zip(axes, idx)], 2) for idx in index]
+        shape = tuple(len(a) for a in axes)
+        for max_deriv in range(3):
+            jet = spline.evaluate_lattice(axes, max_deriv)
+            got = [jet.value, jet.grad, jet.hess][: max_deriv + 1]
+            for order, part in enumerate(got):
+                want = np.array([o[order] for o in oracle]).reshape(shape + part.shape[len(shape):])
+                scale = max(1.0, np.abs(want).max())
+                assert np.abs(part - want).max() <= 1e-12 * scale, (max_deriv, order)
+
+    def test_wide_curve_in_band_form(self):
+        rng = np.random.default_rng(31)
+        kv = wide_knot_vector(1000)
+        curve = TensorSpline.polynomial((kv,), rng.normal(size=(1000, 2)))
+        axis = off_knot_axis(rng, kv, 300)
+        assert banded(kv, axis, 0)
+        self.assert_matches_point_oracle(curve, [axis])
+
+    def test_rational_surface_in_dense_form(self):
+        rng = np.random.default_rng(32)
+        kvs = (uniform_refine(CUBIC, 4), CUBIC5)
+        shape = tuple(kv.n_basis for kv in kvs)
+        surf = TensorSpline(kvs, rng.normal(size=shape + (2,)), rng.uniform(0.5, 2.0, shape))
+        axes = [off_knot_axis(rng, kv, 9) for kv in kvs]
+        assert not any(banded(kv, a, 2) for kv, a in zip(kvs, axes))
+        self.assert_matches_point_oracle(surf, axes)
+
+    def test_rational_surface_with_one_wide_direction(self):
+        # Direction 0 is banded at second order only; direction 1 stays dense.
+        rng = np.random.default_rng(33)
+        kvs = (wide_knot_vector(300), CUBIC5)
+        shape = tuple(kv.n_basis for kv in kvs)
+        surf = TensorSpline(kvs, rng.normal(size=shape + (2,)), rng.uniform(0.5, 2.0, shape))
+        axes = [off_knot_axis(rng, kvs[0], 80), off_knot_axis(rng, kvs[1], 5)]
+        assert banded(kvs[0], axes[0], 2) and not banded(kvs[0], axes[0], 1)
+        assert not banded(kvs[1], axes[1], 2)
+        self.assert_matches_point_oracle(surf, axes)
+
+    def test_every_direction_banded_in_3d(self, monkeypatch):
+        monkeypatch.setattr(splines, "DENSE_TABLE_LIMIT", 0)
+        rng = np.random.default_rng(34)
+        kvs = (CUBIC5, uniform_refine(KnotVector([0, 0, 0, 1, 1, 1], 2), 2), CUBIC)
+        shape = tuple(kv.n_basis for kv in kvs)
+        solid = TensorSpline(kvs, rng.normal(size=shape + (3,)), rng.uniform(0.5, 2.0, shape))
+        axes = [off_knot_axis(rng, kv, count) for kv, count in zip(kvs, (3, 2, 4))]
+        self.assert_matches_point_oracle(solid, axes)
+
+    def test_local_support_exact_zero_in_band_form(self):
+        # As test_local_support_exact_zero, on a field wide enough to be banded.
+        kv = wide_knot_vector(1000)
+        us = np.concatenate([np.linspace(0.0003, 0.9997, 997), [1.0]])
+        assert banded(kv, us, 0)
+        spans = kv.find_span(us)
+        for i in (0, 1, 2, 3, 500, 996, 997, 998, 999):
+            coeffs = np.zeros(kv.n_basis)
+            coeffs[i] = 1.0
+            value = TensorSpline.polynomial((kv,), coeffs).evaluate_lattice([us]).value[:, 0]
+            outside = ~((spans - kv.degree <= i) & (i <= spans))
+            assert np.all(value[outside] == 0.0)
+            assert np.all(value[~outside] >= 0.0) and value[~outside].max() > 0.0
 
 
 class TestBasisJetOrders:
