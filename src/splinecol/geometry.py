@@ -7,7 +7,10 @@ express physical differential operators at parametric points. The
 Jacobian determinant and inverse are computed in closed form, by
 cofactors, for the d <= 3 directions a tensor spline has: on 1x1 to 3x3
 matrices this is cheaper than batched LAPACK calls, whose per-matrix
-overhead exceeds the arithmetic.
+overhead exceeds the arithmetic. The cofactors are formed entry by entry:
+each Jacobian entry of a lattice jet is a contiguous array over the
+lattice (see :class:`splinecol.splines.LatticeJet`), so every cofactor is
+one ufunc expression in whole arrays, with no gathered (N, d, d) copies.
 
 Conventions: the Jacobian J has entries J[k, a] = dx_k / dtheta_a; the
 second-derivative tensor S has S[a, b, k] = d^2 x_k / dtheta_a dtheta_b
@@ -17,6 +20,7 @@ point index first.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,17 +53,28 @@ class GeometryMap:
         return self.spline.kvs
 
 
-def _cofactors(jac):
-    """Cofactor matrices C (N, d, d) of Jacobians (N, d, d) with d <= 3."""
-    d = jac.shape[-1]
+def _adjugate(jac):
+    """Adjugates adj J (d, d, N) of Jacobians ``jac`` (N, d, d) with d <= 3, entry by entry.
+
+    Each entry is a ufunc expression in columns jac[:, k, a], which are
+    contiguous (N,) arrays for the Jacobians of ``lattice_pullbacks``.
+    """
+    n, d, _ = jac.shape
+    adj = np.empty((d, d, n))
     if d == 1:
-        return np.ones_like(jac)
-    if d == 2:
-        return jac[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    # C[i, j] = J[i+1, j+1] J[i+2, j+2] - J[i+1, j+2] J[i+2, j+1], indices mod 3
-    nxt, far = [1, 2, 0], [2, 0, 1]
-    a, b = jac[:, nxt], jac[:, far]
-    return a[..., nxt] * b[..., far] - a[..., far] * b[..., nxt]
+        adj[0, 0] = 1.0
+    elif d == 2:
+        adj[0, 0], adj[1, 1] = jac[:, 1, 1], jac[:, 0, 0]
+        np.negative(jac[:, 0, 1], out=adj[0, 1])
+        np.negative(jac[:, 1, 0], out=adj[1, 0])
+    else:
+        # adj[a, k] is the cofactor of J[k, a]; indices run mod 3.
+        for a, k in itertools.product(range(3), repeat=2):
+            k1, k2, a1, a2 = (k + 1) % 3, (k + 2) % 3, (a + 1) % 3, (a + 2) % 3
+            np.subtract(
+                jac[:, k1, a1] * jac[:, k2, a2], jac[:, k1, a2] * jac[:, k2, a1], out=adj[a, k]
+            )
+    return adj
 
 
 def lattice_pullbacks(geometry: GeometryMap, axes, max_deriv: int = 2):
@@ -72,7 +87,9 @@ def lattice_pullbacks(geometry: GeometryMap, axes, max_deriv: int = 2):
     form: det J is the cofactor expansion along row 0 and
     J^{-1} = adj(J) / det J. Raises :class:`SingularGeometryError` naming
     the first lattice point whose Jacobian is singular, before anything is
-    divided by its determinant.
+    divided by its determinant. ``points``, ``jac`` and ``second`` are
+    views of the geometry's lattice jet and ``inv_jac`` a view of the
+    adjugate buffer, divided in place; in general none is C-contiguous.
     """
     if max_deriv not in (1, 2):
         raise UnsupportedDerivativeError(
@@ -82,8 +99,8 @@ def lattice_pullbacks(geometry: GeometryMap, axes, max_deriv: int = 2):
     d = geometry.dim
     pts = jet.value.reshape(-1, d)
     jac = np.swapaxes(jet.grad.reshape(-1, d, d), -1, -2)  # (N, k, a)
-    cof = _cofactors(jac)
-    det = np.einsum("nj,nj->n", jac[:, 0], cof[:, 0])
+    adj = _adjugate(jac)
+    det = sum(jac[:, 0, j] * adj[j, 0] for j in range(d))
     singular = np.abs(det) < DET_TOL
     if singular.any():
         i = int(np.argmax(singular))
@@ -92,7 +109,7 @@ def lattice_pullbacks(geometry: GeometryMap, axes, max_deriv: int = 2):
         raise SingularGeometryError(
             f"geometry Jacobian is singular at theta={theta} (det={det[i]:.3e})"
         )
-    inv = np.swapaxes(cof, -1, -2) / det[:, None, None]
+    inv = np.moveaxis(np.divide(adj, det, out=adj), -1, 0)
     second = None if jet.hess is None else jet.hess.reshape(-1, d, d, d)
     return pts, jac, inv, det, second
 

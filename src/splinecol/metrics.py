@@ -9,6 +9,8 @@ deterministic so repeated runs produce identical numbers.
 
 from __future__ import annotations
 
+import dataclasses
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ from .problems import BvpDefinition, callback_values
 from .splines import TensorSpline
 
 DEFAULT_ABS_SAMPLES = {1: 1001, 2: 201, 3: 41}
+REPORT_STAGES = ("samples", "pullback", "evaluate", "integrate")
 
 
 def default_quad_order(field: TensorSpline) -> int:
@@ -57,11 +60,17 @@ def quadrature_rule(field: TensorSpline, quad_order=None):
     return list(axes), w.ravel(), quad_order
 
 
-def _field_data(problem, field, axes, max_deriv):
-    """Physical points, Jacobian weights and pushed field jets on a lattice."""
+def _field_data(problem, field, axes, max_deriv, stamps=None):
+    """Physical points, Jacobian weights and pushed field jets on a lattice.
+
+    When ``stamps`` is a list, the ``perf_counter`` times after the
+    pullback and after the pushed jets are appended to it.
+    """
     pts, _, inv, det, second = lattice_pullbacks(
         problem.geometry, axes, max_deriv=max(1, max_deriv)
     )
+    if stamps is not None:
+        stamps.append(time.perf_counter())
     jet = field.evaluate_lattice(axes, max_deriv=max_deriv)
     c = field.ncomp
     value = jet.value.reshape(-1, c)
@@ -72,6 +81,8 @@ def _field_data(problem, field, axes, max_deriv):
     if max_deriv >= 2:
         hess_t = jet.hess.reshape(-1, field.dim, field.dim, c)
         hess_x = lattice_push_hessian(inv, second, grad_x, hess_t)
+    if stamps is not None:
+        stamps.append(time.perf_counter())
     return pts, np.abs(det), value, grad_x, hess_x
 
 
@@ -113,7 +124,15 @@ class QuantityError:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Errors of one solve, per reported quantity plus the operator error."""
+    """Errors of one solve, per reported quantity plus the operator error.
+
+    ``timings`` holds the ``perf_counter`` seconds of each stage of
+    :func:`error_report`, keyed by ``REPORT_STAGES``: ``samples`` (the
+    quadrature rule and the absolute-error lattice), ``pullback`` (the
+    geometry on the quadrature lattice), ``evaluate`` (the field's jets,
+    pushed to physical derivatives) and ``integrate`` (the relative errors
+    and e_DT). It takes no part in comparisons.
+    """
 
     example_id: str
     quantities: tuple
@@ -121,6 +140,7 @@ class ErrorReport:
     quadrature_order: int
     sample_points: np.ndarray
     sample_errors: dict
+    timings: dict = dataclasses.field(default_factory=dict, compare=False)
 
     @property
     def e_T(self) -> float:
@@ -184,9 +204,11 @@ def error_report(
     is None when the source has zero L2 norm. The absolute errors are
     sampled on a separate lattice (:func:`absolute_error_field`).
     """
+    stamps = [time.perf_counter()]
     axes, w, order = quadrature_rule(field, quad_order)
     pts, abs_errors = absolute_error_field(problem, field, sample_counts)
-    x, det, value, grad_x, hess_x = _field_data(problem, field, axes, max_deriv=2)
+    stamps.append(time.perf_counter())
+    x, det, value, grad_x, hess_x = _field_data(problem, field, axes, 2, stamps)
     dw = det * w
     quantities = []
     for qty in problem.quantities:
@@ -198,6 +220,7 @@ def error_report(
         quantities.append(QuantityError(qty.name, rel, float(abs_errors[qty.name].max())))
     source = callback_values(problem.source, x, field.ncomp, "source")
     e_dt = _relative_l2(source, problem.operator.apply(value, grad_x, hess_x), dw)
+    stamps.append(time.perf_counter())
     return ErrorReport(
         example_id=problem.example_id,
         quantities=tuple(quantities),
@@ -205,4 +228,5 @@ def error_report(
         quadrature_order=order,
         sample_points=pts,
         sample_errors=abs_errors,
+        timings={s: end - start for s, start, end in zip(REPORT_STAGES, stamps, stamps[1:])},
     )

@@ -81,17 +81,6 @@ def _basis_ders(knots, degree, spans, u, n_ders):
     return np.moveaxis(ders, -1, 0)
 
 
-def _local_basis(kv, u, max_deriv):
-    """Spans (m,) and local derivative tables (m, max_deriv+1, p+1) at parameters ``u``."""
-    if max_deriv > kv.degree:
-        raise UnsupportedDerivativeError(
-            f"derivative order {max_deriv} exceeds degree {kv.degree}"
-        )
-    u = np.asarray(u, dtype=float).reshape(-1)
-    spans = kv.find_span(u)
-    return spans, _basis_ders(kv.knots, kv.degree, spans, u, max_deriv)
-
-
 def _direction_tables(kv, u, max_deriv):
     """First basis index (m,) and local tables (max_deriv+1, m, p+1) at parameters ``u``.
 
@@ -99,7 +88,9 @@ def _direction_tables(kv, u, max_deriv):
     first .. first+p; orders above the degree are zero rows.
     """
     order = min(max_deriv, kv.degree)
-    spans, ders = _local_basis(kv, u, order)
+    u = np.asarray(u, dtype=float).reshape(-1)
+    spans = kv.find_span(u)
+    ders = _basis_ders(kv.knots, kv.degree, spans, u, order)
     local = np.zeros((max_deriv + 1, len(spans), kv.degree + 1))
     local[: order + 1] = np.moveaxis(ders, 1, 0)
     return spans - kv.degree, local
@@ -270,7 +261,11 @@ class LatticeJet:
     """Batched jet on a tensor lattice of parameters.
 
     ``value`` has shape (m1, ..., md, c); ``grad`` appends (d, c) and
-    ``hess`` (d, d, c).
+    ``hess`` (d, d, c). All three are views of one buffer that is
+    derivative-major and then component-major, so each entry
+    ``grad[..., a, k]`` or ``hess[..., a, b, k]`` is a contiguous array
+    over the lattice. The views are in general not C-contiguous, and
+    callers must not write to them.
     """
 
     value: np.ndarray
@@ -286,6 +281,52 @@ def _deriv_multi_indices(dim, max_total):
             if sum(alpha) == total:
                 out.append(alpha)
     return out
+
+
+def _directions(alpha):
+    """Directions of a multi-index, each repeated by its order: (2, 0, 1) -> [0, 0, 2]."""
+    return [a for a, k in enumerate(alpha) for _ in range(k)]
+
+
+def _jet_entry(alpha):
+    """Row of the partial ``alpha`` (total order <= 2) in a jet buffer.
+
+    A jet buffer's rows hold the value, the d gradient entries and the
+    d*d Hessian entries (a, b) in C order; a mixed partial maps to its
+    (a, b) row with a < b.
+    """
+    d, dirs = len(alpha), _directions(alpha)
+    if not dirs:
+        return 0
+    if len(dirs) == 1:
+        return 1 + dirs[0]
+    return 1 + d + dirs[0] * d + dirs[1]
+
+
+def _jet_buffer(dim, order, block):
+    """Uninitialised jet buffer with one ``block``-shaped row per entry up to ``order``."""
+    return np.empty((sum(dim**k for k in range(order + 1)),) + tuple(block))
+
+
+def _jet_views(buf, dim, order, points):
+    """Value, gradient and Hessian views of a jet buffer whose ``_jet_entry`` rows are filled.
+
+    Copies each mixed second partial to its (b, a) row, then moves the
+    ``points`` axes of each row to the front, so the views have the
+    shapes of :class:`LatticeJet`. Entries above ``order`` are None.
+    """
+    d = dim
+    if order == 2:
+        for a, b in itertools.combinations(range(d), 2):
+            buf[1 + d + b * d + a] = buf[1 + d + a * d + b]
+    blocks = [buf[0]]
+    if order >= 1:
+        blocks.append(buf[1 : 1 + d])
+    if order == 2:
+        blocks.append(buf[1 + d :].reshape((d, d) + buf.shape[1:]))
+    front = list(range(len(points)))
+    views = [np.moveaxis(x, points, front) for x in blocks]
+    return tuple(views + [None] * (2 - order))
 
 
 @dataclass(frozen=True)
@@ -372,9 +413,12 @@ class TensorSpline:
         The field is contracted one direction at a time with 1D derivative
         tables (sum factorization): dense tables through one ``einsum``, and
         directions whose dense table would exceed ``DENSE_TABLE_LIMIT``
-        entries first, through their band. Rational derivatives are
-        supported up to order 2; B-splines with unit weights additionally
-        support any order, partials above a direction's degree being zero.
+        entries first, through their band. Each partial's einsum writes
+        straight into its block of the jet's buffer (see
+        :class:`LatticeJet`); a rational jet's blocks come from the quotient
+        rule on the homogeneous sums. Rational derivatives are supported up
+        to order 2; B-splines with unit weights accept any order, but the
+        jet holds partials up to order 2 only.
         """
         axes = [as_float_array(a, f"axes[{i}]", ndim=1) for i, a in enumerate(axes)]
         if len(axes) != self.dim:
@@ -385,33 +429,38 @@ class TensorSpline:
                 "rational derivatives are supported up to order 2"
             )
 
+        # The jet exposes partials up to order 2, so none above it is computed.
+        d, c, order = self.dim, self.ncomp, min(max_deriv, 2)
         ops, banded = zip(
-            *(_direction_operators(kv, pts, max_deriv) for kv, pts in zip(self.kvs, axes))
+            *(_direction_operators(kv, pts, order) for kv, pts in zip(self.kvs, axes))
         )
-        band = [a for a in range(self.dim) if banded[a]]
-        dense = [a for a in range(self.dim) if not banded[a]]
+        band = [a for a in range(d) if banded[a]]
+        dense = [a for a in range(d) if not banded[a]]
         # Banded directions are contracted first, so their axes enter the
         # einsum over the dense ones already indexed by points.
-        basis, point = "ijk"[: self.dim], "uvw"[: self.dim]
-        source_subs = "".join(point[a] if banded[a] else basis[a] for a in range(self.dim))
+        basis, point = "ijk"[:d], "uvw"[:d]
+        source_subs = "".join(point[a] if banded[a] else basis[a] for a in range(d))
         subs = ",".join([point[a] + basis[a] for a in dense] + [source_subs + "c"])
-        subs += f"->{point}c"
+        subs += f"->c{point}"
 
+        # One buffer, entry-major then component-major: each partial is a
+        # contiguous (c, m1, ..., md) row that its einsum writes in place.
+        lattice = tuple(len(a) for a in axes)
+        buf = _jet_buffer(d, order, (c,) + lattice)
         source = self.coeffs if polynomial else self._homogeneous()
-        sums = {}
-        for alpha in _deriv_multi_indices(self.dim, max_deriv):
+        sums = buf if polynomial else np.empty((len(buf), c + 1) + lattice)
+        alphas = _deriv_multi_indices(d, order)
+        for alpha in alphas:
             x = source
             for a in band:
                 x = _contract_axis(ops[a][alpha[a]], x, a)
             dense_ops = [ops[a][alpha[a]] for a in dense]
-            sums[alpha] = np.einsum(subs, *dense_ops, x, optimize=True)
-
+            np.einsum(subs, *dense_ops, x, out=sums[_jet_entry(alpha)], optimize=True)
         if not polynomial:
-            c = self.ncomp
-            num = {alpha: s[..., :c] for alpha, s in sums.items()}
-            den = {alpha: s[..., c:] for alpha, s in sums.items()}
-            sums = _quotient_rule(num, den)
-        return LatticeJet(*_stack_jet(sums, self.dim, max_deriv))
+            num = {alpha: sums[_jet_entry(alpha), :c] for alpha in alphas}
+            den = {alpha: sums[_jet_entry(alpha), c:] for alpha in alphas}
+            _quotient_rule(num, den, {alpha: buf[_jet_entry(alpha)] for alpha in alphas})
+        return LatticeJet(*_jet_views(buf, d, order, list(range(-d, 0))))
 
     def basis_jets(self, theta, max_deriv: int = 2):
         """Jets of the nonzero (rational) basis functions at N parameter points.
@@ -420,8 +469,9 @@ class TensorSpline:
         ``cols`` (N, L) holds the flat coefficient indices of each point's
         local support block of L = prod(degree + 1) functions, ``value`` has
         shape (N, L), ``grad`` (N, d, L) and ``hess`` (N, d, d, L), the
-        layout of :class:`LatticeJet` with the basis functions in place of
-        the value components. These are the functions the unknown
+        shapes of :class:`LatticeJet` with the basis functions in place of
+        the value components; they are views of one derivative-major
+        buffer of (N, L) blocks. These are the functions the unknown
         coefficients multiply, so rows of collocation systems are linear
         combinations of them. Derivatives above a direction's degree are
         zero. Only the partials up to total order ``max_deriv`` (0 to 2)
@@ -451,7 +501,9 @@ class TensorSpline:
         alphas = _deriv_multi_indices(self.dim, max_deriv)
         num = {alpha: w_loc * outer(alpha) for alpha in alphas}
         den = {alpha: x.sum(axis=1, keepdims=True) for alpha, x in num.items()}
-        return (cols,) + _stack_jet(_quotient_rule(num, den), self.dim, max_deriv)
+        buf = _jet_buffer(self.dim, max_deriv, cols.shape)
+        _quotient_rule(num, den, {alpha: buf[_jet_entry(alpha)] for alpha in alphas})
+        return (cols,) + _jet_views(buf, self.dim, max_deriv, [-2])
 
     # -- refinement ---------------------------------------------------------
 
@@ -535,60 +587,27 @@ def _unit(dim, axis):
     return tuple(e)
 
 
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _split_second_order(alpha):
-    """Split a total-order-2 multi-index into two unit multi-indices."""
-    first = None
-    d = len(alpha)
-    for axis in range(d):
-        for _ in range(alpha[axis]):
-            if first is None:
-                first = _unit(d, axis)
-            else:
-                return first, _unit(d, axis)
-    raise ValueError(f"not a second-order multi-index: {alpha}")
-
-
 def _flat_outer(x, y, op):
     """Per-row outer ``op`` of x (N, A) and y (N, B), flattened to (N, A*B) in C order."""
     return op(x[:, :, None], y[:, None, :]).reshape(len(x), x.shape[1] * y.shape[1])
 
 
-def _quotient_rule(num, den):
-    """Partial derivatives of num / den up to total order 2.
+def _quotient_rule(num, den, q):
+    """Partial derivatives of num / den up to total order 2, written into ``q``.
 
     ``num`` and ``den`` map per-direction derivative orders to arrays that
     broadcast against each other: the weighted sums of a NURBS object and
-    of its weights. Differentiating num = q * den by the Leibniz rule gives
-    the derivatives of the rational quotient q.
+    of its weights. ``q`` maps the same orders to the arrays that receive
+    the partials of the rational quotient q, which differentiating
+    num = q * den by the Leibniz rule gives.
     """
     zero = next(iter(num))
     w0 = den[zero]
-    q = {zero: num[zero] / w0}
+    np.divide(num[zero], w0, out=q[zero])
     for alpha in num:
         if sum(alpha) == 1:
-            q[alpha] = (num[alpha] - den[alpha] * q[zero]) / w0
+            np.divide(num[alpha] - den[alpha] * q[zero], w0, out=q[alpha])
         elif sum(alpha) == 2:
-            a, b = _split_second_order(alpha)
-            q[alpha] = (
-                num[alpha] - den[alpha] * q[zero] - den[a] * q[b] - den[b] * q[a]
-            ) / w0
-    return q
-
-
-def _stack_jet(partials, dim, max_deriv):
-    """Value, gradient (..., d, c) and Hessian (..., d, d, c) from partials (..., c)."""
-    d = dim
-    grad = hess = None
-    if max_deriv >= 1:
-        grad = np.stack([partials[_unit(d, a)] for a in range(d)], axis=-2)
-    if max_deriv >= 2:
-        rows = []
-        for a in range(d):
-            cols = [partials[_add(_unit(d, a), _unit(d, b))] for b in range(d)]
-            rows.append(np.stack(cols, axis=-2))
-        hess = np.stack(rows, axis=-3)
-    return partials[(0,) * d], grad, hess
+            a, b = (_unit(len(alpha), k) for k in _directions(alpha))
+            rest = num[alpha] - den[alpha] * q[zero] - den[a] * q[b] - den[b] * q[a]
+            np.divide(rest, w0, out=q[alpha])

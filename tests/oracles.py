@@ -18,9 +18,10 @@ from functools import reduce
 import numpy as np
 from scipy.linalg import lapack
 
+from splinecol.errors import UnsupportedDerivativeError
 from splinecol.geometry import lattice_pullbacks
 from splinecol.metrics import quadrature_rule
-from splinecol.splines import _local_basis
+from splinecol.splines import _direction_tables
 
 
 def naive_basis(knots, p, i, u):
@@ -577,7 +578,12 @@ def basis_values(kv, u, max_deriv=0):
     parameters prepends its shape. The columns correspond to basis indices
     span-degree .. span.
     """
-    _, ders = _local_basis(kv, u, max_deriv)
+    if max_deriv > kv.degree:
+        raise UnsupportedDerivativeError(
+            f"derivative order {max_deriv} exceeds degree {kv.degree}"
+        )
+    _, local = _direction_tables(kv, u, max_deriv)
+    ders = np.moveaxis(local, 0, 1)
     return ders.reshape(np.shape(u) + ders.shape[1:])
 
 

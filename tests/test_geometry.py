@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from batched import value_at
 from oracles import fd_gradient, lapack_det_inv, push_gradient, push_hessian, uniform_refine
+from splinecol.collocation import build_field
 from splinecol.errors import SingularGeometryError, UnsupportedDerivativeError
 from splinecol.geometry import (
     DET_TOL,
@@ -16,6 +17,7 @@ from splinecol.geometry import (
     lattice_push_gradient,
     lattice_push_hessian,
 )
+from splinecol.metrics import quadrature_rule
 from splinecol.problems import (
     EXAMPLES,
     curve_unit_interval,
@@ -265,35 +267,45 @@ class TestPhysicalDerivatives:
         assert np.allclose(normals, pts / np.linalg.norm(pts, axis=1, keepdims=True))
 
 
-def near_linear_map(rng, dim, kvs):
-    """A rational map close to a random linear one with singular values in [0.5, 2]."""
+def near_linear_map(rng, dim, kvs, rational=True):
+    """A map close to a random linear one with singular values in [0.5, 2]."""
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     linear = q * rng.uniform(0.5, 2.0, dim)
     greville = np.meshgrid(*(kv.greville_abscissae() for kv in kvs), indexing="ij")
     coeffs = np.stack(greville, axis=-1) @ linear.T
     coeffs += 0.01 * rng.normal(size=coeffs.shape)
-    weights = rng.uniform(0.9, 1.1, coeffs.shape[:-1])
+    weights = rng.uniform(0.9, 1.1, coeffs.shape[:-1]) if rational else np.ones(coeffs.shape[:-1])
     return GeometryMap(TensorSpline(kvs, coeffs, weights))
 
 
 def assert_matches_oracles(geo, axes, rng, c):
-    """Closed-form det and inverse and the package pushes against LAPACK and einsum, to 1e-12."""
+    """Closed-form det and inverse and the package pushes against LAPACK and einsum, to 1e-12.
+
+    Two jets are pushed: a random one, and the lattice jet of a random
+    field on the map's basis, whose entries are strided views.
+    """
     _, jac, inv, det, second = lattice_pullbacks(geo, axes)
     det_ref, inv_ref = lapack_det_inv(jac)
     assert np.all(np.abs(det - det_ref) <= 1e-12 * np.abs(det_ref))
     scale = np.abs(inv_ref).max(axis=(1, 2), keepdims=True)
     assert np.all(np.abs(inv - inv_ref) <= 1e-12 * scale)
 
-    d = geo.dim
-    grad_t = rng.normal(size=(len(jac), d, c))
-    # Not symmetrised, so a push that swaps the two Hessian axes shows.
-    hess_t = rng.normal(size=(len(jac), d, d, c))
-    grad_ref = push_gradient(inv_ref, grad_t)
-    grad_x = lattice_push_gradient(inv, grad_t)
-    assert np.abs(grad_x - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
-    hess_ref = push_hessian(inv_ref, second, grad_ref, hess_t)
-    hess_x = lattice_push_hessian(inv, second, grad_x, hess_t)
-    assert np.abs(hess_x - hess_ref).max() <= 1e-12 * np.abs(hess_ref).max()
+    d, spline = geo.dim, geo.spline
+    field = TensorSpline(spline.kvs, rng.normal(size=spline.shape + (c,)), spline.weights)
+    jet = field.evaluate_lattice(axes, max_deriv=2)
+    # The random Hessian is not symmetrised, so a push that swaps the two
+    # Hessian axes shows.
+    jets = [
+        (rng.normal(size=(len(jac), d, c)), rng.normal(size=(len(jac), d, d, c))),
+        (jet.grad.reshape(-1, d, c), jet.hess.reshape(-1, d, d, c)),
+    ]
+    for grad_t, hess_t in jets:
+        grad_ref = push_gradient(inv_ref, grad_t)
+        grad_x = lattice_push_gradient(inv, grad_t)
+        assert np.abs(grad_x - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+        hess_ref = push_hessian(inv_ref, second, grad_ref, hess_t)
+        hess_x = lattice_push_hessian(inv, second, grad_x, hess_t)
+        assert np.abs(hess_x - hess_ref).max() <= 1e-12 * np.abs(hess_ref).max()
 
 
 class TestClosedFormAlgebra:
@@ -304,20 +316,25 @@ class TestClosedFormAlgebra:
         seed=st.integers(0, 2**32 - 1),
         count=st.integers(1, 4),
         c=st.sampled_from([1, 2, 16, 64]),
+        rational=st.booleans(),
     )
-    def test_random_maps_match_lapack_and_einsum(self, dim, interior, seed, count, c):
+    def test_random_maps_match_lapack_and_einsum(self, dim, interior, seed, count, c, rational):
         rng = np.random.default_rng(seed)
         kvs = (uniform_refine(CUBIC, interior),) * dim
-        geo = near_linear_map(rng, dim, kvs)
+        geo = near_linear_map(rng, dim, kvs, rational)
         assert_matches_oracles(geo, random_axes(rng, dim, count), rng, c)
 
     @pytest.mark.parametrize("example", sorted(EXAMPLES))
     def test_example_geometries_match_lapack_and_einsum(self, example):
+        # The lattices error_report and assemble use: the quadrature rule
+        # and the Greville points of a refined field.
         geo = EXAMPLES[example]().geometry
+        field = build_field(geo, (6,) * geo.dim)
         rng = np.random.default_rng(11)
-        axes = [np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 4)]) for _ in range(geo.dim)]
-        for c in (1, 2, 64):
-            assert_matches_oracles(geo, axes, rng, c)
+        lattices = [quadrature_rule(field)[0], [kv.greville_abscissae() for kv in field.kvs]]
+        for axes in lattices:
+            for c in (1, 2, 64):
+                assert_matches_oracles(geo, axes, rng, c)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_tiny_determinant_names_its_point(self, dim):

@@ -1,5 +1,6 @@
 """Error functionals: quadrature, relative errors, absolute error fields."""
 
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -184,6 +185,22 @@ class TestVectorQuantities:
         assert payload["quantities"][0]["name"] == "T"
         with_samples = report.to_dict(include_samples=True)
         assert len(with_samples["samples"]["points"]) == len(report.sample_points)
+
+
+@pytest.mark.parametrize("factory", [example_1d_dirichlet, example_2d_annulus, example_3d_cube])
+def test_report_stage_timings(factory):
+    # Every stage of error_report is timed, and the stages nest inside the call.
+    prob = factory()
+    field = CollocationSolver(method="igac", n_per_dir=6).fit(prob).field_
+    start = time.perf_counter()
+    report = error_report(prob, field)
+    wall = time.perf_counter() - start
+    stages = ("samples", "pullback", "evaluate", "integrate")
+    assert tuple(report.timings) == metrics.REPORT_STAGES == stages
+    assert all(t >= 0.0 for t in report.timings.values())
+    assert sum(report.timings.values()) <= wall
+    # Timings vary from run to run, so they take no part in equality.
+    assert replace(report, timings={}) == report
 
 
 def test_error_report_memory_stays_bounded():

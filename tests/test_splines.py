@@ -272,6 +272,22 @@ class TestTensorSpline:
                 assert np.allclose(lat.grad[i, j], grad, atol=1e-11)
                 assert np.allclose(lat.hess[i, j], hess, atol=1e-9)
 
+    def test_jets_are_views_of_one_buffer(self):
+        # A 3D rational jet is built in one buffer, partials first and then
+        # components, so each entry is contiguous over the lattice and no
+        # interleaving copy is made; basis jets use the same layout.
+        rng = np.random.default_rng(5)
+        kvs = (uniform_refine(CUBIC, 1), CUBIC, uniform_refine(CUBIC, 2))
+        shape = tuple(kv.n_basis for kv in kvs)
+        solid = TensorSpline(kvs, rng.normal(size=shape + (3,)), rng.uniform(0.5, 2.0, shape))
+        jet = solid.evaluate_lattice([np.linspace(0, 1, k) for k in (5, 4, 6)], max_deriv=2)
+        buf = jet.grad.base
+        assert all(np.shares_memory(buf, x) for x in (jet.value, jet.grad, jet.hess))
+        assert jet.grad[..., 1, 2].flags.c_contiguous
+        assert jet.hess[..., 2, 0, 1].flags.c_contiguous
+        _, value, grad, hess = solid.basis_jets(rng.uniform(0, 1, size=(7, 3)))
+        assert all(np.shares_memory(grad.base, x) for x in (value, grad, hess))
+
     def test_basis_jets_reconstruct_field(self):
         rng = np.random.default_rng(9)
         kvu = uniform_refine(CUBIC, 3)
