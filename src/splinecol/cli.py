@@ -4,7 +4,8 @@ Subcommands: ``solve`` (single run), ``converge`` (sweeps over control or
 collocation counts), ``stability`` (the non-uniform-knot experiment) and
 ``cost-model`` (closed-form flop counts). Flags mirror the experiment
 configuration fields; ``--config`` loads a JSON file with the same keys
-and explicit flags override it.
+and explicit flags override it. ``-v`` writes the stage seconds of every
+fit and error report to stderr (the ``splinecol`` logger at debug level).
 
 Exit codes: 0 success, 2 configuration error, 3 assembly error, 4 solver
 error, 1 any other library failure or a sweep in which no cell ran.
@@ -13,6 +14,8 @@ error, 1 any other library failure or a sweep in which no cell ran.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import logging
 import sys
 
 from .bench import cost_model_rows, run_cells, stability_cells, sweep_cells
@@ -52,6 +55,10 @@ def _add_run_options(parser):
     parser.add_argument(
         "-o", "--output",
         help="path stem for <stem>.csv and <stem>.json result files",
+    )
+    parser.add_argument(
+        "-v", "--verbose", action="store_true",
+        help="log the stage seconds of every fit and error report to stderr",
     )
 
 
@@ -220,11 +227,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _stage_logging(enabled):
+    """While a command runs, send the ``splinecol`` logger's debug lines to stderr."""
+    if not enabled:
+        yield
+        return
+    logger = logging.getLogger("splinecol")
+    handler = logging.StreamHandler()
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _stage_logging(getattr(args, "verbose", False)):
+            return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,6 +9,7 @@ with generic parameter-sweep tooling.
 from __future__ import annotations
 
 import inspect
+import logging
 import time
 
 import numpy as np
@@ -23,11 +24,14 @@ from .collocation import (
     generate_collocation_points,
 )
 from .errors import InvalidSchemeError
+from .metrics import stage_seconds
 from .problems import BvpDefinition
 from .solvers import solve_normal_equations, solve_square
 
 METHODS = ("igac", "igal_fixed", "igal_variable")
 FIT_STAGES = ("refine", "points", "assemble", "solve")
+
+logger = logging.getLogger("splinecol")
 
 
 def point_counts(method, n_counts, m_counts=None):
@@ -179,6 +183,9 @@ class CollocationSolver:
         self.timings_ = {
             stage: end - start for stage, start, end in zip(FIT_STAGES, stamps, stamps[1:])
         }
+        logger.debug(
+            "fit %s %s: %s", problem.example_id, self.method, stage_seconds(self.timings_)
+        )
         return self
 
     # -- prediction ----------------------------------------------------------

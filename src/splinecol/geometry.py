@@ -11,6 +11,10 @@ overhead exceeds the arithmetic. The cofactors are formed entry by entry:
 each Jacobian entry of a lattice jet is a contiguous array over the
 lattice (see :class:`splinecol.splines.LatticeJet`), so every cofactor is
 one ufunc expression in whole arrays, with no gathered (N, d, d) copies.
+The Hessian push works the same way: each entry of each factor of the
+chain rule is one sum of d products of whole (N, c) blocks with (N,)
+geometry columns, since a batched matmul on (d, d) blocks also pays a
+per-point overhead above the arithmetic.
 
 Conventions: the Jacobian J has entries J[k, a] = dx_k / dtheta_a; the
 second-derivative tensor S has S[a, b, k] = d^2 x_k / dtheta_a dtheta_b
@@ -138,14 +142,24 @@ def lattice_push_hessian(inv_jac, second, grad_x, hess_theta):
     """Batched physical Hessians (N, d, d, c).
 
     Implements H_x = J^{-T} (H_theta - sum_k (grad_x)_k S_k) J^{-1} with
-    S the geometry second-derivative tensor. Both products are a left
-    product with J^{-T}, one batched matmul per point on a (d, d*c)
-    block; swapping the two Hessian axes between them turns the right
-    product with J^{-1} into a left one.
+    S the geometry second-derivative tensor, entry by entry: every entry
+    of T = H_theta - sum_k (grad_x)_k S_k, of U = J^{-T} T and of
+    H_x = U J^{-1} is one ``einsum`` sum of d products of (N, c) blocks
+    with the (N,) columns ``second[:, a, b, k]`` and ``inv_jac[:, a, i]``,
+    written in place. All d^2 entries are computed; H_theta need not be
+    symmetric. The result is a view of one (d, d, N, c) buffer, which
+    holds T until U is formed.
     """
-    n, d, _, c = shape = hess_theta.shape
-    corr = (second.reshape(n, d * d, d) @ grad_x).reshape(shape)
-    inv_t = np.swapaxes(inv_jac, -1, -2)
-    half = (inv_t @ (hess_theta - corr).reshape(n, d, d * c)).reshape(shape)  # [n, i, b, c]
-    full = inv_t @ np.swapaxes(half, 1, 2).reshape(n, d, d * c)  # [n, j, i * c]
-    return np.swapaxes(full.reshape(shape), 1, 2)
+    n, d, _, c = hess_theta.shape
+    out = np.empty((d, d, n, c))
+    half = np.empty((d, d, n, c))
+    grad = np.moveaxis(grad_x, 1, 0)  # (k, N, c)
+    pairs = list(itertools.product(range(d), repeat=2))
+    for a, b in pairs:
+        np.einsum("nk,knc->nc", second[:, a, b], grad, out=out[a, b])
+        np.subtract(hess_theta[:, a, b], out[a, b], out=out[a, b])
+    for i, b in pairs:
+        np.einsum("na,anc->nc", inv_jac[:, :, i], out[:, b], out=half[i, b])
+    for i, j in pairs:
+        np.einsum("bnc,nb->nc", half[i], inv_jac[:, :, j], out=out[i, j])
+    return np.moveaxis(out, 2, 0)

@@ -10,6 +10,7 @@ deterministic so repeated runs produce identical numbers.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import time
 from dataclasses import dataclass
 
@@ -28,6 +29,13 @@ from .splines import TensorSpline
 
 DEFAULT_ABS_SAMPLES = {1: 1001, 2: 201, 3: 41}
 REPORT_STAGES = ("samples", "pullback", "evaluate", "integrate")
+
+logger = logging.getLogger("splinecol")
+
+
+def stage_seconds(timings) -> str:
+    """One log line's worth of stage timings, ``stage=seconds`` in stage order."""
+    return " ".join(f"{stage}={seconds:.6f}s" for stage, seconds in timings.items())
 
 
 def default_quad_order(field: TensorSpline) -> int:
@@ -131,15 +139,17 @@ class ErrorReport:
     quadrature rule and the absolute-error lattice), ``pullback`` (the
     geometry on the quadrature lattice), ``evaluate`` (the field's jets,
     pushed to physical derivatives) and ``integrate`` (the relative errors
-    and e_DT). It takes no part in comparisons.
+    and e_DT). Comparisons cover the scalar results only: the timings
+    vary from run to run, and ``sample_points``/``sample_errors`` hold
+    arrays, which ``==`` compares element by element.
     """
 
     example_id: str
     quantities: tuple
     e_DT: float | None
     quadrature_order: int
-    sample_points: np.ndarray
-    sample_errors: dict
+    sample_points: np.ndarray = dataclasses.field(compare=False)
+    sample_errors: dict = dataclasses.field(compare=False)
     timings: dict = dataclasses.field(default_factory=dict, compare=False)
 
     @property
@@ -221,6 +231,8 @@ def error_report(
     source = callback_values(problem.source, x, field.ncomp, "source")
     e_dt = _relative_l2(source, problem.operator.apply(value, grad_x, hess_x), dw)
     stamps.append(time.perf_counter())
+    timings = {s: end - start for s, start, end in zip(REPORT_STAGES, stamps, stamps[1:])}
+    logger.debug("error_report %s: %s", problem.example_id, stage_seconds(timings))
     return ErrorReport(
         example_id=problem.example_id,
         quantities=tuple(quantities),
@@ -228,5 +240,5 @@ def error_report(
         quadrature_order=order,
         sample_points=pts,
         sample_errors=abs_errors,
-        timings={s: end - start for s, start, end in zip(REPORT_STAGES, stamps, stamps[1:])},
+        timings=timings,
     )

@@ -219,6 +219,18 @@ class TestCli:
         assert code == 0
         assert "n=10" in capsys.readouterr().out
 
+    def test_verbose_logs_stage_seconds(self, capsys, caplog):
+        # -v sends one line per fit and per error report to stderr; without
+        # it nothing is logged.
+        argv = ["solve", "--example", "I", "--method", "igac", "-n", "10"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == "" and caplog.records == []
+        assert cli.main(argv + ["-v"]) == 0
+        fit, report = [r.getMessage() for r in caplog.records]
+        assert fit.startswith("fit I igac: refine=") and "solve=" in fit
+        assert report.startswith("error_report I: samples=") and "integrate=" in report
+        assert capsys.readouterr().err.splitlines() == [fit, report]
+
     def test_converge_command(self, tmp_path):
         code = cli.main(
             ["converge", "--example", "I", "--method", "igac",

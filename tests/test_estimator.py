@@ -1,5 +1,6 @@
 """The fit/predict estimator facade."""
 
+import logging
 import time
 import tracemalloc
 
@@ -172,6 +173,17 @@ class TestFit:
         assert tuple(solver.timings_) == FIT_STAGES == ("refine", "points", "assemble", "solve")
         assert all(t >= 0.0 for t in solver.timings_.values())
         assert sum(solver.timings_.values()) <= wall
+
+    def test_fit_logs_its_stage_seconds(self, caplog):
+        solver = CollocationSolver(method="igac", n_per_dir=8)
+        solver.fit(example_1d_dirichlet())
+        assert caplog.records == []  # nothing is logged by default
+        with caplog.at_level(logging.DEBUG, logger="splinecol"):
+            solver.fit(example_1d_dirichlet())
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG and record.name == "splinecol"
+        stages = " ".join(f"{s}={t:.6f}s" for s, t in solver.timings_.items())
+        assert record.getMessage() == f"fit I igac: {stages}"
 
     def test_square_least_squares_reproduces_interpolation(self):
         prob = example_1d_dirichlet()

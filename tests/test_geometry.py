@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from batched import value_at
 from oracles import fd_gradient, lapack_det_inv, push_gradient, push_hessian, uniform_refine
-from splinecol.collocation import build_field
+from splinecol.collocation import CollocationScheme, build_field, generate_collocation_points
 from splinecol.errors import SingularGeometryError, UnsupportedDerivativeError
 from splinecol.geometry import (
     DET_TOL,
@@ -335,6 +335,31 @@ class TestClosedFormAlgebra:
         for axes in lattices:
             for c in (1, 2, 64):
                 assert_matches_oracles(geo, axes, rng, c)
+
+    @pytest.mark.parametrize("example, width", [("II", 16), ("III", 64), ("curved cube", 64)])
+    def test_basis_jets_at_interior_collocation_points(self, example, width):
+        # The layout assemble pushes: basis jet views (N, d, d, L) of one
+        # derivative-major buffer, with the geometry gathered at the interior
+        # points. III's cube is affine (S = 0, diagonal J), so a rational
+        # near-linear cube map exercises L = 64 with curvature. The basis
+        # Hessians are symmetric, so this guards the layout and the
+        # correction term rather than the axis order.
+        if example in EXAMPLES:
+            geo = EXAMPLES[example]().geometry
+        else:
+            geo = near_linear_map(np.random.default_rng(13), 3, (CUBIC,) * 3)
+        field = build_field(geo, (6,) * geo.dim)
+        counts = tuple(kv.n_basis for kv in field.kvs)
+        points = generate_collocation_points(field.kvs, CollocationScheme("greville", counts))
+        _, jac, inv, _, second = lattice_pullbacks(geo, points.axes)
+        inner = np.flatnonzero(~points.on_boundary)
+        _, inv_ref = lapack_det_inv(jac[inner])
+        _, _, grad_t, hess_t = field.basis_jets(points.lattice[inner], max_deriv=2)
+        assert hess_t.shape == (len(inner), geo.dim, geo.dim, width)
+        grad_x = lattice_push_gradient(inv[inner], grad_t)
+        hess_x = lattice_push_hessian(inv[inner], second[inner], grad_x, hess_t)
+        hess_ref = push_hessian(inv_ref, second[inner], push_gradient(inv_ref, grad_t), hess_t)
+        assert np.abs(hess_x - hess_ref).max() <= 1e-12 * np.abs(hess_ref).max()
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_tiny_determinant_names_its_point(self, dim):

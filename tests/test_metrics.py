@@ -1,5 +1,6 @@
 """Error functionals: quadrature, relative errors, absolute error fields."""
 
+import logging
 import time
 import tracemalloc
 from dataclasses import replace
@@ -201,6 +202,27 @@ def test_report_stage_timings(factory):
     assert sum(report.timings.values()) <= wall
     # Timings vary from run to run, so they take no part in equality.
     assert replace(report, timings={}) == report
+
+
+def test_reports_compare_by_their_scalar_results():
+    # Two reports of one fit hold equal results in distinct sample arrays.
+    prob = example_1d_dirichlet()
+    field = CollocationSolver(method="igac", n_per_dir=8).fit(prob).field_
+    first, second = error_report(prob, field), error_report(prob, field)
+    assert first.sample_points is not second.sample_points
+    assert first == second
+    assert replace(first, e_DT=2 * first.e_DT) != first
+
+
+def test_report_logs_its_stage_seconds(caplog):
+    prob = example_1d_dirichlet()
+    field = CollocationSolver(method="igac", n_per_dir=8).fit(prob).field_
+    with caplog.at_level(logging.DEBUG, logger="splinecol"):
+        report = error_report(prob, field)
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG and record.name == "splinecol"
+    stages = " ".join(f"{s}={t:.6f}s" for s, t in report.timings.items())
+    assert record.getMessage() == f"error_report I: {stages}"
 
 
 def test_error_report_memory_stays_bounded():
