@@ -3,9 +3,10 @@
 Subcommands: ``solve`` (single run), ``converge`` (sweeps over control or
 collocation counts), ``stability`` (the non-uniform-knot experiment) and
 ``cost-model`` (closed-form flop counts). Flags mirror the experiment
-configuration fields; ``--config`` loads a JSON file with the same keys
-and explicit flags override it. ``-v`` writes the stage seconds of every
-fit and error report to stderr (the ``splinecol`` logger at debug level).
+configuration fields; for the run commands ``--config`` loads a JSON file
+with the same keys and explicit flags override it (``cost-model`` takes
+flags only). ``-v`` writes the stage seconds of every fit and error report
+to stderr (the ``splinecol`` logger at debug level).
 
 Exit codes: 0 success, 2 configuration error, 3 assembly error, 4 solver
 error, 1 any other library failure or a sweep in which no cell ran.

@@ -45,12 +45,9 @@ def default_quad_order(field: TensorSpline) -> int:
 def _gauss_axis(kv, order):
     """Quadrature nodes and weights over all nonempty cells of one direction."""
     nodes, wts = leggauss(order)
-    axes, weights = [], []
-    for a, b in kv.spans:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        axes.append(mid + half * nodes)
-        weights.append(half * wts)
-    return np.concatenate(axes), np.concatenate(weights)
+    bp = kv.breakpoints
+    mid, half = 0.5 * (bp[:-1] + bp[1:]), 0.5 * (bp[1:] - bp[:-1])
+    return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * wts).ravel()
 
 
 def quadrature_rule(field: TensorSpline, quad_order=None):

@@ -99,17 +99,19 @@ def _direction_tables(kv, u, max_deriv):
 #: Largest dense direction table, in entries (orders x points x basis), that
 #: ``evaluate_lattice`` builds; a larger direction is contracted through its
 #: band as a CSR matrix with p+1 entries per row. Placed by timing both
-#: forms on each direction of the benchmark fields (one BLAS thread, median
-#: ms per call, dense -> band): 1D fields gain from about 5e4 entries on
-#: (51300: 0.61 -> 0.55, 120120: 0.79 -> 0.53, 1.5e7: 43 -> 1.5) and differ
-#: by under 0.1 ms below that; the widest 2D/3D table, II n = 60 at 51300
-#: entries, ties (11.2 -> 10.9) and smaller ones tie or lose up to 0.7 ms.
+#: forms on every ``evaluate_lattice`` call of the benchmark's error reports
+#: (one BLAS thread, median ms per call, dense -> band): 1D fields gain from
+#: about 3e4 entries on (29820: 1.11 -> 0.99, 59820: 2.00 -> 1.56, 250250:
+#: 0.60 -> 0.40, 1.5e7: 37 -> 2.9) and tie below that; the widest 2D/3D
+#: table, II n = 60 at 51300 entries, ties (7.3 -> 7.2 over 60 alternating
+#: calls), and smaller ones lose up to 2.7 ms (30375: 4.6 -> 4.9, III's
+#: 45^3 lattice at 1620: 3.2 -> 5.5, II's geometry at 3420: 12.4 -> 15.2).
 #: 2**16 keeps every 2D/3D direction of the benchmark dense.
 DENSE_TABLE_LIMIT = 1 << 16
 
 
 def _direction_operators(kv, u, max_deriv):
-    """One (points, basis) matrix per derivative order, and whether they are banded.
+    """One (points, basis) matrix per derivative order at parameters ``u``.
 
     The matrices are dense while their table fits ``DENSE_TABLE_LIMIT``
     and CSR over the band of p+1 nonzero columns per row above it.
@@ -120,17 +122,25 @@ def _direction_operators(kv, u, max_deriv):
     if orders * m * kv.n_basis <= DENSE_TABLE_LIMIT:
         table = np.zeros((orders, m, kv.n_basis))
         table[:, np.arange(m)[:, None], cols] = local
-        return list(table), False
+        return list(table)
     indptr = np.arange(0, m * width + 1, width)
     shape = (m, kv.n_basis)
-    return [sp.csr_array((k.ravel(), cols.ravel(), indptr), shape=shape) for k in local], True
+    return [sp.csr_array((k.ravel(), cols.ravel(), indptr), shape=shape) for k in local]
 
 
-def _contract_axis(op, x, axis):
-    """Contract ``axis`` of ``x`` with the (points, basis) matrix ``op``."""
-    x = np.moveaxis(x, axis, 0)
-    y = op @ x.reshape(len(x), -1)
-    return np.moveaxis(y.reshape((op.shape[0],) + x.shape[1:]), 0, axis)
+def _contract_leading(op, x, out=None):
+    """Contract the leading axis of ``x`` (basis, rest) with the (points, basis) ``op``.
+
+    Returns the (rest, points) product, so the new lattice axis comes
+    last; a dense ``op`` is one GEMM on transposed views, written into
+    ``out`` when given.
+    """
+    if not sp.issparse(op):
+        return np.matmul(x.T, op.T, out=out)
+    y = (op @ x).T
+    if out is not None:
+        out[...] = y
+    return y
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,14 +421,18 @@ class TensorSpline:
         """Jet on the tensor lattice spanned by per-direction parameter arrays.
 
         The field is contracted one direction at a time with 1D derivative
-        tables (sum factorization): dense tables through one ``einsum``, and
-        directions whose dense table would exceed ``DENSE_TABLE_LIMIT``
-        entries first, through their band. Each partial's einsum writes
-        straight into its block of the jet's buffer (see
-        :class:`LatticeJet`); a rational jet's blocks come from the quotient
-        rule on the homogeneous sums. Rational derivatives are supported up
-        to order 2; B-splines with unit weights accept any order, but the
-        jet holds partials up to order 2 only.
+        tables (sum factorization). Each step is one matrix product that
+        contracts the leading basis axis and appends the lattice axis, so
+        after d steps a partial is laid out (c, m1, ..., md), its block of
+        the jet's buffer (see :class:`LatticeJet`), and the last step
+        writes it there. Prefixes are shared: direction 0 is contracted
+        once per order, direction 1 once per pair of orders, and so on.
+        A direction whose dense table would exceed ``DENSE_TABLE_LIMIT``
+        entries is contracted through its band. A rational jet's blocks
+        come from the quotient rule on the homogeneous sums. Rational
+        derivatives are supported up to order 2; B-splines with unit
+        weights accept any order, but the jet holds partials up to order 2
+        only.
         """
         axes = [as_float_array(a, f"axes[{i}]", ndim=1) for i, a in enumerate(axes)]
         if len(axes) != self.dim:
@@ -431,32 +445,28 @@ class TensorSpline:
 
         # The jet exposes partials up to order 2, so none above it is computed.
         d, c, order = self.dim, self.ncomp, min(max_deriv, 2)
-        ops, banded = zip(
-            *(_direction_operators(kv, pts, order) for kv, pts in zip(self.kvs, axes))
-        )
-        band = [a for a in range(d) if banded[a]]
-        dense = [a for a in range(d) if not banded[a]]
-        # Banded directions are contracted first, so their axes enter the
-        # einsum over the dense ones already indexed by points.
-        basis, point = "ijk"[:d], "uvw"[:d]
-        source_subs = "".join(point[a] if banded[a] else basis[a] for a in range(d))
-        subs = ",".join([point[a] + basis[a] for a in dense] + [source_subs + "c"])
-        subs += f"->c{point}"
+        ops = [_direction_operators(kv, pts, order) for kv, pts in zip(self.kvs, axes)]
 
         # One buffer, entry-major then component-major: each partial is a
-        # contiguous (c, m1, ..., md) row that its einsum writes in place.
+        # contiguous (c, m1, ..., md) row that its last product writes.
         lattice = tuple(len(a) for a in axes)
         buf = _jet_buffer(d, order, (c,) + lattice)
         source = self.coeffs if polynomial else self._homogeneous()
         sums = buf if polynomial else np.empty((len(buf), c + 1) + lattice)
-        alphas = _deriv_multi_indices(d, order)
-        for alpha in alphas:
-            x = source
-            for a in band:
-                x = _contract_axis(ops[a][alpha[a]], x, a)
-            dense_ops = [ops[a][alpha[a]] for a in dense]
-            np.einsum(subs, *dense_ops, x, out=sums[_jet_entry(alpha)], optimize=True)
+        prefixes = {(): source.reshape(self.shape[0], -1)}
+        for a in range(d - 1):
+            prefixes = {
+                prefix + (k,): _contract_leading(ops[a][k], x).reshape(self.shape[a + 1], -1)
+                for prefix, x in prefixes.items()
+                for k in range(order - sum(prefix) + 1)
+            }
+        # The last step's block is sized from x, as -1 is ambiguous when md = 0.
+        for prefix, x in prefixes.items():
+            for k in range(order - sum(prefix) + 1):
+                out = sums[_jet_entry(prefix + (k,))].reshape(x.shape[1], lattice[-1])
+                _contract_leading(ops[-1][k], x, out)
         if not polynomial:
+            alphas = _deriv_multi_indices(d, order)
             num = {alpha: sums[_jet_entry(alpha), :c] for alpha in alphas}
             den = {alpha: sums[_jet_entry(alpha), c:] for alpha in alphas}
             _quotient_rule(num, den, {alpha: buf[_jet_entry(alpha)] for alpha in alphas})

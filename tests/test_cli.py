@@ -406,6 +406,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "2,177" in out  # 134 (p+1)^2 + 33 at p = 3
 
+    def test_cost_model_takes_flags_only(self, tmp_path, capsys):
+        # Only the run commands read a configuration file.
+        cfg = tmp_path / "cost.json"
+        cfg.write_text(json.dumps({"dimension": 2}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cost-model", "--config", str(cfg), "--dimension", "2",
+                      "-n", "5", "-m", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"example": "I", "method": "igal_fixed", "n": [10]}))

@@ -375,6 +375,41 @@ class TestLatticeTableForms:
         assert not banded(kvs[1], axes[1], 2)
         self.assert_matches_point_oracle(surf, axes)
 
+    def test_anisotropic_rational_solid_in_dense_form(self):
+        # The three basis counts and three point counts are six different
+        # sizes, so a step that mixes up two axes' sizes or orders cannot pass.
+        rng = np.random.default_rng(35)
+        quadratic = KnotVector([0, 0, 0, 1, 1, 1], 2)
+        kvs = (uniform_refine(CUBIC, 2), uniform_refine(quadratic, 1), CUBIC5)
+        shape = tuple(kv.n_basis for kv in kvs)
+        solid = TensorSpline(kvs, rng.normal(size=shape + (3,)), rng.uniform(0.5, 2.0, shape))
+        axes = [off_knot_axis(rng, kv, count) for kv, count in zip(kvs, (5, 1, 6))]
+        assert len(set(shape) | {len(a) for a in axes}) == 6
+        assert not any(banded(kv, a, 2) for kv, a in zip(kvs, axes))
+        self.assert_matches_point_oracle(solid, axes)
+
+    def test_solid_with_only_the_middle_direction_banded(self):
+        rng = np.random.default_rng(36)
+        kvs = (CUBIC5, wide_knot_vector(300), CUBIC)
+        shape = tuple(kv.n_basis for kv in kvs)
+        solid = TensorSpline(kvs, rng.normal(size=shape + (2,)), rng.uniform(0.5, 2.0, shape))
+        axes = [off_knot_axis(rng, kv, count) for kv, count in zip(kvs, (0, 220, 1))]
+        assert banded(kvs[1], axes[1], 0)
+        assert not banded(kvs[0], axes[0], 2) and not banded(kvs[2], axes[2], 2)
+        self.assert_matches_point_oracle(solid, axes)
+
+    @pytest.mark.parametrize("empty", [0, 1, 2])
+    def test_empty_axis_gives_empty_jets(self, empty):
+        rng = np.random.default_rng(37)
+        kvs = (CUBIC5, CUBIC, uniform_refine(CUBIC, 2))
+        shape = tuple(kv.n_basis for kv in kvs)
+        solid = TensorSpline(kvs, rng.normal(size=shape + (2,)), rng.uniform(0.5, 2.0, shape))
+        axes = [np.array([]) if a == empty else np.array([0.25, 0.5, 0.75]) for a in range(3)]
+        jet = solid.evaluate_lattice(axes, 2)
+        lattice = tuple(len(a) for a in axes)
+        assert jet.value.shape == lattice + (2,)
+        assert jet.grad.shape == lattice + (3, 2) and jet.hess.shape == lattice + (3, 3, 2)
+
     def test_every_direction_banded_in_3d(self, monkeypatch):
         monkeypatch.setattr(splines, "DENSE_TABLE_LIMIT", 0)
         rng = np.random.default_rng(34)
