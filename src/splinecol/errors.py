@@ -53,14 +53,14 @@ class SingularSystemError(SplineColError, RuntimeError):
 
 
 class RankDeficientError(SplineColError, RuntimeError):
-    """The symmetric factor of the normal equations A^T A broke down.
+    """The band Cholesky factor of the normal equations A^T A broke down.
 
     ``pivot_index`` is the unknown (0-based column of A) at fault, never
-    None: one that no row touches, else the one eliminated at the first
-    non-positive pivot. For an exactly zero pivot, whose step SuperLU does
-    not report, it is the unknown whose pivot is smallest relative to its
-    diagonal entry in a factor of A^T A shifted by 1e-14 ||A^T A||_1. The
-    message names the same unknown and the 1-based step.
+    None: one that no row touches, else the first whose pivot falls below
+    1e-14 times its diagonal entry of A^T A, else the one at which the
+    factor met a non-positive pivot. The factor eliminates the unknowns in
+    their natural order, so the message names the same unknown and its
+    1-based step.
     """
 
     def __init__(self, message, pivot_index):

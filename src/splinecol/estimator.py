@@ -55,7 +55,7 @@ class CollocationSolver:
         ``"igac"`` collocates at exactly as many points as unknowns and
         solves the square system by sparse LU. ``"igal_fixed"`` uses the
         explicit ``m_per_dir`` point counts (more points than unknowns) and
-        solves the normal equations with a sparse symmetric factor.
+        solves the normal equations by band Cholesky.
         ``"igal_variable"`` derives the point counts as n + 2 per direction.
     n_per_dir:
         Control-point count per direction (int or tuple). Ignored when

@@ -1,14 +1,14 @@
 """Sparse direct solvers and the flop cost model.
 
 Both solvers take the collocation matrix as a sparse array (a dense one
-is converted) and factor with SuperLU. Square interpolatory systems get an
-LU factor with partial pivoting in COLAMD column order. Overdetermined
-least-squares systems form G = A^T A and factor it in a symmetric
-minimum-degree order with diagonal pivots only, which for a positive
-definite G is its LDL^T factor; two refinement sweeps against A then make
-this Björck's corrected semi-normal equations. Both report a flop estimate
-from the closed-form cost model and a Hager-Higham 1-norm condition
-estimate of the factored matrix.
+is converted). Square interpolatory systems get a SuperLU factor with
+partial pivoting in COLAMD column order. Overdetermined least-squares
+systems form G = A^T A, which the lattice order of the unknowns keeps
+banded, and factor it by LAPACK's band Cholesky (``dpbtrf``); two
+refinement sweeps against A then make this Björck's corrected
+semi-normal equations. Both report a flop estimate from the closed-form
+cost model and a Hager-Higham 1-norm condition estimate of the factored
+matrix.
 """
 
 from __future__ import annotations
@@ -17,16 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from scipy.sparse.linalg import LinearOperator, norm, onenormest, splu
 
 from .errors import RankDeficientError, SingularSystemError
 
 PIVOT_TOL = 1e-14
-#: SuperLU settings for G = A^T A: minimum-degree order on G's pattern,
-#: the same permutation for rows and columns, and no off-diagonal pivots.
-SYMMETRIC_FACTOR = dict(
-    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-)
 
 
 @dataclass(frozen=True)
@@ -73,74 +69,74 @@ def solve_square(A, b) -> SolveReport:
         residual_norm=residual,
         method="gauss",
         flop_estimate=2.0 * n**3 / 3.0,
-        condition_estimate=_condition_estimate(lu, anorm),
+        condition_estimate=_condition_estimate(
+            n, lu.solve, lambda y: lu.solve(y, trans="T"), anorm
+        ),
     )
 
 
 def solve_normal_equations(A, b) -> SolveReport:
     """Least-squares solve of an m >= n system via the normal equations.
 
-    Forms G = A^T A and c = A^T b and factors G symmetrically without
-    pivoting. A non-positive pivot raises :class:`RankDeficientError`
-    naming the unknown it belongs to. The reported condition estimate
-    refers to G, whose condition number is the square of A's.
+    Forms G = A^T A and c = A^T b and factors G by band Cholesky in the
+    natural order. An unknown that no row touches, a pivot below 1e-14
+    times its diagonal entry or a non-positive pivot raises
+    :class:`RankDeficientError` naming its unknown. The reported condition
+    estimate refers to G, whose condition number is the square of A's.
     """
     A = sp.csr_array(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
     if m < n:
         raise ValueError(f"need at least as many rows as unknowns, got {A.shape}")
-    G = sp.csc_array(A.T @ A)
-    gnorm = norm(G, 1)
-    lu = _factor_normal(G, gnorm)
-    x = lu.solve(A.T @ b)
+    G = sp.coo_array(A.T @ A)
+    gnorm = float(np.bincount(G.col, np.abs(G.data), minlength=n).max())
+    # LAPACK upper band storage: G[i, j] with i <= j goes to ab[kd + i - j, j].
+    upper = G.row <= G.col
+    row, col = G.row[upper], G.col[upper]
+    kd = int(np.max(col - row, initial=0))
+    ab = np.zeros((kd + 1, n), order="F")
+    ab[kd + row - col, col] = G.data[upper]
+    diag = ab[kd].copy()
+    if not diag.all():
+        j = int(np.argmin(diag != 0))
+        raise RankDeficientError(f"unknown {j} appears in no row of the system", pivot_index=j)
+    factor, info = lapack.dpbtrf(ab, lower=0, overwrite_ab=1)
+    # Only the pivots before a breakdown at step info are factored.
+    steps = info - 1 if info > 0 else n
+    pivots = factor[kd, :steps] ** 2
+    small = pivots < PIVOT_TOL * diag[:steps]
+    if small.any():
+        k = int(np.argmax(small))
+        raise RankDeficientError(
+            f"pivot {pivots[k]:.3e} at step {k + 1} (unknown {k}) below tolerance "
+            f"{PIVOT_TOL:.0e} * G[{k}, {k}] = {PIVOT_TOL * diag[k]:.3e}",
+            pivot_index=k,
+        )
+    if info > 0:
+        raise RankDeficientError(
+            f"normal equations not positive definite at step {info} (unknown {info - 1})",
+            pivot_index=info - 1,
+        )
+
+    def solve(y):
+        return lapack.dpbtrs(factor, y)[0]
+
+    x = solve(A.T @ b)
     # Two sweeps of iterative refinement against A claw back accuracy lost
     # to the squared condition number of the normal equations.
     for _ in range(2):
-        x = x + lu.solve(A.T @ (b - A @ x))
+        x = x + solve(A.T @ (b - A @ x))
     residual = A @ x - b
     return SolveReport(
         coefficients=x,
         residual_norm=float(np.linalg.norm(residual)),
         method="normal_cholesky",
         flop_estimate=float(m) * n**2 + n**3 / 3.0,
-        condition_estimate=_condition_estimate(lu, gnorm),
+        # G is symmetric, so the band solve is its own transpose.
+        condition_estimate=_condition_estimate(n, solve, solve, gnorm),
         normal_residual_norm=float(np.linalg.norm(A.T @ residual)),
     )
-
-
-def _factor_normal(G, gnorm):
-    """Symmetric factor of G = A^T A; :class:`RankDeficientError` if G is not positive definite."""
-    try:
-        lu = splu(G, **SYMMETRIC_FACTOR)
-    except RuntimeError:
-        diag = G.diagonal()
-        if not diag.all():
-            j = int(np.argmin(diag != 0))
-            raise RankDeficientError(
-                f"unknown {j} appears in no row of the system", pivot_index=j
-            ) from None
-        # SuperLU hides the step of an exactly zero pivot. A diagonal shift
-        # keeps G's pattern, hence the order, and makes every pivot
-        # positive; the smallest pivot relative to its diagonal entry marks
-        # the unknown most nearly spanned by those eliminated before it.
-        shift = PIVOT_TOL * gnorm * sp.eye_array(len(diag), format="csc")
-        lu = splu(G + shift, **SYMMETRIC_FACTOR)
-        order = _elimination_order(lu)
-        k = int(np.argmin(lu.U.diagonal() / diag[order]))
-        raise RankDeficientError(
-            f"normal equations exactly singular at step {k + 1} (unknown {order[k]})",
-            pivot_index=int(order[k]),
-        ) from None
-    order = _elimination_order(lu)
-    bad = ~(lu.U.diagonal() > 0) | (np.argsort(lu.perm_r) != order)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise RankDeficientError(
-            f"normal equations not positive definite at step {k + 1} (unknown {order[k]})",
-            pivot_index=int(order[k]),
-        )
-    return lu
 
 
 def _elimination_order(lu):
@@ -165,17 +161,14 @@ def _exactly_singular(A):
     return "exactly zero pivot; SuperLU does not report its step"
 
 
-def _condition_estimate(lu, matrix_norm):
-    """1-norm condition estimate ||M||_1 ||M^-1||_1 of the factored matrix M.
+def _condition_estimate(n, solve, solve_transposed, matrix_norm):
+    """1-norm condition estimate ||M||_1 ||M^-1||_1 of a factored n x n matrix M.
 
     ``onenormest`` with one probe vector (Hager and Higham's estimator, as
-    in LAPACK's xGECON) applies the factor's solves and draws no random
-    numbers, so the estimate is deterministic.
+    in LAPACK's xGECON) applies the factor's solves with M and M^T and
+    draws no random numbers, so the estimate is deterministic.
     """
-    n = lu.shape[0]
-    inverse = LinearOperator(
-        (n, n), matvec=lu.solve, rmatvec=lambda y: lu.solve(y, trans="T"), dtype=float
-    )
+    inverse = LinearOperator((n, n), matvec=solve, rmatvec=solve_transposed, dtype=float)
     return float(matrix_norm * onenormest(inverse, t=1))
 
 
@@ -222,7 +215,7 @@ def flop_cost_model(
     counts. The square solve costs 2 n^{3d} / 3 flops (Gaussian
     elimination); the least-squares solve costs m^d n^{2d} + n^{3d} / 3
     (normal equations plus Cholesky). These are dense counts, kept as the
-    reference model; the sparse factors of :func:`solve_square` and
+    reference model; the factors of :func:`solve_square` and
     :func:`solve_normal_equations` do far less work.
     """
     if dimension not in (1, 2, 3):

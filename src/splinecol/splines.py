@@ -445,7 +445,11 @@ class TensorSpline:
 
         # The jet exposes partials up to order 2, so none above it is computed.
         d, c, order = self.dim, self.ncomp, min(max_deriv, 2)
-        ops = [_direction_operators(kv, pts, order) for kv, pts in zip(self.kvs, axes)]
+        # Isotropic fields repeat a knot vector and axis; build each table once.
+        ops = []
+        for kv, pts in zip(self.kvs, axes):
+            same = [o for k, p, o in zip(self.kvs, axes, ops) if k == kv and np.array_equal(p, pts)]
+            ops.append(same[0] if same else _direction_operators(kv, pts, order))
 
         # One buffer, entry-major then component-major: each partial is a
         # contiguous (c, m1, ..., md) row that its last product writes.

@@ -143,6 +143,41 @@ class TestNormalEquations:
         with pytest.raises(ValueError):
             solve_normal_equations(np.ones((2, 3)), np.ones(2))
 
+    def test_near_dependent_column_is_named(self):
+        # The computed pivot of unknown 5 is roundoff, positive or not; both
+        # the tolerance and the breakdown branch name the same unknown.
+        rng = np.random.default_rng(9)
+        A = rng.normal(size=(30, 8))
+        A[:, 5] = A[:, 2] + 1e-10 * rng.normal(size=30)
+        with pytest.raises(RankDeficientError, match=r"\(unknown 5\)") as err:
+            solve_normal_equations(sp.csr_array(A), rng.normal(size=30))
+        assert err.value.pivot_index == 5
+        assert pickle.loads(pickle.dumps(err.value)).pivot_index == 5
+
+    def test_pivot_below_tolerance_is_named(self):
+        # G is the identity but for G[2, 5] = G[5, 2] = 1 and G[5, 5] = 1 + 2**-48,
+        # all exact, so step 6 meets the positive pivot 2**-48 < 1e-14 G[5, 5].
+        A = np.eye(9, 8)
+        A[:, 5] = 0.0
+        A[2, 5], A[8, 5] = 1.0, 2.0**-24
+        message = r"at step 6 \(unknown 5\) below tolerance"
+        with pytest.raises(RankDeficientError, match=message) as err:
+            solve_normal_equations(sp.csr_array(A), np.ones(9))
+        assert err.value.pivot_index == 5
+        restored = pickle.loads(pickle.dumps(err.value))
+        assert (str(restored), restored.pivot_index) == (str(err.value), 5)
+
+    def test_breakdown_in_leading_block_is_named(self):
+        # Columns 0 and 1 are equal with G[0, 0] = 4: the second pivot is 4 - 2**2 = 0.
+        A = np.zeros((5, 4))
+        A[:4, :2] = 1.0
+        A[1:, 2] = A[[1, 2, 4], 3] = 1.0
+        message = r"not positive definite at step 2 \(unknown 1\)"
+        with pytest.raises(RankDeficientError, match=message) as err:
+            solve_normal_equations(sp.csr_array(A), np.ones(5))
+        assert err.value.pivot_index == 1
+        assert pickle.loads(pickle.dumps(err.value)).pivot_index == 1
+
 
 @st.composite
 def square_sparse_systems(draw):
@@ -182,6 +217,43 @@ def test_sparse_solvers_match_dense_lapack(example, method, n, m):
     x, cond = oracle(system.matrix, system.rhs)
     assert np.linalg.norm(report.coefficients - x) <= 1e-10 * np.linalg.norm(x)
     assert cond / 3 <= report.condition_estimate <= 3 * cond
+
+
+def half_bandwidth(A):
+    """Largest j - i over the nonzeros G[i, j] of G = A^T A."""
+    G = sp.coo_array(A.T @ A)
+    return int((G.col - G.row).max())
+
+
+# Half-bandwidths of G that the band factor's cost rests on; a reordering
+# of the unknowns that widened them would slow every least-squares fit.
+BAND_CASES = [
+    ("II", "igal_variable", 60, None, 183),
+    ("III", "igal_variable", 12, None, 471),
+    ("IV", "igal_fixed", 11, 18, 73),
+]
+
+
+@pytest.mark.parametrize("example,method,n,m,kd", BAND_CASES)
+def test_normal_equations_half_bandwidth(example, method, n, m, kd):
+    fit = CollocationSolver(method=method, n_per_dir=n, m_per_dir=m).fit(make_example(example))
+    field = fit.field_
+    c, p, counts = field.ncomp, field.degrees[0], field.shape
+    # Lexicographic coefficients with interleaved components.
+    strides = [int(np.prod(counts[a + 1 :])) for a in range(len(counts))]
+    assert half_bandwidth(fit.system_.csr) == kd == c * p * sum(strides) + c - 1
+
+
+@pytest.mark.parametrize("example,n", [("II", 12), ("III", 5)])
+def test_permuted_unknowns_match_qr(example, n):
+    # A random column order widens G's band to nearly full; the answer must not change.
+    fit = CollocationSolver(method="igal_variable", n_per_dir=n).fit(make_example(example))
+    A, b = fit.system_.csr, fit.system_.rhs
+    perm = np.random.default_rng(10).permutation(A.shape[1])
+    assert half_bandwidth(A[:, perm]) > 0.9 * A.shape[1]
+    x = solve_normal_equations(A[:, perm], b).coefficients
+    x_qr = householder_qr_solve(A.toarray()[:, perm], b)
+    assert np.linalg.norm(x - x_qr) <= 1e-10 * np.linalg.norm(x_qr)
 
 
 class TestCostModel:

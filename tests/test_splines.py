@@ -433,6 +433,23 @@ class TestLatticeTableForms:
             assert np.all(value[outside] == 0.0)
             assert np.all(value[~outside] >= 0.0) and value[~outside].max() > 0.0
 
+    def test_repeated_direction_tables_are_built_once(self, monkeypatch):
+        rng = np.random.default_rng(38)
+        kv = uniform_refine(CUBIC, 3)
+        shape = (kv.n_basis, kv.n_basis)
+        # Direction 1's knot vector and axis are equal copies, not the same objects.
+        kvs = (kv, KnotVector(kv.knots.copy(), kv.degree))
+        surf = TensorSpline(kvs, rng.normal(size=shape + (2,)), rng.uniform(0.5, 2.0, shape))
+        axis = off_knot_axis(rng, kv, 6)
+        build, calls = splines._direction_operators, []
+        monkeypatch.setattr(
+            splines, "_direction_operators", lambda *args: calls.append(args) or build(*args)
+        )
+        self.assert_matches_point_oracle(surf, [axis, axis.copy()])
+        assert len(calls) == 3  # one per max_deriv
+        surf.evaluate_lattice([axis, axis[1:]], 2)
+        assert len(calls) == 5
+
 
 class TestBasisJetOrders:
     @pytest.mark.parametrize("part", ["geometry", "field"])
