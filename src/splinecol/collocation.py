@@ -170,19 +170,20 @@ def build_field(
         raise PreconditionError(
             "field degree must exceed the operator order in every direction"
         )
-    refined = geometry.spline
-    for axis, target in enumerate(counts):
-        have = refined.kvs[axis].n_basis
-        if target < have:
+    have = geometry.spline.shape
+    for axis, (target, n) in enumerate(zip(counts, have)):
+        if target < n:
             raise PreconditionError(
                 f"requested {target} basis functions in direction {axis}, "
-                f"geometry already has {have}"
+                f"geometry already has {n}"
             )
-        refined = refined.refine_uniform(
-            tuple(target - have if a == axis else 0 for a in range(geometry.dim))
-        )
-    shape = tuple(kv.n_basis for kv in refined.kvs)
-    return TensorSpline(refined.kvs, np.zeros(shape + (components,)), refined.weights)
+    refined = geometry.spline.refine_uniform(tuple(t - n for t, n in zip(counts, have)))
+    return _zero_field(refined, components)
+
+
+def _zero_field(refined: TensorSpline, components: int) -> TensorSpline:
+    """Field with zero coefficients on the knot vectors and weights of ``refined``."""
+    return TensorSpline(refined.kvs, np.zeros(refined.shape + (components,)), refined.weights)
 
 
 def knots_per_direction(interior_knots, dim):
@@ -200,8 +201,7 @@ def build_field_from_knots(
     refined = geometry.spline
     for axis, knots in enumerate(knots_per_direction(interior_knots, geometry.dim)):
         refined = refined.insert_knots(axis, knots)
-    shape = tuple(kv.n_basis for kv in refined.kvs)
-    return TensorSpline(refined.kvs, np.zeros(shape + (components,)), refined.weights)
+    return _zero_field(refined, components)
 
 
 @dataclass(frozen=True)
@@ -229,10 +229,6 @@ class CollocationSystem:
     @property
     def shape(self):
         return self.csr.shape
-
-    @property
-    def is_square(self) -> bool:
-        return self.shape[0] == self.shape[1]
 
 
 def _basis_rows(apply, comp, c, *jets):

@@ -9,7 +9,6 @@ with generic parameter-sweep tooling.
 from __future__ import annotations
 
 import inspect
-import logging
 import time
 
 import numpy as np
@@ -24,14 +23,12 @@ from .collocation import (
     generate_collocation_points,
 )
 from .errors import InvalidSchemeError
-from .metrics import stage_seconds
+from .metrics import stage_timings
 from .problems import BvpDefinition
 from .solvers import solve_normal_equations, solve_square
 
 METHODS = ("igac", "igal_fixed", "igal_variable")
 FIT_STAGES = ("refine", "points", "assemble", "solve")
-
-logger = logging.getLogger("splinecol")
 
 
 def point_counts(method, n_counts, m_counts=None):
@@ -180,11 +177,8 @@ class CollocationSolver:
         self.solve_report_ = report
         self.field_ = coefficients_to_field(field, report.coefficients)
         self.n_unknowns_ = system.n_unknowns
-        self.timings_ = {
-            stage: end - start for stage, start, end in zip(FIT_STAGES, stamps, stamps[1:])
-        }
-        logger.debug(
-            "fit %s %s: %s", problem.example_id, self.method, stage_seconds(self.timings_)
+        self.timings_ = stage_timings(
+            f"fit {problem.example_id} {self.method}", FIT_STAGES, stamps
         )
         return self
 

@@ -33,9 +33,16 @@ REPORT_STAGES = ("samples", "pullback", "evaluate", "integrate")
 logger = logging.getLogger("splinecol")
 
 
-def stage_seconds(timings) -> str:
-    """One log line's worth of stage timings, ``stage=seconds`` in stage order."""
-    return " ".join(f"{stage}={seconds:.6f}s" for stage, seconds in timings.items())
+def stage_timings(label, stages, stamps) -> dict:
+    """Seconds between consecutive ``perf_counter`` ``stamps``, keyed by ``stages``.
+
+    Logs them at debug level as one line, ``label: stage=seconds ...`` in
+    stage order.
+    """
+    timings = {stage: end - start for stage, start, end in zip(stages, stamps, stamps[1:])}
+    text = " ".join(f"{stage}={seconds:.6f}s" for stage, seconds in timings.items())
+    logger.debug("%s: %s", label, text)
+    return timings
 
 
 def default_quad_order(field: TensorSpline) -> int:
@@ -228,8 +235,7 @@ def error_report(
     source = callback_values(problem.source, x, field.ncomp, "source")
     e_dt = _relative_l2(source, problem.operator.apply(value, grad_x, hess_x), dw)
     stamps.append(time.perf_counter())
-    timings = {s: end - start for s, start, end in zip(REPORT_STAGES, stamps, stamps[1:])}
-    logger.debug("error_report %s: %s", problem.example_id, stage_seconds(timings))
+    timings = stage_timings(f"error_report {problem.example_id}", REPORT_STAGES, stamps)
     return ErrorReport(
         example_id=problem.example_id,
         quantities=tuple(quantities),

@@ -206,12 +206,6 @@ class KnotVector:
         """Distinct knot values, i.e. the cell boundaries."""
         return np.unique(self.knots)
 
-    @property
-    def spans(self) -> list[tuple[float, float]]:
-        """Nonempty knot intervals as (left, right) pairs."""
-        bp = self.breakpoints
-        return list(zip(bp[:-1], bp[1:]))
-
     def find_span(self, u):
         """Index i with knots[i] <= u < knots[i+1], for a scalar or an array of parameters.
 
@@ -524,33 +518,33 @@ class TensorSpline:
     def insert_knots(self, direction: int, knots) -> "TensorSpline":
         """Insert ``knots`` along ``direction`` in one pass; geometry is preserved exactly.
 
-        Weights and weighted coefficients are updated together, in
-        homogeneous coordinates, by knot-vector refinement (The NURBS Book
-        A5.4).
+        Each new coefficient is a combination of p+1 old ones, weighted by
+        a row of the Oslo knot-insertion matrix (:func:`_oslo_rows`); one
+        gather and one contraction apply all rows. A rational spline is
+        refined in homogeneous coordinates, a B-spline through its
+        coefficients alone, so its weights stay exactly 1.
         """
         if not 0 <= direction < self.dim:
             raise ValueError(f"direction {direction} out of range for dim {self.dim}")
         kv = self.kvs[direction]
         new_kv = kv.insert(knots)  # validates range and multiplicity
-        inserted = np.sort(np.atleast_1d(np.asarray(knots, dtype=float)))
-        if not inserted.size:
+        if new_kv.n_basis == kv.n_basis:
             return self
-        hom = np.moveaxis(self._homogeneous(), direction, 0)
-        out = _refine_homogeneous(kv, new_kv, inserted, hom)
+        first, rows = _oslo_rows(kv.knots, new_kv.knots, kv.degree)
+        polynomial = self.is_polynomial
+        x = np.moveaxis(self.coeffs if polynomial else self._homogeneous(), direction, 0)
+        flat = x.reshape(kv.n_basis, -1)[first[:, None] + np.arange(kv.degree + 1)]
+        out = np.einsum("nk,nkr->nr", rows, flat).reshape((new_kv.n_basis,) + x.shape[1:])
         out = np.moveaxis(out, 0, direction)
+        kvs = self.kvs[:direction] + (new_kv,) + self.kvs[direction + 1 :]
+        if polynomial:
+            return TensorSpline.polynomial(kvs, out)
         weights = out[..., -1]
-        coeffs = out[..., :-1] / weights[..., None]
-        kvs = list(self.kvs)
-        kvs[direction] = new_kv
-        return TensorSpline(tuple(kvs), coeffs, weights)
-
-    def insert_knot(self, direction: int, u: float) -> "TensorSpline":
-        """Insert ``u`` once along ``direction``; geometry is preserved exactly."""
-        return self.insert_knots(direction, [u])
+        return TensorSpline(kvs, out[..., :-1] / weights[..., None], weights)
 
     def refine_uniform(self, counts) -> "TensorSpline":
         """Uniformly insert interior knots per direction (count per direction)."""
-        counts = whole_counts(counts, "counts")
+        counts = whole_counts(counts, "counts", 0)
         if len(counts) != self.dim:
             raise ValueError(f"expected {self.dim} counts, got {counts}")
         s = self
@@ -560,39 +554,30 @@ class TensorSpline:
         return s
 
 
-def _refine_homogeneous(kv, new_kv, X, hom):
-    """Homogeneous coefficients on ``new_kv`` after refining ``kv`` (The NURBS Book A5.4).
+def _oslo_rows(tau, t, p):
+    """Rows of the Oslo knot-insertion matrix from knots ``tau`` to their refinement ``t``.
 
-    ``X`` holds the inserted knots in ascending order and ``new_kv`` is
-    ``kv`` with them merged in; ``hom`` (n, ...) holds the homogeneous
-    coefficients with the refined direction first. The loops run over the
-    inserted knots and the degree; each step updates a whole slice.
+    Returns ``first`` (n_new,) and ``rows`` (n_new, p+1): new basis
+    coefficient i is ``rows[i] @ old[first[i] : first[i] + p + 1]``. Row i
+    is the product of the Cox-de Boor matrices R_1(t[i+1]) ... R_p(t[i+p])
+    on the old span mu holding t[i] (the Oslo algorithm of Cohen, Lyche and
+    Riesenfeld, 1980); each denominator is the length of an interval of
+    ``tau`` that contains that nonempty span, so none is zero. The loop
+    runs over the degree only.
     """
-    p, U, Ubar = kv.degree, kv.knots, new_kv.knots
-    r = len(X) - 1
-    n = len(hom) - 1
-    a = kv.find_span(X[0])
-    b = kv.find_span(X[r]) + 1
-    Q = np.empty((n + r + 2,) + hom.shape[1:])
-    Q[: a - p + 1] = hom[: a - p + 1]
-    Q[b + r :] = hom[b - 1 :]
-    i, k = b + p - 1, b + p + r
-    for j in range(r, -1, -1):
-        while X[j] <= U[i] and i > a:
-            Q[k - p - 1] = hom[i - p - 1]
-            k -= 1
-            i -= 1
-        Q[k - p - 1] = Q[k - p]
-        for l in range(1, p + 1):
-            ind = k - p + l
-            alpha = Ubar[k + l] - X[j]
-            if alpha == 0.0:
-                Q[ind - 1] = Q[ind]
-            else:
-                alpha /= Ubar[k + l] - U[i - p + l]
-                Q[ind - 1] = alpha * Q[ind - 1] + (1.0 - alpha) * Q[ind]
-        k -= 1
-    return Q
+    n_new = len(t) - p - 1
+    mu = np.clip(np.searchsorted(tau, t[:n_new], "right") - 1, p, len(tau) - p - 2)
+    rows = np.ones((n_new, 1))
+    for j in range(1, p + 1):
+        r = np.arange(j)
+        left = tau[mu[:, None] + 1 - j + r]
+        right = tau[mu[:, None] + 1 + r]
+        x = t[j : j + n_new, None]
+        scaled = rows / (right - left)
+        rows = np.zeros((n_new, j + 1))
+        rows[:, :-1] = scaled * (right - x)
+        rows[:, 1:] += scaled * (x - left)
+    return mu - p, rows
 
 
 def _unit(dim, axis):

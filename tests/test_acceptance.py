@@ -318,7 +318,7 @@ def test_criterion_10_kernel_property_suite():
     weights = rng.uniform(0.5, 2.0, (4, 4))
     base = KnotVector([0, 0, 0, 0, 1, 1, 1, 1], 3)
     surf = TensorSpline((base, base), coeffs, weights)
-    refined = surf.insert_knot(0, 0.37).insert_knot(1, 0.81)
+    refined = surf.insert_knots(0, [0.37]).insert_knots(1, [0.81])
     thetas = rng.uniform(0, 1, size=(100, 2))
     worst_ins = np.abs(values_at(surf, thetas) - values_at(refined, thetas)).max()
     results.append(("knot-insertion invariance", worst_ins < 1e-10))

@@ -30,12 +30,14 @@ from splinecol.geometry import (
     lattice_push_hessian,
 )
 from splinecol.problems import (
+    STABILITY_KNOTS,
     PointConstraint,
     example_1d_dirichlet,
     example_1d_mixed,
     example_2d_annulus,
     example_3d_cube,
     example_beam,
+    make_example,
 )
 from splinecol.splines import KnotVector, TensorSpline
 
@@ -162,6 +164,22 @@ class TestBuildField:
         with pytest.raises(PreconditionError):
             build_field(geo, (3, 3))
 
+    @pytest.mark.parametrize(
+        "example,knots",
+        [("I", None), ("III", None), ("IV", None), ("V", None), ("V", STABILITY_KNOTS)],
+    )
+    def test_polynomial_geometry_gives_unit_weights(self, example, knots):
+        # Over a B-spline geometry the field stays a B-spline, so evaluation
+        # skips the rational quotient rule.
+        prob = make_example(example)
+        if knots is None:
+            counts = [kv.n_basis + 5 for kv in prob.geometry.kvs]
+            field = build_field(prob.geometry, counts, prob.field_components)
+        else:
+            field = build_field_from_knots(prob.geometry, knots)
+        assert field.is_polynomial
+        assert np.array_equal(field.weights, np.ones(field.shape))
+
     def test_explicit_knots(self):
         field = build_field_from_knots(
             example_1d_dirichlet().geometry, (0.25, 0.5, 0.75)
@@ -185,7 +203,7 @@ class TestAssembly:
         field = build_field(prob.geometry, (6, 6))
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (6, 6)))
         system = assemble(prob, field, pts)
-        assert system.is_square and system.shape == (36, 36)
+        assert system.shape == (36, 36)
 
     def test_beam_square_with_pins(self):
         prob = example_beam()

@@ -43,7 +43,7 @@ class TestFit:
         prob = example_1d_dirichlet()
         solver = CollocationSolver(method="igac", n_per_dir=10).fit(prob)
         assert solver.field_.n_coeffs == 10
-        assert solver.system_.is_square
+        assert solver.system_.shape[0] == solver.system_.shape[1]
         assert solver.solve_report_.method == "gauss"
         assert solver.n_unknowns_ == 10
 

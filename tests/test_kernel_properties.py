@@ -1,11 +1,13 @@
 """Property tests of the vectorised basis kernel and of knot refinement on random NURBS."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batched import values_at
 from oracles import all_basis_derivs, basis_values, boehm_insert, point_basis_jets
+from splinecol.problems import make_example
 from splinecol.splines import KnotVector, TensorSpline
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -121,6 +123,30 @@ def test_refinement_preserves_geometry_and_matches_sequential_insertion(case):
         seq, flat = boehm_insert(seq, spline.kvs[axis].degree, flat, u)
     expected = np.moveaxis(flat.reshape((len(flat),) + hom.shape[1:]), 0, axis)
     assert np.array_equal(refined.kvs[axis].knots, seq)
+    assert np.allclose(refined.weights, expected[..., -1], rtol=1e-13, atol=0)
+    coeffs = expected[..., :-1] / expected[..., -1:]
+    assert np.allclose(refined.coeffs, coeffs, rtol=0, atol=1e-13 * np.abs(coeffs).max())
+
+
+@pytest.mark.parametrize("example,n", [("I", 1000), ("II", 60)])
+def test_uniform_refinement_at_benchmark_size_matches_sequential_insertion(example, n):
+    # The benchmark's largest fields: hundreds of knots in one pass, along
+    # every direction.
+    spline = make_example(example).geometry.spline
+    counts = [n - kv.n_basis for kv in spline.kvs]
+    refined = spline.refine_uniform(counts)
+
+    w = spline.weights[..., None]
+    expected = np.concatenate([w * spline.coeffs, w], axis=-1)
+    for axis, (kv, count) in enumerate(zip(spline.kvs, counts)):
+        hom = np.moveaxis(expected, axis, 0)
+        flat = hom.reshape(len(hom), -1)
+        seq = kv.knots
+        for u in kv.start + np.arange(1, count + 1) * (kv.end - kv.start) / (count + 1):
+            seq, flat = boehm_insert(seq, kv.degree, flat, u)
+        assert np.array_equal(refined.kvs[axis].knots, seq)
+        expected = np.moveaxis(flat.reshape((len(flat),) + hom.shape[1:]), 0, axis)
+    assert refined.shape == (n,) * spline.dim
     assert np.allclose(refined.weights, expected[..., -1], rtol=1e-13, atol=0)
     coeffs = expected[..., :-1] / expected[..., -1:]
     assert np.allclose(refined.coeffs, coeffs, rtol=0, atol=1e-13 * np.abs(coeffs).max())

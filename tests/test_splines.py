@@ -18,9 +18,10 @@ from splinecol.collocation import build_field
 from splinecol.errors import (
     DomainError,
     InvalidRefinementError,
+    PreconditionError,
     UnsupportedDerivativeError,
 )
-from splinecol.problems import EXAMPLES
+from splinecol.problems import EXAMPLES, make_example
 from splinecol.splines import KnotVector, TensorSpline
 
 CUBIC = KnotVector([0, 0, 0, 0, 1, 1, 1, 1], 3)
@@ -66,8 +67,7 @@ class TestKnotVector:
         with pytest.raises(DomainError):
             CUBIC.find_span(-0.1)
 
-    def test_spans_and_breakpoints(self):
-        assert CUBIC5.spans == [(0.0, 0.5), (0.5, 1.0)]
+    def test_breakpoints(self):
         assert list(CUBIC5.breakpoints) == [0.0, 0.5, 1.0]
 
 
@@ -490,14 +490,14 @@ class TestBasisJetOrders:
 class TestKnotInsertion:
     def test_boehm_golden_coefficients(self):
         curve = TensorSpline.polynomial((CUBIC,), np.array([0, 1 / 3, 2 / 3, 1.0]))
-        inserted = curve.insert_knot(0, 0.5)
+        inserted = curve.insert_knots(0, [0.5])
         assert np.allclose(
             inserted.coeffs.ravel(), [0, 1 / 6, 0.5, 5 / 6, 1], atol=1e-15
         )
 
     def test_curve_values_preserved(self):
         curve = TensorSpline.polynomial((CUBIC,), np.array([0, 1 / 3, 2 / 3, 1.0]))
-        inserted = curve.insert_knot(0, 0.5)
+        inserted = curve.insert_knots(0, [0.5])
         us = [0.1, 0.5, 0.9]
         assert np.abs(values_at(inserted, us) - values_at(curve, us)).max() < 1e-12
 
@@ -506,7 +506,7 @@ class TestKnotInsertion:
         line = TensorSpline.polynomial(
             (CUBIC,), np.stack([1 + 2 * g, -3 + 5 * g], axis=-1)
         )
-        refined = line.insert_knot(0, 0.3).insert_knot(0, 0.7)
+        refined = line.insert_knots(0, [0.3]).insert_knots(0, [0.7])
         pts = refined.coeffs
         d = pts[1:] - pts[:-1]
         cross = d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0]
@@ -522,7 +522,7 @@ class TestKnotInsertion:
             u_new = float(rng.uniform(0.1, 0.9))
             if np.count_nonzero(kv.knots == u_new) >= kv.degree:
                 continue
-            inserted = spline.insert_knot(0, u_new)
+            inserted = spline.insert_knots(0, [u_new])
             us = rng.uniform(0, 1, 100)
             assert np.allclose(values_at(spline, us), values_at(inserted, us), atol=1e-10)
 
@@ -531,7 +531,7 @@ class TestKnotInsertion:
         coeffs = rng.normal(size=(4, 4, 3))
         weights = rng.uniform(0.5, 2.0, (4, 4))
         surf = TensorSpline((CUBIC, CUBIC), coeffs, weights)
-        refined = surf.insert_knot(1, 0.25).insert_knot(0, 0.6)
+        refined = surf.insert_knots(1, [0.25]).insert_knots(0, [0.6])
         thetas = rng.uniform(0, 1, size=(50, 2))
         assert np.allclose(values_at(surf, thetas), values_at(refined, thetas), atol=1e-10)
 
@@ -539,9 +539,25 @@ class TestKnotInsertion:
         curve = TensorSpline.polynomial((CUBIC,), np.zeros(4))
         s = curve
         for _ in range(3):
-            s = s.insert_knot(0, 0.5)
+            s = s.insert_knots(0, [0.5])
         with pytest.raises(InvalidRefinementError):
-            s.insert_knot(0, 0.5)
+            s.insert_knots(0, [0.5])
+
+    def test_polynomial_spline_keeps_unit_weights(self):
+        # Refinement rows sum to 1 only to roundoff, so a B-spline's weights
+        # must not pass through them.
+        rng = np.random.default_rng(5)
+        surf = TensorSpline.polynomial((CUBIC5, CUBIC), rng.normal(size=(5, 4, 2)))
+        refined = surf.insert_knots(0, rng.uniform(0, 1, 40)).refine_uniform((3, 50))
+        assert refined.shape == (48, 54)
+        assert np.array_equal(refined.weights, np.ones(refined.shape))
+        thetas = rng.uniform(0, 1, size=(50, 2))
+        assert np.allclose(values_at(surf, thetas), values_at(refined, thetas), atol=1e-12)
+
+    def test_negative_uniform_count_rejected(self):
+        surf = make_example("II").geometry.spline
+        with pytest.raises(PreconditionError, match=">= 0, got -3"):
+            surf.refine_uniform((-3, 2))
 
     @pytest.mark.parametrize(
         "knots,named",
