@@ -49,9 +49,9 @@ def whole_counts(value, name, minimum=None, error=PreconditionError):
     return tuple(whole_number(v, name, minimum, error) for v in value)
 
 
-def per_direction(value, dim, name):
+def per_direction(value, dim, name, minimum=None):
     """One integer count per direction; a single count applies to every direction."""
-    counts = whole_counts(value, name)
+    counts = whole_counts(value, name, minimum)
     if len(counts) == 1:
         counts *= dim
     if len(counts) != dim:

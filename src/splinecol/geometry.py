@@ -85,23 +85,27 @@ def lattice_pullbacks(geometry: GeometryMap, axes, max_deriv: int = 2):
     """Geometry data on a parameter lattice, flattened to N points in C order.
 
     Returns (points (N, d), jac (N, d, d), inv_jac (N, d, d), det (N,),
-    second (N, d, d, d)). ``max_deriv`` is the order the geometry is
-    evaluated to: 2, or 1 for callers that read no second derivatives, in
-    which case ``second`` is None. The determinant and inverse are closed
-    form: det J is the cofactor expansion along row 0 and
-    J^{-1} = adj(J) / det J. Raises :class:`SingularGeometryError` naming
-    the first lattice point whose Jacobian is singular, before anything is
-    divided by its determinant. ``points``, ``jac`` and ``second`` are
-    views of the geometry's lattice jet and ``inv_jac`` a view of the
-    adjugate buffer, divided in place; in general none is C-contiguous.
+    second (N, d, d, d)). ``max_deriv`` (0 to 2) is the order the geometry
+    is evaluated to, and the entries above it are None: order 0 gives the
+    points alone, with no Jacobian and no singular check, since nothing is
+    divided; order 1 omits ``second``. The determinant and inverse are
+    closed form: det J is the cofactor expansion along row 0 and
+    J^{-1} = adj(J) / det J. From order 1 on, raises
+    :class:`SingularGeometryError` naming the first lattice point whose
+    Jacobian is singular, before anything is divided by its determinant.
+    ``points``, ``jac`` and ``second`` are views of the geometry's lattice
+    jet and ``inv_jac`` a view of the adjugate buffer, divided in place;
+    in general none is C-contiguous.
     """
-    if max_deriv not in (1, 2):
+    if max_deriv not in (0, 1, 2):
         raise UnsupportedDerivativeError(
-            f"pullbacks need the Jacobian and go up to order 2, got {max_deriv!r}"
+            f"pullbacks are supported up to order 2, got {max_deriv!r}"
         )
     jet = geometry.spline.evaluate_lattice(axes, max_deriv=max_deriv)
     d = geometry.dim
     pts = jet.value.reshape(-1, d)
+    if max_deriv == 0:
+        return pts, None, None, None, None
     jac = np.swapaxes(jet.grad.reshape(-1, d, d), -1, -2)  # (N, k, a)
     adj = _adjugate(jac)
     det = sum(jac[:, 0, j] * adj[j, 0] for j in range(d))

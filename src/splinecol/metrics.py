@@ -10,6 +10,7 @@ deterministic so repeated runs produce identical numbers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import time
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._validation import per_direction
+from ._validation import per_direction, whole_number
 from .errors import PreconditionError, UndefinedMetricError
 from .geometry import (
     lattice_pullbacks,
@@ -49,9 +50,18 @@ def default_quad_order(field: TensorSpline) -> int:
     return max(field.degrees) + 2
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    rule = leggauss(order)
+    for x in rule:
+        x.flags.writeable = False
+    return rule
+
+
 def _gauss_axis(kv, order):
     """Quadrature nodes and weights over all nonempty cells of one direction."""
-    nodes, wts = leggauss(order)
+    nodes, wts = _gauss_legendre(order)
     bp = kv.breakpoints
     mid, half = 0.5 * (bp[:-1] + bp[1:]), 0.5 * (bp[1:] - bp[:-1])
     return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * wts).ravel()
@@ -61,6 +71,7 @@ def quadrature_rule(field: TensorSpline, quad_order=None):
     """Per-direction node arrays and the flattened tensor weight vector."""
     if quad_order is None:
         quad_order = default_quad_order(field)
+    quad_order = whole_number(quad_order, "quad_order")
     if quad_order < max(field.degrees) + 1:
         raise PreconditionError(
             f"quad_order {quad_order} is below degree+1 = {max(field.degrees) + 1}"
@@ -73,14 +84,13 @@ def quadrature_rule(field: TensorSpline, quad_order=None):
 
 
 def _field_data(problem, field, axes, max_deriv, stamps=None):
-    """Physical points, Jacobian weights and pushed field jets on a lattice.
+    """Physical points, Jacobian determinants and pushed field jets to order ``max_deriv``.
 
-    When ``stamps`` is a list, the ``perf_counter`` times after the
+    Entries above that order are None, and so is the determinant at order
+    0. When ``stamps`` is a list, the ``perf_counter`` times after the
     pullback and after the pushed jets are appended to it.
     """
-    pts, _, inv, det, second = lattice_pullbacks(
-        problem.geometry, axes, max_deriv=max(1, max_deriv)
-    )
+    pts, _, inv, det, second = lattice_pullbacks(problem.geometry, axes, max_deriv=max_deriv)
     if stamps is not None:
         stamps.append(time.perf_counter())
     jet = field.evaluate_lattice(axes, max_deriv=max_deriv)
@@ -95,7 +105,7 @@ def _field_data(problem, field, axes, max_deriv, stamps=None):
         hess_x = lattice_push_hessian(inv, second, grad_x, hess_t)
     if stamps is not None:
         stamps.append(time.perf_counter())
-    return pts, np.abs(det), value, grad_x, hess_x
+    return pts, det, value, grad_x, hess_x
 
 
 def absolute_error_field(problem: BvpDefinition, field: TensorSpline, sample_counts=None):
@@ -103,6 +113,8 @@ def absolute_error_field(problem: BvpDefinition, field: TensorSpline, sample_cou
 
     Returns (points, errors) with ``points`` of shape (N, d) in physical
     coordinates and ``errors`` a dict mapping quantity names to (N,) arrays.
+    ``sample_counts`` are at least 1. The lattice goes to order 1, and is
+    checked for a singular Jacobian, only when a quantity reads a gradient.
     """
     if problem.analytic_solution is None:
         raise UndefinedMetricError(
@@ -111,7 +123,7 @@ def absolute_error_field(problem: BvpDefinition, field: TensorSpline, sample_cou
     d = problem.dim
     if sample_counts is None:
         sample_counts = DEFAULT_ABS_SAMPLES[d]
-    sample_counts = per_direction(sample_counts, d, "sample_counts")
+    sample_counts = per_direction(sample_counts, d, "sample_counts", 1)
     axes = [
         np.linspace(kv.start, kv.end, m) for kv, m in zip(field.kvs, sample_counts)
     ]
@@ -223,7 +235,7 @@ def error_report(
     pts, abs_errors = absolute_error_field(problem, field, sample_counts)
     stamps.append(time.perf_counter())
     x, det, value, grad_x, hess_x = _field_data(problem, field, axes, 2, stamps)
-    dw = det * w
+    dw = np.abs(det) * w
     quantities = []
     for qty in problem.quantities:
         exact = np.asarray(qty.analytic(x), dtype=float)

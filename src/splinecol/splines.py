@@ -483,7 +483,8 @@ class TensorSpline:
         coefficients multiply, so rows of collocation systems are linear
         combinations of them. Derivatives above a direction's degree are
         zero. Only the partials up to total order ``max_deriv`` (0 to 2)
-        are computed; ``grad`` and ``hess`` are None above it.
+        are computed; ``grad`` and ``hess`` are None above it. Unit weights
+        skip the quotient rule, as in :meth:`evaluate_lattice`.
         """
         if max_deriv not in (0, 1, 2):
             raise UnsupportedDerivativeError(
@@ -505,12 +506,16 @@ class TensorSpline:
                 x = _flat_outer(x, tables[a][alpha[a]], np.multiply)
             return x
 
-        w_loc = self.weights.reshape(-1)[cols]
         alphas = _deriv_multi_indices(self.dim, max_deriv)
-        num = {alpha: w_loc * outer(alpha) for alpha in alphas}
-        den = {alpha: x.sum(axis=1, keepdims=True) for alpha, x in num.items()}
         buf = _jet_buffer(self.dim, max_deriv, cols.shape)
-        _quotient_rule(num, den, {alpha: buf[_jet_entry(alpha)] for alpha in alphas})
+        if self.is_polynomial:
+            for alpha in alphas:
+                buf[_jet_entry(alpha)] = outer(alpha)
+        else:
+            w_loc = self.weights.reshape(-1)[cols]
+            num = {alpha: w_loc * outer(alpha) for alpha in alphas}
+            den = {alpha: x.sum(axis=1, keepdims=True) for alpha, x in num.items()}
+            _quotient_rule(num, den, {alpha: buf[_jet_entry(alpha)] for alpha in alphas})
         return (cols,) + _jet_views(buf, self.dim, max_deriv, [-2])
 
     # -- refinement ---------------------------------------------------------

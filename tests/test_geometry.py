@@ -392,16 +392,36 @@ class TestPullbackOrders:
             assert np.array_equal(got, want)
         assert first[4] is None and full[4] is not None
 
-    def test_first_order_still_checks_singular_points(self):
+    @pytest.mark.parametrize("example", sorted(EXAMPLES))
+    def test_order_zero_gives_points_only(self, example):
+        geo = EXAMPLES[example]().geometry
+        rng = np.random.default_rng(13)
+        axes = [
+            np.concatenate([[kv.start, kv.end], rng.uniform(kv.start, kv.end, 5)])
+            for kv in geo.kvs
+        ]
+        points = lattice_pullbacks(geo, axes, max_deriv=0)
+        assert points[1:] == (None, None, None, None)
+        for order in (1, 2):
+            assert np.array_equal(points[0], lattice_pullbacks(geo, axes, max_deriv=order)[0])
+
+    @staticmethod
+    def _cubic_map():
         # x_0 = theta_0^3, x_1 = theta_1: det J = 3 theta_0^2 vanishes at 0.
         g = CUBIC.greville_abscissae()
         coeffs = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1)
         coeffs[..., 0] = np.array([0.0, 0.0, 0.0, 1.0])[:, None]
-        geo = GeometryMap(TensorSpline.polynomial((CUBIC, CUBIC), coeffs))
-        with pytest.raises(SingularGeometryError, match=r"theta=\(0\.0, 0\.25\)"):
-            lattice_pullbacks(geo, [[0.5, 0.0], [0.25]], max_deriv=1)
+        return GeometryMap(TensorSpline.polynomial((CUBIC, CUBIC), coeffs))
 
-    @pytest.mark.parametrize("order", [0, 3])
-    def test_order_outside_1_to_2_rejected(self, order):
+    def test_first_order_still_checks_singular_points(self):
+        with pytest.raises(SingularGeometryError, match=r"theta=\(0\.0, 0\.25\)"):
+            lattice_pullbacks(self._cubic_map(), [[0.5, 0.0], [0.25]], max_deriv=1)
+
+    def test_order_zero_does_not_check_singular_points(self):
+        points = lattice_pullbacks(self._cubic_map(), [[0.5, 0.0], [0.25]], max_deriv=0)[0]
+        assert np.allclose(points, [[0.125, 0.25], [0.0, 0.25]], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("order", [-1, 3])
+    def test_order_outside_0_to_2_rejected(self, order):
         with pytest.raises(UnsupportedDerivativeError, match=f"got {order}"):
             lattice_pullbacks(curve_unit_interval(), [[0.5]], max_deriv=order)

@@ -269,8 +269,9 @@ class TestSinglePass:
 
     @pytest.mark.parametrize("factory", [example_2d_annulus, example_beam])
     def test_pullback_orders(self, monkeypatch, factory):
-        # The samples read at most gradients (the beam's stresses); only the
-        # quadrature lattice needs geometry second derivatives, for e_DT.
+        # The samples read values only on the annulus and gradients on the
+        # beam (its stresses); only the quadrature lattice needs geometry
+        # second derivatives, for e_DT.
         prob = factory()
         field = CollocationSolver(method="igac", n_per_dir=7).fit(prob).field_
         calls = []
@@ -284,7 +285,8 @@ class TestSinglePass:
         error_report(prob, field, sample_counts=(11, 13))
         quad_axes, _, _ = metrics.quadrature_rule(field)
         quad_lattice = tuple(len(a) for a in quad_axes)
-        assert sorted(calls) == sorted([((11, 13), 1), (quad_lattice, 2)])
+        sample_order = 1 if factory is example_beam else 0
+        assert sorted(calls) == sorted([((11, 13), sample_order), (quad_lattice, 2)])
 
     @pytest.mark.parametrize("counts", [(11.5, 13), 12.2])
     def test_fractional_sample_counts_rejected(self, counts):
@@ -292,6 +294,24 @@ class TestSinglePass:
         field = CollocationSolver(method="igac", n_per_dir=6).fit(prob).field_
         with pytest.raises(PreconditionError, match="sample_counts must be an integer"):
             error_report(prob, field, sample_counts=counts)
+
+    @pytest.mark.parametrize("counts", [(0, 5), -3])
+    def test_sample_counts_below_one_rejected(self, counts):
+        prob = example_2d_annulus()
+        field = CollocationSolver(method="igac", n_per_dir=6).fit(prob).field_
+        with pytest.raises(PreconditionError, match="sample_counts must be an integer >= 1"):
+            error_report(prob, field, sample_counts=counts)
+
+    def test_fractional_quad_order_rejected(self):
+        prob = example_2d_annulus()
+        field = CollocationSolver(method="igac", n_per_dir=6).fit(prob).field_
+        with pytest.raises(PreconditionError, match="quad_order must be an integer"):
+            error_report(prob, field, quad_order=4.5)
+
+    def test_gauss_legendre_rule_is_shared_and_read_only(self):
+        nodes, weights = metrics._gauss_legendre(5)
+        assert metrics._gauss_legendre(5)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_missing_analytic_solution_is_undefined(self):
         prob = example_1d_dirichlet()

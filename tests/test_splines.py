@@ -480,6 +480,30 @@ class TestBasisJetOrders:
         assert np.array_equal(values[1], value)
         assert values[2] is None and values[3] is None
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("example, counts", [("I", 1000), ("III", 12), ("IV", (11, 18))])
+    def test_polynomial_path_matches_the_quotient_rule(self, example, counts, order):
+        # Weights all 2.0 make a rational spline equal to its unit-weight
+        # twin: the quotient rule must give what the B-spline writes directly.
+        prob = EXAMPLES[example]()
+        field = build_field(prob.geometry, counts, prob.field_components, prob.operator.order)
+        twin = TensorSpline(field.kvs, field.coeffs, np.full(field.shape, 2.0))
+        assert field.is_polynomial and not twin.is_polynomial
+        rng = np.random.default_rng(9)
+        lo = [kv.start for kv in field.kvs]
+        hi = [kv.end for kv in field.kvs]
+        theta = np.concatenate([[lo, hi], rng.uniform(lo, hi, (200, field.dim))])
+        direct = field.basis_jets(theta, order)
+        quotient = twin.basis_jets(theta, order)
+        assert np.array_equal(direct[0], quotient[0])
+        for got, want in zip(direct[1:], quotient[1:]):
+            if want is None:
+                assert got is None
+            else:
+                scale = max(1.0, np.abs(want).max())
+                assert np.allclose(got, want, rtol=0, atol=1e-13 * scale)
+        assert np.allclose(direct[1].sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("order", [-1, 3])
     def test_order_outside_0_to_2_rejected(self, order):
         curve = TensorSpline.polynomial((CUBIC,), CUBIC.greville_abscissae())
