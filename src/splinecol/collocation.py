@@ -1,11 +1,13 @@
 """Collocation point generation and strong-form system assembly.
 
 Turns a boundary value problem plus a discrete unknown field into a
-sparse linear system: one block of interior operator rows followed by one
-block of boundary-condition rows, both in lexicographic point order with
-field components interleaved per point. With as many collocation points
-as unknowns the system is square (interpolatory collocation); with more
-points it is overdetermined and meant for a least-squares solve.
+sparse linear system whose rows come in lattice order: each collocation
+point owns a run of consecutive rows, interior operator rows or its
+boundary condition's rows, with field components interleaved. With as
+many collocation points as unknowns the system is square (interpolatory
+collocation) and point i pairs with basis function i, so the diagonal is
+zero-free; with more points it is overdetermined and meant for a
+least-squares solve.
 """
 
 from __future__ import annotations
@@ -211,6 +213,7 @@ class CollocationSystem:
     Row i is a ``row_kind[i]`` row ("interior", "boundary" or "constraint")
     at ``points.lattice[row_point[i]]`` for component ``row_component[i]``;
     ``row_face[i]`` is the face owning a boundary row, -1 on other rows.
+    Rows come in lattice order, so ``row_point`` is non-decreasing.
     """
 
     csr: sp.csr_array
@@ -250,14 +253,17 @@ def assemble(
 ) -> CollocationSystem:
     """Assemble the strong-form collocation system A x = b.
 
-    Interior rows impose the differential operator, boundary rows the
-    owning face's condition scaled by ``boundary_weight``; point
-    constraints then replace the matching component row of their nearest
-    collocation point. A boundary point on several faces is owned by one
-    condition: Dirichlet conditions win over derivative-type ones, and
-    remaining ties go to the lowest face id. This keeps corner points from
-    emitting duplicate rows and keeps the interpolatory (square) case
-    square.
+    Each point owns a run of consecutive rows, and the runs follow the C
+    order of ``points.lattice``. An interior point's c rows impose the
+    differential operator, a boundary point's rows the owning face's
+    condition scaled by ``boundary_weight``; point constraints then
+    replace the matching component row of their nearest collocation
+    point, ties going to interior points. A boundary point on several
+    faces is owned by one condition: Dirichlet conditions win over
+    derivative-type ones, and remaining ties go to the lowest face id.
+    This keeps corner points from emitting duplicate rows and keeps the
+    interpolatory (square) case square, with row i at the point that
+    pairs with unknown i.
 
     ``boundary_weight="auto"`` scales every boundary row by the mean
     2-norm of the interior rows. Interior operator rows carry second
@@ -303,16 +309,16 @@ def assemble(
     )
     owner = np.argmin(np.where(points.faces[outer], rank, 2 * len(conds)), axis=1)
 
-    # Each point owns a run of consecutive rows: interior points first, with
-    # c operator rows each, then boundary points with their owner's rows.
-    order = np.concatenate([inner, outer])
-    n_rows = np.concatenate(
-        [np.full(len(inner), c), np.array([bc.n_rows for bc in conds])[owner]]
-    )
+    # Each point owns a run of consecutive rows, in lattice order: c
+    # operator rows for an interior point, its owner's rows for a boundary one.
+    point_face = np.full(len(lattice), -1)
+    point_face[outer] = owner
+    n_rows = np.full(len(lattice), c)
+    n_rows[outer] = np.array([bc.n_rows for bc in conds])[owner]
     first_row = np.cumsum(n_rows) - n_rows
     n_total = int(n_rows.sum())
-    row_point = np.repeat(order, n_rows)
-    row_face = np.repeat(np.concatenate([np.full(len(inner), -1), owner]), n_rows)
+    row_point = np.repeat(np.arange(len(lattice)), n_rows)
+    row_face = np.repeat(point_face, n_rows)
     row_component = np.arange(n_total) - np.repeat(first_row, n_rows)
     row_kind = np.where(row_face < 0, "interior", "boundary").astype("U10")
 
@@ -322,7 +328,7 @@ def assemble(
     b = np.zeros(n_total)
 
     # Interior operator rows.
-    rows = first_row[: len(inner), None] + np.arange(c)
+    rows = first_row[inner, None] + np.arange(c)
     support, val, grad_t, hess_t = field.basis_jets(lattice[inner], max_deriv=2)
     grad_x = lattice_push_gradient(inv[inner], grad_t)
     hess_x = lattice_push_hessian(inv[inner], second[inner], grad_x, hess_t)
@@ -336,7 +342,7 @@ def assemble(
     if boundary_weight == "auto":
         # Each row's squares are added in turn, component by component, so
         # the weight does not depend on how numpy blocks a reduction.
-        squares = np.square(values[: len(inner) * c]).T.reshape(width * c, -1)
+        squares = np.square(values[rows.ravel()]).T.reshape(width * c, -1)
         norms = np.sqrt(functools.reduce(np.add, squares))
         boundary_weight = float(norms.mean()) if len(inner) else 1.0
 
@@ -346,7 +352,7 @@ def assemble(
     grad_x = lattice_push_gradient(inv_b, grad_t)
     for bc in conds:
         sel = np.flatnonzero(owner == bc.face)
-        rows = first_row[len(inner) + sel, None] + np.arange(bc.n_rows)
+        rows = first_row[outer[sel], None] + np.arange(bc.n_rows)
         normal = boundary_normals(inv_b[sel], bc.axis, bc.side)[:, None]
         apply = functools.partial(bc.apply, normal)
         cols[rows] = support[sel, None]
@@ -359,15 +365,16 @@ def assemble(
         )
 
     # Point constraints replace the matching component row of the nearest
-    # point, whose support block is the one the pin needs.
+    # point, whose support block is the one the pin needs; ties go to
+    # interior points first.
     pcs = problem.point_constraints
     if pcs:
+        order = np.concatenate([inner, outer])
         targets = np.array([pc.theta for pc in pcs], dtype=float)
         dist = np.linalg.norm(lattice[order][None] - targets[:, None], axis=-1)
-        k = np.argmin(dist, axis=1)
-        nearest = order[k]
+        nearest = order[np.argmin(dist, axis=1)]
         comps = np.array([pc.component for pc in pcs])
-        rows = first_row[k] + comps
+        rows = first_row[nearest] + comps
         twins = np.argwhere(np.triu(rows[:, None] == rows, k=1))
         if len(twins):
             i, j = twins[0]

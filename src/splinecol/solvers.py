@@ -2,13 +2,14 @@
 
 Both solvers take the collocation matrix as a sparse array (a dense one
 is converted). Square interpolatory systems get a SuperLU factor with
-partial pivoting in COLAMD column order. Overdetermined least-squares
-systems form G = A^T A, which the lattice order of the unknowns keeps
-banded, and factor it by LAPACK's band Cholesky (``dpbtrf``); two
-refinement sweeps against A then make this Björck's corrected
-semi-normal equations. Both report a flop estimate from the closed-form
-cost model and a Hager-Higham 1-norm condition estimate of the factored
-matrix.
+partial pivoting in SuperLU's symmetric mode, ordered by minimum degree
+on the pattern of A + A^T, which suits their lattice row order.
+Overdetermined least-squares systems form G = A^T A, which the lattice
+order of the unknowns keeps banded, and factor it by LAPACK's band
+Cholesky (``dpbtrf``); two refinement sweeps against A then make this
+Björck's corrected semi-normal equations. Both report a flop estimate
+from the closed-form cost model and a Hager-Higham 1-norm condition
+estimate of the factored matrix.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
-from scipy.sparse.linalg import LinearOperator, norm, onenormest, splu
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from .errors import RankDeficientError, SingularSystemError
+from .errors import PreconditionError, RankDeficientError, SingularSystemError
 
 PIVOT_TOL = 1e-14
 
@@ -40,19 +41,28 @@ class SolveReport:
 def solve_square(A, b) -> SolveReport:
     """Solve a square system by sparse LU with partial pivoting.
 
-    Raises :class:`SingularSystemError` when SuperLU meets an exactly zero
+    SuperLU runs in its symmetric mode, with a minimum-degree ordering of
+    the pattern of A + A^T applied to rows and columns alike. That suits
+    collocation systems, whose rows come in lattice order so that point i
+    pairs with basis function i and the diagonal is zero-free; the pivot
+    threshold stays at 1, so the factor still pivots fully by rows.
+
+    Raises :class:`PreconditionError` for a right-hand side that is not a
+    vector with one entry per row and for a non-finite entry of A or b,
+    and :class:`SingularSystemError` when SuperLU meets an exactly zero
     pivot or a pivot falls below 1e-14 * ||A||_1; ill-conditioned but
     factorizable systems solve and are left to downstream error metrics to
     flag.
     """
     A = sp.csc_array(A, dtype=float)
-    b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    b = _checked_system(A, b)
     n = A.shape[0]
-    anorm = norm(A, 1)
+    column = np.repeat(np.arange(n), np.diff(A.indptr))
+    anorm = float(np.bincount(column, np.abs(A.data), minlength=n).max())
     try:
-        lu = splu(A)
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystemError(_exactly_singular(A)) from exc
     pivots = np.abs(lu.U.diagonal())
@@ -79,16 +89,18 @@ def solve_normal_equations(A, b) -> SolveReport:
     """Least-squares solve of an m >= n system via the normal equations.
 
     Forms G = A^T A and c = A^T b and factors G by band Cholesky in the
-    natural order. An unknown that no row touches, a pivot below 1e-14
-    times its diagonal entry or a non-positive pivot raises
+    natural order. A right-hand side that is not a vector with one entry
+    per row, or a non-finite entry of A or b, raises
+    :class:`PreconditionError`. An unknown that no row touches, a pivot
+    below 1e-14 times its diagonal entry or a non-positive pivot raises
     :class:`RankDeficientError` naming its unknown. The reported condition
     estimate refers to G, whose condition number is the square of A's.
     """
     A = sp.csr_array(A, dtype=float)
-    b = np.asarray(b, dtype=float)
     m, n = A.shape
     if m < n:
         raise ValueError(f"need at least as many rows as unknowns, got {A.shape}")
+    b = _checked_system(A, b)
     G = sp.coo_array(A.T @ A)
     gnorm = float(np.bincount(G.col, np.abs(G.data), minlength=n).max())
     # LAPACK upper band storage: G[i, j] with i <= j goes to ab[kd + i - j, j].
@@ -137,6 +149,31 @@ def solve_normal_equations(A, b) -> SolveReport:
         condition_estimate=_condition_estimate(n, solve, solve, gnorm),
         normal_residual_norm=float(np.linalg.norm(A.T @ residual)),
     )
+
+
+def _checked_system(A, b):
+    """``b`` as a float vector, once it and the stored entries of sparse ``A`` are usable.
+
+    Raises :class:`PreconditionError` for a ``b`` that is not a vector with
+    one entry per row of ``A``, and otherwise names the first non-finite
+    entry of A (in row-major order) or of b.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.shape != (A.shape[0],):
+        raise PreconditionError(
+            f"right-hand side of shape {b.shape} for a system with {A.shape[0]} rows; "
+            f"expected shape ({A.shape[0]},)"
+        )
+    if not np.isfinite(A.data).all():
+        coo = A.tocoo()
+        bad = ~np.isfinite(coo.data)
+        i, j = min(zip(coo.row[bad].tolist(), coo.col[bad].tolist()))
+        raise PreconditionError(f"non-finite matrix entry in row {i}, column {j}")
+    finite = np.isfinite(b)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise PreconditionError(f"non-finite right-hand side {b[i]} in row {i}")
+    return b
 
 
 def _elimination_order(lu):

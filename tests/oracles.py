@@ -490,42 +490,45 @@ def point_assemble(problem, field, points, boundary_weight="auto"):
     meta = []
     row = 0
     row_of_point = {}
-    for theta in interior:
+    boundary_rows = []
+    # One walk over the grid: each point writes its rows in turn, boundary
+    # rows unweighted until every interior row is known.
+    for theta in grid:
         x, _, inv, _, second = point_pullback(geo, theta)
         cols, val, grad_t, hess_t = point_basis_jets(field, theta)
         gx = push_gradient(inv, grad_t[:, :, None])[..., 0]
-        hx = push_hessian(inv, second, gx[:, :, None], hess_t[:, :, :, None])[..., 0]
-        f = np.asarray(problem.source(x[None]), dtype=float)[0]
-        for comp in range(c):
-            rows = _operator_rows(problem.operator, val, hx, comp)
-            for i in range(c):
-                A[row + i, cols * c + comp] = rows[i]
-        for i in range(c):
-            b[row + i] = f[i]
-            meta.append((tuple(theta), "interior", i, None))
         row_of_point[tuple(theta)] = row
-        row += c
-
-    if boundary_weight == "auto":
-        norms = np.linalg.norm(A[:row], axis=1)
-        boundary_weight = float(norms.mean()) if row else 1.0
-
-    for theta in boundary:
+        if not faces_of(theta):
+            hx = push_hessian(inv, second, gx[:, :, None], hess_t[:, :, :, None])[..., 0]
+            f = np.asarray(problem.source(x[None]), dtype=float)[0]
+            for comp in range(c):
+                rows = _operator_rows(problem.operator, val, hx, comp)
+                for i in range(c):
+                    A[row + i, cols * c + comp] = rows[i]
+            for i in range(c):
+                b[row + i] = f[i]
+                meta.append((tuple(theta), "interior", i, None))
+            row += c
+            continue
         bc = owner(faces_of(theta))
-        x, _, inv, _, _ = point_pullback(geo, theta)
         normal = boundary_normal(inv, bc.axis, bc.side)
-        cols, val, grad_t, _ = point_basis_jets(field, theta)
-        gx = push_gradient(inv, grad_t[:, :, None])[..., 0]
         g = np.asarray(bc.value(x[None]), dtype=float)[0]
         for comp in range(c):
             rows = _condition_rows(bc, normal, val, gx, comp)
             for i in range(bc.n_rows):
-                A[row + i, cols * c + comp] = boundary_weight * rows[i]
+                A[row + i, cols * c + comp] = rows[i]
         for i in range(bc.n_rows):
-            b[row + i] = boundary_weight * g[i]
+            b[row + i] = g[i]
             meta.append((tuple(theta), "boundary", i, bc.face))
-        row_of_point[tuple(theta)] = row
+        boundary_rows.extend(range(row, row + bc.n_rows))
         row += bc.n_rows
+
+    if boundary_weight == "auto":
+        interior_rows = np.setdiff1d(np.arange(n_rows), boundary_rows)
+        norms = np.linalg.norm(A[interior_rows], axis=1)
+        boundary_weight = float(norms.mean()) if len(interior_rows) else 1.0
+    A[boundary_rows] *= boundary_weight
+    b[boundary_rows] *= boundary_weight
 
     all_points = np.array(interior + boundary)
     for pc in problem.point_constraints:

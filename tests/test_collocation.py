@@ -422,8 +422,9 @@ class TestAssembly:
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (8, 8)))
         system = assemble(base, field, pts)
         x = lattice_pullbacks(prob.geometry, pts.axes)[0]
-        first = int(np.argmax(x[system.row_point, 0] > 2.0))
-        assert system.row_kind[first] == "interior" and first != 0
+        hot = (x[system.row_point, 0] > 2.0) & (system.row_kind == "interior")
+        assert hot.any()
+        first = int(np.argmax(hot))
         with pytest.raises(AssemblyError, match=re.escape(describe(system, pts, first))):
             assemble(prob, field, pts)
 
@@ -438,14 +439,15 @@ class TestAssembly:
 
             def apply(self, value, grad, hess):
                 out = base.operator.apply(value, grad, hess)
-                out[3, 1, 0] = np.inf  # point 3, basis function 1
+                out[3, 1, 0] = np.inf  # interior point 3, basis function 1
                 return out
 
         prob = replace(base, operator=BrokenOperator())
         field = build_field(prob.geometry, (8,))
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (10,)))
         system = assemble(base, field, pts, boundary_weight=1.0)
-        with pytest.raises(AssemblyError, match=re.escape(describe(system, pts, 3))):
+        row = int(np.flatnonzero(system.row_kind == "interior")[3])
+        with pytest.raises(AssemblyError, match=re.escape(describe(system, pts, row))):
             assemble(prob, field, pts, boundary_weight=1.0)
 
     @pytest.mark.parametrize(
@@ -508,3 +510,35 @@ def test_assembly_matches_per_point_oracle(factory, n, scheme, m, weight):
     assert list(zip(
         points, system.row_kind.tolist(), system.row_component.tolist(), faces
     )) == meta
+
+
+@pytest.mark.parametrize(
+    "factory,n,scheme,m", [case[1:] for case in ORACLE_CASES],
+    ids=[case[0] for case in ORACLE_CASES],
+)
+def test_rows_come_in_lattice_order(factory, n, scheme, m):
+    # Each collocation point owns one run of consecutive rows, and the
+    # runs follow the C order of the lattice.
+    prob = factory()
+    field = build_field(prob.geometry, (n,) * prob.dim, components=prob.field_components)
+    pts = generate_collocation_points(field.kvs, CollocationScheme(scheme, (m,) * prob.dim))
+    system = assemble(prob, field, pts)
+    assert np.all(np.diff(system.row_point) >= 0)
+    assert np.array_equal(np.unique(system.row_point), np.arange(pts.n_points))
+
+
+@pytest.mark.parametrize("scheme", ["greville", "uniform"])
+@pytest.mark.parametrize("example", ["I", "II", "III", "IV", "V", "V-knots"])
+def test_square_system_has_zero_free_diagonal(example, scheme):
+    # Row i belongs to point i, which pairs with basis function i: the
+    # symmetric ordering of the square factor relies on this diagonal.
+    prob = make_example(example.split("-")[0])
+    if example == "V-knots":
+        field = build_field_from_knots(prob.geometry, STABILITY_KNOTS)
+    else:
+        field = build_field(prob.geometry, (7,) * prob.dim, components=prob.field_components)
+    pts = generate_collocation_points(field.kvs, CollocationScheme(scheme, field.shape))
+    A = assemble(prob, field, pts).csr.tocoo()
+    assert A.shape[0] == A.shape[1]
+    on_diagonal = (A.row == A.col) & (A.data != 0)
+    assert np.array_equal(np.unique(A.row[on_diagonal]), np.arange(A.shape[0]))

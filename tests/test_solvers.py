@@ -1,6 +1,7 @@
 """Sparse solvers, their dense LAPACK oracles, and the closed-form flop model."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import dense_lu_solve, dense_normal_cholesky_solve, householder_qr_solve
 from splinecol import CollocationSolver, make_example
-from splinecol.errors import RankDeficientError, SingularSystemError
+from splinecol.errors import PreconditionError, RankDeficientError, SingularSystemError
 from splinecol.solvers import flop_cost_model, solve_normal_equations, solve_square
 
 
@@ -57,6 +58,39 @@ class TestSolveSquare:
     def test_rectangular_rejected(self):
         with pytest.raises(ValueError):
             solve_square(np.ones((3, 2)), np.ones(3))
+
+    def test_tolerance_uses_the_one_norm(self):
+        # ||A||_1 = |-4| + |2| = 6 is the sum of column 2, set off the
+        # diagonal; the diagonal alone would give 3.
+        A = np.array([[1.0, 0.0, -4.0], [0.0, 1e-17, 0.0], [3.0, 0.0, 2.0]])
+        with pytest.raises(SingularSystemError, match=re.escape("||A|| = 6.000e-14")):
+            solve_square(sp.csr_array(A), np.ones(3))
+
+
+@pytest.mark.parametrize("solve", [solve_square, solve_normal_equations])
+class TestMalformedInput:
+    A = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+    def test_right_hand_side_of_wrong_shape(self, solve, shape):
+        with pytest.raises(PreconditionError, match=re.escape(f"shape {shape}")):
+            solve(sp.csr_array(self.A), np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_right_hand_side_names_its_row(self, solve, bad):
+        b = np.array([1.0, bad, bad])
+        with pytest.raises(PreconditionError, match="right-hand side .* in row 1$"):
+            solve(sp.csr_array(self.A), b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_entry_names_the_first(self, solve, bad):
+        # Column-major storage meets (2, 1) first; the message names the
+        # first bad entry in row-major order.
+        A = self.A.copy()
+        A[2, 1] = A[1, 2] = bad
+        for stored in (sp.csr_array(A), sp.csc_array(A), A):
+            with pytest.raises(PreconditionError, match="entry in row 1, column 2$"):
+                solve(stored, np.ones(3))
 
 
 class TestNormalEquations:
