@@ -12,6 +12,7 @@ order with the last parametric axis fastest.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,60 +26,55 @@ from .errors import (
 )
 
 
-def _basis_ders(knots, degree, spans, u, n_ders):
-    """Nonzero basis functions and derivatives at parameters ``u`` (The NURBS Book A2.3).
+def _basis_ders(knots, degree, spans, u, max_deriv):
+    """Nonzero basis functions and derivatives at parameters ``u``, as (max_deriv+1, m, degree+1).
 
-    ``spans`` and ``u`` are arrays of shape (m,). Returns an array of shape
-    (m, n_ders+1, degree+1); entry [j, k] holds the k-th derivatives of the
-    degree+1 basis functions supported on ``spans[j]``. The recurrences act
-    on all parameters at once; the loops run over the degree only.
+    ``spans`` and ``u`` have shape (m,); entry [k, j] holds the k-th
+    derivatives of the degree+1 functions supported on ``spans[j]``, and
+    rows above the degree are exact zeros. Level q of the loop takes a
+    block of degree q-1 rows to degree q for all parameters at once:
+
+    - values follow the Cox-de Boor triangle with the arithmetic of The
+      NURBS Book's A2.3, so they match it bit for bit;
+    - the k-th derivative row starts as the values of degree p-k and
+      takes de Boor's N'_{i,q} = q (N_{i,q-1} / (t_{i+q} - t_i) -
+      N_{i+1,q-1} / (t_{i+q+1} - t_{i+1})) at levels p-k+1 .. p, dividing
+      by the triangle's own interval lengths. Each interval contains the
+      nonempty span, so none is zero. The factors q are applied once at
+      the end, as p!/(p-k)!.
+
+    The last level writes straight into the returned table.
     """
-    p = degree
-    m = len(u)
-    ndu = np.empty((p + 1, p + 1, m))
-    left = np.empty((p + 1, m))
-    right = np.empty((p + 1, m))
-    ndu[0, 0] = 1.0
-    for j in range(1, p + 1):
-        left[j] = u - knots[spans + 1 - j]
-        right[j] = knots[spans + j] - u
-        saved = 0.0
-        for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            temp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        ndu[j, j] = saved
-
-    ders = np.zeros((n_ders + 1, p + 1, m))
-    ders[0] = ndu[:, p]
-    a = np.empty((2, p + 1, m))
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for k in range(1, n_ders + 1):
-            d = np.zeros(m)
-            rk = r - k
-            pk = p - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                d += a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d += a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                d += a[s2, k] * ndu[r, pk]
-            ders[k, r] = d
-            s1, s2 = s2, s1
-
-    r = p
-    for k in range(1, n_ders + 1):
-        ders[k] *= r
-        r *= p - k
-    return np.moveaxis(ders, -1, 0)
+    p, order = degree, min(max_deriv, degree)
+    out = np.empty((max_deriv + 1, len(u), p + 1))
+    out[order + 1 :] = 0.0
+    # Row i of left holds u - t[span-p+i], row i of right t[span+1+i] - u.
+    ext = knots[spans + np.arange(-p, p + 2)[:, None]]
+    left = np.subtract(u, ext[: p + 1], out=ext[: p + 1])
+    right = np.subtract(ext[p + 1 :], u, out=ext[p + 1 :])
+    # A block holds the values, then the derivative rows begun so far; its
+    # quotients by the interval lengths sit between zero rows in ``pad``.
+    final = np.moveaxis(out[: order + 1], 2, 1)
+    block = np.empty((order + 1, p + 1, len(u))) if p else final
+    block[0, 0] = 1.0
+    pad = np.zeros((order + 1, p + 2, len(u)))
+    rows = 1
+    for q in range(1, p + 1):
+        np.divide(block[:rows, :q], right[:q] + left[p - q + 1 :], out=pad[:rows, 1 : q + 1])
+        block = final if q == p else block
+        rows += q > p - order
+        # Value r is right * quotient r + left * quotient r-1; derivative
+        # row r is the difference of quotients r-1 and r, and the row begun
+        # at this level takes the values' quotients.
+        quot = pad[0, : q + 2]
+        np.multiply(right[: q + 1], quot[1:], out=block[0, : q + 1])
+        block[0, : q + 1] += left[p - q :] * quot[:-1]
+        if rows > 1:
+            quots = pad[: rows - 1, : q + 2]
+            np.subtract(quots[:, :-1], quots[:, 1:], out=block[1:rows, : q + 1])
+    for k in range(1, order + 1):
+        out[k] *= math.perm(p, k)
+    return out
 
 
 def _direction_tables(kv, u, max_deriv):
@@ -87,13 +83,9 @@ def _direction_tables(kv, u, max_deriv):
     Row k of the tables holds the k-th derivatives of the p+1 functions
     first .. first+p; orders above the degree are zero rows.
     """
-    order = min(max_deriv, kv.degree)
     u = np.asarray(u, dtype=float).reshape(-1)
     spans = kv.find_span(u)
-    ders = _basis_ders(kv.knots, kv.degree, spans, u, order)
-    local = np.zeros((max_deriv + 1, len(spans), kv.degree + 1))
-    local[: order + 1] = np.moveaxis(ders, 1, 0)
-    return spans - kv.degree, local
+    return spans - kv.degree, _basis_ders(kv.knots, kv.degree, spans, u, max_deriv)
 
 
 #: Largest dense direction table, in entries (orders x points x basis), that
@@ -500,22 +492,26 @@ class TensorSpline:
             local = first[:, None] + np.arange(kv.degree + 1)
             cols = _flat_outer(cols * kv.n_basis, local, np.add)
 
-        def outer(alpha):
+        def outer(alpha, out):
             x = tables[0][alpha[0]]
             for a in range(1, self.dim):
-                x = _flat_outer(x, tables[a][alpha[a]], np.multiply)
-            return x
+                last = a == self.dim - 1
+                x = _flat_outer(x, tables[a][alpha[a]], np.multiply, out if last else None)
+            if self.dim == 1:
+                out[...] = x
 
         alphas = _deriv_multi_indices(self.dim, max_deriv)
         buf = _jet_buffer(self.dim, max_deriv, cols.shape)
-        if self.is_polynomial:
-            for alpha in alphas:
-                buf[_jet_entry(alpha)] = outer(alpha)
-        else:
+        entries = {alpha: buf[_jet_entry(alpha)] for alpha in alphas}
+        for alpha, x in entries.items():
+            outer(alpha, x)
+        if not self.is_polynomial:
+            # The weighted numerators, then their quotients, overwrite the products.
             w_loc = self.weights.reshape(-1)[cols]
-            num = {alpha: w_loc * outer(alpha) for alpha in alphas}
-            den = {alpha: x.sum(axis=1, keepdims=True) for alpha, x in num.items()}
-            _quotient_rule(num, den, {alpha: buf[_jet_entry(alpha)] for alpha in alphas})
+            for x in entries.values():
+                x *= w_loc
+            den = {alpha: x.sum(axis=1, keepdims=True) for alpha, x in entries.items()}
+            _quotient_rule(entries, den, entries)
         return (cols,) + _jet_views(buf, self.dim, max_deriv, [-2])
 
     # -- refinement ---------------------------------------------------------
@@ -591,9 +587,11 @@ def _unit(dim, axis):
     return tuple(e)
 
 
-def _flat_outer(x, y, op):
-    """Per-row outer ``op`` of x (N, A) and y (N, B), flattened to (N, A*B) in C order."""
-    return op(x[:, :, None], y[:, None, :]).reshape(len(x), x.shape[1] * y.shape[1])
+def _flat_outer(x, y, op, out=None):
+    """Per-row outer ``op`` of x (N, A) and y (N, B) as (N, A*B) in C order, into any ``out``."""
+    n, a, b = len(x), x.shape[1], y.shape[1]
+    block = None if out is None else out.reshape(n, a, b)
+    return op(x[:, :, None], y[:, None, :], out=block).reshape(n, a * b)
 
 
 def _quotient_rule(num, den, q):
@@ -603,7 +601,8 @@ def _quotient_rule(num, den, q):
     broadcast against each other: the weighted sums of a NURBS object and
     of its weights. ``q`` maps the same orders to the arrays that receive
     the partials of the rational quotient q, which differentiating
-    num = q * den by the Leibniz rule gives.
+    num = q * den by the Leibniz rule gives. ``q`` may be ``num`` itself:
+    each partial reads its numerator before it is written.
     """
     zero = next(iter(num))
     w0 = den[zero]

@@ -4,8 +4,8 @@ These are deliberately naive: the recursive Cox-de Boor definition, the
 textbook derivative recursion, finite differences, a hand-rolled
 Householder QR, dense LAPACK LU and Cholesky solves, a best-approximation
 fit, per-point spline, pullback and assembly code, LAPACK Jacobian
-determinants and inverses with einsum chain-rule pushes, and single-knot
-insertion. They share no code with the package so they can serve as
+determinants and inverses with einsum chain-rule pushes, single-knot
+insertion, and the package's earlier vectorised basis kernel. They share no code with the package so they can serve as
 oracles for it. The last section holds three small
 helpers that are built on the package instead: the local basis table of a
 knot vector, a knot-vector fixture builder and the L2 norm under the
@@ -257,6 +257,60 @@ def point_basis_ders(knots, p, span, u, n_ders):
         ders[k, :] *= r
         r *= p - k
     return ders
+
+
+def vectorised_basis_ders(knots, p, spans, u, n_ders):
+    """The NURBS Book A2.3 over arrays of parameters: (m, n_ders+1, p+1), n_ders <= p.
+
+    The package's basis kernel before its row-block recurrences, kept as
+    the reference for that path. The loops run over r, k and j with one
+    (m,) array per entry.
+    """
+    m = len(u)
+    ndu = np.empty((p + 1, p + 1, m))
+    left = np.empty((p + 1, m))
+    right = np.empty((p + 1, m))
+    ndu[0, 0] = 1.0
+    for j in range(1, p + 1):
+        left[j] = u - knots[spans + 1 - j]
+        right[j] = knots[spans + j] - u
+        saved = 0.0
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+
+    ders = np.zeros((n_ders + 1, p + 1, m))
+    ders[0] = ndu[:, p]
+    a = np.empty((2, p + 1, m))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, n_ders + 1):
+            d = np.zeros(m)
+            rk = r - k
+            pk = p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d += a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                d += a[s2, k] * ndu[r, pk]
+            ders[k, r] = d
+            s1, s2 = s2, s1
+
+    r = p
+    for k in range(1, n_ders + 1):
+        ders[k] *= r
+        r *= p - k
+    return np.moveaxis(ders, -1, 0)
 
 
 def _local_tables(spline, theta, n_ders):

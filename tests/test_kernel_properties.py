@@ -6,18 +6,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batched import values_at
-from oracles import all_basis_derivs, basis_values, boehm_insert, point_basis_jets
+from oracles import (
+    all_basis_derivs,
+    basis_values,
+    boehm_insert,
+    point_basis_ders,
+    point_basis_jets,
+    point_find_span,
+    vectorised_basis_ders,
+)
+from splinecol.collocation import build_field
+from splinecol.metrics import DEFAULT_ABS_SAMPLES, quadrature_rule
 from splinecol.problems import make_example
-from splinecol.splines import KnotVector, TensorSpline
+from splinecol.splines import KnotVector, TensorSpline, _direction_tables
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def knot_vectors(draw, max_degree=4):
-    """Clamped knot vectors on [0, 1] with interior knots on a 1/16 grid."""
-    p = draw(st.integers(1, max_degree))
+def knot_vectors(draw, max_degree=4, min_degree=1, full_multiplicity=False):
+    """Clamped knot vectors on [0, 1] with interior knots on a 1/16 grid.
+
+    With ``full_multiplicity`` every interior knot is repeated p times.
+    """
+    p = draw(st.integers(min_degree, max_degree))
     drawn = sorted(draw(st.lists(st.integers(1, 15), max_size=8)))
+    if full_multiplicity:
+        drawn = sorted(list(set(drawn)) * p)
     interior = [k for i, k in enumerate(drawn) if drawn[:i].count(k) < p]
     knots = [0.0] * (p + 1) + [k / 16 for k in interior] + [1.0] * (p + 1)
     return KnotVector(knots, p)
@@ -29,21 +44,79 @@ parameters = st.lists(
 )
 
 
-@SETTINGS
-@given(kv=knot_vectors(), us=parameters)
-def test_vectorised_kernel_matches_naive_recursion(kv, us):
-    us = np.array(us)
-    order = min(kv.degree, 3)
-    spans = kv.find_span(us)
-    ders = basis_values(kv, us, order)
-    assert ders.shape == (len(us), order + 1, kv.degree + 1)
+def assert_matches_naive_recursion(kv, us):
+    """Every order up to p + 1 at ``us``; the rows above the degree are exact zeros."""
+    p = kv.degree
+    first, tables = _direction_tables(kv, us, p + 1)
+    assert tables.shape == (p + 2, len(us), p + 1)
+    assert np.all(tables[p + 1] == 0.0)
     for j, u in enumerate(us):
-        for k in range(order + 1):
+        for k in range(p + 1):
             full = np.zeros(kv.n_basis)
-            full[spans[j] - kv.degree : spans[j] + 1] = ders[j, k]
-            oracle = all_basis_derivs(kv.knots, kv.degree, u, k)
+            full[first[j] : first[j] + p + 1] = tables[k, j]
+            oracle = all_basis_derivs(kv.knots, p, u, k)
             scale = max(1.0, np.abs(oracle).max())
             assert np.allclose(full, oracle, rtol=0, atol=1e-10 * scale)
+
+
+@SETTINGS
+@given(kv=knot_vectors(max_degree=5, min_degree=0), us=parameters)
+def test_vectorised_kernel_matches_naive_recursion(kv, us):
+    assert_matches_naive_recursion(kv, np.array(us))
+
+
+@SETTINGS
+@given(kv=knot_vectors(max_degree=5, full_multiplicity=True), us=parameters)
+def test_kernel_at_interior_knots_of_multiplicity_p(kv, us):
+    # The basis is only C0 there; spans and the oracle both take the right limit.
+    interior = np.unique(kv.knots[(kv.knots > kv.start) & (kv.knots < kv.end)])
+    assert_matches_naive_recursion(kv, np.concatenate([us, interior]))
+
+
+@SETTINGS
+@given(kv=knot_vectors(max_degree=5, min_degree=0))
+def test_kernel_at_the_ends_matches_scalar_a23(kv):
+    # The recursive oracle is half-open, so the right end is checked against
+    # the scalar A2.3, whose values the row blocks reproduce bit for bit.
+    p = kv.degree
+    us = np.array([kv.start, kv.end])
+    first, tables = _direction_tables(kv, us, p + 1)
+    for j, u in enumerate(us):
+        span = point_find_span(kv.knots, p, u)
+        assert first[j] == span - p
+        ref = point_basis_ders(kv.knots, p, span, u, p + 1)
+        assert np.array_equal(tables[0, j], ref[0])
+        assert np.array_equal(tables[p + 1, j], ref[p + 1])
+        scale = np.maximum(1.0, np.abs(ref).max(axis=1, keepdims=True))
+        assert np.all(np.abs(tables[:, j] - ref) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("degree", range(6))
+@pytest.mark.parametrize("max_deriv", range(4))
+def test_empty_parameters_give_empty_tables(degree, max_deriv):
+    kv = KnotVector([0.0] * (degree + 1) + [1.0] * (degree + 1), degree)
+    first, tables = _direction_tables(kv, np.array([]), max_deriv)
+    assert first.shape == (0,)
+    assert tables.shape == (max_deriv + 1, 0, degree + 1)
+
+
+@pytest.mark.parametrize("example,n", [("I", 1000), ("II", 60), ("III", 12)])
+def test_row_blocks_match_vectorised_a23_on_benchmark_axes(example, n):
+    # The error report's quadrature and sample nodes on the benchmark's
+    # largest fields: values bit for bit, derivatives within 1e-15 of each
+    # row's largest entry.
+    problem = make_example(example)
+    field = build_field(problem.geometry, n)
+    quad_axes, _, _ = quadrature_rule(field)
+    for a, kv in enumerate(field.kvs):
+        samples = np.linspace(kv.start, kv.end, DEFAULT_ABS_SAMPLES[field.dim])
+        for u in (quad_axes[a], samples):
+            spans = kv.find_span(u)
+            ref = np.moveaxis(vectorised_basis_ders(kv.knots, kv.degree, spans, u, 2), 1, 0)
+            _, tables = _direction_tables(kv, u, 2)
+            assert np.array_equal(tables[0], ref[0])
+            scale = np.abs(ref[1:]).max(axis=-1, keepdims=True)
+            assert np.all(np.abs(tables[1:] - ref[1:]) <= 1e-15 * scale)
 
 
 @SETTINGS

@@ -480,6 +480,18 @@ class TestBasisJetOrders:
         assert np.array_equal(values[1], value)
         assert values[2] is None and values[3] is None
 
+    @pytest.mark.parametrize("counts", [None, (15, 15), (60, 60)])
+    def test_rational_values_are_normalised_weighted_products(self, counts):
+        # The arithmetic of predict, pinned bit for bit: the weight times
+        # the tensor product of the direction values, over their sum.
+        prob = make_example("II")
+        spline = prob.geometry.spline if counts is None else build_field(prob.geometry, counts)
+        theta = np.random.default_rng(10).uniform(0.0, 1.0, (500, 2))
+        cols, value, _, _ = spline.basis_jets(theta, 0)
+        u, v = (splines._direction_tables(kv, x, 0)[1][0] for kv, x in zip(spline.kvs, theta.T))
+        num = spline.weights.reshape(-1)[cols] * (u[:, :, None] * v[:, None, :]).reshape(500, -1)
+        assert np.array_equal(value, num / num.sum(axis=1, keepdims=True))
+
     @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("example, counts", [("I", 1000), ("III", 12), ("IV", (11, 18))])
     def test_polynomial_path_matches_the_quotient_rule(self, example, counts, order):
