@@ -26,14 +26,8 @@ from .errors import (
     PreconditionError,
     SingularGeometryError,
 )
-from .geometry import (
-    GeometryMap,
-    boundary_normals,
-    lattice_pullbacks,
-    lattice_push_gradient,
-    lattice_push_hessian,
-)
-from .problems import BvpDefinition, callback_values
+from .geometry import GeometryMap, boundary_normals, lattice_pullbacks, pull_back_coefficients
+from .problems import BvpDefinition, callback_values, linear_coefficients
 from .splines import KnotVector, TensorSpline
 
 SCHEME_KINDS = ("greville", "uniform")
@@ -234,15 +228,9 @@ class CollocationSystem:
         return self.csr.shape
 
 
-def _basis_rows(apply, comp, c, *jets):
-    """Rows (N, rows, L) of ``apply`` for L basis functions in field component ``comp``.
-
-    Each basis jet (N, ..., L) is placed in component ``comp`` of a zero
-    field jet (N, L, ..., c); ``apply`` maps those field jets to (N, L, rows).
-    """
-    place = np.arange(c) == comp
-    fields = [np.where(place, np.moveaxis(jet, -1, 1)[..., None], 0.0) for jet in jets]
-    return np.moveaxis(apply(*fields), -1, 1)
+def _leading_order(coeffs, dim):
+    """Highest jet order (0 to 2) with a nonzero entry in coefficients (E, ...)."""
+    return max((k for k in range(3) if coeffs[sum(dim**j for j in range(k)) :].any()), default=0)
 
 
 def assemble(
@@ -327,16 +315,18 @@ def assemble(
     cols = np.zeros((n_total, width), dtype=np.intp)
     b = np.zeros(n_total)
 
-    # Interior operator rows.
+    # Interior operator rows: the operator's coefficients, pulled back per
+    # point, weigh the partials of the basis (c rows x c components).
+    d = points.dim
+    operator = problem.operator
+    coeffs = linear_coefficients(operator.apply, d, c, 2, f"operator {type(operator).__name__}")
+    order = _leading_order(coeffs, d)
+    coeffs = coeffs[: sum(d**j for j in range(order + 1))].reshape(-1, c * c, 1)
+    coeffs = pull_back_coefficients(coeffs, inv[inner], None if order < 2 else second[inner])
+    support, table = field.row_table(lattice[inner], coeffs.reshape(len(coeffs), c, c, len(inner)))
     rows = first_row[inner, None] + np.arange(c)
-    support, val, grad_t, hess_t = field.basis_jets(lattice[inner], max_deriv=2)
-    grad_x = lattice_push_gradient(inv[inner], grad_t)
-    hess_x = lattice_push_hessian(inv[inner], second[inner], grad_x, hess_t)
     cols[rows] = support[:, None]
-    for comp in range(c):
-        values[rows, :, comp] = _basis_rows(
-            problem.operator.apply, comp, c, val, grad_x, hess_x
-        )
+    values[rows] = table.transpose(2, 0, 3, 1)
     b[rows] = callback_values(problem.source, x[inner], c, "source")
 
     if boundary_weight == "auto":
@@ -346,19 +336,27 @@ def assemble(
         norms = np.sqrt(functools.reduce(np.add, squares))
         boundary_weight = float(norms.mean()) if len(inner) else 1.0
 
-    # Boundary condition rows, one block per owning condition.
-    support, val, grad_t, _ = field.basis_jets(lattice[outer], max_deriv=1)
+    # Boundary condition rows: each owning condition's coefficients, at the
+    # normals of its points and pulled back there, then one row table.
     inv_b = inv[outer]
-    grad_x = lattice_push_gradient(inv_b, grad_t)
+    width_b = max(bc.n_rows for bc in conds)
+    coeffs = np.zeros((1 + d, width_b, c, len(outer)))
+    for bc in conds:
+        sel = np.flatnonzero(owner == bc.face)
+        if not len(sel):
+            continue
+        normal = boundary_normals(inv_b[sel], bc.axis, bc.side)[:, None]
+        name = f"boundary condition on face {bc.face}"
+        found = linear_coefficients(functools.partial(bc.apply, normal), d, c, 1, name)
+        pulled = pull_back_coefficients(found.reshape(1 + d, bc.n_rows * c, -1), inv_b[sel])
+        coeffs[:, : bc.n_rows, :, sel] = pulled.reshape(1 + d, bc.n_rows, c, len(sel))
+    order = _leading_order(coeffs, d)
+    support, table = field.row_table(lattice[outer], coeffs[: 1 + d * order])
     for bc in conds:
         sel = np.flatnonzero(owner == bc.face)
         rows = first_row[outer[sel], None] + np.arange(bc.n_rows)
-        normal = boundary_normals(inv_b[sel], bc.axis, bc.side)[:, None]
-        apply = functools.partial(bc.apply, normal)
         cols[rows] = support[sel, None]
-        for comp in range(c):
-            block = _basis_rows(apply, comp, c, val[sel], grad_x[sel])
-            values[rows, :, comp] = boundary_weight * block
+        values[rows] = boundary_weight * table[: bc.n_rows, :, sel].transpose(2, 0, 3, 1)
         name = f"value of the boundary condition on face {bc.face}"
         b[rows] = boundary_weight * callback_values(
             bc.value, x[outer[sel]], bc.n_rows, name
@@ -383,9 +381,9 @@ def assemble(
                 f"pin component {comps[i]} of the collocation point "
                 f"{tuple(lattice[nearest[i]].tolist())} (row {rows[i]})"
             )
-        _, val, _, _ = field.basis_jets(lattice[nearest], max_deriv=0)
+        _, val = field.row_table(lattice[nearest], np.full((1, len(pcs)), boundary_weight))
         values[rows] = 0.0
-        values[rows, :, comps] = boundary_weight * val
+        values[rows, :, comps] = val
         for j, pc in enumerate(pcs):
             name = f"value of the point constraint at {pc.theta}"
             b[rows[j]] = boundary_weight * callback_values(

@@ -11,10 +11,17 @@ overhead exceeds the arithmetic. The cofactors are formed entry by entry:
 each Jacobian entry of a lattice jet is a contiguous array over the
 lattice (see :class:`splinecol.splines.LatticeJet`), so every cofactor is
 one ufunc expression in whole arrays, with no gathered (N, d, d) copies.
-The Hessian push works the same way: each entry of each factor of the
-chain rule is one sum of d products of whole (N, c) blocks with (N,)
-geometry columns, since a batched matmul on (d, d) blocks also pays a
-per-point overhead above the arithmetic.
+
+Second-order operators are never applied to pushed Hessians. Every
+operator and boundary condition is linear with constant coefficients, so
+:func:`pull_back_coefficients` moves its coefficients to the parameter
+domain once per point instead (the pulled-back coefficient form of
+Antolin, Buffa, Calabro, Martinelli and Sangalli, CMAME 2015), at a cost
+that does not depend on what the operator is applied to: L basis
+functions when assembling, the field's c components in the error report.
+Its entries are sums of products of whole blocks with the (N,) geometry
+columns, since a batched matmul on (d, d) blocks pays a per-point
+overhead above the arithmetic.
 
 Conventions: the Jacobian J has entries J[k, a] = dx_k / dtheta_a; the
 second-derivative tensor S has S[a, b, k] = d^2 x_k / dtheta_a dtheta_b
@@ -142,28 +149,59 @@ def lattice_push_gradient(inv_jac, grad_theta):
     return np.einsum("nak,nac->nkc", inv_jac, grad_theta)
 
 
-def lattice_push_hessian(inv_jac, second, grad_x, hess_theta):
-    """Batched physical Hessians (N, d, d, c).
+def pull_back_coefficients(coeffs, inv_jac, second=None):
+    """Parametric coefficients (E, s, N) of s linear rows given physical ones.
 
-    Implements H_x = J^{-T} (H_theta - sum_k (grad_x)_k S_k) J^{-1} with
-    S the geometry second-derivative tensor, entry by entry: every entry
-    of T = H_theta - sum_k (grad_x)_k S_k, of U = J^{-T} T and of
-    H_x = U J^{-1} is one ``einsum`` sum of d products of (N, c) blocks
-    with the (N,) columns ``second[:, a, b, k]`` and ``inv_jac[:, a, i]``,
-    written in place. All d^2 entries are computed; H_theta need not be
-    symmetric. The result is a view of one (d, d, N, c) buffer, which
-    holds T until U is formed.
+    ``coeffs`` (E, s, N), or (E, s, 1) for constants, weighs the physical
+    jet entries in the order of a jet buffer: the value, the d first
+    partials d/dx_k and, when E = 1 + d + d*d, the second partials
+    d^2/dx_i dx_j in C order. ``inv_jac`` (N, d, d) and ``second``
+    (N, d, d, d) hold the points' inverse Jacobians and geometry second
+    derivatives; ``second`` is read at order 2 only. The result weighs the
+    parametric jet entries in the same order: row r applied to a field u
+    is sum_e K_e[r] d^e u / dtheta^e, with
+
+        B2 = J^-1 A2 J^-T,  s_k = sum_ab B2_ab S_abk,  B1 = J^-1 (A1 - s),  B0 = A0.
+
+    A2 is symmetrised first, so B2 is formed on a <= b and copied; the
+    products of its zero entries are skipped. Every pass over the points
+    costs about the same whether it multiplies, adds or does both, so the
+    sums over a direction are ``einsum`` contractions of stacked (d, N)
+    columns of ``inv_jac`` and ``second``. The cost does not depend on
+    what the coefficients are later applied to.
     """
-    n, d, _, c = hess_theta.shape
-    out = np.empty((d, d, n, c))
-    half = np.empty((d, d, n, c))
-    grad = np.moveaxis(grad_x, 1, 0)  # (k, N, c)
-    pairs = list(itertools.product(range(d), repeat=2))
-    for a, b in pairs:
-        np.einsum("nk,knc->nc", second[:, a, b], grad, out=out[a, b])
-        np.subtract(hess_theta[:, a, b], out[a, b], out=out[a, b])
-    for i, b in pairs:
-        np.einsum("na,anc->nc", inv_jac[:, :, i], out[:, b], out=half[i, b])
-    for i, j in pairs:
-        np.einsum("bnc,nb->nc", half[i], inv_jac[:, :, j], out=out[i, j])
-    return np.moveaxis(out, 2, 0)
+    n, d, _ = inv_jac.shape
+    e, s = coeffs.shape[:2]
+    inv = inv_jac.transpose(1, 2, 0)  # inv[a, k] is d theta_a / d x_k over the points
+    out = np.empty((e, s, n))
+    out[0] = coeffs[0]
+    if e == 1:
+        return out
+    grad = coeffs[1 : 1 + d]
+    if e > 1 + d:
+        a2 = coeffs[1 + d :].reshape((d, d) + coeffs.shape[1:])
+        a2 = 0.5 * (a2 + a2.transpose((1, 0) + tuple(range(2, a2.ndim))))
+        nonzero = a2.reshape(d, d, -1).any(axis=2)
+        rows = [i for i in range(d) if nonzero[i].any()]
+        b2 = out[1 + d :].reshape(d, d, s, n)
+        half = np.empty((len(rows), s, n))
+        inv_rows = inv if len(rows) == d else inv[:, rows]
+        for b in range(d):
+            # half[i] = (A2 J^-T)_ib, then B2_ab = sum_i (J^-1)_ai half[i] for a <= b.
+            for h, i in zip(half, rows):
+                terms = [j for j in range(d) if nonzero[i, j]]
+                np.multiply(a2[i, terms[0]], inv[b, terms[0]], out=h)
+                for j in terms[1:]:
+                    h += a2[i, j] * inv[b, j]
+            for a in range(b + 1):
+                np.einsum("in,isn->sn", inv_rows[a], half, out=b2[a, b])
+                b2[b, a] = b2[a, b]
+        shift = np.einsum("absn,abkn->ksn", b2, second.transpose(1, 2, 3, 0))
+        grad = np.subtract(grad, shift, out=shift)
+    # B1 = J^-1 (A1 - s); a constant A1 has no point axis to contract over.
+    spec = "kn,ksn->sn"
+    if grad.shape[-1] != n:
+        grad, spec = grad[..., 0], "kn,ks->sn"
+    for a in range(d):
+        np.einsum(spec, inv[a], grad, out=out[1 + a])
+    return out

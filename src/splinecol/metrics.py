@@ -20,12 +20,8 @@ from numpy.polynomial.legendre import leggauss
 
 from ._validation import per_direction, whole_number
 from .errors import PreconditionError, UndefinedMetricError
-from .geometry import (
-    lattice_pullbacks,
-    lattice_push_gradient,
-    lattice_push_hessian,
-)
-from .problems import BvpDefinition, callback_values
+from .geometry import lattice_pullbacks, lattice_push_gradient, pull_back_coefficients
+from .problems import BvpDefinition, callback_values, linear_coefficients
 from .splines import TensorSpline
 
 DEFAULT_ABS_SAMPLES = {1: 1001, 2: 201, 3: 41}
@@ -84,28 +80,48 @@ def quadrature_rule(field: TensorSpline, quad_order=None):
 
 
 def _field_data(problem, field, axes, max_deriv, stamps=None):
-    """Physical points, Jacobian determinants and pushed field jets to order ``max_deriv``.
+    """Geometry and the field's parametric lattice jet, both to order ``max_deriv``.
 
-    Entries above that order are None, and so is the determinant at order
-    0. When ``stamps`` is a list, the ``perf_counter`` times after the
-    pullback and after the pushed jets are appended to it.
+    Returns (points, det, inv_jac, second, jet, grad_x), with the entries
+    of :func:`lattice_pullbacks` above that order None. The physical
+    gradient ``grad_x`` (N, d, c) is pushed only when a quantity reads it
+    (``needs_gradient``), and is None otherwise. When ``stamps`` is a
+    list, the ``perf_counter`` times after the pullback and after the jet
+    are appended to it.
     """
     pts, _, inv, det, second = lattice_pullbacks(problem.geometry, axes, max_deriv=max_deriv)
     if stamps is not None:
         stamps.append(time.perf_counter())
     jet = field.evaluate_lattice(axes, max_deriv=max_deriv)
-    c = field.ncomp
-    value = jet.value.reshape(-1, c)
-    grad_x = hess_x = None
-    if max_deriv >= 1:
-        grad_t = jet.grad.reshape(-1, field.dim, c)
-        grad_x = lattice_push_gradient(inv, grad_t)
-    if max_deriv >= 2:
-        hess_t = jet.hess.reshape(-1, field.dim, field.dim, c)
-        hess_x = lattice_push_hessian(inv, second, grad_x, hess_t)
+    grad_x = None
+    if max_deriv >= 1 and any(qty.needs_gradient for qty in problem.quantities):
+        grad_x = lattice_push_gradient(inv, jet.grad.reshape(-1, field.dim, field.ncomp))
     if stamps is not None:
         stamps.append(time.perf_counter())
-    return pts, det, value, grad_x, hess_x
+    return pts, det, inv, second, jet, grad_x
+
+
+def _operator_values(problem, jet, inv, second):
+    """The interior operator applied to a field's order-2 lattice jet, as (N, rows).
+
+    The operator's coefficients are pulled back to the parameter domain
+    and contracted with the jet's value, gradient and Hessian blocks.
+    """
+    d, c, n = problem.dim, jet.value.shape[-1], len(inv)
+    operator = problem.operator
+    coeffs = linear_coefficients(operator.apply, d, c, 2, f"operator {type(operator).__name__}")
+    rows = coeffs.shape[1]
+    coeffs = pull_back_coefficients(coeffs.reshape(len(coeffs), rows * c, 1), inv, second)
+    coeffs = coeffs.reshape(len(coeffs), rows, c, n)
+    # Each block of the jet is a view of its (entries, c, lattice) buffer rows.
+    value, grad, hess = (
+        np.moveaxis(x, range(d), range(-d, 0)).reshape(x.shape[d:] + (n,))
+        for x in (jet.value, jet.grad, jet.hess)
+    )
+    out = np.einsum("rkn,kn->rn", coeffs[0], value)
+    out += np.einsum("arkn,akn->rn", coeffs[1 : 1 + d], grad)
+    out += np.einsum("arkn,akn->rn", coeffs[1 + d :], hess.reshape(d * d, c, n))
+    return out.T
 
 
 def absolute_error_field(problem: BvpDefinition, field: TensorSpline, sample_counts=None):
@@ -128,9 +144,8 @@ def absolute_error_field(problem: BvpDefinition, field: TensorSpline, sample_cou
         np.linspace(kv.start, kv.end, m) for kv, m in zip(field.kvs, sample_counts)
     ]
     needs_grad = any(qty.needs_gradient for qty in problem.quantities)
-    pts, _, value, grad_x, _ = _field_data(
-        problem, field, axes, max_deriv=1 if needs_grad else 0
-    )
+    pts, _, _, _, jet, grad_x = _field_data(problem, field, axes, max_deriv=int(needs_grad))
+    value = jet.value.reshape(-1, field.ncomp)
     errors = {}
     for qty in problem.quantities:
         exact = np.asarray(qty.analytic(pts), dtype=float)
@@ -153,9 +168,10 @@ class ErrorReport:
     ``timings`` holds the ``perf_counter`` seconds of each stage of
     :func:`error_report`, keyed by ``REPORT_STAGES``: ``samples`` (the
     quadrature rule and the absolute-error lattice), ``pullback`` (the
-    geometry on the quadrature lattice), ``evaluate`` (the field's jets,
-    pushed to physical derivatives) and ``integrate`` (the relative errors
-    and e_DT). Comparisons cover the scalar results only: the timings
+    geometry on the quadrature lattice), ``evaluate`` (the field's
+    parametric jets, and its physical gradient when a quantity reads one)
+    and ``integrate`` (the relative errors, and e_DT through the operator's
+    pulled-back coefficients). Comparisons cover the scalar results only: the timings
     vary from run to run, and ``sample_points``/``sample_errors`` hold
     arrays, which ``==`` compares element by element.
     """
@@ -234,7 +250,8 @@ def error_report(
     axes, w, order = quadrature_rule(field, quad_order)
     pts, abs_errors = absolute_error_field(problem, field, sample_counts)
     stamps.append(time.perf_counter())
-    x, det, value, grad_x, hess_x = _field_data(problem, field, axes, 2, stamps)
+    x, det, inv, second, jet, grad_x = _field_data(problem, field, axes, 2, stamps)
+    value = jet.value.reshape(-1, field.ncomp)
     dw = np.abs(det) * w
     quantities = []
     for qty in problem.quantities:
@@ -245,7 +262,7 @@ def error_report(
             raise UndefinedMetricError(f"quantity {qty.name!r} has zero L2 norm")
         quantities.append(QuantityError(qty.name, rel, float(abs_errors[qty.name].max())))
     source = callback_values(problem.source, x, field.ncomp, "source")
-    e_dt = _relative_l2(source, problem.operator.apply(value, grad_x, hess_x), dw)
+    e_dt = _relative_l2(source, _operator_values(problem, jet, inv, second), dw)
     stamps.append(time.perf_counter())
     timings = stage_timings(f"error_report {problem.example_id}", REPORT_STAGES, stamps)
     return ErrorReport(

@@ -10,11 +10,14 @@ Dirichlet/Neumann variant used for stability experiments.
 Every operator and boundary condition is written once, as ``apply`` on
 field jets with any leading batch shape and a trailing component axis:
 ``value`` (..., c), ``grad`` (..., d, c) and ``hess`` (..., d, d, c), where
-``grad[..., a, k]`` is the derivative of component k along x_a. The error
-metrics apply it to the discrete field; assembly applies it to basis
-functions placed in one component (``collocation._basis_rows``), so the
-rows of the system and the operator error cannot disagree. The
-plane-stress law is written once too, in :func:`plane_stress`.
+``grad[..., a, k]`` is the derivative of component k along x_a. Each
+``apply`` must be linear in the jet with no constant term:
+:func:`linear_coefficients` probes it once per call for its constant
+coefficients and checks that it is. Assembly and the operator error both
+apply only those coefficients, pulled back to the parameter domain
+(:func:`splinecol.geometry.pull_back_coefficients`), so the rows of the
+system and the operator error cannot disagree. The plane-stress law is
+written once too, in :func:`plane_stress`.
 
 Callbacks (``source``, ``analytic_solution``, boundary-condition ``value``
 and ``PointConstraint.value``) take physical points of shape (N, d) and
@@ -23,6 +26,7 @@ return values of shape (N, c); :func:`callback_values` enforces this.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -140,6 +144,65 @@ class PlaneStressNavierOperator:
 
 def face_id(axis: int, side: int) -> int:
     return 2 * axis + side
+
+
+#: Relative tolerance of the linearity check in :func:`linear_coefficients`.
+LINEARITY_TOL = 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_jets(dim: int, components: int, order: int):
+    """Read-only probe fields for :func:`linear_coefficients` and the test jet's flat entries.
+
+    There are P = c * E probes, E = 1 + d (+ d*d) jet entries: probe
+    k * E + e is the unit jet of entry e (value, gradient, then Hessian in
+    C order) of component k. Then come the zero jet and a seeded random
+    one, whose entries are returned in probe order, as a (P,) array.
+    """
+    entries = sum(dim**k for k in range(order + 1))
+    size = components * entries
+    jets = np.zeros((size + 2, entries, components))
+    jets[:size] = np.eye(size).reshape(size, components, entries).transpose(0, 2, 1)
+    jets[-1] = np.random.default_rng(2010).uniform(-1.0, 1.0, (entries, components))
+    jets.flags.writeable = False
+    fields = [jets[:, 0], jets[:, 1 : 1 + dim], jets[:, 1 + dim :]][: order + 1]
+    if order == 2:
+        fields[2] = fields[2].reshape(size + 2, dim, dim, components)
+    test = np.ascontiguousarray(jets[-1].T).reshape(-1)
+    test.flags.writeable = False
+    return tuple(fields), test
+
+
+def linear_coefficients(apply, dim: int, components: int, order: int, name: str):
+    """Coefficient tensors (E, rows, c, ...) of a linear ``apply`` on field jets.
+
+    ``apply`` takes ``value`` and ``grad`` and, at ``order`` 2, ``hess`` (see
+    the module docstring), so a boundary condition comes with its normals
+    bound: they broadcast against the probe batch in front of its axis, and
+    any axes they add to the output trail the returned tensors. Entry
+    [e, r, k] is the weight of jet entry e (value, gradient, then Hessian
+    in C order) of component k in output row r, found from one call on
+    unit jets. The same call checks that ``apply`` is linear with no
+    constant term: it must give exactly 0 on the zero jet and, on a seeded
+    random jet, the coefficients' contraction to ``LINEARITY_TOL``
+    relative. Raises :class:`PreconditionError` naming ``name`` otherwise.
+    """
+    fields, test = _probe_jets(dim, components, order)
+    out = np.asarray(apply(*fields), dtype=float)  # (..., P + 2, rows)
+    units = out[..., :-2, :]
+    expected = test @ units
+    error = np.abs(out[..., -1, :] - expected)
+    if (out[..., -2, :] != 0.0).any() or not (
+        error <= LINEARITY_TOL * (np.abs(test) @ np.abs(units))
+    ).all():
+        raise PreconditionError(
+            f"{name} must be linear in the field jet with no constant term: "
+            f"it gives {np.max(np.abs(out[..., -2, :])):.3e} on the zero jet and "
+            f"{np.max(error):.3e} off its coefficients on a test jet"
+        )
+    lead = out.ndim - 2
+    units = units.reshape(out.shape[:-2] + (components, len(test) // components, out.shape[-1]))
+    return units.transpose((lead + 1, lead + 2, lead) + tuple(range(lead)))
 
 
 def callback_values(fn, x, components: int, name: str) -> np.ndarray:

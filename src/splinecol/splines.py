@@ -284,6 +284,18 @@ def _directions(alpha):
     return [a for a, k in enumerate(alpha) for _ in range(k)]
 
 
+def _jet_alphas(dim, order):
+    """Multi-index of each row of a jet buffer up to ``order`` (see :func:`_jet_entry`).
+
+    The rows hold the value, the d gradient entries and the d*d Hessian
+    entries (a, b) in C order, so a mixed partial appears twice.
+    """
+    units = [tuple(int(k == a) for k in range(dim)) for a in range(dim)]
+    alphas = [(0,) * dim] + units
+    alphas += [tuple(x + y for x, y in zip(u, v)) for u in units for v in units]
+    return alphas[: sum(dim**k for k in range(order + 1))]
+
+
 def _jet_entry(alpha):
     """Row of the partial ``alpha`` (total order <= 2) in a jet buffer.
 
@@ -514,6 +526,66 @@ class TensorSpline:
             _quotient_rule(entries, den, entries)
         return (cols,) + _jet_views(buf, self.dim, max_deriv, [-2])
 
+    def row_table(self, theta, coeffs):
+        """Rows sum_e K_e d^e R_l of the nonzero basis functions R_l at N points.
+
+        ``theta`` has shape (N, d) and ``coeffs`` (E, ..., N): per-point
+        coefficients K_e of the jet entries up to order 0, 1 or 2, which
+        E = 1, 1 + d or 1 + d + d*d selects. The entries are those of a
+        jet buffer: the value, the d first partials, then the d*d second
+        partials (a, b) in C order, so (a, b) and (b, a) both weigh the
+        same mixed partial. Returns ``(cols, table)``, with ``cols`` (N, L)
+        as in :meth:`basis_jets` and ``table`` (..., N, L).
+
+        The sum is factorised direction by direction on the points' own 1D
+        tables t_a: in 3D, sum_e0 t0^e0 (x) [sum_e1 t1^e1 (x) (sum_e2 K_e t2^e2)],
+        so no basis jet is formed. A rational basis R_l = w_l N_l / W needs
+        no second path: the row is w_l sum_g K'_g d^g N_l with
+        K'_g = sum_{f >= g} C(f, g) K_f d^(f-g)(1/W), and W's jets are
+        per-point sums of this spline's own weights.
+        """
+        theta = as_points(theta, self.dim)
+        coeffs = np.asarray(coeffs, dtype=float)
+        d = self.dim
+        orders = {sum(d**j for j in range(k + 1)): k for k in range(3)}
+        if len(coeffs) not in orders:
+            raise UnsupportedDerivativeError(
+                f"row tables take the coefficients of {sorted(orders)} jet entries, "
+                f"got {len(coeffs)}"
+            )
+        order = orders[len(coeffs)]
+        cols = np.zeros((len(theta), 1), dtype=np.intp)
+        tables = []
+        for a, kv in enumerate(self.kvs):
+            first, tab = _direction_tables(kv, theta[:, a], order)
+            tables.append(tab)
+            cols = _flat_outer(cols * kv.n_basis, first[:, None] + np.arange(kv.degree + 1), np.add)
+        merged = {}
+        for alpha, k in zip(_jet_alphas(d, order), coeffs):
+            merged[alpha] = merged[alpha] + k if alpha in merged else k
+        alphas, coeffs = list(merged), list(merged.values())
+        polynomial = self.is_polynomial
+        if not polynomial:
+            w_loc = self.weights.reshape(-1)[cols]
+            coeffs = _reciprocal_weighted(coeffs, alphas, _local_sums(w_loc, tables, order))
+        # Contract the last direction first; each key is the multi-index
+        # prefix that is still to be contracted.
+        blocks = {alpha: k[..., None] for alpha, k in zip(alphas, coeffs)}
+        for a in reversed(range(d)):
+            merged = {}
+            for alpha, x in blocks.items():
+                term = tables[a][alpha[a]][:, :, None] * x[..., None, :]
+                term = term.reshape(term.shape[:-2] + (term.shape[-2] * term.shape[-1],))
+                if alpha[:a] in merged:
+                    merged[alpha[:a]] += term
+                else:
+                    merged[alpha[:a]] = term
+            blocks = merged
+        table = blocks[()]
+        if not polynomial:
+            table *= w_loc
+        return cols, table
+
     # -- refinement ---------------------------------------------------------
 
     def insert_knots(self, direction: int, knots) -> "TensorSpline":
@@ -592,6 +664,47 @@ def _flat_outer(x, y, op, out=None):
     n, a, b = len(x), x.shape[1], y.shape[1]
     block = None if out is None else out.reshape(n, a, b)
     return op(x[:, :, None], y[:, None, :], out=block).reshape(n, a * b)
+
+
+def _local_sums(x, tables, order):
+    """Per-point sums sum_l x_l d^alpha N_l for every alpha up to ``order``, keyed by alpha.
+
+    ``x`` (N, L) holds one value per function of each point's local support
+    block, in C order, and ``tables`` the points' (order+1, N, p+1)
+    direction tables; directions are contracted last first.
+    """
+    sums = {(): x.reshape((len(x),) + tuple(t.shape[-1] for t in tables))}
+    for a in reversed(range(len(tables))):
+        sums = {
+            (k,) + key: np.einsum("n...q,nq->n...", y, tables[a][k])
+            for key, y in sums.items()
+            for k in range(order - sum(key) + 1)
+        }
+    return sums
+
+
+def _reciprocal_weighted(coeffs, alphas, w):
+    """Coefficients K'_g = sum_{f >= g} C(f, g) K_f d^(f-g)(1/W), by the Leibniz rule.
+
+    ``coeffs`` holds arrays (..., N) of K_f for the distinct multi-indices
+    ``alphas`` (total order <= 2, the value first), and ``w`` maps each of
+    them to the jet of W at the N points.
+    """
+    zero = alphas[0]
+    v = {zero: 1.0 / w[zero]}
+    for alpha in alphas[1:]:
+        dirs = [_unit(len(alpha), k) for k in _directions(alpha)]
+        if len(dirs) == 1:
+            v[alpha] = -w[alpha] * v[zero] ** 2
+        else:
+            v[alpha] = (2.0 * w[dirs[0]] * w[dirs[1]] * v[zero] - w[alpha]) * v[zero] ** 2
+    out = [np.zeros(np.broadcast_shapes(k.shape, v[zero].shape)) for k in coeffs]
+    for f, k in zip(alphas, coeffs):
+        for g, target in zip(alphas, out):
+            if all(gi <= fi for gi, fi in zip(g, f)):
+                scale = math.prod(math.comb(fi, gi) for fi, gi in zip(f, g))
+                target += scale * k * v[tuple(fi - gi for fi, gi in zip(f, g))]
+    return out
 
 
 def _quotient_rule(num, den, q):

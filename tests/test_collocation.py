@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import naive_basis, point_assemble
+from oracles import naive_basis, point_assemble, push_hessian
 from splinecol.collocation import (
     CollocationScheme,
     assemble,
@@ -27,7 +27,6 @@ from splinecol.geometry import (
     boundary_normals,
     lattice_pullbacks,
     lattice_push_gradient,
-    lattice_push_hessian,
 )
 from splinecol.problems import (
     STABILITY_KNOTS,
@@ -227,7 +226,9 @@ class TestAssembly:
         # A row dotted with coefficients equals the operator, the owning
         # face's condition times the boundary weight, or the pinned
         # component times the weight, applied to the corresponding field at
-        # that row's point: vector operators, traction and Neumann rows included.
+        # that row's point: vector operators, traction and Neumann rows
+        # included. The rows come from pulled-back coefficients; the field's
+        # Hessian here comes from the oracle push.
         rng = np.random.default_rng(0)
         prob = factory()
         c, weight = prob.field_components, 2.5
@@ -243,7 +244,7 @@ class TestAssembly:
         d = prob.dim
         value = jet.value.reshape(-1, c)
         grad = lattice_push_gradient(inv, jet.grad.reshape(-1, d, c))
-        hess = lattice_push_hessian(inv, second, grad, jet.hess.reshape(-1, d, d, c))
+        hess = push_hessian(inv, second, grad, jet.hess.reshape(-1, d, d, c))
         kinds = set()
         provenance = zip(
             system.row_point, system.row_kind, system.row_component, system.row_face
@@ -392,18 +393,19 @@ class TestAssembly:
 
     def test_row_blocks_ask_for_the_orders_they_read(self, monkeypatch):
         # Interior operator rows read second derivatives, traction rows
-        # first derivatives and point constraints values only.
+        # first derivatives and point constraints values only. The row
+        # builder's order is set by how many jet entries it is given.
         prob = example_beam()
         field = build_field(prob.geometry, (7, 7), components=2)
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (7, 7)))
         orders = []
-        jets = TensorSpline.basis_jets
+        rows = TensorSpline.row_table
 
-        def recording(spline, theta, max_deriv=2):
-            orders.append(max_deriv)
-            return jets(spline, theta, max_deriv)
+        def recording(spline, theta, coeffs):
+            orders.append({1: 0, 3: 1, 7: 2}[len(coeffs)])
+            return rows(spline, theta, coeffs)
 
-        monkeypatch.setattr(TensorSpline, "basis_jets", recording)
+        monkeypatch.setattr(TensorSpline, "row_table", recording)
         assemble(prob, field, pts)
         assert orders == [2, 1, 0]
 
@@ -428,25 +430,21 @@ class TestAssembly:
         with pytest.raises(AssemblyError, match=re.escape(describe(system, pts, first))):
             assemble(prob, field, pts)
 
-    def test_non_finite_matrix_entry_names_its_row(self):
-        from dataclasses import replace
-
-        base = example_1d_dirichlet()
-
-        class BrokenOperator:
-            order = 2
-            components = 1
-
-            def apply(self, value, grad, hess):
-                out = base.operator.apply(value, grad, hess)
-                out[3, 1, 0] = np.inf  # interior point 3, basis function 1
-                return out
-
-        prob = replace(base, operator=BrokenOperator())
+    def test_non_finite_matrix_entry_names_its_row(self, monkeypatch):
+        prob = example_1d_dirichlet()
         field = build_field(prob.geometry, (8,))
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (10,)))
-        system = assemble(base, field, pts, boundary_weight=1.0)
+        system = assemble(prob, field, pts, boundary_weight=1.0)
         row = int(np.flatnonzero(system.row_kind == "interior")[3])
+        rows = TensorSpline.row_table
+
+        def broken(spline, theta, coeffs):
+            cols, table = rows(spline, theta, coeffs)
+            if len(coeffs) == 3:  # the interior block
+                table[..., 3, 1] = np.inf  # interior point 3, basis function 1
+            return cols, table
+
+        monkeypatch.setattr(TensorSpline, "row_table", broken)
         with pytest.raises(AssemblyError, match=re.escape(describe(system, pts, row))):
             assemble(prob, field, pts, boundary_weight=1.0)
 

@@ -15,12 +15,13 @@ from splinecol.geometry import (
     boundary_normals,
     lattice_pullbacks,
     lattice_push_gradient,
-    lattice_push_hessian,
+    pull_back_coefficients,
 )
 from splinecol.metrics import quadrature_rule
 from splinecol.problems import (
     EXAMPLES,
     curve_unit_interval,
+    linear_coefficients,
     patch_beam,
     patch_quarter_annulus,
     solid_unit_cube,
@@ -50,14 +51,28 @@ def pullback_at(geo, theta):
     return pts[0], jac[0], inv[0], second[0]
 
 
+def pulled_back_jets(inv, second, grad_t, hess_t):
+    """Physical gradients (N, d, c) and Hessians (N, d, d, c) from pulled-back coefficients.
+
+    The coefficients are those of the unit operators u -> du/dx_k and
+    u -> d2u/dx_i dx_j, pulled back per point and applied to the parametric
+    jet ``grad_t`` (N, d, c), ``hess_t`` (N, d, d, c). The pullback reads
+    the symmetric part of a Hessian only, as every physical operator does.
+    """
+    n, d = grad_t.shape[:2]
+    physical = np.eye(1 + d + d * d)[:, 1:, None]  # operator s weighs jet entry s + 1
+    coeffs = pull_back_coefficients(physical, inv, second)
+    entries = np.concatenate([grad_t, hess_t.reshape(n, d * d, -1)], axis=1)
+    out = np.einsum("esn,nec->nsc", coeffs[1:], entries)
+    return out[:, :d], out[:, d:].reshape((n, d, d) + out.shape[2:])
+
+
 def physical_jets(geo, field, axes):
     """Physical gradients (N, d, c) and Hessians (N, d, d, c) of a field on a lattice."""
     _, _, inv, _, second = lattice_pullbacks(geo, axes)
     jet = field.evaluate_lattice(axes, max_deriv=2)
     d, c = field.dim, field.ncomp
-    grad_x = lattice_push_gradient(inv, jet.grad.reshape(-1, d, c))
-    hess_x = lattice_push_hessian(inv, second, grad_x, jet.hess.reshape(-1, d, d, c))
-    return grad_x, hess_x
+    return pulled_back_jets(inv, second, jet.grad.reshape(-1, d, c), jet.hess.reshape(-1, d, d, c))
 
 
 class TestPullback:
@@ -193,15 +208,14 @@ class TestPhysicalDerivatives:
             np.einsum("nak,nbk->nab", grad, grad)
             + np.einsum("nk,nabk->nab", value, hess)
         )[..., None]
-        grad_x = lattice_push_gradient(inv, g_theta)
-        hess_x = lattice_push_hessian(inv, second, grad_x, h_theta)
+        grad_x, hess_x = pulled_back_jets(inv, second, g_theta, h_theta)
         assert np.allclose(hess_x[..., 0], 2.0 * np.eye(2), atol=1e-6)
         assert np.allclose(grad_x[..., 0], 2.0 * pts, atol=1e-8)
 
     def test_annulus_operator_plumbing_reproduces_source(self):
-        # Compose the 2D benchmark's analytic solution with the map: its
-        # exact parametric jet pushed back through the inverse chain rule
-        # must reproduce the source term of the problem.
+        # Compose the 2D benchmark's analytic solution with the map: the
+        # operator's pulled-back coefficients applied to its exact
+        # parametric jet must reproduce the source term of the problem.
         import sympy as sp
 
         from splinecol.problems import example_2d_annulus
@@ -230,9 +244,10 @@ class TestPhysicalDerivatives:
             np.einsum("nka,nkl,nlb->nab", jac, hx_exact, jac)
             + np.einsum("nk,nabk->nab", gx_exact, second)
         )[..., None]
-        grad_back = lattice_push_gradient(inv, g_theta)
-        hess_back = lattice_push_hessian(inv, second, grad_back, h_theta)[..., 0]
-        applied = tf(px, py) - np.trace(hess_back, axis1=1, axis2=2)
+        coeffs = linear_coefficients(prob.operator.apply, 2, 1, 2, "operator")
+        coeffs = pull_back_coefficients(coeffs.reshape(7, 1, 1), inv, second)[:, 0]
+        entries = np.concatenate([tf(px, py)[:, None], g_theta[..., 0], h_theta.reshape(-1, 4)], 1)
+        applied = np.einsum("en,ne->n", coeffs, entries)
         f = prob.source(pts)[:, 0]
         assert np.all(np.abs(applied - f) <= 1e-6 * np.maximum(1.0, np.abs(f)))
 
@@ -279,9 +294,10 @@ def near_linear_map(rng, dim, kvs, rational=True):
 
 
 def assert_matches_oracles(geo, axes, rng, c):
-    """Closed-form det and inverse and the package pushes against LAPACK and einsum, to 1e-12.
+    """Closed-form det and inverse, the gradient push and the pulled-back
+    coefficients against LAPACK and the einsum pushes, to 1e-12.
 
-    Two jets are pushed: a random one, and the lattice jet of a random
+    Two jets are compared: a random one, and the lattice jet of a random
     field on the map's basis, whose entries are strided views.
     """
     _, jac, inv, det, second = lattice_pullbacks(geo, axes)
@@ -293,10 +309,11 @@ def assert_matches_oracles(geo, axes, rng, c):
     d, spline = geo.dim, geo.spline
     field = TensorSpline(spline.kvs, rng.normal(size=spline.shape + (c,)), spline.weights)
     jet = field.evaluate_lattice(axes, max_deriv=2)
-    # The random Hessian is not symmetrised, so a push that swaps the two
-    # Hessian axes shows.
+    # Parametric Hessians are symmetric, and the pullback reads only the
+    # symmetric part of one, so the random Hessian is symmetrised.
+    hess = rng.normal(size=(len(jac), d, d, c))
     jets = [
-        (rng.normal(size=(len(jac), d, c)), rng.normal(size=(len(jac), d, d, c))),
+        (rng.normal(size=(len(jac), d, c)), hess + np.swapaxes(hess, 1, 2)),
         (jet.grad.reshape(-1, d, c), jet.hess.reshape(-1, d, d, c)),
     ]
     for grad_t, hess_t in jets:
@@ -304,8 +321,9 @@ def assert_matches_oracles(geo, axes, rng, c):
         grad_x = lattice_push_gradient(inv, grad_t)
         assert np.abs(grad_x - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
         hess_ref = push_hessian(inv_ref, second, grad_ref, hess_t)
-        hess_x = lattice_push_hessian(inv, second, grad_x, hess_t)
-        assert np.abs(hess_x - hess_ref).max() <= 1e-12 * np.abs(hess_ref).max()
+        grad_k, hess_k = pulled_back_jets(inv, second, grad_t, hess_t)
+        assert np.abs(grad_k - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+        assert np.abs(hess_k - hess_ref).max() <= 1e-12 * np.abs(hess_ref).max()
 
 
 class TestClosedFormAlgebra:
@@ -338,12 +356,11 @@ class TestClosedFormAlgebra:
 
     @pytest.mark.parametrize("example, width", [("II", 16), ("III", 64), ("curved cube", 64)])
     def test_basis_jets_at_interior_collocation_points(self, example, width):
-        # The layout assemble pushes: basis jet views (N, d, d, L) of one
-        # derivative-major buffer, with the geometry gathered at the interior
-        # points. III's cube is affine (S = 0, diagonal J), so a rational
-        # near-linear cube map exercises L = 64 with curvature. The basis
-        # Hessians are symmetric, so this guards the layout and the
-        # correction term rather than the axis order.
+        # The pulled-back coefficients at the points assemble gathers them
+        # for, applied to basis jet views (N, d, d, L) of one
+        # derivative-major buffer, against the oracle push of those jets.
+        # III's cube is affine (S = 0, diagonal J), so a rational near-linear
+        # cube map exercises L = 64 with curvature.
         if example in EXAMPLES:
             geo = EXAMPLES[example]().geometry
         else:
@@ -356,8 +373,7 @@ class TestClosedFormAlgebra:
         _, inv_ref = lapack_det_inv(jac[inner])
         _, _, grad_t, hess_t = field.basis_jets(points.lattice[inner], max_deriv=2)
         assert hess_t.shape == (len(inner), geo.dim, geo.dim, width)
-        grad_x = lattice_push_gradient(inv[inner], grad_t)
-        hess_x = lattice_push_hessian(inv[inner], second[inner], grad_x, hess_t)
+        _, hess_x = pulled_back_jets(inv[inner], second[inner], grad_t, hess_t)
         hess_ref = push_hessian(inv_ref, second[inner], push_gradient(inv_ref, grad_t), hess_t)
         assert np.abs(hess_x - hess_ref).max() <= 1e-12 * np.abs(hess_ref).max()
 
