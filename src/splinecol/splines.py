@@ -110,11 +110,15 @@ def _direction_operators(kv, u, max_deriv):
     """
     first, local = _direction_tables(kv, u, max_deriv)
     orders, m, width = local.shape
-    cols = first[:, None] + np.arange(width)
     if orders * m * kv.n_basis <= DENSE_TABLE_LIMIT:
-        table = np.zeros((orders, m, kv.n_basis))
-        table[:, np.arange(m)[:, None], cols] = local
-        return list(table)
+        # One flat index into each order's (points x basis) table scatters
+        # about twice as fast as two broadcast index arrays.
+        flat = ((first + kv.n_basis * np.arange(m))[:, None] + np.arange(width)).ravel()
+        table = np.zeros((orders, m * kv.n_basis))
+        for row, values in zip(table, local):
+            row[flat] = values.ravel()
+        return list(table.reshape(orders, m, kv.n_basis))
+    cols = first[:, None] + np.arange(width)
     indptr = np.arange(0, m * width + 1, width)
     shape = (m, kv.n_basis)
     return [sp.csr_array((k.ravel(), cols.ravel(), indptr), shape=shape) for k in local]

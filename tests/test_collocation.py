@@ -474,27 +474,89 @@ class TestAssembly:
             assemble(prob, field, pts)
 
 
+class NonlinearOperator:
+    """The screened Poisson operator with its value term replaced by ``value_term(value)``."""
+
+    order = 2
+    components = 1
+
+    def __init__(self, value_term):
+        self.value_term = value_term
+
+    def apply(self, value, grad, hess):
+        return self.value_term(value) - np.trace(hess, axis1=-3, axis2=-2)
+
+
+class TestLinearityGuard:
+    # Rows and the operator error apply the coefficients probed from
+    # ``apply``, which is right only for a linear ``apply`` with no
+    # constant term; anything else is refused by name.
+    @pytest.mark.parametrize("term", [np.square, lambda value: value + 1.0], ids=["square", "affine"])
+    def test_operator_that_is_not_linear_is_named(self, term):
+        from dataclasses import replace
+
+        from splinecol.metrics import error_report
+
+        prob = replace(example_2d_annulus(), operator=NonlinearOperator(term))
+        field = build_field(prob.geometry, (6, 6))
+        pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (8, 8)))
+        message = "operator NonlinearOperator must be linear"
+        with pytest.raises(PreconditionError, match=message):
+            assemble(prob, field, pts)
+        with pytest.raises(PreconditionError, match=message):
+            error_report(prob, field)
+
+    @pytest.mark.parametrize("term", [np.square, lambda value: value + 1.0], ids=["square", "affine"])
+    def test_boundary_condition_that_is_not_linear_names_its_face(self, term):
+        from dataclasses import replace
+
+        from splinecol.problems import NormalDerivativeBC
+
+        class Nonlinear(NormalDerivativeBC):
+            def apply(self, normal, value, grad):
+                return term(super().apply(normal, value, grad))
+
+        base = example_1d_mixed()
+        bcs = (base.boundary_conditions[0], Nonlinear(axis=0, side=1, value=lambda x: x))
+        prob = replace(base, boundary_conditions=bcs)
+        field = build_field(prob.geometry, (8,))
+        pts = generate_collocation_points(field.kvs, CollocationScheme("uniform", (10,)))
+        with pytest.raises(PreconditionError, match="boundary condition on face 1 must be linear"):
+            assemble(prob, field, pts)
+
+
 ORACLE_CASES = [
-    ("I", example_1d_dirichlet, 10, "greville", 16),
-    ("II", example_2d_annulus, 6, "greville", 9),
-    ("III", example_3d_cube, 5, "uniform", 6),
-    ("IV-pinned", example_beam, 7, "greville", 9),
-    ("IV-dirichlet", lambda: example_beam(end_condition="dirichlet"), 7, "uniform", 8),
-    ("V", example_1d_mixed, 8, "uniform", 10),
-    ("II-square", example_2d_annulus, 6, "uniform", 6),
+    ("I", example_1d_dirichlet, 10, "greville", 16, False),
+    ("II", example_2d_annulus, 6, "greville", 9, False),
+    ("III", example_3d_cube, 5, "uniform", 6, False),
+    ("IV-pinned", example_beam, 7, "greville", 9, False),
+    ("IV-dirichlet", lambda: example_beam(end_condition="dirichlet"), 7, "uniform", 8, False),
+    ("V", example_1d_mixed, 8, "uniform", 10, False),
+    ("II-square", example_2d_annulus, 6, "uniform", 6, False),
+    ("II-own-weights", example_2d_annulus, 6, "greville", 9, True),
 ]
 
 
+def oracle_field(prob, n, own_weights):
+    """The field of an oracle case; with ``own_weights`` its weights are not the geometry's."""
+    field = build_field(prob.geometry, (n,) * prob.dim, components=prob.field_components)
+    if not own_weights:
+        return field
+    scale = np.random.default_rng(14).uniform(0.7, 1.3, field.shape)
+    return TensorSpline(field.kvs, field.coeffs, field.weights * scale)
+
+
 @pytest.mark.parametrize(
-    "factory,n,scheme,m", [case[1:] for case in ORACLE_CASES],
+    "factory,n,scheme,m,own_weights", [case[1:] for case in ORACLE_CASES],
     ids=[case[0] for case in ORACLE_CASES],
 )
 @pytest.mark.parametrize("weight", ["auto", 1.0])
-def test_assembly_matches_per_point_oracle(factory, n, scheme, m, weight):
+def test_assembly_matches_per_point_oracle(factory, n, scheme, m, own_weights, weight):
     # The batched assembly against a per-point one built from independent
-    # spline, pullback and boundary-row code, on every shipped example.
+    # spline, pullback and boundary-row code, on every shipped example and
+    # on a rational field whose weights are not the geometry's.
     prob = factory()
-    field = build_field(prob.geometry, (n,) * prob.dim, components=prob.field_components)
+    field = oracle_field(prob, n, own_weights)
     pts = generate_collocation_points(field.kvs, CollocationScheme(scheme, (m,) * prob.dim))
     system = assemble(prob, field, pts, boundary_weight=weight)
     A, b, meta = point_assemble(prob, field, pts, boundary_weight=weight)
@@ -511,14 +573,14 @@ def test_assembly_matches_per_point_oracle(factory, n, scheme, m, weight):
 
 
 @pytest.mark.parametrize(
-    "factory,n,scheme,m", [case[1:] for case in ORACLE_CASES],
+    "factory,n,scheme,m,own_weights", [case[1:] for case in ORACLE_CASES],
     ids=[case[0] for case in ORACLE_CASES],
 )
-def test_rows_come_in_lattice_order(factory, n, scheme, m):
+def test_rows_come_in_lattice_order(factory, n, scheme, m, own_weights):
     # Each collocation point owns one run of consecutive rows, and the
     # runs follow the C order of the lattice.
     prob = factory()
-    field = build_field(prob.geometry, (n,) * prob.dim, components=prob.field_components)
+    field = oracle_field(prob, n, own_weights)
     pts = generate_collocation_points(field.kvs, CollocationScheme(scheme, (m,) * prob.dim))
     system = assemble(prob, field, pts)
     assert np.all(np.diff(system.row_point) >= 0)

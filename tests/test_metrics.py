@@ -8,12 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import field_l2_norm
+from oracles import field_l2_norm, lapack_det_inv, push_gradient, push_hessian
 from splinecol import metrics
 from splinecol.collocation import build_field
 from splinecol.errors import PreconditionError, UndefinedMetricError
 from splinecol.estimator import CollocationSolver
 from splinecol.metrics import absolute_error_field, error_report
+from splinecol.geometry import lattice_pullbacks
 from splinecol.problems import (
     BvpDefinition,
     DirichletBC,
@@ -24,6 +25,7 @@ from splinecol.problems import (
     example_2d_annulus,
     example_beam,
     example_3d_cube,
+    make_example,
 )
 
 
@@ -135,6 +137,36 @@ class TestOperatorError:
         for previous, current in zip(errors, errors[1:]):
             assert current <= 1.5 * previous
         assert errors[-1] < errors[0]
+
+    @pytest.mark.parametrize(
+        "example_id,n,m",
+        [("I", 12, 16), ("II", 7, 9), ("III", 5, None), ("IV", 7, 9), ("V", 9, None)],
+    )
+    def test_e_dt_matches_the_oracle_push(self, example_id, n, m):
+        # e_DT through the pulled-back coefficients against the operator
+        # applied to physical jets from the einsum pushes of the oracles,
+        # on the same quadrature lattice (a pure-traction beam has a zero
+        # source, so there both must be undefined).
+        prob = make_example(example_id)
+        method = "igac" if m is None else "igal_fixed"
+        field = CollocationSolver(method=method, n_per_dir=n, m_per_dir=m).fit(prob).field_
+        axes, w, _ = metrics.quadrature_rule(field)
+        x, jac, _, _, second = lattice_pullbacks(prob.geometry, axes)
+        det, inv = lapack_det_inv(jac)
+        jet = field.evaluate_lattice(axes, 2)
+        d, c = prob.dim, field.ncomp
+        grad_x = push_gradient(inv, jet.grad.reshape(-1, d, c))
+        hess_x = push_hessian(inv, second, grad_x, jet.hess.reshape(-1, d, d, c))
+        applied = prob.operator.apply(jet.value.reshape(-1, c), grad_x, hess_x)
+        source = prob.source(x)
+        dw = np.abs(det) * w
+        norm = np.sum((source**2).sum(axis=1) * dw)
+        e_dt = error_report(prob, field).e_DT
+        if norm == 0.0:
+            assert e_dt is None
+        else:
+            want = np.sqrt(np.sum(((source - applied) ** 2).sum(axis=1) * dw) / norm)
+            assert e_dt == pytest.approx(want, rel=1e-10)
 
     def test_zero_source_is_undefined(self):
         prob = example_beam()
@@ -287,6 +319,27 @@ class TestSinglePass:
         quad_lattice = tuple(len(a) for a in quad_axes)
         sample_order = 1 if factory is example_beam else 0
         assert sorted(calls) == sorted([((11, 13), sample_order), (quad_lattice, 2)])
+
+    @pytest.mark.parametrize("factory", [example_2d_annulus, example_beam])
+    def test_gradient_pushed_only_for_quantities_that_read_it(self, monkeypatch, factory):
+        # e_DT reads the parametric jet, so only the beam's stresses need
+        # physical gradients, on both of its lattices.
+        prob = factory()
+        field = CollocationSolver(method="igac", n_per_dir=7).fit(prob).field_
+        calls = []
+        push = metrics.lattice_push_gradient
+
+        def recording(inv_jac, grad_theta):
+            calls.append(len(inv_jac))
+            return push(inv_jac, grad_theta)
+
+        monkeypatch.setattr(metrics, "lattice_push_gradient", recording)
+        error_report(prob, field, sample_counts=(11, 13))
+        quad_axes, _, _ = metrics.quadrature_rule(field)
+        if factory is example_beam:
+            assert sorted(calls) == sorted([11 * 13, np.prod([len(a) for a in quad_axes])])
+        else:
+            assert calls == []
 
     @pytest.mark.parametrize("counts", [(11.5, 13), 12.2])
     def test_fractional_sample_counts_rejected(self, counts):

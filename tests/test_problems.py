@@ -6,6 +6,7 @@ conditions.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from splinecol.problems import (
     BvpDefinition,
     DirichletBC,
     MaterialParams,
+    NormalDerivativeBC,
     PointConstraint,
     ScreenedPoissonOperator,
+    TractionBC,
     beam_displacements,
     beam_stresses,
     curve_unit_interval,
@@ -27,6 +30,7 @@ from splinecol.problems import (
     example_2d_annulus,
     example_3d_cube,
     example_beam,
+    linear_coefficients,
     make_example,
 )
 from splinecol.collocation import build_field_from_knots
@@ -390,3 +394,52 @@ class TestGeometryRoundTrips:
         geo = curve_unit_interval()
         g = geo.kvs[0].greville_abscissae()
         assert np.abs(values_at(geo.spline, g) - geo.spline.coeffs).max() < 1e-13
+
+
+def random_jets(rng, n, d, c):
+    """Random value (n, c), gradient (n, d, c) and symmetric Hessian (n, d, d, c)."""
+    hess = rng.normal(size=(n, d, d, c))
+    return rng.normal(size=(n, c)), rng.normal(size=(n, d, c)), hess + np.swapaxes(hess, 1, 2)
+
+
+def contract(coeffs, *jets):
+    """Rows (n, rows) of coefficients (E, rows, c[, n]) applied to jets with n points."""
+    n, c = jets[0].shape
+    entries = np.concatenate([j.reshape(n, -1, c) for j in jets], axis=1)  # (n, E, c)
+    coeffs = np.broadcast_to(coeffs.reshape(coeffs.shape[:3] + (-1,)), coeffs.shape[:3] + (n,))
+    return np.einsum("erkn,nek->nr", coeffs, entries)
+
+
+class TestProbedCoefficients:
+    """``linear_coefficients`` reproduces ``apply`` on jets it was not probed with."""
+
+    @pytest.mark.parametrize("example_id", ["I", "II", "III", "IV", "V"])
+    def test_operators_of_the_examples(self, example_id):
+        prob = make_example(example_id)
+        d, c = prob.dim, prob.field_components
+        coeffs = linear_coefficients(prob.operator.apply, d, c, 2, "operator")
+        assert coeffs.shape == (1 + d + d * d, c, c)
+        jets = random_jets(np.random.default_rng(50), 20, d, c)
+        want = prob.operator.apply(*jets)
+        assert np.allclose(contract(coeffs, *jets), want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize(
+        "bc",
+        [
+            DirichletBC(axis=0, side=1, value=None),
+            DirichletBC(axis=1, side=0, value=None, components=2),
+            NormalDerivativeBC(axis=1, side=1, value=None),
+            TractionBC(axis=0, side=0, material=MaterialParams(poisson_ratio=0.2), value=None),
+        ],
+        ids=["dirichlet", "dirichlet-2", "neumann", "traction"],
+    )
+    def test_boundary_conditions_at_random_unit_normals(self, bc):
+        rng = np.random.default_rng(51)
+        d, c = 2, bc.n_rows if bc.kind != "neumann" else 1
+        normals = rng.normal(size=(20, d))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        coeffs = linear_coefficients(partial(bc.apply, normals[:, None]), d, c, 1, "condition")
+        value, grad, _ = random_jets(rng, 20, d, c)
+        want = np.asarray(bc.apply(normals, value, grad))
+        got = contract(coeffs, value, grad)
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())

@@ -433,6 +433,20 @@ class TestLatticeTableForms:
             assert np.all(value[outside] == 0.0)
             assert np.all(value[~outside] >= 0.0) and value[~outside].max() > 0.0
 
+    @pytest.mark.parametrize("example", sorted(EXAMPLES))
+    def test_dense_tables_hold_the_local_tables_bit_for_bit(self, example):
+        # Each order's dense (points x basis) table holds the local table
+        # at columns first .. first + p of each point's row, and zeros.
+        rng = np.random.default_rng(39)
+        prob = EXAMPLES[example]()
+        field = build_field(prob.geometry, [kv.n_basis + 5 for kv in prob.geometry.kvs])
+        for kv in field.kvs:
+            u = off_knot_axis(rng, kv, 40)
+            first, local = splines._direction_tables(kv, u, 2)
+            want = np.zeros((3, len(u), kv.n_basis))
+            np.put_along_axis(want, (first[:, None] + np.arange(kv.degree + 1))[None], local, 2)
+            assert np.array_equal(np.stack(splines._direction_operators(kv, u, 2)), want)
+
     def test_repeated_direction_tables_are_built_once(self, monkeypatch):
         rng = np.random.default_rng(38)
         kv = uniform_refine(CUBIC, 3)
@@ -449,6 +463,46 @@ class TestLatticeTableForms:
         assert len(calls) == 3  # one per max_deriv
         surf.evaluate_lattice([axis, axis[1:]], 2)
         assert len(calls) == 5
+
+
+class TestRowTable:
+    @staticmethod
+    def splines_of_the_examples():
+        """Geometries and refined fields of examples I-V, and II's field with its own weights."""
+        out = []
+        for example in sorted(EXAMPLES):
+            prob = EXAMPLES[example]()
+            counts = [kv.n_basis + 3 for kv in prob.geometry.kvs]
+            field = build_field(prob.geometry, counts, prob.field_components, prob.operator.order)
+            out += [prob.geometry.spline, field]
+        weights = field.weights * np.random.default_rng(40).uniform(0.7, 1.3, field.shape)
+        return out + [TensorSpline(field.kvs, field.coeffs, weights)]
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_unit_coefficients_give_the_basis_jets(self, order):
+        # Each jet entry's unit coefficients select that entry of the basis
+        # jet, rational ones included; a mixed partial appears at (a, b)
+        # and at (b, a).
+        rng = np.random.default_rng(41)
+        for spline in self.splines_of_the_examples():
+            d = spline.dim
+            lo = [kv.start for kv in spline.kvs]
+            hi = [kv.end for kv in spline.kvs]
+            theta = np.concatenate([[lo, hi], rng.uniform(lo, hi, (25, d))])
+            entries = sum(d**k for k in range(order + 1))
+            coeffs = np.broadcast_to(np.eye(entries)[:, :, None], (entries, entries, len(theta)))
+            cols, table = spline.row_table(theta, coeffs)
+            ref_cols, value, grad, hess = spline.basis_jets(theta, 2)
+            assert np.array_equal(cols, ref_cols)
+            blocks = [value[None], np.moveaxis(grad, 1, 0), np.moveaxis(hess, (1, 2), (0, 1))]
+            want = np.concatenate([b.reshape(-1, *value.shape) for b in blocks])[:entries]
+            scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+            assert np.all(np.abs(table - want) <= 1e-13 * np.maximum(scale, 1.0))
+
+    def test_coefficients_of_other_entry_counts_rejected(self):
+        surf = make_example("II").geometry.spline
+        with pytest.raises(UnsupportedDerivativeError, match="got 4"):
+            surf.row_table([[0.5, 0.5]], np.ones((4, 1)))
 
 
 class TestBasisJetOrders:
