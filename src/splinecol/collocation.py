@@ -261,8 +261,14 @@ def assemble(
     enforced as the point count grows. A square system's solution is
     unaffected by the scaling. A numeric weight must be positive and finite.
 
-    Geometry comes from one pullback of the collocation lattice and basis
-    jets from one batched call per row block. Each row touches only the
+    Geometry comes from one pullback of the collocation lattice. The
+    operator and each boundary condition are probed once for their
+    constant coefficients (:func:`linear_coefficients`, which refuses an
+    ``apply`` that is not linear), pulled back to the parameter domain at
+    each point (:func:`pull_back_coefficients`; a condition's at its
+    points' normals), and applied to the basis by one
+    :meth:`TensorSpline.row_table` call per row block: interior rows,
+    boundary rows and point constraints. Each row touches only the
     L = prod(degree + 1) basis functions supported at its point, so every
     block writes its rows in place into a fixed-width table, ``cols``
     (rows, L) and ``values`` (rows, L, c); read row by row, the table is

@@ -183,9 +183,9 @@ def pull_back_coefficients(coeffs, inv_jac, second=None):
         a2 = 0.5 * (a2 + a2.transpose((1, 0) + tuple(range(2, a2.ndim))))
         nonzero = a2.reshape(d, d, -1).any(axis=2)
         rows = [i for i in range(d) if nonzero[i].any()]
-        b2 = out[1 + d :].reshape(d, d, s, n)
-        half = np.empty((len(rows), s, n))
-        inv_rows = inv if len(rows) == d else inv[:, rows]
+        # One work buffer holds A2 J^-T by columns, then A1 - s.
+        b2, work = out[1 + d :].reshape(d, d, s, n), np.empty((d, s, n))
+        half, inv_rows = work[: len(rows)], inv if len(rows) == d else inv[:, rows]
         for b in range(d):
             # half[i] = (A2 J^-T)_ib, then B2_ab = sum_i (J^-1)_ai half[i] for a <= b.
             for h, i in zip(half, rows):
@@ -196,7 +196,7 @@ def pull_back_coefficients(coeffs, inv_jac, second=None):
             for a in range(b + 1):
                 np.einsum("in,isn->sn", inv_rows[a], half, out=b2[a, b])
                 b2[b, a] = b2[a, b]
-        shift = np.einsum("absn,abkn->ksn", b2, second.transpose(1, 2, 3, 0))
+        shift = np.einsum("absn,abkn->ksn", b2, second.transpose(1, 2, 3, 0), out=work)
         grad = np.subtract(grad, shift, out=shift)
     # B1 = J^-1 (A1 - s); a constant A1 has no point axis to contract over.
     spec = "kn,ksn->sn"
