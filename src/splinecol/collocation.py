@@ -28,7 +28,7 @@ from .errors import (
 )
 from .geometry import GeometryMap, boundary_normals, lattice_pullbacks, pull_back_coefficients
 from .problems import BvpDefinition, callback_values, linear_coefficients
-from .splines import KnotVector, TensorSpline
+from .splines import KnotVector, TensorSpline, jet_size
 
 SCHEME_KINDS = ("greville", "uniform")
 
@@ -230,7 +230,7 @@ class CollocationSystem:
 
 def _leading_order(coeffs, dim):
     """Highest jet order (0 to 2) with a nonzero entry in coefficients (E, ...)."""
-    return max((k for k in range(3) if coeffs[sum(dim**j for j in range(k)) :].any()), default=0)
+    return max((k for k in range(1, 3) if coeffs[jet_size(dim, k - 1) :].any()), default=0)
 
 
 def assemble(
@@ -327,7 +327,7 @@ def assemble(
     operator = problem.operator
     coeffs = linear_coefficients(operator.apply, d, c, 2, f"operator {type(operator).__name__}")
     order = _leading_order(coeffs, d)
-    coeffs = coeffs[: sum(d**j for j in range(order + 1))].reshape(-1, c * c, 1)
+    coeffs = coeffs[: jet_size(d, order)].reshape(-1, c * c, 1)
     coeffs = pull_back_coefficients(coeffs, inv[inner], None if order < 2 else second[inner])
     support, table = field.row_table(lattice[inner], coeffs.reshape(len(coeffs), c, c, len(inner)))
     rows = first_row[inner, None] + np.arange(c)
@@ -357,7 +357,7 @@ def assemble(
         pulled = pull_back_coefficients(found.reshape(1 + d, bc.n_rows * c, -1), inv_b[sel])
         coeffs[:, : bc.n_rows, :, sel] = pulled.reshape(1 + d, bc.n_rows, c, len(sel))
     order = _leading_order(coeffs, d)
-    support, table = field.row_table(lattice[outer], coeffs[: 1 + d * order])
+    support, table = field.row_table(lattice[outer], coeffs[: jet_size(d, order)])
     for bc in conds:
         sel = np.flatnonzero(owner == bc.face)
         rows = first_row[outer[sel], None] + np.arange(bc.n_rows)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CallbackError, ConfigError, PreconditionError
 from .geometry import GeometryMap
-from .splines import KnotVector, TensorSpline
+from .splines import KnotVector, TensorSpline, jet_size
 
 SQRT2 = math.sqrt(2.0)
 
@@ -159,7 +159,7 @@ def _probe_jets(dim: int, components: int, order: int):
     C order) of component k. Then come the zero jet and a seeded random
     one, whose entries are returned in probe order, as a (P,) array.
     """
-    entries = sum(dim**k for k in range(order + 1))
+    entries = jet_size(dim, order)
     size = components * entries
     jets = np.zeros((size + 2, entries, components))
     jets[:size] = np.eye(size).reshape(size, components, entries).transpose(0, 2, 1)

@@ -288,6 +288,11 @@ def _directions(alpha):
     return [a for a, k in enumerate(alpha) for _ in range(k)]
 
 
+def jet_size(dim, order):
+    """Number of rows of a jet buffer up to ``order``: 1 + d + d*d at order 2."""
+    return sum(dim**k for k in range(order + 1))
+
+
 def _jet_alphas(dim, order):
     """Multi-index of each row of a jet buffer up to ``order`` (see :func:`_jet_entry`).
 
@@ -297,7 +302,7 @@ def _jet_alphas(dim, order):
     units = [tuple(int(k == a) for k in range(dim)) for a in range(dim)]
     alphas = [(0,) * dim] + units
     alphas += [tuple(x + y for x, y in zip(u, v)) for u in units for v in units]
-    return alphas[: sum(dim**k for k in range(order + 1))]
+    return alphas[: jet_size(dim, order)]
 
 
 def _jet_entry(alpha):
@@ -317,7 +322,7 @@ def _jet_entry(alpha):
 
 def _jet_buffer(dim, order, block):
     """Uninitialised jet buffer with one ``block``-shaped row per entry up to ``order``."""
-    return np.empty((sum(dim**k for k in range(order + 1)),) + tuple(block))
+    return np.empty((jet_size(dim, order),) + tuple(block))
 
 
 def _jet_views(buf, dim, order, points):
@@ -551,7 +556,7 @@ class TensorSpline:
         theta = as_points(theta, self.dim)
         coeffs = np.asarray(coeffs, dtype=float)
         d = self.dim
-        orders = {sum(d**j for j in range(k + 1)): k for k in range(3)}
+        orders = {jet_size(d, k): k for k in range(3)}
         if len(coeffs) not in orders:
             raise UnsupportedDerivativeError(
                 f"row tables take the coefficients of {sorted(orders)} jet entries, "
