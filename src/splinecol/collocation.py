@@ -326,9 +326,9 @@ def assemble(
     d = points.dim
     operator = problem.operator
     coeffs = linear_coefficients(operator.apply, d, c, 2, f"operator {type(operator).__name__}")
-    order = _leading_order(coeffs, d)
-    coeffs = coeffs[: jet_size(d, order)].reshape(-1, c * c, 1)
-    coeffs = pull_back_coefficients(coeffs, inv[inner], None if order < 2 else second[inner])
+    reads = _leading_order(coeffs, d)
+    coeffs = coeffs[: jet_size(d, reads)].reshape(-1, c * c, 1)
+    coeffs = pull_back_coefficients(coeffs, inv[inner], None if reads < 2 else second[inner])
     support, table = field.row_table(lattice[inner], coeffs.reshape(len(coeffs), c, c, len(inner)))
     rows = first_row[inner, None] + np.arange(c)
     cols[rows] = support[:, None]
@@ -356,8 +356,8 @@ def assemble(
         found = linear_coefficients(functools.partial(bc.apply, normal), d, c, 1, name)
         pulled = pull_back_coefficients(found.reshape(1 + d, bc.n_rows * c, -1), inv_b[sel])
         coeffs[:, : bc.n_rows, :, sel] = pulled.reshape(1 + d, bc.n_rows, c, len(sel))
-    order = _leading_order(coeffs, d)
-    support, table = field.row_table(lattice[outer], coeffs[: jet_size(d, order)])
+    reads = _leading_order(coeffs, d)
+    support, table = field.row_table(lattice[outer], coeffs[: jet_size(d, reads)])
     for bc in conds:
         sel = np.flatnonzero(owner == bc.face)
         rows = first_row[outer[sel], None] + np.arange(bc.n_rows)

@@ -11,6 +11,7 @@ order with the last parametric axis fastest.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -569,10 +570,10 @@ class TensorSpline:
             first, tab = _direction_tables(kv, theta[:, a], order)
             tables.append(tab)
             cols = _flat_outer(cols * kv.n_basis, first[:, None] + np.arange(kv.degree + 1), np.add)
-        merged = {}
+        by_alpha = {}  # (a, b) and (b, a) weigh the same mixed partial
         for alpha, k in zip(_jet_alphas(d, order), coeffs):
-            merged[alpha] = merged[alpha] + k if alpha in merged else k
-        alphas, coeffs = list(merged), list(merged.values())
+            by_alpha[alpha] = by_alpha[alpha] + k if alpha in by_alpha else k
+        alphas, coeffs = list(by_alpha), list(by_alpha.values())
         polynomial = self.is_polynomial
         if not polynomial:
             w_loc = self.weights.reshape(-1)[cols]
@@ -692,6 +693,22 @@ def _local_sums(x, tables, order):
     return sums
 
 
+@functools.lru_cache(maxsize=None)
+def _leibniz_plan(alphas):
+    """For multi-indices ``alphas`` (total order <= 2, the value first): the unit
+    multi-indices of each, and the terms (f, g, C(f, g), f - g) with g <= f,
+    as positions in ``alphas``."""
+    units = tuple(tuple(_unit(len(a), k) for k in _directions(a)) for a in alphas)
+    terms = tuple(
+        (i, j, math.prod(math.comb(fi, gi) for fi, gi in zip(f, g)),
+         alphas.index(tuple(fi - gi for fi, gi in zip(f, g))))
+        for i, f in enumerate(alphas)
+        for j, g in enumerate(alphas)
+        if all(gi <= fi for gi, fi in zip(g, f))
+    )
+    return units, terms
+
+
 def _reciprocal_weighted(coeffs, alphas, w):
     """Coefficients K'_g = sum_{f >= g} C(f, g) K_f d^(f-g)(1/W), by the Leibniz rule.
 
@@ -699,20 +716,19 @@ def _reciprocal_weighted(coeffs, alphas, w):
     ``alphas`` (total order <= 2, the value first), and ``w`` maps each of
     them to the jet of W at the N points.
     """
-    zero = alphas[0]
-    v = {zero: 1.0 / w[zero]}
-    for alpha in alphas[1:]:
-        dirs = [_unit(len(alpha), k) for k in _directions(alpha)]
+    units, terms = _leibniz_plan(tuple(alphas))
+    v0 = 1.0 / w[alphas[0]]
+    v0sq = v0 * v0
+    v = [v0]
+    for alpha, dirs in zip(alphas[1:], units[1:]):
         if len(dirs) == 1:
-            v[alpha] = -w[alpha] * v[zero] ** 2
+            v.append(-w[alpha] * v0sq)
         else:
-            v[alpha] = (2.0 * w[dirs[0]] * w[dirs[1]] * v[zero] - w[alpha]) * v[zero] ** 2
-    out = [np.zeros(np.broadcast_shapes(k.shape, v[zero].shape)) for k in coeffs]
-    for f, k in zip(alphas, coeffs):
-        for g, target in zip(alphas, out):
-            if all(gi <= fi for gi, fi in zip(g, f)):
-                scale = math.prod(math.comb(fi, gi) for fi, gi in zip(f, g))
-                target += scale * k * v[tuple(fi - gi for fi, gi in zip(f, g))]
+            v.append((2.0 * w[dirs[0]] * w[dirs[1]] * v0 - w[alpha]) * v0sq)
+    out = [None] * len(alphas)
+    for i, j, scale, h in terms:
+        term = coeffs[i] * v[h] if scale == 1 else scale * coeffs[i] * v[h]
+        out[j] = term if out[j] is None else np.add(out[j], term, out=out[j])
     return out
 
 
