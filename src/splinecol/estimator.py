@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from ._validation import per_direction
+from ._validation import as_points, per_direction
 from .collocation import (
     CollocationScheme,
     assemble,
@@ -200,7 +200,12 @@ class CollocationSolver:
 
 
 def _values_at(spline, theta) -> np.ndarray:
-    """Values (n, components) of a spline at parametric points, from its basis jets."""
-    cols, val, _, _ = spline.basis_jets(theta, max_deriv=0)
+    """Values (n, components) of a spline at parametric points.
+
+    The row table of one unit value coefficient per point holds the basis
+    values there, which weigh the local coefficients.
+    """
+    theta = as_points(theta, spline.dim)
+    cols, basis = spline.row_table(theta, np.ones((1, len(theta))))
     coeffs = spline.coeffs.reshape(-1, spline.ncomp)
-    return np.einsum("nl,nlc->nc", val, coeffs[cols])
+    return np.einsum("nl,nlc->nc", basis, coeffs[cols])

@@ -4,6 +4,14 @@ Knot vectors, basis-function evaluation with derivatives, Greville
 abscissae, knot insertion and uniform refinement, and tensor-product
 (rational) spline objects of dimension 1 to 3.
 
+A tensor spline is evaluated in two ways, both batched: field jets on a
+lattice of parameters (``TensorSpline.evaluate_lattice``) and, at
+scattered points, linear combinations of its basis functions' partials
+(``TensorSpline.row_table``), whose unit value coefficients give the
+basis values themselves. A rational spline divides by its weight
+function W in one place: the Leibniz system of P = q W, solved forward
+for a field's partials and transposed for a row's coefficients.
+
 All objects are immutable after construction; refinement operations
 return new objects. Coefficients are stored densely in lexicographic
 order with the last parametric axis fastest.
@@ -12,8 +20,8 @@ order with the last parametric axis fastest.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,76 +282,47 @@ class LatticeJet:
     hess: np.ndarray | None
 
 
-def _deriv_multi_indices(dim, max_total):
-    """All per-direction order tuples with total order <= max_total."""
-    out = []
-    for total in range(max_total + 1):
-        for alpha in itertools.product(range(total + 1), repeat=dim):
-            if sum(alpha) == total:
-                out.append(alpha)
-    return out
-
-
-def _directions(alpha):
-    """Directions of a multi-index, each repeated by its order: (2, 0, 1) -> [0, 0, 2]."""
-    return [a for a, k in enumerate(alpha) for _ in range(k)]
-
-
 def jet_size(dim, order):
     """Number of rows of a jet buffer up to ``order``: 1 + d + d*d at order 2."""
     return sum(dim**k for k in range(order + 1))
 
 
-def _jet_alphas(dim, order):
-    """Multi-index of each row of a jet buffer up to ``order`` (see :func:`_jet_entry`).
+@functools.lru_cache(maxsize=None)
+def _jet_rows(dim, order):
+    """Rows of each partial in a jet buffer up to ``order`` (at most 2), keyed by multi-index.
 
-    The rows hold the value, the d gradient entries and the d*d Hessian
-    entries (a, b) in C order, so a mixed partial appears twice.
+    A jet buffer's rows hold the value, the d first partials and the d*d
+    second partials (a, b) in C order, so a mixed partial has two rows,
+    (a, b) with a < b first. The keys come in row order, so each partial
+    follows every partial it is a derivative of. The mapping is read-only,
+    as calls share it.
     """
     units = [tuple(int(k == a) for k in range(dim)) for a in range(dim)]
     alphas = [(0,) * dim] + units
     alphas += [tuple(x + y for x, y in zip(u, v)) for u in units for v in units]
-    return alphas[: jet_size(dim, order)]
+    rows = {}
+    for row, alpha in enumerate(alphas[: jet_size(dim, order)]):
+        rows.setdefault(alpha, []).append(row)
+    return types.MappingProxyType({alpha: tuple(r) for alpha, r in rows.items()})
 
 
-def _jet_entry(alpha):
-    """Row of the partial ``alpha`` (total order <= 2) in a jet buffer.
-
-    A jet buffer's rows hold the value, the d gradient entries and the
-    d*d Hessian entries (a, b) in C order; a mixed partial maps to its
-    (a, b) row with a < b.
-    """
-    d, dirs = len(alpha), _directions(alpha)
-    if not dirs:
-        return 0
-    if len(dirs) == 1:
-        return 1 + dirs[0]
-    return 1 + d + dirs[0] * d + dirs[1]
-
-
-def _jet_buffer(dim, order, block):
-    """Uninitialised jet buffer with one ``block``-shaped row per entry up to ``order``."""
-    return np.empty((jet_size(dim, order),) + tuple(block))
-
-
-def _jet_views(buf, dim, order, points):
-    """Value, gradient and Hessian views of a jet buffer whose ``_jet_entry`` rows are filled.
+def _jet_views(buf, dim, order):
+    """Value, gradient and Hessian views of a jet buffer whose first row of each partial is filled.
 
     Copies each mixed second partial to its (b, a) row, then moves the
-    ``points`` axes of each row to the front, so the views have the
-    shapes of :class:`LatticeJet`. Entries above ``order`` are None.
+    lattice axes, the last d of each row, to the front, so the views have
+    the shapes of :class:`LatticeJet`. Entries above ``order`` are None.
     """
     d = dim
-    if order == 2:
-        for a, b in itertools.combinations(range(d), 2):
-            buf[1 + d + b * d + a] = buf[1 + d + a * d + b]
+    for first, *twin in _jet_rows(d, order).values():
+        if twin:
+            buf[twin[0]] = buf[first]
     blocks = [buf[0]]
     if order >= 1:
         blocks.append(buf[1 : 1 + d])
     if order == 2:
         blocks.append(buf[1 + d :].reshape((d, d) + buf.shape[1:]))
-    front = list(range(len(points)))
-    views = [np.moveaxis(x, points, front) for x in blocks]
+    views = [np.moveaxis(x, range(-d, 0), range(d)) for x in blocks]
     return tuple(views + [None] * (2 - order))
 
 
@@ -436,8 +415,9 @@ class TensorSpline:
         writes it there. Prefixes are shared: direction 0 is contracted
         once per order, direction 1 once per pair of orders, and so on.
         A direction whose dense table would exceed ``DENSE_TABLE_LIMIT``
-        entries is contracted through its band. A rational jet's blocks
-        come from the quotient rule on the homogeneous sums. Rational
+        entries is contracted through its band. A rational field's partials
+        q_f solve the Leibniz system of its homogeneous sums P = q W forward:
+        q_f = (P_f - sum_{g < f} C(f, g) W_(f-g) q_g) / W_0. Rational
         derivatives are supported up to order 2; B-splines with unit
         weights accept any order, but the jet holds partials up to order 2
         only.
@@ -462,7 +442,8 @@ class TensorSpline:
         # One buffer, entry-major then component-major: each partial is a
         # contiguous (c, m1, ..., md) row that its last product writes.
         lattice = tuple(len(a) for a in axes)
-        buf = _jet_buffer(d, order, (c,) + lattice)
+        rows = _jet_rows(d, order)
+        buf = np.empty((jet_size(d, order), c) + lattice)
         source = self.coeffs if polynomial else self._homogeneous()
         sums = buf if polynomial else np.empty((len(buf), c + 1) + lattice)
         prefixes = {(): source.reshape(self.shape[0], -1)}
@@ -475,66 +456,17 @@ class TensorSpline:
         # The last step's block is sized from x, as -1 is ambiguous when md = 0.
         for prefix, x in prefixes.items():
             for k in range(order - sum(prefix) + 1):
-                out = sums[_jet_entry(prefix + (k,))].reshape(x.shape[1], lattice[-1])
+                out = sums[rows[prefix + (k,)][0]].reshape(x.shape[1], lattice[-1])
                 _contract_leading(ops[-1][k], x, out)
         if not polynomial:
-            alphas = _deriv_multi_indices(d, order)
-            num = {alpha: sums[_jet_entry(alpha), :c] for alpha in alphas}
-            den = {alpha: sums[_jet_entry(alpha), c:] for alpha in alphas}
-            _quotient_rule(num, den, {alpha: buf[_jet_entry(alpha)] for alpha in alphas})
-        return LatticeJet(*_jet_views(buf, d, order, list(range(-d, 0))))
-
-    def basis_jets(self, theta, max_deriv: int = 2):
-        """Jets of the nonzero (rational) basis functions at N parameter points.
-
-        ``theta`` has shape (N, d). Returns ``(cols, value, grad, hess)``:
-        ``cols`` (N, L) holds the flat coefficient indices of each point's
-        local support block of L = prod(degree + 1) functions, ``value`` has
-        shape (N, L), ``grad`` (N, d, L) and ``hess`` (N, d, d, L), the
-        shapes of :class:`LatticeJet` with the basis functions in place of
-        the value components; they are views of one derivative-major
-        buffer of (N, L) blocks. These are the functions the unknown
-        coefficients multiply, so rows of collocation systems are linear
-        combinations of them. Derivatives above a direction's degree are
-        zero. Only the partials up to total order ``max_deriv`` (0 to 2)
-        are computed; ``grad`` and ``hess`` are None above it. Unit weights
-        skip the quotient rule, as in :meth:`evaluate_lattice`.
-        """
-        if max_deriv not in (0, 1, 2):
-            raise UnsupportedDerivativeError(
-                f"basis jets are supported up to order 2, got {max_deriv!r}"
+            first = [r[0] for r in rows.values()]
+            _solve_leibniz(
+                _leibniz_plan(tuple(rows)),
+                [sums[i, c:] for i in first],
+                [sums[i, :c] for i in first],
+                out=[buf[i] for i in first],
             )
-        theta = as_points(theta, self.dim)
-        n = len(theta)
-        cols = np.zeros((n, 1), dtype=np.intp)
-        tables = []
-        for a, kv in enumerate(self.kvs):
-            first, tab = _direction_tables(kv, theta[:, a], max_deriv)
-            tables.append(tab)
-            local = first[:, None] + np.arange(kv.degree + 1)
-            cols = _flat_outer(cols * kv.n_basis, local, np.add)
-
-        def outer(alpha, out):
-            x = tables[0][alpha[0]]
-            for a in range(1, self.dim):
-                last = a == self.dim - 1
-                x = _flat_outer(x, tables[a][alpha[a]], np.multiply, out if last else None)
-            if self.dim == 1:
-                out[...] = x
-
-        alphas = _deriv_multi_indices(self.dim, max_deriv)
-        buf = _jet_buffer(self.dim, max_deriv, cols.shape)
-        entries = {alpha: buf[_jet_entry(alpha)] for alpha in alphas}
-        for alpha, x in entries.items():
-            outer(alpha, x)
-        if not self.is_polynomial:
-            # The weighted numerators, then their quotients, overwrite the products.
-            w_loc = self.weights.reshape(-1)[cols]
-            for x in entries.values():
-                x *= w_loc
-            den = {alpha: x.sum(axis=1, keepdims=True) for alpha, x in entries.items()}
-            _quotient_rule(entries, den, entries)
-        return (cols,) + _jet_views(buf, self.dim, max_deriv, [-2])
+        return LatticeJet(*_jet_views(buf, d, order))
 
     def row_table(self, theta, coeffs):
         """Rows sum_e K_e d^e R_l of the nonzero basis functions R_l at N points.
@@ -544,43 +476,53 @@ class TensorSpline:
         E = 1, 1 + d or 1 + d + d*d selects. The entries are those of a
         jet buffer: the value, the d first partials, then the d*d second
         partials (a, b) in C order, so (a, b) and (b, a) both weigh the
-        same mixed partial. Returns ``(cols, table)``, with ``cols`` (N, L)
-        as in :meth:`basis_jets` and ``table`` (..., N, L).
+        same mixed partial. Returns ``(cols, table)``: ``cols`` (N, L) holds
+        the flat coefficient indices of each point's local support block of
+        L = prod(degree + 1) functions, in C order, and ``table`` (..., N, L)
+        the rows. One unit coefficient per point (E = 1) gives the basis
+        values R_l themselves. Derivatives above a direction's degree are
+        zero.
 
         The sum is factorised direction by direction on the points' own 1D
         tables t_a: in 3D, sum_e0 t0^e0 (x) [sum_e1 t1^e1 (x) (sum_e2 K_e t2^e2)],
         so no basis jet is formed. A rational basis R_l = w_l N_l / W needs
-        no second path: the row is w_l sum_g K'_g d^g N_l with
-        K'_g = sum_{f >= g} C(f, g) K_f d^(f-g)(1/W), and W's jets are
-        per-point sums of this spline's own weights.
+        no second path: the row is w_l sum_g K'_g d^g N_l, where K' solves
+        the transpose of the Leibniz system of :meth:`evaluate_lattice`
+        backward, W_0 K'_g = K_g - sum_{f > g} C(f, g) W_(f-g) K'_f, and W's
+        jets are per-point sums of this spline's own weights.
         """
         theta = as_points(theta, self.dim)
         coeffs = np.asarray(coeffs, dtype=float)
-        d = self.dim
-        orders = {jet_size(d, k): k for k in range(3)}
+        d, n = self.dim, len(theta)
+        orders = {1: 0, 1 + d: 1, 1 + d + d * d: 2}
         if len(coeffs) not in orders:
             raise UnsupportedDerivativeError(
                 f"row tables take the coefficients of {sorted(orders)} jet entries, "
                 f"got {len(coeffs)}"
             )
         order = orders[len(coeffs)]
-        cols = np.zeros((len(theta), 1), dtype=np.intp)
+        cols = np.zeros((n, 1), dtype=np.intp)
         tables = []
         for a, kv in enumerate(self.kvs):
             first, tab = _direction_tables(kv, theta[:, a], order)
             tables.append(tab)
-            cols = _flat_outer(cols * kv.n_basis, first[:, None] + np.arange(kv.degree + 1), np.add)
-        by_alpha = {}  # (a, b) and (b, a) weigh the same mixed partial
-        for alpha, k in zip(_jet_alphas(d, order), coeffs):
-            by_alpha[alpha] = by_alpha[alpha] + k if alpha in by_alpha else k
-        alphas, coeffs = list(by_alpha), list(by_alpha.values())
+            width = cols.shape[1] * (kv.degree + 1)
+            cols = (cols * kv.n_basis + first[:, None])[:, :, None] + np.arange(kv.degree + 1)
+            cols = cols.reshape(n, width)
+        rows = _jet_rows(d, order)
+        # (a, b) and (b, a) weigh the same mixed partial.
+        coeffs = [coeffs[r[0]] + coeffs[r[1]] if r[1:] else coeffs[r[0]] for r in rows.values()]
         polynomial = self.is_polynomial
         if not polynomial:
             w_loc = self.weights.reshape(-1)[cols]
-            coeffs = _reciprocal_weighted(coeffs, alphas, _local_sums(w_loc, tables, order))
+            w = _local_sums(w_loc, tables, order)
+            rhs = [np.array(k) for k in coeffs]  # solved in place
+            coeffs = _solve_leibniz(
+                _leibniz_plan(tuple(rows)), [w[alpha] for alpha in rows], rhs, transpose=True
+            )
         # Contract the last direction first; each key is the multi-index
         # prefix that is still to be contracted.
-        blocks = {alpha: k[..., None] for alpha, k in zip(alphas, coeffs)}
+        blocks = {alpha: k[..., None] for alpha, k in zip(rows, coeffs)}
         for a in reversed(range(d)):
             merged = {}
             for alpha, x in blocks.items():
@@ -663,19 +605,6 @@ def _oslo_rows(tau, t, p):
     return mu - p, rows
 
 
-def _unit(dim, axis):
-    e = [0] * dim
-    e[axis] = 1
-    return tuple(e)
-
-
-def _flat_outer(x, y, op, out=None):
-    """Per-row outer ``op`` of x (N, A) and y (N, B) as (N, A*B) in C order, into any ``out``."""
-    n, a, b = len(x), x.shape[1], y.shape[1]
-    block = None if out is None else out.reshape(n, a, b)
-    return op(x[:, :, None], y[:, None, :], out=block).reshape(n, a * b)
-
-
 def _local_sums(x, tables, order):
     """Per-point sums sum_l x_l d^alpha N_l for every alpha up to ``order``, keyed by alpha.
 
@@ -695,60 +624,39 @@ def _local_sums(x, tables, order):
 
 @functools.lru_cache(maxsize=None)
 def _leibniz_plan(alphas):
-    """For multi-indices ``alphas`` (total order <= 2, the value first): the unit
-    multi-indices of each, and the terms (f, g, C(f, g), f - g) with g <= f,
-    as positions in ``alphas``."""
-    units = tuple(tuple(_unit(len(a), k) for k in _directions(a)) for a in alphas)
-    terms = tuple(
+    """Entries (f, g, C(f, g), f - g) of the Leibniz system over ``alphas``, as positions in it.
+
+    ``alphas`` lists every multi-index up to a total order of at most 2,
+    each after the multi-indices below it (as :func:`_jet_rows` orders
+    them). Differentiating P = q W by the Leibniz rule gives
+    P_f = sum_{g <= f} C(f, g) W_(f-g) q_g, a lower-triangular system
+    L q = P. Its entries come row by row, each row's diagonal (f, f, 1, 0)
+    last.
+    """
+    return tuple(
         (i, j, math.prod(math.comb(fi, gi) for fi, gi in zip(f, g)),
          alphas.index(tuple(fi - gi for fi, gi in zip(f, g))))
         for i, f in enumerate(alphas)
         for j, g in enumerate(alphas)
         if all(gi <= fi for gi, fi in zip(g, f))
     )
-    return units, terms
 
 
-def _reciprocal_weighted(coeffs, alphas, w):
-    """Coefficients K'_g = sum_{f >= g} C(f, g) K_f d^(f-g)(1/W), by the Leibniz rule.
+def _solve_leibniz(terms, w, rhs, out=None, transpose=False):
+    """Solve L x = rhs, or L^T x = rhs, in place for the Leibniz system L of :func:`_leibniz_plan`.
 
-    ``coeffs`` holds arrays (..., N) of K_f for the distinct multi-indices
-    ``alphas`` (total order <= 2, the value first), and ``w`` maps each of
-    them to the jet of W at the N points.
+    ``terms`` is the plan, and ``w`` (the jet of W) and ``rhs`` are lists in
+    the order of its multi-indices whose arrays broadcast against each
+    other. L is solved forward over the entries and L^T backward over the
+    same entries in reverse; W_0 is the only divisor. The arrays of ``rhs``
+    are overwritten, and each x_f is written into ``out[f]`` when ``out``
+    is given. Returns the list of x_f.
     """
-    units, terms = _leibniz_plan(tuple(alphas))
-    v0 = 1.0 / w[alphas[0]]
-    v0sq = v0 * v0
-    v = [v0]
-    for alpha, dirs in zip(alphas[1:], units[1:]):
-        if len(dirs) == 1:
-            v.append(-w[alpha] * v0sq)
+    x = list(rhs)
+    for f, g, scale, h in reversed(terms) if transpose else terms:
+        if f == g:
+            x[f] = np.divide(x[f], w[0], out=x[f] if out is None else out[f])
         else:
-            v.append((2.0 * w[dirs[0]] * w[dirs[1]] * v0 - w[alpha]) * v0sq)
-    out = [None] * len(alphas)
-    for i, j, scale, h in terms:
-        term = coeffs[i] * v[h] if scale == 1 else scale * coeffs[i] * v[h]
-        out[j] = term if out[j] is None else np.add(out[j], term, out=out[j])
-    return out
-
-
-def _quotient_rule(num, den, q):
-    """Partial derivatives of num / den up to total order 2, written into ``q``.
-
-    ``num`` and ``den`` map per-direction derivative orders to arrays that
-    broadcast against each other: the weighted sums of a NURBS object and
-    of its weights. ``q`` maps the same orders to the arrays that receive
-    the partials of the rational quotient q, which differentiating
-    num = q * den by the Leibniz rule gives. ``q`` may be ``num`` itself:
-    each partial reads its numerator before it is written.
-    """
-    zero = next(iter(num))
-    w0 = den[zero]
-    np.divide(num[zero], w0, out=q[zero])
-    for alpha in num:
-        if sum(alpha) == 1:
-            np.divide(num[alpha] - den[alpha] * q[zero], w0, out=q[alpha])
-        elif sum(alpha) == 2:
-            a, b = (_unit(len(alpha), k) for k in _directions(alpha))
-            rest = num[alpha] - den[alpha] * q[zero] - den[a] * q[b] - den[b] * q[a]
-            np.divide(rest, w0, out=q[alpha])
+            i, j = (g, f) if transpose else (f, g)
+            x[i] -= (w[h] if scale == 1 else scale * w[h]) * x[j]
+    return x

@@ -197,14 +197,15 @@ class TestFit:
 
 def test_predict_and_physical_points_ask_for_values_only(monkeypatch):
     solver = CollocationSolver(method="igac", n_per_dir=6).fit(make_example("II"))
-    orders = []
-    jets = TensorSpline.basis_jets
+    entries = []
+    rows = TensorSpline.row_table
 
-    def recording(spline, theta, max_deriv=2):
-        orders.append(max_deriv)
-        return jets(spline, theta, max_deriv)
+    def recording(spline, theta, coeffs):
+        entries.append(len(coeffs))
+        return rows(spline, theta, coeffs)
 
-    monkeypatch.setattr(TensorSpline, "basis_jets", recording)
+    # One coefficient per point: the row table of the values alone.
+    monkeypatch.setattr(TensorSpline, "row_table", recording)
     solver.predict([[0.3, 0.7]])
     solver.physical_points([[0.3, 0.7]])
-    assert orders == [0, 0]
+    assert entries == [1, 1]

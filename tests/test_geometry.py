@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batched import value_at
+from batched import basis_jets, value_at
 from oracles import fd_gradient, lapack_det_inv, push_gradient, push_hessian, uniform_refine
 from splinecol.collocation import CollocationScheme, build_field, generate_collocation_points
 from splinecol.errors import SingularGeometryError, UnsupportedDerivativeError
@@ -357,8 +357,8 @@ class TestClosedFormAlgebra:
     @pytest.mark.parametrize("example, width", [("II", 16), ("III", 64), ("curved cube", 64)])
     def test_basis_jets_at_interior_collocation_points(self, example, width):
         # The pulled-back coefficients at the points assemble gathers them
-        # for, applied to basis jet views (N, d, d, L) of one
-        # derivative-major buffer, against the oracle push of those jets.
+        # for, applied to the basis jets (N, d, d, L) that the row table of
+        # unit coefficients gives, against the oracle push of those jets.
         # III's cube is affine (S = 0, diagonal J), so a rational near-linear
         # cube map exercises L = 64 with curvature.
         if example in EXAMPLES:
@@ -371,7 +371,7 @@ class TestClosedFormAlgebra:
         _, jac, inv, _, second = lattice_pullbacks(geo, points.axes)
         inner = np.flatnonzero(~points.on_boundary)
         _, inv_ref = lapack_det_inv(jac[inner])
-        _, _, grad_t, hess_t = field.basis_jets(points.lattice[inner], max_deriv=2)
+        _, _, grad_t, hess_t = basis_jets(field, points.lattice[inner])
         assert hess_t.shape == (len(inner), geo.dim, geo.dim, width)
         _, hess_x = pulled_back_jets(inv[inner], second[inner], grad_t, hess_t)
         hess_ref = push_hessian(inv_ref, second[inner], push_gradient(inv_ref, grad_t), hess_t)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batched import values_at
+from batched import basis_jets, values_at
 from oracles import (
     all_basis_derivs,
     basis_values,
@@ -13,6 +13,7 @@ from oracles import (
     point_basis_ders,
     point_basis_jets,
     point_find_span,
+    point_jet,
     vectorised_basis_ders,
 )
 from splinecol.collocation import build_field
@@ -148,8 +149,9 @@ def nurbs_and_points(draw):
 @SETTINGS
 @given(case=nurbs_and_points())
 def test_batched_basis_jets_match_per_point_oracle(case):
+    # The row table of unit coefficients of each jet entry is the basis jet.
     spline, theta = case
-    cols, val, grad, hess = spline.basis_jets(theta)
+    cols, val, grad, hess = basis_jets(spline, theta)
     for n, point in enumerate(theta):
         ref_cols, ref_val, ref_grad, ref_hess = point_basis_jets(spline, point)
         assert np.array_equal(cols[n], ref_cols)
@@ -157,6 +159,38 @@ def test_batched_basis_jets_match_per_point_oracle(case):
         assert np.allclose(val[n], ref_val, rtol=0, atol=1e-13)
         assert np.allclose(grad[n], ref_grad.T, rtol=0, atol=1e-11 * scale)
         assert np.allclose(hess[n], np.moveaxis(ref_hess, 0, -1), rtol=0, atol=1e-11 * scale)
+
+
+@st.composite
+def rational_lattices(draw):
+    """A random rational 1-3D spline with two components, lattice axes and an order up to 2."""
+    dim = draw(st.integers(1, 3))
+    kvs = tuple(draw(knot_vectors(max_degree=4 if dim < 3 else 3)) for _ in range(dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = tuple(kv.n_basis for kv in kvs)
+    spline = TensorSpline(kvs, rng.normal(size=shape + (2,)), rng.uniform(0.5, 2.0, shape))
+    axes = [np.append(rng.uniform(0.0, 1.0, draw(st.integers(0, 3))), 1.0) for _ in kvs]
+    return spline, axes, draw(st.integers(0, 2))
+
+
+@SETTINGS
+@given(case=rational_lattices())
+def test_rational_lattice_jets_match_per_point_quotient_rule(case):
+    # evaluate_lattice solves the Leibniz system of the homogeneous sums
+    # forward; the oracle writes the quotient rule out term by term.
+    spline, axes, order = case
+    jet = spline.evaluate_lattice(axes, order)
+    for index in np.ndindex(*(len(a) for a in axes)):
+        point = [a[i] for a, i in zip(axes, index)]
+        value, grad, hess, _ = point_jet(spline, point, max_deriv=order)
+        scale = max(1.0, np.abs(value).max())
+        assert np.allclose(jet.value[index], value, rtol=0, atol=1e-13 * scale)
+        for got, want in ((jet.grad, grad), (jet.hess, hess)):
+            if want is None:
+                assert got is None
+            else:
+                scale = max(1.0, np.abs(want).max())
+                assert np.allclose(got[index], want, rtol=0, atol=1e-11 * scale)
 
 
 @st.composite

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from batched import jets_at, value_at, values_at
+from batched import basis_jets, jets_at, value_at, values_at
 from oracles import (
     all_basis_derivs,
     basis_values,
@@ -218,7 +218,7 @@ class TestTensorSpline:
     def test_out_of_domain(self):
         curve = TensorSpline.polynomial((CUBIC,), CUBIC.greville_abscissae())
         with pytest.raises(DomainError, match="1.2"):
-            curve.basis_jets([0.5, 1.2])
+            curve.row_table([0.5, 1.2], np.ones((1, 2)))
         with pytest.raises(DomainError, match="1.2"):
             curve.evaluate_lattice([[0.5, 1.2]])
 
@@ -275,7 +275,7 @@ class TestTensorSpline:
     def test_jets_are_views_of_one_buffer(self):
         # A 3D rational jet is built in one buffer, partials first and then
         # components, so each entry is contiguous over the lattice and no
-        # interleaving copy is made; basis jets use the same layout.
+        # interleaving copy is made.
         rng = np.random.default_rng(5)
         kvs = (uniform_refine(CUBIC, 1), CUBIC, uniform_refine(CUBIC, 2))
         shape = tuple(kv.n_basis for kv in kvs)
@@ -285,8 +285,6 @@ class TestTensorSpline:
         assert all(np.shares_memory(buf, x) for x in (jet.value, jet.grad, jet.hess))
         assert jet.grad[..., 1, 2].flags.c_contiguous
         assert jet.hess[..., 2, 0, 1].flags.c_contiguous
-        _, value, grad, hess = solid.basis_jets(rng.uniform(0, 1, size=(7, 3)))
-        assert all(np.shares_memory(grad.base, x) for x in (value, grad, hess))
 
     def test_basis_jets_reconstruct_field(self):
         rng = np.random.default_rng(9)
@@ -295,7 +293,7 @@ class TestTensorSpline:
         weights = rng.uniform(0.5, 2.0, size=(kvu.n_basis, 4))
         surf = TensorSpline((kvu, CUBIC), coeffs, weights)
         thetas = np.array([[0.37, 0.81], [0.0, 1.0], [0.5, 0.25], [1.0, 0.6]])
-        cols, val, grad, hess = surf.basis_jets(thetas)
+        cols, val, grad, hess = basis_jets(surf, thetas)
         assert cols.shape == val.shape == (4, 16)
         assert grad.shape == (4, 2, 16) and hess.shape == (4, 2, 2, 16)
         flat = surf.coeffs.reshape(-1, 2)
@@ -315,7 +313,7 @@ class TestTensorSpline:
         # Degree 1 has no second derivatives: its Hessian jets are zero.
         kv = KnotVector([0, 0, 0.5, 1, 1], 1)
         line = TensorSpline.polynomial((kv,), np.array([0.0, 2.0, 3.0]))
-        _, val, grad, hess = line.basis_jets([0.25, 0.75])
+        _, val, grad, hess = basis_jets(line, [0.25, 0.75])
         assert np.allclose(np.sum(val * [[0, 2], [2, 3]], axis=1), [1.0, 2.5])
         assert np.allclose(np.sum(grad[:, 0] * [[0, 2], [2, 3]], axis=1), [4.0, 2.0])
         assert np.all(hess == 0.0)
@@ -492,10 +490,12 @@ class TestRowTable:
             entries = sum(d**k for k in range(order + 1))
             coeffs = np.broadcast_to(np.eye(entries)[:, :, None], (entries, entries, len(theta)))
             cols, table = spline.row_table(theta, coeffs)
-            ref_cols, value, grad, hess = spline.basis_jets(theta, 2)
-            assert np.array_equal(cols, ref_cols)
-            blocks = [value[None], np.moveaxis(grad, 1, 0), np.moveaxis(hess, (1, 2), (0, 1))]
-            want = np.concatenate([b.reshape(-1, *value.shape) for b in blocks])[:entries]
+            oracle = [point_basis_jets(spline, point) for point in theta]
+            assert np.array_equal(cols, [ref[0] for ref in oracle])
+            want = np.stack([
+                np.concatenate([val[None], grad.T, hess.reshape(len(val), -1).T])
+                for _, val, grad, hess in oracle
+            ], axis=1)[:entries]
             scale = np.abs(want).max(axis=(1, 2), keepdims=True)
             assert np.all(np.abs(table - want) <= 1e-13 * np.maximum(scale, 1.0))
 
@@ -510,7 +510,9 @@ class TestBasisJetOrders:
     @pytest.mark.parametrize("example", sorted(EXAMPLES))
     def test_lower_orders_match_the_full_jet(self, example, part):
         # The geometries and refined fields of examples I-V: d = 1..3,
-        # rational (II) and polynomial, scalar and two-component.
+        # rational (II) and polynomial, scalar and two-component. Row tables
+        # of unit coefficients up to order 0 or 1 are the leading entries of
+        # the order-2 table.
         prob = EXAMPLES[example]()
         spline = prob.geometry.spline
         if part == "field":
@@ -522,47 +524,53 @@ class TestBasisJetOrders:
         lo = [kv.start for kv in spline.kvs]
         hi = [kv.end for kv in spline.kvs]
         theta = np.concatenate([[lo, hi], rng.uniform(lo, hi, (30, spline.dim))])
-        cols, value, grad, hess = spline.basis_jets(theta, 2)
-        assert grad is not None and hess is not None
-        first = spline.basis_jets(theta, 1)
-        assert np.array_equal(first[0], cols)
-        assert np.array_equal(first[1], value)
-        assert np.array_equal(first[2], grad)
-        assert first[3] is None
-        values = spline.basis_jets(theta, 0)
-        assert np.array_equal(values[0], cols)
-        assert np.array_equal(values[1], value)
-        assert values[2] is None and values[3] is None
+        d = spline.dim
+
+        def units(entries):
+            return np.broadcast_to(np.eye(entries)[:, :, None], (entries, entries, len(theta)))
+
+        cols, table = spline.row_table(theta, units(1 + d + d * d))
+        for entries in (1, 1 + d):
+            lower_cols, lower = spline.row_table(theta, units(entries))
+            assert np.array_equal(lower_cols, cols)
+            assert np.array_equal(lower, table[:entries])
 
     @pytest.mark.parametrize("counts", [None, (15, 15), (60, 60)])
     def test_rational_values_are_normalised_weighted_products(self, counts):
-        # The arithmetic of predict, pinned bit for bit: the weight times
-        # the tensor product of the direction values, over their sum.
+        # The basis values predict reads: the weight times the tensor
+        # product of the direction values, over their sum.
         prob = make_example("II")
         spline = prob.geometry.spline if counts is None else build_field(prob.geometry, counts)
         theta = np.random.default_rng(10).uniform(0.0, 1.0, (500, 2))
-        cols, value, _, _ = spline.basis_jets(theta, 0)
+        cols, value = spline.row_table(theta, np.ones((1, 500)))
         u, v = (splines._direction_tables(kv, x, 0)[1][0] for kv, x in zip(spline.kvs, theta.T))
         num = spline.weights.reshape(-1)[cols] * (u[:, :, None] * v[:, None, :]).reshape(500, -1)
-        assert np.array_equal(value, num / num.sum(axis=1, keepdims=True))
+        assert np.allclose(value, num / num.sum(axis=1, keepdims=True), rtol=0, atol=1e-15)
+        assert np.allclose(value.sum(axis=1), 1.0, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("example, counts", [("I", 1000), ("III", 12), ("IV", (11, 18))])
     def test_polynomial_path_matches_the_quotient_rule(self, example, counts, order):
         # Weights all 2.0 make a rational spline equal to its unit-weight
-        # twin: the quotient rule must give what the B-spline writes directly.
+        # twin: the Leibniz system must give what the B-spline writes
+        # directly, in the row tables and in the lattice jets.
         prob = EXAMPLES[example]()
         field = build_field(prob.geometry, counts, prob.field_components, prob.operator.order)
+        rng = np.random.default_rng(9)
+        field = field.with_coefficients(rng.normal(size=field.coeffs.shape))
         twin = TensorSpline(field.kvs, field.coeffs, np.full(field.shape, 2.0))
         assert field.is_polynomial and not twin.is_polynomial
-        rng = np.random.default_rng(9)
         lo = [kv.start for kv in field.kvs]
         hi = [kv.end for kv in field.kvs]
         theta = np.concatenate([[lo, hi], rng.uniform(lo, hi, (200, field.dim))])
-        direct = field.basis_jets(theta, order)
-        quotient = twin.basis_jets(theta, order)
+        direct = basis_jets(field, theta, order)
+        quotient = basis_jets(twin, theta, order)
         assert np.array_equal(direct[0], quotient[0])
-        for got, want in zip(direct[1:], quotient[1:]):
+        axes = [np.concatenate([[a, b], rng.uniform(a, b, 40)]) for a, b in zip(lo, hi)]
+        jet, twin_jet = field.evaluate_lattice(axes, order), twin.evaluate_lattice(axes, order)
+        pairs = list(zip(direct[1:], quotient[1:]))
+        pairs += [(jet.value, twin_jet.value), (jet.grad, twin_jet.grad), (jet.hess, twin_jet.hess)]
+        for got, want in pairs:
             if want is None:
                 assert got is None
             else:
@@ -572,9 +580,10 @@ class TestBasisJetOrders:
 
     @pytest.mark.parametrize("order", [-1, 3])
     def test_order_outside_0_to_2_rejected(self, order):
+        # A curve's jet up to order k has k + 1 entries.
         curve = TensorSpline.polynomial((CUBIC,), CUBIC.greville_abscissae())
-        with pytest.raises(UnsupportedDerivativeError, match=f"got {order}"):
-            curve.basis_jets([0.5], order)
+        with pytest.raises(UnsupportedDerivativeError, match=f"got {order + 1}"):
+            curve.row_table([0.5], np.ones((order + 1, 1)))
 
 
 class TestKnotInsertion:
