@@ -13,7 +13,6 @@ least-squares solve.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import (
     SingularGeometryError,
 )
 from .geometry import GeometryMap, boundary_normals, lattice_pullbacks, pull_back_coefficients
-from .problems import BvpDefinition, callback_values, linear_coefficients
+from .problems import BvpDefinition, callback_values, row_coefficients
 from .splines import KnotVector, TensorSpline, jet_size
 
 SCHEME_KINDS = ("greville", "uniform")
@@ -228,11 +227,6 @@ class CollocationSystem:
         return self.csr.shape
 
 
-def _leading_order(coeffs, dim):
-    """Highest jet order (0 to 2) with a nonzero entry in coefficients (E, ...)."""
-    return max((k for k in range(1, 3) if coeffs[jet_size(dim, k - 1) :].any()), default=0)
-
-
 def assemble(
     problem: BvpDefinition,
     field: TensorSpline,
@@ -262,17 +256,14 @@ def assemble(
     unaffected by the scaling. A numeric weight must be positive and finite.
 
     Geometry comes from one pullback of the collocation lattice. The
-    operator and each boundary condition are probed once for their
-    constant coefficients (:func:`linear_coefficients`, which refuses an
-    ``apply`` that is not linear), pulled back to the parameter domain at
-    each point (:func:`pull_back_coefficients`; a condition's at its
-    points' normals), and applied to the basis by one
-    :meth:`TensorSpline.row_table` call per row block: interior rows,
-    boundary rows and point constraints. Each row touches only the
-    L = prod(degree + 1) basis functions supported at its point, so every
-    block writes its rows in place into a fixed-width table, ``cols``
-    (rows, L) and ``values`` (rows, L, c); read row by row, the table is
-    the CSR matrix, with column ``cols * c + component``.
+    operator's and the conditions' probed coefficients
+    (:func:`row_coefficients`; a condition's at its points' normals) fill
+    one table over all points, padded to the most rows a point owns. It is
+    pulled back once (:func:`pull_back_coefficients`) and applied to the
+    basis by one :meth:`TensorSpline.row_table` call at the highest order
+    any row reads, plus one at order 0 for point constraints. A row
+    touches only the L = prod(degree + 1) basis functions supported at its
+    point, so its values (L, c) read in order are its CSR entries.
     """
     c = problem.field_components
     if field.ncomp != c:
@@ -298,75 +289,54 @@ def assemble(
     outer = np.flatnonzero(points.on_boundary)
 
     conds = [problem.condition_for_face(f) for f in range(2 * points.dim)]
-    rank = np.array(
-        [f + len(conds) * (bc.kind != "dirichlet") for f, bc in enumerate(conds)]
-    )
-    owner = np.argmin(np.where(points.faces[outer], rank, 2 * len(conds)), axis=1)
-
-    # Each point owns a run of consecutive rows, in lattice order: c
-    # operator rows for an interior point, its owner's rows for a boundary one.
+    rank = [f + len(conds) * (bc.kind != "dirichlet") for f, bc in enumerate(conds)]
     point_face = np.full(len(lattice), -1)
-    point_face[outer] = owner
-    n_rows = np.full(len(lattice), c)
-    n_rows[outer] = np.array([bc.n_rows for bc in conds])[owner]
-    first_row = np.cumsum(n_rows) - n_rows
-    n_total = int(n_rows.sum())
-    row_point = np.repeat(np.arange(len(lattice)), n_rows)
-    row_face = np.repeat(point_face, n_rows)
-    row_component = np.arange(n_total) - np.repeat(first_row, n_rows)
-    row_kind = np.where(row_face < 0, "interior", "boundary").astype("U10")
+    point_face[outer] = np.argmin(np.where(points.faces[outer], rank, 2 * len(conds)), axis=1)
 
-    width = math.prod(p + 1 for p in field.degrees)
-    values = np.zeros((n_total, width, c))
-    cols = np.zeros((n_total, width), dtype=np.intp)
-    b = np.zeros(n_total)
-
-    # Interior operator rows: the operator's coefficients, pulled back per
-    # point, weigh the partials of the basis (c rows x c components).
+    # One physical coefficient table and right-hand side over all points,
+    # padded to the most rows any point owns: the operator's c rows at
+    # interior points, the owning condition's rows at boundary points.
     d = points.dim
-    operator = problem.operator
-    coeffs = linear_coefficients(operator.apply, d, c, 2, f"operator {type(operator).__name__}")
-    reads = _leading_order(coeffs, d)
-    coeffs = coeffs[: jet_size(d, reads)].reshape(-1, c * c, 1)
-    coeffs = pull_back_coefficients(coeffs, inv[inner], None if reads < 2 else second[inner])
-    support, table = field.row_table(lattice[inner], coeffs.reshape(len(coeffs), c, c, len(inner)))
-    rows = first_row[inner, None] + np.arange(c)
-    cols[rows] = support[:, None]
-    values[rows] = table.transpose(2, 0, 3, 1)
-    b[rows] = callback_values(problem.source, x[inner], c, "source")
+    n_rows = max([c] + [bc.n_rows for bc in conds])
+    coeffs = np.zeros((jet_size(d, 2), n_rows, c, len(lattice)))
+    rhs = np.zeros((len(lattice), n_rows))
+    owned = np.zeros((len(lattice), n_rows), dtype=bool)
+    coeffs[:, :c, :, inner] = row_coefficients(problem)[..., None]
+    rhs[inner, :c] = callback_values(problem.source, x[inner], c, "source")
+    owned[inner, :c] = True
+    for bc in conds:
+        sel = outer[point_face[outer] == bc.face]
+        if not len(sel):
+            continue
+        normal = boundary_normals(inv[sel], bc.axis, bc.side)[:, None]
+        found = row_coefficients(problem, bc, normal)
+        coeffs[: 1 + d, : bc.n_rows, :, sel] = found.reshape(1 + d, bc.n_rows, c, -1)
+        name = f"value of the boundary condition on face {bc.face}"
+        rhs[sel, : bc.n_rows] = callback_values(bc.value, x[sel], bc.n_rows, name)
+        owned[sel, : bc.n_rows] = True
+
+    # One pull-back and one row table at the highest order any row reads;
+    # each point's rows are then read off in lattice order.
+    reads = max((k for k in range(1, 3) if coeffs[jet_size(d, k - 1) :].any()), default=0)
+    coeffs = coeffs[: jet_size(d, reads)].reshape(-1, n_rows * c, len(lattice))
+    coeffs = pull_back_coefficients(coeffs, inv, None if reads < 2 else second)
+    support, table = field.row_table(lattice, coeffs.reshape(len(coeffs), n_rows, c, -1))
+    size = support.shape[1] * c  # entries per row
+    row_point, row_component = np.nonzero(owned)
+    values = table.transpose(2, 0, 3, 1)[row_point, row_component]
+    b = rhs[owned]
+    row_face = point_face[row_point]
+    interior = row_face < 0
+    row_kind = np.where(interior, "interior", "boundary").astype("U10")
 
     if boundary_weight == "auto":
         # Each row's squares are added in turn, component by component, so
         # the weight does not depend on how numpy blocks a reduction.
-        squares = np.square(values[rows.ravel()]).T.reshape(width * c, -1)
+        squares = np.square(values[interior]).T.reshape(size, -1)
         norms = np.sqrt(functools.reduce(np.add, squares))
         boundary_weight = float(norms.mean()) if len(inner) else 1.0
-
-    # Boundary condition rows: each owning condition's coefficients, at the
-    # normals of its points and pulled back there, then one row table.
-    inv_b = inv[outer]
-    width_b = max(bc.n_rows for bc in conds)
-    coeffs = np.zeros((1 + d, width_b, c, len(outer)))
-    for bc in conds:
-        sel = np.flatnonzero(owner == bc.face)
-        if not len(sel):
-            continue
-        normal = boundary_normals(inv_b[sel], bc.axis, bc.side)[:, None]
-        name = f"boundary condition on face {bc.face}"
-        found = linear_coefficients(functools.partial(bc.apply, normal), d, c, 1, name)
-        pulled = pull_back_coefficients(found.reshape(1 + d, bc.n_rows * c, -1), inv_b[sel])
-        coeffs[:, : bc.n_rows, :, sel] = pulled.reshape(1 + d, bc.n_rows, c, len(sel))
-    reads = _leading_order(coeffs, d)
-    support, table = field.row_table(lattice[outer], coeffs[: jet_size(d, reads)])
-    for bc in conds:
-        sel = np.flatnonzero(owner == bc.face)
-        rows = first_row[outer[sel], None] + np.arange(bc.n_rows)
-        cols[rows] = support[sel, None]
-        values[rows] = boundary_weight * table[: bc.n_rows, :, sel].transpose(2, 0, 3, 1)
-        name = f"value of the boundary condition on face {bc.face}"
-        b[rows] = boundary_weight * callback_values(
-            bc.value, x[outer[sel]], bc.n_rows, name
-        )
+    values[~interior] *= boundary_weight
+    b[~interior] *= boundary_weight
 
     # Point constraints replace the matching component row of the nearest
     # point, whose support block is the one the pin needs; ties go to
@@ -378,7 +348,15 @@ def assemble(
         dist = np.linalg.norm(lattice[order][None] - targets[:, None], axis=-1)
         nearest = order[np.argmin(dist, axis=1)]
         comps = np.array([pc.component for pc in pcs])
-        rows = first_row[nearest] + comps
+        rows = (np.cumsum(owned).reshape(owned.shape) - 1)[nearest, comps]
+        unowned = np.flatnonzero(~owned[nearest, comps])
+        if len(unowned):
+            j = unowned[0]
+            raise AssemblyError(
+                f"point constraint at {pcs[j].theta} pins component {comps[j]} of the "
+                f"collocation point {tuple(lattice[nearest[j]].tolist())}, which owns "
+                f"{owned[nearest[j]].sum()} rows"
+            )
         twins = np.argwhere(np.triu(rows[:, None] == rows, k=1))
         if len(twins):
             i, j = twins[0]
@@ -407,10 +385,10 @@ def assemble(
             f"{tuple(lattice[row_point[row]].tolist())}, face {row_face[row]}"
         )
 
-    indices = (cols[:, :, None] * c + np.arange(c)).reshape(-1)
-    indptr = np.arange(n_total + 1) * (width * c)
+    indices = (support[row_point][:, :, None] * c + np.arange(c)).reshape(-1)
+    indptr = np.arange(len(b) + 1) * size
     A = sp.csr_array(
-        (values.reshape(-1), indices, indptr), shape=(n_total, field.n_coeffs * c)
+        (values.reshape(-1), indices, indptr), shape=(len(b), field.n_coeffs * c)
     )
     A.eliminate_zeros()
     return CollocationSystem(

@@ -21,7 +21,7 @@ from numpy.polynomial.legendre import leggauss
 from ._validation import per_direction, whole_number
 from .errors import PreconditionError, UndefinedMetricError
 from .geometry import lattice_pullbacks, lattice_push_gradient, pull_back_coefficients
-from .problems import BvpDefinition, callback_values, linear_coefficients
+from .problems import BvpDefinition, callback_values, row_coefficients
 from .splines import TensorSpline
 
 DEFAULT_ABS_SAMPLES = {1: 1001, 2: 201, 3: 41}
@@ -112,27 +112,26 @@ OPERATOR_BLOCK = 1 << 14
 
 
 def _operator_values(problem, jet, inv, second):
-    """The interior operator applied to a field's order-2 lattice jet, as (N, rows).
+    """The interior operator applied to a field's order-2 lattice jet, as (N, c).
 
     The operator's coefficients are pulled back to the parameter domain
     and contracted with the jet's value, gradient and Hessian blocks, one
     block of ``OPERATOR_BLOCK`` points at a time.
     """
     d, c, n = problem.dim, jet.value.shape[-1], len(inv)
-    operator = problem.operator
-    coeffs = linear_coefficients(operator.apply, d, c, 2, f"operator {type(operator).__name__}")
-    rows, entries = coeffs.shape[1], len(coeffs)
-    coeffs = coeffs.reshape(entries, rows * c, 1)
+    coeffs = row_coefficients(problem)
+    entries = len(coeffs)
+    coeffs = coeffs.reshape(entries, c * c, 1)
     # Each block of the jet is a view of its (entries, c, lattice) buffer rows.
     value, grad, hess = (
         np.moveaxis(x, range(d), range(-d, 0)).reshape(x.shape[d:] + (n,))
         for x in (jet.value, jet.grad, jet.hess)
     )
     hess = hess.reshape(d * d, c, n)
-    out = np.empty((rows, n))
+    out = np.empty((c, n))
     for start in range(0, n, OPERATOR_BLOCK):
         at = slice(start, start + OPERATOR_BLOCK)
-        k = pull_back_coefficients(coeffs, inv[at], second[at]).reshape(entries, rows, c, -1)
+        k = pull_back_coefficients(coeffs, inv[at], second[at]).reshape(entries, c, c, -1)
         block = np.einsum("rkn,kn->rn", k[0], value[:, at], out=out[:, at])
         part = np.einsum("arkn,akn->rn", k[1 : 1 + d], grad[..., at])
         block += part

@@ -205,6 +205,25 @@ def linear_coefficients(apply, dim: int, components: int, order: int, name: str)
     return units.transpose((lead + 1, lead + 2, lead) + tuple(range(lead)))
 
 
+def row_coefficients(problem: BvpDefinition, condition=None, normals=None):
+    """:func:`linear_coefficients` of the operator, or of ``condition`` at its ``normals``.
+
+    The operator is probed to order 2 and must give c rows, a condition to
+    order 1 and its ``n_rows``; raises :class:`PreconditionError` naming
+    the operator or face and both counts otherwise.
+    """
+    if condition is None:
+        name, rows = f"operator {type(problem.operator).__name__}", problem.field_components
+        apply, order = problem.operator.apply, 2
+    else:
+        name, rows = f"boundary condition on face {condition.face}", condition.n_rows
+        apply, order = functools.partial(condition.apply, normals), 1
+    coeffs = linear_coefficients(apply, problem.dim, problem.field_components, order, name)
+    if coeffs.shape[1] != rows:
+        raise PreconditionError(f"{name} gives {coeffs.shape[1]} rows per point, expected {rows}")
+    return coeffs
+
+
 def callback_values(fn, x, components: int, name: str) -> np.ndarray:
     """Values (N, components) of a problem callback at physical points x (N, d).
 

@@ -1,6 +1,7 @@
 """Collocation point generation and system assembly."""
 
 import re
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -392,10 +393,19 @@ class TestAssembly:
             assemble(prob, field, pts)
 
     def test_row_blocks_ask_for_the_orders_they_read(self, monkeypatch):
-        # Interior operator rows read second derivatives, traction rows
-        # first derivatives and point constraints values only. The row
-        # builder's order is set by how many jet entries it is given.
-        prob = example_beam()
+        # Interior and boundary rows share one row table at the highest
+        # order any of them reads, the operator's second derivatives; point
+        # constraints then read values only, in a call of their own. The
+        # row builder's order is set by how many jet entries it is given.
+        assert self.row_table_orders(monkeypatch, example_beam()) == [2, 0]
+
+    def test_rows_without_pins_take_one_row_table(self, monkeypatch):
+        prob = example_beam(end_condition="dirichlet")
+        assert self.row_table_orders(monkeypatch, prob) == [2]
+
+    @staticmethod
+    def row_table_orders(monkeypatch, prob):
+        """The order of each ``row_table`` call that assembling the 7 x 7 beam makes."""
         field = build_field(prob.geometry, (7, 7), components=2)
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (7, 7)))
         orders = []
@@ -407,7 +417,7 @@ class TestAssembly:
 
         monkeypatch.setattr(TensorSpline, "row_table", recording)
         assemble(prob, field, pts)
-        assert orders == [2, 1, 0]
+        return orders
 
     def test_non_finite_rhs_names_its_row(self):
         from dataclasses import replace
@@ -436,12 +446,13 @@ class TestAssembly:
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (10,)))
         system = assemble(prob, field, pts, boundary_weight=1.0)
         row = int(np.flatnonzero(system.row_kind == "interior")[3])
+        point = system.row_point[row]
         rows = TensorSpline.row_table
 
         def broken(spline, theta, coeffs):
             cols, table = rows(spline, theta, coeffs)
-            if len(coeffs) == 3:  # the interior block
-                table[..., 3, 1] = np.inf  # interior point 3, basis function 1
+            if len(coeffs) == 3:  # the table of every lattice point, to order 2
+                table[..., point, 1] = np.inf  # basis function 1 at that row's point
             return cols, table
 
         monkeypatch.setattr(TensorSpline, "row_table", broken)
@@ -522,6 +533,125 @@ class TestLinearityGuard:
         field = build_field(prob.geometry, (8,))
         pts = generate_collocation_points(field.kvs, CollocationScheme("uniform", (10,)))
         with pytest.raises(PreconditionError, match="boundary condition on face 1 must be linear"):
+            assemble(prob, field, pts)
+
+
+@dataclass(frozen=True)
+class RepeatedLaplacian:
+    """An interior operator giving ``count`` rows, each the Laplacian of component 0."""
+
+    count: int
+    order: int = 2
+
+    def apply(self, value, grad, hess):
+        return np.stack([np.einsum("...aa->...", hess[..., 0])] * self.count, axis=-1)
+
+
+@dataclass(frozen=True)
+class Roller:
+    """Zero normal displacement u . n = 0 on one face: one row at each of its points."""
+
+    axis: int
+    side: int
+    kind: str = "dirichlet"
+    n_rows: int = 1
+
+    @property
+    def face(self):
+        return 2 * self.axis + self.side
+
+    def value(self, x):
+        return np.zeros((len(x), 1))
+
+    def apply(self, normal, value, grad):
+        return np.einsum("...a,...a->...", normal, value)[..., None]
+
+
+class TestRowCounts:
+    # A point's rows are read off a table padded to the most rows any point
+    # owns, so an operator or condition must give exactly the rows it claims.
+    def test_operator_with_too_few_rows_is_named(self):
+        prob = replace(example_beam(), operator=RepeatedLaplacian(1))
+        field = build_field(prob.geometry, (7, 7), components=2)
+        pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (9, 9)))
+        message = "operator RepeatedLaplacian gives 1 rows per point, expected 2"
+        with pytest.raises(PreconditionError, match=message):
+            assemble(prob, field, pts)
+
+    def test_operator_with_too_many_rows_is_named(self):
+        prob = replace(example_2d_annulus(), operator=RepeatedLaplacian(2))
+        field = build_field(prob.geometry, (6, 6))
+        pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (8, 8)))
+        message = "operator RepeatedLaplacian gives 2 rows per point, expected 1"
+        with pytest.raises(PreconditionError, match=message):
+            assemble(prob, field, pts)
+
+    def test_operator_error_checks_the_row_count(self):
+        # e_DT compares the operator's rows with the source's c columns.
+        from splinecol.metrics import error_report
+
+        prob = replace(example_2d_annulus(), operator=RepeatedLaplacian(2))
+        field = build_field(prob.geometry, (6, 6))
+        field = coefficients_to_field(field, np.random.default_rng(3).normal(size=field.n_coeffs))
+        message = "operator RepeatedLaplacian gives 2 rows per point, expected 1"
+        with pytest.raises(PreconditionError, match=message):
+            error_report(prob, field)
+
+    def test_condition_with_other_than_its_rows_names_its_face(self):
+        base = example_beam(end_condition="dirichlet")
+        bcs = tuple(
+            replace(bc, components=1) if bc.kind == "dirichlet" else bc
+            for bc in base.boundary_conditions
+        )
+        prob = replace(base, boundary_conditions=bcs)
+        field = build_field(prob.geometry, (7, 7), components=2)
+        pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (9, 9)))
+        message = "boundary condition on face 0 gives 2 rows per point, expected 1"
+        with pytest.raises(PreconditionError, match=message):
+            assemble(prob, field, pts)
+
+    def test_points_may_own_different_numbers_of_rows(self):
+        # A one-row roller on the beam's bottom face, among two-row
+        # interior and traction points: each of its 7 points (it wins the
+        # corners, being of Dirichlet kind) owns one row, n . R_l, which
+        # touches only component 1 (the normal is (0, -1) to roundoff).
+        base = example_beam()
+        bcs = tuple(
+            Roller(axis=1, side=0) if bc.face == 2 else bc for bc in base.boundary_conditions
+        )
+        prob = replace(base, boundary_conditions=bcs, point_constraints=())
+        field = build_field(prob.geometry, (7, 7), components=2)
+        pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (7, 7)))
+        system = assemble(prob, field, pts, boundary_weight=1.0)
+        bottom = np.flatnonzero(pts.lattice[:, 1] == 0.0)
+        assert len(bottom) == 7
+        owned = np.bincount(system.row_point, minlength=pts.n_points)
+        assert (owned[bottom] == 1).all()
+        assert (np.delete(owned, bottom) == 2).all()
+        rows = np.flatnonzero(system.row_face == 2)
+        np.testing.assert_array_equal(system.row_point[rows], bottom)
+        np.testing.assert_array_equal(system.row_component[rows], 0)
+        block = system.csr[rows].toarray().reshape(len(rows), -1, 2)
+        inv = lattice_pullbacks(prob.geometry, pts.axes)[2]
+        normal = boundary_normals(inv[bottom], 1, 0)
+        cols, basis = field.row_table(pts.lattice[bottom], np.ones((1, len(bottom))))
+        want = np.zeros(block.shape)
+        np.put_along_axis(want, cols[..., None], basis[..., None] * normal[:, None], axis=1)
+        np.testing.assert_allclose(block, want, rtol=0, atol=1e-16)
+        assert np.abs(block[..., 0]).max() < 1e-16
+        np.testing.assert_allclose(block.sum(axis=(1, 2)), -1.0, rtol=0, atol=1e-14)
+
+    def test_pin_of_a_component_its_point_has_no_row_for_is_named(self):
+        base = example_beam()
+        bcs = tuple(
+            Roller(axis=1, side=0) if bc.face == 2 else bc for bc in base.boundary_conditions
+        )
+        pin = PointConstraint(theta=(0.5, 0.0), component=1, value=lambda x: np.zeros((len(x), 1)))
+        prob = replace(base, boundary_conditions=bcs, point_constraints=(pin,))
+        field = build_field(prob.geometry, (7, 7), components=2)
+        pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (7, 7)))
+        message = r"at \(0\.5, 0\.0\) pins component 1 .* owns 1 rows"
+        with pytest.raises(AssemblyError, match=message):
             assemble(prob, field, pts)
 
 
