@@ -55,6 +55,6 @@ def per_direction(value, dim, name, minimum=None):
     if len(counts) == 1:
         counts *= dim
     if len(counts) != dim:
-        raise ValueError(f"{name} must give one count per direction, got {value!r}")
+        raise PreconditionError(f"{name} must give one count per direction, got {value!r}")
     return counts
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import logging
 import sys
 
@@ -90,8 +91,7 @@ def _merge_config(args, defaults=None, fixed=(), **extra) -> ExperimentConfig:
                     f"{args.config} sets {key!r}, which this command fixes"
                 )
         data.update(loaded)
-    for key in ("example", "method", "scheme", "n", "m", "n_seq", "m_seq",
-                "quad_order", "boundary_weight", "output"):
+    for key in (field.name for field in dataclasses.fields(ExperimentConfig)):
         value = getattr(args, key, None)
         if value is not None:
             data[key] = list(value) if isinstance(value, tuple) else value

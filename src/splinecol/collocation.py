@@ -150,9 +150,7 @@ def empty_cells(points: CollocationSet, kvs):
     return [tuple(int(i) for i in cell) for cell in np.argwhere(~full)]
 
 
-def build_field(
-    geometry: GeometryMap, counts, components: int = 1, operator_order: int = 2
-) -> TensorSpline:
+def build_field(geometry: GeometryMap, counts, components: int = 1) -> TensorSpline:
     """Unknown solution field sharing the geometry's refined knot vectors.
 
     The geometry spline is refined by uniform knot insertion to the
@@ -161,10 +159,6 @@ def build_field(
     starts with zero coefficients.
     """
     counts = per_direction(counts, geometry.dim, "counts")
-    if min(kv.degree for kv in geometry.kvs) <= operator_order:
-        raise PreconditionError(
-            "field degree must exceed the operator order in every direction"
-        )
     have = geometry.spline.shape
     for axis, (target, n) in enumerate(zip(counts, have)):
         if target < n:

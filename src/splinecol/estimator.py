@@ -141,12 +141,7 @@ class CollocationSolver:
             )
         else:
             counts = self._counts(self.n_per_dir, dim, "n_per_dir")
-            field = build_field(
-                problem.geometry,
-                counts,
-                components=c,
-                operator_order=problem.operator.order,
-            )
+            field = build_field(problem.geometry, counts, components=c)
         stamps.append(time.perf_counter())
         n_dirs = tuple(kv.n_basis for kv in field.kvs)
 

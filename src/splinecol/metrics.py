@@ -186,17 +186,14 @@ class ErrorReport:
     geometry on the quadrature lattice), ``evaluate`` (the field's
     parametric jets, and its physical gradient when a quantity reads one)
     and ``integrate`` (the relative errors, and e_DT through the operator's
-    pulled-back coefficients). Comparisons cover the scalar results only: the timings
-    vary from run to run, and ``sample_points``/``sample_errors`` hold
-    arrays, which ``==`` compares element by element.
+    pulled-back coefficients). Comparisons cover the scalar results only:
+    the timings vary from run to run.
     """
 
     example_id: str
     quantities: tuple
     e_DT: float | None
     quadrature_order: int
-    sample_points: np.ndarray = dataclasses.field(compare=False)
-    sample_errors: dict = dataclasses.field(compare=False)
     timings: dict = dataclasses.field(default_factory=dict, compare=False)
 
     @property
@@ -214,8 +211,8 @@ class ErrorReport:
                 return q
         raise KeyError(name)
 
-    def to_dict(self, include_samples: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "example": self.example_id,
             "quadrature_order": self.quadrature_order,
             "e_DT": self.e_DT,
@@ -224,12 +221,6 @@ class ErrorReport:
                 for q in self.quantities
             ],
         }
-        if include_samples:
-            out["samples"] = {
-                "points": self.sample_points.tolist(),
-                "errors": {k: v.tolist() for k, v in self.sample_errors.items()},
-            }
-        return out
 
 
 def _relative_l2(exact, approx, dw):
@@ -263,7 +254,7 @@ def error_report(
     """
     stamps = [time.perf_counter()]
     axes, w, order = quadrature_rule(field, quad_order)
-    pts, abs_errors = absolute_error_field(problem, field, sample_counts)
+    _, abs_errors = absolute_error_field(problem, field, sample_counts)
     stamps.append(time.perf_counter())
     x, det, inv, second, jet, grad_x = _field_data(problem, field, axes, 2, stamps)
     value = jet.value.reshape(-1, field.ncomp)
@@ -285,7 +276,5 @@ def error_report(
         quantities=tuple(quantities),
         e_DT=e_dt,
         quadrature_order=order,
-        sample_points=pts,
-        sample_errors=abs_errors,
         timings=timings,
     )

@@ -5,7 +5,10 @@ assembler, plus five ready-made manufactured-solution benchmarks on
 embedded geometries: a 1D reaction-diffusion problem with Dirichlet ends,
 the same PDE on a quarter annulus (2D, rational geometry) and a unit cube
 (3D), a simply supported plane-stress beam, and a 1D mixed
-Dirichlet/Neumann variant used for stability experiments.
+Dirichlet/Neumann variant used for stability experiments. The first
+three share one builder: they differ only in geometry, manufactured
+solution and source. The interval, cube and beam geometries are affine
+cubic maps of the unit box.
 
 Every operator and boundary condition is written once, as ``apply`` on
 field jets with any leading batch shape and a trailing component axis:
@@ -110,9 +113,7 @@ def plane_stress(material: MaterialParams, grad):
 class ScreenedPoissonOperator:
     """The scalar operator -laplace(T) + T in physical coordinates."""
 
-    dim: int
     order: int = 2
-    components: int = 1
 
     def apply(self, value, grad, hess):
         return value - np.trace(hess, axis1=-3, axis2=-2)
@@ -129,7 +130,6 @@ class PlaneStressNavierOperator:
 
     material: MaterialParams
     order: int = 2
-    components: int = 2
 
     def apply(self, value, grad, hess):
         sx_x, _, tau_x = plane_stress(self.material, hess[..., 0, :, :])
@@ -346,7 +346,6 @@ class BvpDefinition:
     """A strong-form boundary value problem on a mapped domain."""
 
     example_id: str
-    description: str
     geometry: GeometryMap
     operator: object
     source: Callable[[np.ndarray], np.ndarray]
@@ -396,10 +395,18 @@ def _cubic_kv() -> KnotVector:
     return KnotVector([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0], 3)
 
 
+def _box(lows, highs) -> GeometryMap:
+    """Cubic B-spline mapping the unit box affinely onto the box [lows, highs]."""
+    kv = _cubic_kv()
+    g = kv.greville_abscissae()
+    axes = [lo + (hi - lo) * g for lo, hi in zip(lows, highs)]
+    coeffs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return GeometryMap(TensorSpline.polynomial((kv,) * len(axes), coeffs))
+
+
 def curve_unit_interval() -> GeometryMap:
     """Cubic B-spline curve representing [0, 1] with the identity map."""
-    kv = _cubic_kv()
-    return GeometryMap(TensorSpline.polynomial((kv,), kv.greville_abscissae()))
+    return _box((0.0,), (1.0,))
 
 
 def patch_quarter_annulus() -> GeometryMap:
@@ -423,20 +430,12 @@ def patch_quarter_annulus() -> GeometryMap:
 
 def solid_unit_cube() -> GeometryMap:
     """Cubic B-spline solid representing the unit cube with the identity map."""
-    kv = _cubic_kv()
-    g = kv.greville_abscissae()
-    coeffs = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1)
-    return GeometryMap(TensorSpline.polynomial((kv, kv, kv), coeffs))
+    return _box((0.0,) * 3, (1.0,) * 3)
 
 
 def patch_beam(half_length: float = 5.0, depth: float = 2.0) -> GeometryMap:
     """Cubic patch for the beam domain [-l, l] x [-h/2, h/2] (affine map)."""
-    kv = _cubic_kv()
-    g = kv.greville_abscissae()
-    xs = -half_length + 2.0 * half_length * g
-    ys = -0.5 * depth + depth * g
-    coeffs = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
-    return GeometryMap(TensorSpline.polynomial((kv, kv), coeffs))
+    return _box((-half_length, -0.5 * depth), (half_length, 0.5 * depth))
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +453,24 @@ def _column(scalar):
     return lambda x: scalar(x)[..., None]
 
 
-def _scalar_quantity(analytic):
-    return FieldQuantity(
-        name="T",
-        analytic=lambda x: np.asarray(analytic(x), dtype=float),
-        extract=lambda value, grad: value[..., 0],
+def _screened_poisson(example_id, geometry, analytic, source) -> BvpDefinition:
+    """-laplace(T) + T = source on ``geometry`` with T = 0 on every face.
+
+    ``analytic`` and ``source`` are scalar fields (N, d) -> (N,); T is the
+    one reported quantity.
+    """
+    zero = _constant(0.0)
+    return BvpDefinition(
+        example_id=example_id,
+        geometry=geometry,
+        operator=ScreenedPoissonOperator(),
+        source=_column(source),
+        boundary_conditions=tuple(
+            DirichletBC(axis=face // 2, side=face % 2, value=zero)
+            for face in range(2 * geometry.dim)
+        ),
+        analytic_solution=_column(analytic),
+        quantities=(FieldQuantity("T", analytic, lambda value, grad: value[..., 0]),),
     )
 
 
@@ -471,20 +483,7 @@ def example_1d_dirichlet() -> BvpDefinition:
     def source(x):
         return (1.0 + 4.0 * np.pi**2) * np.sin(2.0 * np.pi * x[..., 0])
 
-    zero = _constant(0.0)
-    return BvpDefinition(
-        example_id="I",
-        description="1D source problem with homogeneous Dirichlet ends",
-        geometry=curve_unit_interval(),
-        operator=ScreenedPoissonOperator(dim=1),
-        source=_column(source),
-        boundary_conditions=(
-            DirichletBC(axis=0, side=0, value=zero),
-            DirichletBC(axis=0, side=1, value=zero),
-        ),
-        analytic_solution=_column(analytic),
-        quantities=(_scalar_quantity(analytic),),
-    )
+    return _screened_poisson("I", curve_unit_interval(), analytic, source)
 
 
 def example_2d_annulus() -> BvpDefinition:
@@ -512,27 +511,13 @@ def example_2d_annulus() -> BvpDefinition:
             + 6 * xx**2 * yy**2
             + 116
         )
-        out = (
+        return (
             poly * sx * sy
             + (68 * xx - 8 * xx**3 - 8 * xx * yy**2) * cx * sy
             + (68 * yy - 8 * yy**3 - 8 * yy * xx**2) * cy * sx
         )
-        return out
 
-    zero = _constant(0.0)
-    bcs = tuple(
-        DirichletBC(axis=a, side=s, value=zero) for a in (0, 1) for s in (0, 1)
-    )
-    return BvpDefinition(
-        example_id="II",
-        description="2D source problem on a quarter annulus",
-        geometry=patch_quarter_annulus(),
-        operator=ScreenedPoissonOperator(dim=2),
-        source=_column(source),
-        boundary_conditions=bcs,
-        analytic_solution=_column(analytic),
-        quantities=(_scalar_quantity(analytic),),
-    )
+    return _screened_poisson("II", patch_quarter_annulus(), analytic, source)
 
 
 def example_3d_cube() -> BvpDefinition:
@@ -548,34 +533,15 @@ def example_3d_cube() -> BvpDefinition:
     def source(x):
         return (1.0 + 12.0 * np.pi**2) * analytic(x)
 
-    zero = _constant(0.0)
-    bcs = tuple(
-        DirichletBC(axis=a, side=s, value=zero) for a in (0, 1, 2) for s in (0, 1)
-    )
-    return BvpDefinition(
-        example_id="III",
-        description="3D source problem on the unit cube",
-        geometry=solid_unit_cube(),
-        operator=ScreenedPoissonOperator(dim=3),
-        source=_column(source),
-        boundary_conditions=bcs,
-        analytic_solution=_column(analytic),
-        quantities=(_scalar_quantity(analytic),),
-    )
+    return _screened_poisson("III", solid_unit_cube(), analytic, source)
 
 
 def example_1d_mixed() -> BvpDefinition:
     """Example I's PDE with T(0) = 0 and the Neumann condition T'(1) = 2 pi."""
     base = example_1d_dirichlet()
-    bcs = (
-        DirichletBC(axis=0, side=0, value=_constant(0.0)),
-        NormalDerivativeBC(axis=0, side=1, value=_constant(2.0 * np.pi)),
-    )
+    neumann = NormalDerivativeBC(axis=0, side=1, value=_constant(2.0 * np.pi))
     return replace(
-        base,
-        example_id="V",
-        description="1D source problem with mixed Dirichlet/Neumann ends",
-        boundary_conditions=bcs,
+        base, example_id="V", boundary_conditions=(base.boundary_conditions[0], neumann)
     )
 
 
@@ -715,7 +681,6 @@ def example_beam(
 
     return BvpDefinition(
         example_id="IV",
-        description="simply supported plane-stress beam",
         geometry=patch_beam(l, h),
         operator=PlaneStressNavierOperator(params),
         source=_constant(0.0, 0.0),

@@ -264,6 +264,24 @@ class TestCli:
         with open(f"{out}.csv") as fh:
             assert sum(bool(r["error"]) for r in csv.DictReader(fh)) == failed
 
+    def test_count_tuple_of_the_wrong_length_fails_its_cell(self, capsys):
+        # A 3D count on the 2D example fails that cell alone; the sweep
+        # goes on and prints it as a FAILED row.
+        argv = ["converge", "--example", "II", "--method", "igac",
+                "--n-seq", "8", "--n-seq", "8,8,8"]
+        assert cli.main(argv) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert "n=8x8" in first and "FAILED" not in first
+        assert second.endswith(
+            "FAILED: PreconditionError: n_per_dir must give one count per "
+            "direction, got (8, 8, 8)"
+        )
+
+    def test_solve_with_a_count_tuple_of_the_wrong_length_exits_1(self, capsys):
+        assert cli.main(["solve", "--example", "I", "-n", "10,10"]) == cli.EXIT_OTHER
+        err = capsys.readouterr().err
+        assert err.startswith("error: PreconditionError: n_per_dir must give one count")
+
     def test_failed_knot_cells_are_labelled_with_their_counts(self, tmp_path, capsys):
         # The stability knots give 10 basis functions; igac collocates at
         # as many points, igal_fixed at the configured 16.

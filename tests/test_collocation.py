@@ -23,6 +23,7 @@ from splinecol.errors import (
     InvalidSchemeError,
     PreconditionError,
 )
+from splinecol.estimator import CollocationSolver
 from splinecol.geometry import (
     GeometryMap,
     boundary_normals,
@@ -155,9 +156,14 @@ class TestBuildField:
         assert field.kvs == refined.kvs
 
     def test_degree_precondition(self):
-        geo = example_1d_dirichlet().geometry
-        with pytest.raises(PreconditionError):
-            build_field(geo, (10,), operator_order=3)
+        # A quadratic field cannot carry a second-order operator; the fit
+        # refines it and then stops at assembly.
+        quadratic = KnotVector([0, 0, 0, 1, 1, 1], 2)
+        geo = GeometryMap(TensorSpline.polynomial((quadratic,), quadratic.greville_abscissae()))
+        prob = replace(example_1d_dirichlet(), geometry=geo)
+        solver = CollocationSolver(method="igac", n_per_dir=10)
+        with pytest.raises(PreconditionError, match="field degree must exceed the operator order"):
+            solver.fit(prob)
 
     def test_counts_below_geometry_rejected(self):
         geo = example_2d_annulus().geometry

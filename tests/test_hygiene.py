@@ -1,15 +1,24 @@
-"""Source hygiene: no unused import, no private function that nothing calls.
+"""Source hygiene: no unused import, no private function that nothing calls,
+no README reference to a name the package does not have.
 
-Checked with the standard library's ``ast`` alone, over the package's
-modules. Names re-exported by ``__init__.py`` count as used there.
+The first two are checked with the standard library's ``ast`` alone, over
+the package's modules. Names re-exported by ``__init__.py`` count as used
+there.
 """
 
 import ast
+import dataclasses
+import importlib
+import inspect
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "splinecol"
+import splinecol
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "splinecol"
 MODULES = sorted(SOURCE.glob("*.py"))
 
 
@@ -68,3 +77,39 @@ def test_every_private_function_is_referenced():
         and node.name not in used
     ]
     assert not idle, f"private functions nothing references: {', '.join(idle)}"
+
+
+def readme_references():
+    """Backticked ``owner.name`` spans of README.md outside code blocks.
+
+    Only owners that are a ``splinecol`` submodule or a class the package
+    exports are kept; a span such as ``report.e_T`` names a variable.
+    """
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    modules = {path.stem for path in MODULES}
+    refs = []
+    for span in re.findall(r"`([^`]+)`", text):
+        match = re.match(r"(\w+)\.(\w+)", span)
+        if match is None:
+            continue
+        owner, name = match.groups()
+        if owner in modules:
+            refs.append((importlib.import_module(f"splinecol.{owner}"), owner, name))
+        elif inspect.isclass(getattr(splinecol, owner, None)):
+            refs.append((getattr(splinecol, owner), owner, name))
+    return refs
+
+
+def test_readme_references_resolve():
+    refs = readme_references()
+    assert refs, "README.md names no package attribute"
+    missing = [
+        f"{owner}.{name}"
+        for obj, owner, name in refs
+        if not hasattr(obj, name)
+        and not (
+            dataclasses.is_dataclass(obj)
+            and name in {field.name for field in dataclasses.fields(obj)}
+        )
+    ]
+    assert not missing, f"README.md names what the package lacks: {', '.join(missing)}"

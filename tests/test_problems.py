@@ -333,7 +333,7 @@ class TestManufacturedClosure:
     def test_operator_above_second_order_rejected(self):
         base = example_1d_dirichlet()
         with pytest.raises(PreconditionError, match="got order 3"):
-            replace(base, operator=ScreenedPoissonOperator(dim=1, order=3))
+            replace(base, operator=ScreenedPoissonOperator(order=3))
 
     def test_duplicate_face_rejected(self):
         base = example_1d_dirichlet()
@@ -341,9 +341,8 @@ class TestManufacturedClosure:
         with pytest.raises(PreconditionError, match="exactly one boundary condition"):
             BvpDefinition(
                 example_id="bad",
-                description="",
                 geometry=base.geometry,
-                operator=ScreenedPoissonOperator(dim=1),
+                operator=ScreenedPoissonOperator(),
                 source=base.source,
                 boundary_conditions=(
                     DirichletBC(axis=0, side=0, value=zero),

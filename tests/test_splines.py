@@ -471,7 +471,7 @@ class TestRowTable:
         for example in sorted(EXAMPLES):
             prob = EXAMPLES[example]()
             counts = [kv.n_basis + 3 for kv in prob.geometry.kvs]
-            field = build_field(prob.geometry, counts, prob.field_components, prob.operator.order)
+            field = build_field(prob.geometry, counts, prob.field_components)
             out += [prob.geometry.spline, field]
         weights = field.weights * np.random.default_rng(40).uniform(0.7, 1.3, field.shape)
         return out + [TensorSpline(field.kvs, field.coeffs, weights)]
@@ -517,9 +517,7 @@ class TestBasisJetOrders:
         spline = prob.geometry.spline
         if part == "field":
             counts = [kv.n_basis + 3 for kv in spline.kvs]
-            spline = build_field(
-                prob.geometry, counts, prob.field_components, prob.operator.order
-            )
+            spline = build_field(prob.geometry, counts, prob.field_components)
         rng = np.random.default_rng(8)
         lo = [kv.start for kv in spline.kvs]
         hi = [kv.end for kv in spline.kvs]
@@ -555,7 +553,7 @@ class TestBasisJetOrders:
         # twin: the Leibniz system must give what the B-spline writes
         # directly, in the row tables and in the lattice jets.
         prob = EXAMPLES[example]()
-        field = build_field(prob.geometry, counts, prob.field_components, prob.operator.order)
+        field = build_field(prob.geometry, counts, prob.field_components)
         rng = np.random.default_rng(9)
         field = field.with_coefficients(rng.normal(size=field.coeffs.shape))
         twin = TensorSpline(field.kvs, field.coeffs, np.full(field.shape, 2.0))
