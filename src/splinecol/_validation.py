@@ -13,7 +13,7 @@ def as_float_array(values, name, ndim=None):
     """Coerce ``values`` to a float64 ndarray, optionally checking ndim."""
     arr = np.asarray(values, dtype=float)
     if ndim is not None and arr.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+        raise PreconditionError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     return arr
 
 
@@ -27,7 +27,7 @@ def as_points(theta, dim):
     if arr.ndim == 1:
         arr = arr[:, None] if dim == 1 else arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError(f"expected points of shape (n, {dim}), got {np.shape(theta)}")
+        raise PreconditionError(f"expected points of shape (n, {dim}), got {np.shape(theta)}")
     return arr
 
 

@@ -21,7 +21,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .collocation import knots_per_direction
+from ._validation import per_direction
+from .collocation import build_field_from_knots
 from .config import ExperimentConfig
 from .errors import ConfigError, SplineColError
 from .estimator import CollocationSolver, point_counts
@@ -108,28 +109,13 @@ def stability_cells(config: ExperimentConfig) -> list[Cell]:
 
 
 def _counts_label(counts):
-    return None if counts is None else "x".join(str(c) for c in counts)
-
-
-def _planned_counts(cell: Cell, problem):
-    """Basis and point counts per direction that a cell asks for, before it runs.
-
-    A field refined by explicit knots has as many basis functions per
-    direction as the geometry plus the knots inserted there.
-    """
-    config = cell.config
-    n = config.n
-    if cell.interior_knots is not None:
-        knots = knots_per_direction(cell.interior_knots, problem.dim)
-        n = tuple(kv.n_basis + len(k) for kv, k in zip(problem.geometry.kvs, knots))
-    return n, config.m if n is None else point_counts(config.method, n, config.m)
+    return "x".join(str(c) for c in counts)
 
 
 def solve_cell(cell: Cell) -> CellResult:
     """Run one cell; a library error fails the cell and is kept on its result."""
     config = cell.config
     problem = make_example(config.example)
-    n_counts, m_counts = _planned_counts(cell, problem)
     solver = CollocationSolver(
         method=config.method,
         n_per_dir=config.n,
@@ -143,11 +129,17 @@ def solve_cell(cell: Cell) -> CellResult:
         example=config.example,
         method=config.method,
         scheme=config.scheme,
-        n_per_dir=_counts_label(n_counts),
-        m_per_dir=_counts_label(m_counts),
     )
     start = time.perf_counter()
     try:
+        # Labelled by the calls the fit makes, so a cell that fails later
+        # still names its counts.
+        if cell.interior_knots is None:
+            n_counts = per_direction(config.n, problem.dim, "n_per_dir")
+        else:
+            n_counts = build_field_from_knots(problem.geometry, cell.interior_knots).shape
+        base["n_per_dir"] = _counts_label(n_counts)
+        base["m_per_dir"] = _counts_label(point_counts(config.method, n_counts, config.m))
         solver.fit(problem)
         report = error_report(problem, solver.field_, quad_order=config.quad_order)
     except SplineColError as exc:
@@ -160,8 +152,6 @@ def solve_cell(cell: Cell) -> CellResult:
         return CellResult(cell, [row], error=exc)
     elapsed = time.perf_counter() - start
     solve = solver.solve_report_
-    base["n_per_dir"] = _counts_label(kv.n_basis for kv in solver.field_.kvs)
-    base["m_per_dir"] = _counts_label(len(a) for a in solver.points_.axes)
     rows = [
         dict(
             base,

@@ -94,7 +94,7 @@ def _merge_config(args, defaults=None, fixed=(), **extra) -> ExperimentConfig:
     for key in (field.name for field in dataclasses.fields(ExperimentConfig)):
         value = getattr(args, key, None)
         if value is not None:
-            data[key] = list(value) if isinstance(value, tuple) else value
+            data[key] = value
     data.update({key: value for key, value in extra.items() if value is not None})
     return ExperimentConfig.from_dict(data)
 

@@ -175,20 +175,18 @@ def _zero_field(refined: TensorSpline, components: int) -> TensorSpline:
     return TensorSpline(refined.kvs, np.zeros(refined.shape + (components,)), refined.weights)
 
 
-def knots_per_direction(interior_knots, dim):
-    """Interior knots as one sequence per direction; in 1D a flat sequence is one direction."""
-    interior_knots = tuple(interior_knots)
-    if dim == 1 and (not interior_knots or np.ndim(interior_knots[0]) == 0):
-        return (interior_knots,)
-    return interior_knots
-
-
 def build_field_from_knots(
     geometry: GeometryMap, interior_knots, components: int = 1
 ) -> TensorSpline:
-    """Unknown field obtained by inserting explicit interior knots per direction."""
+    """Unknown field obtained by inserting explicit interior knots per direction.
+
+    In 1D a flat sequence of knots is the one direction's.
+    """
+    interior_knots = tuple(interior_knots)
+    if geometry.dim == 1 and (not interior_knots or np.ndim(interior_knots[0]) == 0):
+        interior_knots = (interior_knots,)
     refined = geometry.spline
-    for axis, knots in enumerate(knots_per_direction(interior_knots, geometry.dim)):
+    for axis, knots in enumerate(interior_knots):
         refined = refined.insert_knots(axis, knots)
     return _zero_field(refined, components)
 
@@ -209,7 +207,6 @@ class CollocationSystem:
     row_kind: np.ndarray
     row_component: np.ndarray
     row_face: np.ndarray
-    n_unknowns: int
 
     @property
     def matrix(self) -> np.ndarray:
@@ -387,7 +384,7 @@ def assemble(
     A.eliminate_zeros()
     return CollocationSystem(
         csr=A, rhs=b, row_point=row_point, row_kind=row_kind,
-        row_component=row_component, row_face=row_face, n_unknowns=A.shape[1],
+        row_component=row_component, row_face=row_face,
     )
 
 

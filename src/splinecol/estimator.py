@@ -22,7 +22,7 @@ from .collocation import (
     coefficients_to_field,
     generate_collocation_points,
 )
-from .errors import InvalidSchemeError
+from .errors import InvalidSchemeError, PreconditionError
 from .metrics import stage_timings
 from .problems import BvpDefinition
 from .solvers import solve_normal_equations, solve_square
@@ -32,14 +32,24 @@ FIT_STAGES = ("refine", "points", "assemble", "solve")
 
 
 def point_counts(method, n_counts, m_counts=None):
-    """Collocation-point counts per direction: n for igac, n + 2 for igal_variable.
+    """Collocation-point counts per direction for basis counts ``n_counts``.
 
-    ``igal_fixed`` takes its counts as given, ``m_counts``.
+    ``igac`` collocates at n points and ``igal_variable`` at n + 2;
+    ``igal_fixed`` takes ``m_counts`` (one count or one per direction),
+    which must reach n in every direction.
     """
+    if method not in METHODS:
+        raise PreconditionError(f"method must be one of {METHODS}, got {method!r}")
     if method == "igac":
         return tuple(n_counts)
     if method == "igal_variable":
         return tuple(n + 2 for n in n_counts)
+    m_counts = per_direction(m_counts, len(n_counts), "m_per_dir")
+    if any(m < n for m, n in zip(m_counts, n_counts)):
+        raise InvalidSchemeError(
+            f"least-squares point counts {m_counts} must reach the "
+            f"basis counts {tuple(n_counts)}"
+        )
     return m_counts
 
 
@@ -111,7 +121,7 @@ class CollocationSolver:
         valid = set(self._param_names())
         for key, value in params.items():
             if key not in valid:
-                raise ValueError(
+                raise PreconditionError(
                     f"invalid parameter {key!r} for {type(self).__name__}; "
                     f"valid parameters are {sorted(valid)}"
                 )
@@ -120,18 +130,10 @@ class CollocationSolver:
 
     # -- fitting -------------------------------------------------------------
 
-    def _counts(self, value, dim, name):
-        if value is None:
-            raise ValueError(f"{name} must be set for method {self.method!r}")
-        return per_direction(value, dim, name)
-
     def fit(self, problem: BvpDefinition, y=None):
         """Solve ``problem`` and store the fitted field on the estimator."""
         if not isinstance(problem, BvpDefinition):
             raise TypeError("fit expects a BvpDefinition")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        dim = problem.dim
         c = problem.field_components
         stamps = [time.perf_counter()]
 
@@ -140,20 +142,10 @@ class CollocationSolver:
                 problem.geometry, self.interior_knots, components=c
             )
         else:
-            counts = self._counts(self.n_per_dir, dim, "n_per_dir")
+            counts = per_direction(self.n_per_dir, problem.dim, "n_per_dir")
             field = build_field(problem.geometry, counts, components=c)
         stamps.append(time.perf_counter())
-        n_dirs = tuple(kv.n_basis for kv in field.kvs)
-
-        m_counts = point_counts(self.method, n_dirs, self.m_per_dir)
-        if self.method == "igal_fixed":
-            m_counts = self._counts(m_counts, dim, "m_per_dir")
-            if any(m < n for m, n in zip(m_counts, n_dirs)):
-                raise InvalidSchemeError(
-                    f"least-squares point counts {m_counts} must reach the "
-                    f"basis counts {n_dirs}"
-                )
-
+        m_counts = point_counts(self.method, field.shape, self.m_per_dir)
         points = generate_collocation_points(
             field.kvs, CollocationScheme(self.scheme, m_counts)
         )
@@ -171,7 +163,6 @@ class CollocationSolver:
         self.system_ = system
         self.solve_report_ = report
         self.field_ = coefficients_to_field(field, report.coefficients)
-        self.n_unknowns_ = system.n_unknowns
         self.timings_ = stage_timings(
             f"fit {problem.example_id} {self.method}", FIT_STAGES, stamps
         )

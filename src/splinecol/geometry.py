@@ -198,10 +198,7 @@ def pull_back_coefficients(coeffs, inv_jac, second=None):
                 b2[b, a] = b2[a, b]
         shift = np.einsum("absn,abkn->ksn", b2, second.transpose(1, 2, 3, 0), out=work)
         grad = np.subtract(grad, shift, out=shift)
-    # B1 = J^-1 (A1 - s); a constant A1 has no point axis to contract over.
-    spec = "kn,ksn->sn"
-    if grad.shape[-1] != n:
-        grad, spec = grad[..., 0], "kn,ks->sn"
+    # B1 = J^-1 (A1 - s); a constant A1's point axis of size 1 broadcasts.
     for a in range(d):
-        np.einsum(spec, inv[a], grad, out=out[1 + a])
+        np.einsum("kn,ksn->sn", inv[a], grad, out=out[1 + a])
     return out

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._validation import as_float_array, as_points, whole_counts
+from ._validation import as_float_array, as_points, per_direction
 from .errors import (
     DomainError,
     InvalidRefinementError,
@@ -568,12 +568,9 @@ class TensorSpline:
         return TensorSpline(kvs, out[..., :-1] / weights[..., None], weights)
 
     def refine_uniform(self, counts) -> "TensorSpline":
-        """Uniformly insert interior knots per direction (count per direction)."""
-        counts = whole_counts(counts, "counts", 0)
-        if len(counts) != self.dim:
-            raise ValueError(f"expected {self.dim} counts, got {counts}")
+        """Uniformly insert interior knots: one count, or one count per direction."""
         s = self
-        for a, count in enumerate(counts):
+        for a, count in enumerate(per_direction(counts, self.dim, "counts", 0)):
             lo, hi = s.kvs[a].start, s.kvs[a].end
             s = s.insert_knots(a, lo + np.arange(1, count + 1) * (hi - lo) / (count + 1))
         return s

@@ -244,7 +244,7 @@ class TestAssembly:
             field.kvs, CollocationScheme("greville", (n + 2,) * prob.dim)
         )
         system = assemble(prob, field, pts, boundary_weight=weight)
-        coeffs = rng.normal(size=system.n_unknowns)
+        coeffs = rng.normal(size=system.shape[1])
         trial = coefficients_to_field(field, coeffs)
         _, _, inv, _, second = lattice_pullbacks(prob.geometry, pts.axes)
         jet = trial.evaluate_lattice(pts.axes, 2)

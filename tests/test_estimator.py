@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splinecol.errors import InvalidSchemeError, PreconditionError
+from splinecol.errors import InvalidSchemeError, PreconditionError, SplineColError
 from splinecol.estimator import FIT_STAGES, CollocationSolver
 from splinecol.metrics import error_report
 from splinecol.problems import (
@@ -45,7 +45,7 @@ class TestFit:
         assert solver.field_.n_coeffs == 10
         assert solver.system_.shape[0] == solver.system_.shape[1]
         assert solver.solve_report_.method == "gauss"
-        assert solver.n_unknowns_ == 10
+        assert solver.system_.shape[1] == 10
 
     def test_method_rules(self):
         prob = example_1d_dirichlet()
@@ -65,6 +65,16 @@ class TestFit:
             CollocationSolver(method="igal_fixed", n_per_dir=10, m_per_dir=8).fit(prob)
         with pytest.raises(TypeError):
             CollocationSolver(n_per_dir=8).fit("not a problem")
+
+    def test_bad_calls_raise_library_errors(self):
+        # A caller that catches SplineColError, as a benchmark cell does,
+        # sees a point array of the wrong width and a missing m as failures.
+        prob = make_example("I")
+        fitted = CollocationSolver(method="igac", n_per_dir=10).fit(prob)
+        with pytest.raises(SplineColError, match="expected points of shape"):
+            fitted.predict([[0.5, 0.5]])
+        with pytest.raises(SplineColError, match="m_per_dir"):
+            CollocationSolver(method="igal_fixed", n_per_dir=10).fit(prob)
 
     @pytest.mark.parametrize(
         "params,name",

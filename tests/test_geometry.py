@@ -421,6 +421,22 @@ class TestPullbackOrders:
         for order in (1, 2):
             assert np.array_equal(points[0], lattice_pullbacks(geo, axes, max_deriv=order)[0])
 
+    @pytest.mark.parametrize("example", ["I", "II", "III"])
+    def test_constant_first_order_table_pulls_back_at_every_point(self, example):
+        # An order-1 table of constants (1 + d, s, 1) has a point axis of
+        # size 1; it pulls back to A0 and J^-1 A1 at each point.
+        geo = EXAMPLES[example]().geometry
+        rng = np.random.default_rng(14)
+        axes = [rng.uniform(kv.start, kv.end, 4) for kv in geo.kvs]
+        inv = lattice_pullbacks(geo, axes, max_deriv=1)[2]
+        d, s = geo.dim, 3
+        coeffs = rng.normal(size=(1 + d, s, 1))
+        out = pull_back_coefficients(coeffs, inv)
+        assert out.shape == (1 + d, s, len(inv))
+        assert np.array_equal(out[0], np.broadcast_to(coeffs[0], (s, len(inv))))
+        expected = np.einsum("nak,ks->asn", inv, coeffs[1:, :, 0])
+        assert np.allclose(out[1:], expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
+
     @staticmethod
     def _cubic_map():
         # x_0 = theta_0^3, x_1 = theta_1: det J = 3 theta_0^2 vanishes at 0.

@@ -1,7 +1,8 @@
 """Source hygiene: no unused import, no private function that nothing calls,
-no README reference to a name the package does not have.
+no bare ``ValueError`` where callers expect the package's errors, no README
+reference to a name the package does not have.
 
-The first two are checked with the standard library's ``ast`` alone, over
+The first three are checked with the standard library's ``ast`` alone, over
 the package's modules. Names re-exported by ``__init__.py`` count as used
 there.
 """
@@ -78,6 +79,23 @@ def test_every_private_function_is_referenced():
     ]
     assert not idle, f"private functions nothing references: {', '.join(idle)}"
 
+
+
+def raised(tree):
+    """(class name, line) of each ``raise Name`` or ``raise Name(...)``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id, node.lineno
+
+
+@pytest.mark.parametrize("name", ["_validation.py", "estimator.py"])
+def test_no_bare_value_error(name):
+    # Input checks raise PreconditionError, a SplineColError that callers
+    # such as a benchmark cell catch; a bare ValueError escapes them.
+    bare = sorted(line for exc, line in raised(parse(SOURCE / name)) if exc == "ValueError")
+    assert not bare, f"{name} raises a bare ValueError at lines {bare}"
 
 def readme_references():
     """Backticked ``owner.name`` spans of README.md outside code blocks.
