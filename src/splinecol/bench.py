@@ -15,6 +15,7 @@ not a positive integer raises :class:`ConfigError`.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import time
@@ -112,10 +113,14 @@ def _counts_label(counts):
     return "x".join(str(c) for c in counts)
 
 
+#: Each example is built once per process, so a sweep's cells share its samples.
+_example = functools.cache(make_example)
+
+
 def solve_cell(cell: Cell) -> CellResult:
     """Run one cell; a library error fails the cell and is kept on its result."""
     config = cell.config
-    problem = make_example(config.example)
+    problem = _example(config.example)
     solver = CollocationSolver(
         method=config.method,
         n_per_dir=config.n,

@@ -36,19 +36,30 @@ def point_counts(method, n_counts, m_counts=None):
 
     ``igac`` collocates at n points and ``igal_variable`` at n + 2;
     ``igal_fixed`` takes ``m_counts`` (one count or one per direction),
-    which must reach n in every direction.
+    which must reach n in every direction. Raises
+    :class:`InvalidSchemeError` for ``m_counts`` other than n with ``igac``
+    and for any ``m_counts`` with ``igal_variable``.
     """
     if method not in METHODS:
         raise PreconditionError(f"method must be one of {METHODS}, got {method!r}")
-    if method == "igac":
-        return tuple(n_counts)
+    n_counts = tuple(n_counts)
     if method == "igal_variable":
+        if m_counts is not None:
+            raise InvalidSchemeError(
+                f"igal_variable derives m = n + 2; got m_per_dir {m_counts!r}"
+            )
         return tuple(n + 2 for n in n_counts)
+    if method == "igac" and m_counts is None:
+        return n_counts
     m_counts = per_direction(m_counts, len(n_counts), "m_per_dir")
+    if method == "igac" and m_counts != n_counts:
+        raise InvalidSchemeError(
+            f"igac collocates at exactly n = {n_counts} points; got m_per_dir {m_counts}"
+        )
     if any(m < n for m, n in zip(m_counts, n_counts)):
         raise InvalidSchemeError(
             f"least-squares point counts {m_counts} must reach the "
-            f"basis counts {tuple(n_counts)}"
+            f"basis counts {n_counts}"
         )
     return m_counts
 
@@ -68,7 +79,8 @@ class CollocationSolver:
         Control-point count per direction (int or tuple). Ignored when
         ``interior_knots`` is given.
     m_per_dir:
-        Collocation-point count per direction for ``igal_fixed``.
+        Collocation-point count per direction for ``igal_fixed``; ``igac``
+        accepts only n, and ``igal_variable`` none.
     scheme:
         ``"greville"`` (Greville abscissae of a collocation knot vector) or
         ``"uniform"`` (evenly spaced points including the endpoints).

@@ -79,26 +79,15 @@ def quadrature_rule(field: TensorSpline, quad_order=None):
     return list(axes), w.ravel(), quad_order
 
 
-def _field_data(problem, field, axes, max_deriv, stamps=None):
-    """Geometry and the field's parametric lattice jet, both to order ``max_deriv``.
+def _physical_gradient(problem, field, inv, jet):
+    """The field's physical gradient (N, d, c) when a quantity reads it, else None.
 
-    Returns (points, det, inv_jac, second, jet, grad_x), with the entries
-    of :func:`lattice_pullbacks` above that order None. The physical
-    gradient ``grad_x`` (N, d, c) is pushed only when a quantity reads it
-    (``needs_gradient``), and is None otherwise. When ``stamps`` is a
-    list, the ``perf_counter`` times after the pullback and after the jet
-    are appended to it.
+    ``inv`` holds the lattice's inverse Jacobians, None when the geometry
+    was evaluated to order 0.
     """
-    pts, _, inv, det, second = lattice_pullbacks(problem.geometry, axes, max_deriv=max_deriv)
-    if stamps is not None:
-        stamps.append(time.perf_counter())
-    jet = field.evaluate_lattice(axes, max_deriv=max_deriv)
-    grad_x = None
-    if max_deriv >= 1 and any(qty.needs_gradient for qty in problem.quantities):
-        grad_x = lattice_push_gradient(inv, jet.grad.reshape(-1, field.dim, field.ncomp))
-    if stamps is not None:
-        stamps.append(time.perf_counter())
-    return pts, det, inv, second, jet, grad_x
+    if inv is None or not any(qty.needs_gradient for qty in problem.quantities):
+        return None
+    return lattice_push_gradient(inv, jet.grad.reshape(-1, field.dim, field.ncomp))
 
 
 #: Points per block of :func:`_operator_values`. A block's pulled-back
@@ -146,6 +135,11 @@ def absolute_error_field(problem: BvpDefinition, field: TensorSpline, sample_cou
     coordinates and ``errors`` a dict mapping quantity names to (N,) arrays.
     ``sample_counts`` are at least 1. The lattice goes to order 1, and is
     checked for a singular Jacobian, only when a quantity reads a gradient.
+
+    The points, their inverse Jacobians (if read) and the exact values are
+    computed once per problem, parametric box and ``sample_counts``, and
+    kept on the problem only after the pullback and every callback have
+    succeeded; ``points`` is read-only and ``analytic`` must be pure.
     """
     if problem.analytic_solution is None:
         raise UndefinedMetricError(
@@ -155,17 +149,27 @@ def absolute_error_field(problem: BvpDefinition, field: TensorSpline, sample_cou
     if sample_counts is None:
         sample_counts = DEFAULT_ABS_SAMPLES[d]
     sample_counts = per_direction(sample_counts, d, "sample_counts", 1)
-    axes = [
-        np.linspace(kv.start, kv.end, m) for kv, m in zip(field.kvs, sample_counts)
-    ]
+    key = tuple((kv.start, kv.end, m) for kv, m in zip(field.kvs, sample_counts))
+    axes = [np.linspace(*lattice) for lattice in key]
     needs_grad = any(qty.needs_gradient for qty in problem.quantities)
-    pts, _, _, _, jet, grad_x = _field_data(problem, field, axes, max_deriv=int(needs_grad))
+    entry = problem._samples.get(key)
+    if entry is None:
+        pts, _, inv, _, _ = lattice_pullbacks(problem.geometry, axes, max_deriv=int(needs_grad))
+        exact = {
+            qty.name: np.asarray(qty.analytic(pts), dtype=float) for qty in problem.quantities
+        }
+        for array in (pts, inv):
+            if array is not None:
+                array.flags.writeable = False
+        entry = problem._samples[key] = pts, inv, exact
+    pts, inv, exact = entry
+    jet = field.evaluate_lattice(axes, max_deriv=int(needs_grad))
     value = jet.value.reshape(-1, field.ncomp)
+    grad_x = _physical_gradient(problem, field, inv, jet)
     errors = {}
     for qty in problem.quantities:
-        exact = np.asarray(qty.analytic(pts), dtype=float)
         approx = np.asarray(qty.extract(value, grad_x), dtype=float)
-        errors[qty.name] = np.abs(exact - approx)
+        errors[qty.name] = np.abs(exact[qty.name] - approx)
     return pts, errors
 
 
@@ -256,7 +260,11 @@ def error_report(
     axes, w, order = quadrature_rule(field, quad_order)
     _, abs_errors = absolute_error_field(problem, field, sample_counts)
     stamps.append(time.perf_counter())
-    x, det, inv, second, jet, grad_x = _field_data(problem, field, axes, 2, stamps)
+    x, _, inv, det, second = lattice_pullbacks(problem.geometry, axes, max_deriv=2)
+    stamps.append(time.perf_counter())
+    jet = field.evaluate_lattice(axes, max_deriv=2)
+    grad_x = _physical_gradient(problem, field, inv, jet)
+    stamps.append(time.perf_counter())
     value = jet.value.reshape(-1, field.ncomp)
     dw = np.abs(det) * w
     quantities = []

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -343,7 +343,13 @@ class FieldQuantity:
 
 @dataclass(frozen=True)
 class BvpDefinition:
-    """A strong-form boundary value problem on a mapped domain."""
+    """A strong-form boundary value problem on a mapped domain.
+
+    Callbacks must be pure: ``absolute_error_field`` computes its sample
+    reference (read-only points, exact values) once per problem and sample
+    counts, and keeps it in a private slot that comparisons skip and that
+    a ``dataclasses.replace`` copy starts empty.
+    """
 
     example_id: str
     geometry: GeometryMap
@@ -354,6 +360,7 @@ class BvpDefinition:
     quantities: tuple
     point_constraints: tuple = ()
     field_components: int = 1
+    _samples: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.operator.order > 2:

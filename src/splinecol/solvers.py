@@ -47,16 +47,16 @@ def solve_square(A, b) -> SolveReport:
     pairs with basis function i and the diagonal is zero-free; the pivot
     threshold stays at 1, so the factor still pivots fully by rows.
 
-    Raises :class:`PreconditionError` for a right-hand side that is not a
-    vector with one entry per row and for a non-finite entry of A or b,
-    and :class:`SingularSystemError` when SuperLU meets an exactly zero
+    Raises :class:`PreconditionError` for a non-square A, a right-hand side
+    that is not a vector with one entry per row and a non-finite entry of A
+    or b, and :class:`SingularSystemError` when SuperLU meets an exactly zero
     pivot or a pivot falls below 1e-14 * ||A||_1; ill-conditioned but
     factorizable systems solve and are left to downstream error metrics to
     flag.
     """
     A = sp.csc_array(A, dtype=float)
     if A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+        raise PreconditionError(f"expected a square matrix, got shape {A.shape}")
     b = _checked_system(A, b)
     n = A.shape[0]
     column = np.repeat(np.arange(n), np.diff(A.indptr))
@@ -89,8 +89,8 @@ def solve_normal_equations(A, b) -> SolveReport:
     """Least-squares solve of an m >= n system via the normal equations.
 
     Forms G = A^T A and c = A^T b and factors G by band Cholesky in the
-    natural order. A right-hand side that is not a vector with one entry
-    per row, or a non-finite entry of A or b, raises
+    natural order. Fewer rows than unknowns, a right-hand side that is not
+    a vector with one entry per row, or a non-finite entry of A or b, raises
     :class:`PreconditionError`. An unknown that no row touches, a pivot
     below 1e-14 times its diagonal entry or a non-positive pivot raises
     :class:`RankDeficientError` naming its unknown. The reported condition
@@ -99,7 +99,7 @@ def solve_normal_equations(A, b) -> SolveReport:
     A = sp.csr_array(A, dtype=float)
     m, n = A.shape
     if m < n:
-        raise ValueError(f"need at least as many rows as unknowns, got {A.shape}")
+        raise PreconditionError(f"need at least as many rows as unknowns, got {A.shape}")
     b = _checked_system(A, b)
     G = sp.coo_array(A.T @ A)
     gnorm = float(np.bincount(G.col, np.abs(G.data), minlength=n).max())
@@ -256,9 +256,9 @@ def flop_cost_model(
     :func:`solve_normal_equations` do far less work.
     """
     if dimension not in (1, 2, 3):
-        raise ValueError("dimension must be 1, 2 or 3")
+        raise PreconditionError("dimension must be 1, 2 or 3")
     if problem_kind not in ("scalar", "vector"):
-        raise ValueError("problem_kind must be 'scalar' or 'vector'")
+        raise PreconditionError("problem_kind must be 'scalar' or 'vector'")
     s = degree + 1
 
     if dimension == 1:

@@ -76,6 +76,24 @@ class TestFit:
         with pytest.raises(SplineColError, match="m_per_dir"):
             CollocationSolver(method="igal_fixed", n_per_dir=10).fit(prob)
 
+    @pytest.mark.parametrize("m", [16, 9, (10, 12)])
+    def test_igac_takes_no_point_count_but_n(self, m):
+        # igac collocates at exactly n points: any other m is an error, not
+        # silently dropped; m = n is the same fit as no m.
+        prob = make_example("II")
+        with pytest.raises(InvalidSchemeError, match="igac"):
+            CollocationSolver(method="igac", n_per_dir=10, m_per_dir=m).fit(prob)
+        same = CollocationSolver(method="igac", n_per_dir=10, m_per_dir=(10, 10)).fit(prob)
+        assert same.points_.n_points == 100
+
+    @pytest.mark.parametrize("m", [12, 40])
+    def test_igal_variable_takes_no_point_count(self, m):
+        # igal_variable derives m = n + 2, so even the count it would use is refused.
+        with pytest.raises(InvalidSchemeError, match="igal_variable"):
+            CollocationSolver(method="igal_variable", n_per_dir=10, m_per_dir=m).fit(
+                make_example("I")
+            )
+
     @pytest.mark.parametrize(
         "params,name",
         [

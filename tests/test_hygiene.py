@@ -90,7 +90,7 @@ def raised(tree):
                 yield exc.id, node.lineno
 
 
-@pytest.mark.parametrize("name", ["_validation.py", "estimator.py"])
+@pytest.mark.parametrize("name", ["_validation.py", "estimator.py", "metrics.py", "solvers.py"])
 def test_no_bare_value_error(name):
     # Input checks raise PreconditionError, a SplineColError that callers
     # such as a benchmark cell catch; a bare ValueError escapes them.

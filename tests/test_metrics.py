@@ -367,3 +367,118 @@ class TestSinglePass:
         field = CollocationSolver(method="igac", n_per_dir=8).fit(prob).field_
         with pytest.raises(UndefinedMetricError, match="no analytic solution"):
             error_report(replace(prob, analytic_solution=None), field)
+
+
+class TestSampleReference:
+    """The absolute-error reference is computed once per problem and sample lattice."""
+
+    @staticmethod
+    def fitted(example_id, problem=None):
+        prob = problem or make_example(example_id)
+        method, m = ("igac", None) if example_id == "II" else ("igal_fixed", 9)
+        return prob, CollocationSolver(method=method, n_per_dir=7, m_per_dir=m).fit(prob).field_
+
+    @pytest.mark.parametrize("example_id", ["II", "IV"])
+    def test_cold_and_warm_reports_are_bit_identical(self, example_id):
+        prob, field = self.fitted(example_id)
+        cold = error_report(prob, field)
+        warm = error_report(prob, field)
+        assert warm.to_dict() == cold.to_dict()
+        assert (warm.e_T, warm.e_DT, warm.max_abs) == (cold.e_T, cold.e_DT, cold.max_abs)
+        # A replace() copy starts without the entry, so its field is cold.
+        cold_points, cold_errors = absolute_error_field(replace(prob), field)
+        warm_points, warm_errors = absolute_error_field(prob, field)
+        np.testing.assert_array_equal(warm_points, cold_points)
+        assert warm_errors.keys() == cold_errors.keys()
+        for name, errors in cold_errors.items():
+            np.testing.assert_array_equal(warm_errors[name], errors)
+
+    @staticmethod
+    def counted(example_id):
+        """Example whose quantities record the point count of every analytic call."""
+        calls = []
+
+        def recording(fn):
+            def analytic(x):
+                calls.append(len(x))
+                return fn(x)
+
+            return analytic
+
+        prob = make_example(example_id)
+        quantities = tuple(replace(q, analytic=recording(q.analytic)) for q in prob.quantities)
+        return replace(prob, quantities=quantities), calls
+
+    def test_second_report_skips_the_sample_lattice(self, monkeypatch):
+        # The beam's samples need the geometry to order 1 and three
+        # analytic stresses; a warm report asks for neither on its samples,
+        # while new sample counts make a new entry.
+        prob, analytic_calls = self.counted("IV")
+        prob, field = self.fitted("IV", prob)
+        error_report(prob, field, sample_counts=(11, 13))
+        lattices = []
+        pullbacks = metrics.lattice_pullbacks
+
+        def counting(geometry, axes, max_deriv=2):
+            lattices.append(tuple(len(a) for a in axes))
+            return pullbacks(geometry, axes, max_deriv)
+
+        monkeypatch.setattr(metrics, "lattice_pullbacks", counting)
+        quad_axes, _, _ = metrics.quadrature_rule(field)
+        quad_lattice = tuple(len(a) for a in quad_axes)
+        quad_points = int(np.prod(quad_lattice))
+        analytic_calls.clear()
+        error_report(prob, field, sample_counts=(11, 13))
+        assert lattices == [quad_lattice]
+        assert analytic_calls == [quad_points] * 3
+        lattices.clear()
+        analytic_calls.clear()
+        error_report(prob, field, sample_counts=(12, 13))
+        assert sorted(lattices) == sorted([quad_lattice, (12, 13)])
+        assert sorted(analytic_calls) == sorted([quad_points] * 3 + [12 * 13] * 3)
+
+    def test_replaced_problem_gets_its_own_reference(self):
+        # Against a zero field the errors are |exact|, so a copy whose
+        # analytic is doubled must see doubled errors, not its parent's.
+        prob, field = self.fitted("II")
+        zero = field.with_coefficients(np.zeros_like(field.coeffs))
+        _, base = absolute_error_field(prob, zero)
+        [qty] = prob.quantities
+        twice = replace(qty, analytic=lambda x: 2.0 * qty.analytic(x))
+        doubled = replace(prob, quantities=(twice,))
+        _, errors = absolute_error_field(doubled, zero)
+        np.testing.assert_array_equal(errors["T"], 2.0 * base["T"])
+        # The filled slot takes no part in comparisons.
+        assert replace(doubled) == doubled
+        np.testing.assert_array_equal(absolute_error_field(prob, zero)[1]["T"], base["T"])
+
+    @pytest.mark.parametrize("example_id", ["II", "IV"])
+    def test_returned_points_are_read_only(self, example_id):
+        prob, field = self.fitted(example_id)
+        for _ in range(2):
+            points, _ = absolute_error_field(prob, field)
+            assert not points.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                points[0, 0] = 1.0
+
+    def test_failing_analytic_raises_on_every_call(self):
+        # Nothing is kept from a failed call: each call reaches the
+        # callback again, and once it succeeds its errors match a cold copy.
+        prob, field = self.fitted("II")
+        [qty] = prob.quantities
+        state = {"broken": True, "calls": 0}
+
+        def flaky(x):
+            state["calls"] += 1
+            if state["broken"]:
+                raise RuntimeError("analytic failed")
+            return qty.analytic(x)
+
+        flaky_prob = replace(prob, quantities=(replace(qty, analytic=flaky),))
+        for calls in (1, 2):
+            with pytest.raises(RuntimeError, match="analytic failed"):
+                absolute_error_field(flaky_prob, field)
+            assert state["calls"] == calls
+        state["broken"] = False
+        _, errors = absolute_error_field(flaky_prob, field)
+        np.testing.assert_array_equal(errors["T"], absolute_error_field(prob, field)[1]["T"])
