@@ -180,11 +180,18 @@ def build_field_from_knots(
 ) -> TensorSpline:
     """Unknown field obtained by inserting explicit interior knots per direction.
 
-    In 1D a flat sequence of knots is the one direction's.
+    In 1D a flat sequence of knots is the one direction's. Raises
+    :class:`PreconditionError` naming both counts unless there is one knot
+    list per direction.
     """
     interior_knots = tuple(interior_knots)
     if geometry.dim == 1 and (not interior_knots or np.ndim(interior_knots[0]) == 0):
         interior_knots = (interior_knots,)
+    if len(interior_knots) != geometry.dim:
+        raise PreconditionError(
+            f"need one interior knot list per direction ({geometry.dim}), "
+            f"got {len(interior_knots)}"
+        )
     refined = geometry.spline
     for axis, knots in enumerate(interior_knots):
         refined = refined.insert_knots(axis, knots)
@@ -249,7 +256,8 @@ def assemble(
     Geometry comes from one pullback of the collocation lattice. The
     operator's and the conditions' probed coefficients
     (:func:`row_coefficients`; a condition's at its points' normals) fill
-    one table over all points, padded to the most rows a point owns. It is
+    one table over all points, padded to the most rows a point owns; the
+    probes alone give the operator's order and each condition's rows. It is
     pulled back once (:func:`pull_back_coefficients`) and applied to the
     basis by one :meth:`TensorSpline.row_table` call at the highest order
     any row reads, plus one at order 0 for point constraints. A row
@@ -261,7 +269,9 @@ def assemble(
         raise PreconditionError(
             f"field has {field.ncomp} components, problem needs {c}"
         )
-    if min(field.degrees) <= problem.operator.order:
+    # No operator coefficient may sit at a jet order of the lowest degree or above.
+    operator = row_coefficients(problem)
+    if operator[jet_size(problem.dim, min(field.degrees) - 1) :].any():
         raise PreconditionError(
             "field degree must exceed the operator order in every direction"
         )
@@ -284,27 +294,32 @@ def assemble(
     point_face = np.full(len(lattice), -1)
     point_face[outer] = np.argmin(np.where(points.faces[outer], rank, 2 * len(conds)), axis=1)
 
+    # Each condition is probed at the normals of the points it owns, and
+    # each of those points owns as many rows as the probe finds.
+    probed = []
+    for bc in conds:
+        sel = outer[point_face[outer] == bc.face]
+        if len(sel):
+            normal = boundary_normals(inv[sel], bc.axis, bc.side)[:, None]
+            probed.append((bc, sel, row_coefficients(problem, bc, normal)))
+
     # One physical coefficient table and right-hand side over all points,
     # padded to the most rows any point owns: the operator's c rows at
     # interior points, the owning condition's rows at boundary points.
     d = points.dim
-    n_rows = max([c] + [bc.n_rows for bc in conds])
+    n_rows = max([c] + [found.shape[1] for _, _, found in probed])
     coeffs = np.zeros((jet_size(d, 2), n_rows, c, len(lattice)))
     rhs = np.zeros((len(lattice), n_rows))
     owned = np.zeros((len(lattice), n_rows), dtype=bool)
-    coeffs[:, :c, :, inner] = row_coefficients(problem)[..., None]
+    coeffs[:, :c, :, inner] = operator[..., None]
     rhs[inner, :c] = callback_values(problem.source, x[inner], c, "source")
     owned[inner, :c] = True
-    for bc in conds:
-        sel = outer[point_face[outer] == bc.face]
-        if not len(sel):
-            continue
-        normal = boundary_normals(inv[sel], bc.axis, bc.side)[:, None]
-        found = row_coefficients(problem, bc, normal)
-        coeffs[: 1 + d, : bc.n_rows, :, sel] = found.reshape(1 + d, bc.n_rows, c, -1)
+    for bc, sel, found in probed:
+        width = found.shape[1]
+        coeffs[: 1 + d, :width, :, sel] = found.reshape(1 + d, width, c, -1)
         name = f"value of the boundary condition on face {bc.face}"
-        rhs[sel, : bc.n_rows] = callback_values(bc.value, x[sel], bc.n_rows, name)
-        owned[sel, : bc.n_rows] = True
+        rhs[sel, :width] = callback_values(bc.value, x[sel], width, name)
+        owned[sel, :width] = True
 
     # One pull-back and one row table at the highest order any row reads;
     # each point's rows are then read off in lattice order.

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularGeometryError, UnsupportedDerivativeError
+from .errors import PreconditionError, SingularGeometryError, UnsupportedDerivativeError
 from .splines import TensorSpline
 
 DET_TOL = 1e-12
@@ -50,7 +50,7 @@ class GeometryMap:
 
     def __post_init__(self):
         if self.spline.ncomp != self.spline.dim:
-            raise ValueError(
+            raise PreconditionError(
                 "geometry splines must have as many value components as "
                 f"parametric directions (got {self.spline.ncomp} vs {self.spline.dim})"
             )

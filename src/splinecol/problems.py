@@ -16,11 +16,13 @@ field jets with any leading batch shape and a trailing component axis:
 ``grad[..., a, k]`` is the derivative of component k along x_a. Each
 ``apply`` must be linear in the jet with no constant term:
 :func:`linear_coefficients` probes it once per call for its constant
-coefficients and checks that it is. Assembly and the operator error both
-apply only those coefficients, pulled back to the parameter domain
-(:func:`splinecol.geometry.pull_back_coefficients`), so the rows of the
-system and the operator error cannot disagree. The plane-stress law is
-written once too, in :func:`plane_stress`.
+coefficients and checks that it is. Nothing else describes an operator or
+a condition: the operator's order is its highest jet order with a nonzero
+coefficient, and a condition's rows per point are the probe's row count.
+Assembly and the operator error both apply only those coefficients, pulled
+back to the parameter domain (:func:`splinecol.geometry.pull_back_coefficients`),
+so the rows of the system and the operator error cannot disagree. The
+plane-stress law is written once too, in :func:`plane_stress`.
 
 Callbacks (``source``, ``analytic_solution``, boundary-condition ``value``
 and ``PointConstraint.value``) take physical points of shape (N, d) and
@@ -32,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -113,8 +115,6 @@ def plane_stress(material: MaterialParams, grad):
 class ScreenedPoissonOperator:
     """The scalar operator -laplace(T) + T in physical coordinates."""
 
-    order: int = 2
-
     def apply(self, value, grad, hess):
         return value - np.trace(hess, axis1=-3, axis2=-2)
 
@@ -129,7 +129,6 @@ class PlaneStressNavierOperator:
     """
 
     material: MaterialParams
-    order: int = 2
 
     def apply(self, value, grad, hess):
         sx_x, _, tau_x = plane_stress(self.material, hess[..., 0, :, :])
@@ -208,19 +207,18 @@ def linear_coefficients(apply, dim: int, components: int, order: int, name: str)
 def row_coefficients(problem: BvpDefinition, condition=None, normals=None):
     """:func:`linear_coefficients` of the operator, or of ``condition`` at its ``normals``.
 
-    The operator is probed to order 2 and must give c rows, a condition to
-    order 1 and its ``n_rows``; raises :class:`PreconditionError` naming
-    the operator or face and both counts otherwise.
+    The operator is probed to order 2 and must give c rows; raises
+    :class:`PreconditionError` naming it and both counts otherwise. A
+    condition is probed to order 1 and gives as many rows as it returns.
     """
-    if condition is None:
-        name, rows = f"operator {type(problem.operator).__name__}", problem.field_components
-        apply, order = problem.operator.apply, 2
-    else:
-        name, rows = f"boundary condition on face {condition.face}", condition.n_rows
-        apply, order = functools.partial(condition.apply, normals), 1
-    coeffs = linear_coefficients(apply, problem.dim, problem.field_components, order, name)
-    if coeffs.shape[1] != rows:
-        raise PreconditionError(f"{name} gives {coeffs.shape[1]} rows per point, expected {rows}")
+    c = problem.field_components
+    if condition is not None:
+        name = f"boundary condition on face {condition.face}"
+        return linear_coefficients(functools.partial(condition.apply, normals), problem.dim, c, 1, name)
+    name = f"operator {type(problem.operator).__name__}"
+    coeffs = linear_coefficients(problem.operator.apply, problem.dim, c, 2, name)
+    if coeffs.shape[1] != c:
+        raise PreconditionError(f"{name} gives {coeffs.shape[1]} rows per point, expected {c}")
     return coeffs
 
 
@@ -245,8 +243,9 @@ class _FaceCondition:
 
     Each condition's ``apply(normal, value, grad)`` takes unit outward
     normals (..., d) and field jets ``value`` (..., c) and ``grad``
-    (..., d, c) and returns the condition's ``n_rows`` left-hand sides
-    (..., n_rows), to be matched by ``value(x)``.
+    (..., d, c) and returns its left-hand sides (..., rows), to be matched
+    by ``value(x)``; the coefficient probe counts the rows. ``kind`` (a
+    class attribute) ranks the conditions that share a corner.
     """
 
     @property
@@ -261,12 +260,7 @@ class DirichletBC(_FaceCondition):
     axis: int
     side: int
     value: Callable[[np.ndarray], np.ndarray]
-    components: int = 1
-    kind: str = "dirichlet"
-
-    @property
-    def n_rows(self) -> int:
-        return self.components
+    kind: ClassVar[str] = "dirichlet"
 
     def apply(self, normal, value, grad):
         return value
@@ -279,11 +273,7 @@ class NormalDerivativeBC(_FaceCondition):
     axis: int
     side: int
     value: Callable[[np.ndarray], np.ndarray]
-    kind: str = "neumann"
-
-    @property
-    def n_rows(self) -> int:
-        return 1
+    kind: ClassVar[str] = "neumann"
 
     def apply(self, normal, value, grad):
         return np.einsum("...a,...ac->...c", normal, grad)
@@ -297,11 +287,7 @@ class TractionBC(_FaceCondition):
     side: int
     material: MaterialParams
     value: Callable[[np.ndarray], np.ndarray]
-    kind: str = "traction"
-
-    @property
-    def n_rows(self) -> int:
-        return 2
+    kind: ClassVar[str] = "traction"
 
     def apply(self, normal, value, grad):
         sx, sy, tau = plane_stress(self.material, grad)
@@ -363,11 +349,6 @@ class BvpDefinition:
     _samples: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.operator.order > 2:
-            raise PreconditionError(
-                f"operators above second order are not supported, got order "
-                f"{self.operator.order}"
-            )
         covered = sorted(bc.face for bc in self.boundary_conditions)
         expected = list(range(2 * self.geometry.dim))
         if covered != expected:
@@ -672,8 +653,8 @@ def example_beam(
             PointConstraint(theta=(0.5, 0.5), component=0, value=_column(u_x)),
         )
     else:
-        left = DirichletBC(axis=0, side=0, value=displacement, components=2)
-        right = DirichletBC(axis=0, side=1, value=displacement, components=2)
+        left = DirichletBC(axis=0, side=0, value=displacement)
+        right = DirichletBC(axis=0, side=1, value=displacement)
         constraints = ()
 
     def stress(i):

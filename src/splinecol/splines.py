@@ -31,6 +31,7 @@ from ._validation import as_float_array, as_points, per_direction
 from .errors import (
     DomainError,
     InvalidRefinementError,
+    PreconditionError,
     UnsupportedDerivativeError,
 )
 
@@ -174,24 +175,24 @@ class KnotVector:
         object.__setattr__(self, "knots", knots)
         p = self.degree
         if int(p) != p or p < 0:
-            raise ValueError(f"degree must be a non-negative integer, got {p!r}")
+            raise PreconditionError(f"degree must be a non-negative integer, got {p!r}")
         object.__setattr__(self, "degree", int(p))
         if np.any(np.diff(knots) < 0):
-            raise ValueError("knots must be nondecreasing")
+            raise PreconditionError("knots must be nondecreasing")
         n = len(knots) - p - 1
         if n < p + 1:
-            raise ValueError(
+            raise PreconditionError(
                 f"need at least {2 * (p + 1)} knots for degree {p}, got {len(knots)}"
             )
         if knots[0] != knots[p] or (knots[p + 1] == knots[0]):
-            raise ValueError("first knot must be repeated exactly degree+1 times")
+            raise PreconditionError("first knot must be repeated exactly degree+1 times")
         if knots[-1] != knots[-p - 1] or (knots[-p - 2] == knots[-1]):
-            raise ValueError("last knot must be repeated exactly degree+1 times")
+            raise PreconditionError("last knot must be repeated exactly degree+1 times")
         interior = knots[(knots > knots[0]) & (knots < knots[-1])]
         if interior.size:
             _, counts = np.unique(interior, return_counts=True)
             if np.any(counts > p):
-                raise ValueError("interior knot multiplicity exceeds degree")
+                raise PreconditionError("interior knot multiplicity exceeds degree")
 
     @property
     def n_basis(self) -> int:
@@ -233,7 +234,7 @@ class KnotVector:
         """Per-basis averages of degree consecutive knots (collocation sites)."""
         p = self.degree
         if p == 0:
-            raise ValueError("Greville abscissae are undefined for degree 0")
+            raise PreconditionError("Greville abscissae are undefined for degree 0")
         windows = np.lib.stride_tricks.sliding_window_view(self.knots[1:-1], p)
         # Rounding must not push boundary sites outside the knot range.
         return np.clip(windows[: self.n_basis].mean(axis=1), self.start, self.end)
@@ -342,20 +343,20 @@ class TensorSpline:
         kvs = tuple(self.kvs)
         object.__setattr__(self, "kvs", kvs)
         if not 1 <= len(kvs) <= 3:
-            raise ValueError("tensor splines support dimensions 1 to 3")
+            raise PreconditionError("tensor splines support dimensions 1 to 3")
         shape = tuple(kv.n_basis for kv in kvs)
         coeffs = np.asarray(self.coeffs, dtype=float)
         if coeffs.shape == shape:  # scalar-valued input: add component axis
             coeffs = coeffs[..., None]
         if coeffs.shape[:-1] != shape or coeffs.ndim != len(shape) + 1:
-            raise ValueError(
+            raise PreconditionError(
                 f"coefficients must have shape {shape + ('c',)}, got {coeffs.shape}"
             )
         weights = np.asarray(self.weights, dtype=float)
         if weights.shape != shape:
-            raise ValueError(f"weights must have shape {shape}, got {weights.shape}")
+            raise PreconditionError(f"weights must have shape {shape}, got {weights.shape}")
         if np.any(weights <= 0):
-            raise ValueError("all weights must be strictly positive")
+            raise PreconditionError("all weights must be strictly positive")
         coeffs = coeffs.copy()
         coeffs.flags.writeable = False
         weights = weights.copy()
@@ -424,7 +425,7 @@ class TensorSpline:
         """
         axes = [as_float_array(a, f"axes[{i}]", ndim=1) for i, a in enumerate(axes)]
         if len(axes) != self.dim:
-            raise ValueError(f"expected {self.dim} axes, got {len(axes)}")
+            raise PreconditionError(f"expected {self.dim} axes, got {len(axes)}")
         polynomial = self.is_polynomial
         if max_deriv > 2 and not polynomial:
             raise UnsupportedDerivativeError(
@@ -550,7 +551,7 @@ class TensorSpline:
         coefficients alone, so its weights stay exactly 1.
         """
         if not 0 <= direction < self.dim:
-            raise ValueError(f"direction {direction} out of range for dim {self.dim}")
+            raise PreconditionError(f"direction {direction} out of range for dim {self.dim}")
         kv = self.kvs[direction]
         new_kv = kv.insert(knots)  # validates range and multiplicity
         if new_kv.n_basis == kv.n_basis:

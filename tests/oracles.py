@@ -490,10 +490,15 @@ def _operator_rows(operator, val, hess_x, comp):
     return np.stack([(c1 * nu + mu) * hxy, c1 * hyy + mu * hxx])
 
 
-def _condition_rows(bc, normal, val, grad_x, comp):
-    """Rows (n_rows, L) of a boundary condition for basis functions in ``comp``."""
+def condition_row_count(bc, c):
+    """Rows per point of a condition on a c-component field: Dirichlet c, Neumann 1, traction 2."""
+    return {"dirichlet": c, "neumann": 1, "traction": 2}[bc.kind]
+
+
+def _condition_rows(bc, normal, val, grad_x, comp, c):
+    """Rows (rows, L) of a boundary condition for basis functions in ``comp``."""
     if bc.kind == "dirichlet":
-        rows = np.zeros((bc.n_rows, len(val)))
+        rows = np.zeros((c, len(val)))
         rows[comp] = val
         return rows
     if bc.kind == "neumann":
@@ -538,7 +543,9 @@ def point_assemble(problem, field, points, boundary_weight="auto"):
     grid = [np.array(theta) for theta in itertools.product(*points.axes)]
     interior = [theta for theta in grid if not faces_of(theta)]
     boundary = [theta for theta in grid if faces_of(theta)]
-    n_rows = len(interior) * c + sum(owner(faces_of(t)).n_rows for t in boundary)
+    n_rows = len(interior) * c + sum(
+        condition_row_count(owner(faces_of(t)), c) for t in boundary
+    )
     A = np.zeros((n_rows, n_cols))
     b = np.zeros(n_rows)
     meta = []
@@ -565,17 +572,18 @@ def point_assemble(problem, field, points, boundary_weight="auto"):
             row += c
             continue
         bc = owner(faces_of(theta))
+        count = condition_row_count(bc, c)
         normal = boundary_normal(inv, bc.axis, bc.side)
         g = np.asarray(bc.value(x[None]), dtype=float)[0]
         for comp in range(c):
-            rows = _condition_rows(bc, normal, val, gx, comp)
-            for i in range(bc.n_rows):
+            rows = _condition_rows(bc, normal, val, gx, comp, c)
+            for i in range(count):
                 A[row + i, cols * c + comp] = rows[i]
-        for i in range(bc.n_rows):
+        for i in range(count):
             b[row + i] = g[i]
             meta.append((tuple(theta), "boundary", i, bc.face))
-        boundary_rows.extend(range(row, row + bc.n_rows))
-        row += bc.n_rows
+        boundary_rows.extend(range(row, row + count))
+        row += count
 
     if boundary_weight == "auto":
         interior_rows = np.setdiff1d(np.arange(n_rows), boundary_rows)

@@ -136,6 +136,14 @@ class TestPointGeneration:
         assert empty_cells(pts, field.kvs) == expected
 
 
+@dataclass(frozen=True)
+class FirstOrder:
+    """The first-order operator T + dT/dx_0."""
+
+    def apply(self, value, grad, hess):
+        return value + grad[..., 0, :]
+
+
 class TestBuildField:
     def test_counts_from_benchmark_setups(self):
         assert build_field(example_1d_dirichlet().geometry, (10,)).n_coeffs == 10
@@ -164,6 +172,33 @@ class TestBuildField:
         solver = CollocationSolver(method="igac", n_per_dir=10)
         with pytest.raises(PreconditionError, match="field degree must exceed the operator order"):
             solver.fit(prob)
+
+    def test_degree_is_checked_against_the_probed_order(self):
+        # The probe finds order 1 for T + dT/dx, which a quadratic field
+        # carries, and order 2 for the screened Poisson operator, which it
+        # does not. On the identity map an interior row is R_l + R_l'.
+        quadratic = KnotVector([0, 0, 0, 1, 1, 1], 2)
+        geo = GeometryMap(TensorSpline.polynomial((quadratic,), quadratic.greville_abscissae()))
+        prob = replace(example_1d_dirichlet(), geometry=geo)
+        field = build_field(geo, (8,))
+        pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (10,)))
+        system = assemble(replace(prob, operator=FirstOrder()), field, pts)
+        interior = system.row_kind == "interior"
+        assert system.shape == (10, 8) and interior.sum() == 8
+        inner = system.row_point[interior]
+        cols, want = field.row_table(pts.lattice[inner], np.ones((2, len(inner))))
+        got = np.take_along_axis(system.csr[interior].toarray(), cols, axis=1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        with pytest.raises(PreconditionError, match="field degree must exceed the operator order"):
+            assemble(prob, field, pts)
+
+    @pytest.mark.parametrize("knots", [[(0.5,), (0.5,), (0.5,)], [(0.5,)]], ids=["three", "one"])
+    def test_one_knot_list_per_direction(self, knots):
+        # A third list would name a direction the patch does not have; a
+        # missing one would leave its direction unrefined.
+        solver = CollocationSolver(method="igac", interior_knots=knots)
+        with pytest.raises(PreconditionError, match=rf"per direction \(2\), got {len(knots)}"):
+            solver.fit(make_example("II"))
 
     def test_counts_below_geometry_rejected(self):
         geo = example_2d_annulus().geometry
@@ -494,9 +529,6 @@ class TestAssembly:
 class NonlinearOperator:
     """The screened Poisson operator with its value term replaced by ``value_term(value)``."""
 
-    order = 2
-    components = 1
-
     def __init__(self, value_term):
         self.value_term = value_term
 
@@ -547,7 +579,6 @@ class RepeatedLaplacian:
     """An interior operator giving ``count`` rows, each the Laplacian of component 0."""
 
     count: int
-    order: int = 2
 
     def apply(self, value, grad, hess):
         return np.stack([np.einsum("...aa->...", hess[..., 0])] * self.count, axis=-1)
@@ -560,7 +591,6 @@ class Roller:
     axis: int
     side: int
     kind: str = "dirichlet"
-    n_rows: int = 1
 
     @property
     def face(self):
@@ -575,7 +605,8 @@ class Roller:
 
 class TestRowCounts:
     # A point's rows are read off a table padded to the most rows any point
-    # owns, so an operator or condition must give exactly the rows it claims.
+    # owns. The operator must give c rows; a condition gives as many rows as
+    # its probe finds, and its value must have that many columns.
     def test_operator_with_too_few_rows_is_named(self):
         prob = replace(example_beam(), operator=RepeatedLaplacian(1))
         field = build_field(prob.geometry, (7, 7), components=2)
@@ -604,16 +635,19 @@ class TestRowCounts:
             error_report(prob, field)
 
     def test_condition_with_other_than_its_rows_names_its_face(self):
+        # A Dirichlet condition on the two-component beam gives two rows
+        # per point, so a one-column value is refused by its face.
         base = example_beam(end_condition="dirichlet")
+        one_column = lambda x: np.zeros((len(x), 1))
         bcs = tuple(
-            replace(bc, components=1) if bc.kind == "dirichlet" else bc
+            replace(bc, value=one_column) if bc.kind == "dirichlet" else bc
             for bc in base.boundary_conditions
         )
         prob = replace(base, boundary_conditions=bcs)
         field = build_field(prob.geometry, (7, 7), components=2)
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (9, 9)))
-        message = "boundary condition on face 0 gives 2 rows per point, expected 1"
-        with pytest.raises(PreconditionError, match=message):
+        message = r"boundary condition on face 0 must map .* values of shape \(\d+, 2\), got shape"
+        with pytest.raises(CallbackError, match=message):
             assemble(prob, field, pts)
 
     def test_points_may_own_different_numbers_of_rows(self):

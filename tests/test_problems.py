@@ -13,6 +13,7 @@ import pytest
 import sympy as sp
 
 from batched import values_at
+from oracles import condition_row_count
 from splinecol.problems import (
     STABILITY_KNOTS,
     BvpDefinition,
@@ -32,6 +33,7 @@ from splinecol.problems import (
     example_beam,
     linear_coefficients,
     make_example,
+    row_coefficients,
 )
 from splinecol.collocation import build_field_from_knots
 from splinecol.errors import ConfigError, PreconditionError
@@ -308,12 +310,12 @@ class TestManufacturedClosure:
             _, value, grad = operator_residual(prob, exprs, symbols, bpts)
             normals = boundary_normals(inv, bc.axis, bc.side)
             values = bc.value(bpts)
-            assert values.shape == (len(bpts), bc.n_rows)
+            assert values.shape[0] == len(bpts)
             applied = bc.apply(normals, value, grad)
             assert np.allclose(applied, values, atol=1e-8 * max(1.0, np.abs(values).max()))
             for i, (normal, g) in enumerate(zip(normals, values)):
                 if bc.kind == "dirichlet":
-                    got = value[i, : bc.n_rows]
+                    got = value[i]
                 elif bc.kind == "neumann":
                     got = np.atleast_1d(normal @ grad[i, :, 0])
                 else:  # traction
@@ -329,11 +331,6 @@ class TestManufacturedClosure:
     def test_unknown_example_is_a_config_error(self):
         with pytest.raises(ConfigError, match="unknown example 'VI'"):
             make_example("VI")
-
-    def test_operator_above_second_order_rejected(self):
-        base = example_1d_dirichlet()
-        with pytest.raises(PreconditionError, match="got order 3"):
-            replace(base, operator=ScreenedPoissonOperator(order=3))
 
     def test_duplicate_face_rejected(self):
         base = example_1d_dirichlet()
@@ -423,18 +420,18 @@ class TestProbedCoefficients:
         assert np.allclose(contract(coeffs, *jets), want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize(
-        "bc",
+        "bc,c",
         [
-            DirichletBC(axis=0, side=1, value=None),
-            DirichletBC(axis=1, side=0, value=None, components=2),
-            NormalDerivativeBC(axis=1, side=1, value=None),
-            TractionBC(axis=0, side=0, material=MaterialParams(poisson_ratio=0.2), value=None),
+            (DirichletBC(axis=0, side=1, value=None), 1),
+            (DirichletBC(axis=1, side=0, value=None), 2),
+            (NormalDerivativeBC(axis=1, side=1, value=None), 1),
+            (TractionBC(axis=0, side=0, material=MaterialParams(poisson_ratio=0.2), value=None), 2),
         ],
         ids=["dirichlet", "dirichlet-2", "neumann", "traction"],
     )
-    def test_boundary_conditions_at_random_unit_normals(self, bc):
+    def test_boundary_conditions_at_random_unit_normals(self, bc, c):
         rng = np.random.default_rng(51)
-        d, c = 2, bc.n_rows if bc.kind != "neumann" else 1
+        d = 2
         normals = rng.normal(size=(20, d))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         coeffs = linear_coefficients(partial(bc.apply, normals[:, None]), d, c, 1, "condition")
@@ -442,3 +439,19 @@ class TestProbedCoefficients:
         want = np.asarray(bc.apply(normals, value, grad))
         got = contract(coeffs, value, grad)
         assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize(
+        "example_id,kwargs",
+        [("I", {}), ("II", {}), ("III", {}), ("IV", {}), ("IV", {"end_condition": "dirichlet"}),
+         ("V", {})],
+        ids=["I", "II", "III", "IV-pinned", "IV-dirichlet", "V"],
+    )
+    def test_probed_row_counts_are_the_textbook_ones(self, example_id, kwargs):
+        # No condition declares its rows: the probe reads them off ``apply``.
+        prob = make_example(example_id, **kwargs)
+        c = prob.field_components
+        normals = np.random.default_rng(52).normal(size=(5, prob.dim))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        for bc in prob.boundary_conditions:
+            coeffs = row_coefficients(prob, bc, normals[:, None])
+            assert coeffs.shape[:3] == (1 + prob.dim, condition_row_count(bc, c), c)
