@@ -13,7 +13,6 @@ from .collocation import (
     assemble,
     build_field,
     build_field_from_knots,
-    coefficients_to_field,
     collocation_knot_vector,
     empty_cells,
     generate_collocation_points,
@@ -71,7 +70,6 @@ __all__ = [
     "assemble",
     "build_field",
     "build_field_from_knots",
-    "coefficients_to_field",
     "collocation_knot_vector",
     "empty_cells",
     "error_report",

@@ -12,13 +12,14 @@ least-squares solve.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._validation import per_direction, whole_counts
+from ._validation import as_float_array, per_direction, whole_counts
 from .errors import (
     AssemblyError,
     InvalidSchemeError,
@@ -52,17 +53,30 @@ class CollocationScheme:
 
 @dataclass(frozen=True)
 class CollocationSet:
-    """Collocation points on a tensor lattice, split by the faces they touch.
+    """Collocation points on the tensor lattice spanned by ``axes``, split by the faces they touch.
 
-    ``lattice`` holds the (N, d) points spanned by ``axes`` in C order and
-    ``faces`` (N, 2d) marks the parametric faces each one lies on: face 2a
-    is the lower and face 2a + 1 the upper end of direction a. Corners and
-    edges touch several faces; a point that touches none is interior.
+    ``axes`` holds one 1D parameter array per direction. ``lattice`` (N, d)
+    is computed from them in C order and ``faces`` (N, 2d) marks the faces
+    each point lies on: face 2a the points at the first entry of axis a,
+    face 2a + 1 those at its last entry that are not on face 2a. A point
+    on no face is interior.
     """
 
     axes: tuple[np.ndarray, ...]
-    lattice: np.ndarray
-    faces: np.ndarray
+    lattice: np.ndarray = dataclasses.field(init=False, repr=False)
+    faces: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        axes = tuple(as_float_array(a, f"axes[{i}]", ndim=1) for i, a in enumerate(self.axes))
+        if not all(len(a) for a in axes):
+            raise PreconditionError("every collocation axis needs at least one point")
+        lattice = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        faces = np.empty((len(lattice), 2 * len(axes)), dtype=bool)
+        faces[:, 0::2] = lattice == [a[0] for a in axes]
+        faces[:, 1::2] = (lattice == [a[-1] for a in axes]) & ~faces[:, 0::2]
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "faces", faces)
 
     @property
     def dim(self) -> int:
@@ -94,11 +108,14 @@ def collocation_knot_vector(kv: KnotVector, m: int) -> KnotVector:
             f"Greville count {m} below the basis count {kv.n_basis}"
         )
     p = kv.degree
-    lo, hi = kv.start, kv.end
-    n_int = m - p - 1
-    interior = lo + np.arange(1, n_int + 1) * (hi - lo) / (n_int + 1)
-    knots = np.concatenate([np.full(p + 1, lo), interior, np.full(p + 1, hi)])
+    interior = _uniform_knots(kv, m - p - 1)
+    knots = np.concatenate([np.full(p + 1, kv.start), interior, np.full(p + 1, kv.end)])
     return KnotVector(knots, p)
+
+
+def _uniform_knots(kv: KnotVector, count: int) -> np.ndarray:
+    """``count`` interior knots splitting the range of ``kv`` into equal cells."""
+    return kv.start + np.arange(1, count + 1) * (kv.end - kv.start) / (count + 1)
 
 
 def generate_collocation_points(kvs, scheme: CollocationScheme) -> CollocationSet:
@@ -106,8 +123,8 @@ def generate_collocation_points(kvs, scheme: CollocationScheme) -> CollocationSe
 
     Greville placement takes the Greville abscissae of a per-direction
     collocation knot vector (see :func:`collocation_knot_vector`); uniform
-    placement spaces points evenly including the endpoints. A point is a
-    boundary point iff any coordinate sits at a parametric extreme.
+    placement spaces points evenly including the endpoints. Both start and
+    end each axis at its knot vector's ends, which mark the boundary points.
     """
     kvs = tuple(kvs)
     if len(scheme.counts) != len(kvs):
@@ -120,17 +137,7 @@ def generate_collocation_points(kvs, scheme: CollocationScheme) -> CollocationSe
             axes.append(collocation_knot_vector(kv, m).greville_abscissae())
         else:
             axes.append(np.linspace(kv.start, kv.end, m))
-    axes = tuple(axes)
-
-    lattice = np.stack(
-        [g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1
-    ).reshape(-1, len(kvs))
-    lows = np.array([kv.start for kv in kvs])
-    highs = np.array([kv.end for kv in kvs])
-    faces = np.empty((len(lattice), 2 * len(kvs)), dtype=bool)
-    faces[:, 0::2] = lattice == lows
-    faces[:, 1::2] = (lattice == highs) & ~faces[:, 0::2]
-    return CollocationSet(axes=axes, lattice=lattice, faces=faces)
+    return CollocationSet(tuple(axes))
 
 
 def empty_cells(points: CollocationSet, kvs):
@@ -151,28 +158,22 @@ def empty_cells(points: CollocationSet, kvs):
 
 
 def build_field(geometry: GeometryMap, counts, components: int = 1) -> TensorSpline:
-    """Unknown solution field sharing the geometry's refined knot vectors.
+    """Unknown solution field with ``counts`` basis functions per direction.
 
-    The geometry spline is refined by uniform knot insertion to the
-    requested per-direction basis counts; the field copies the refined knot
-    vectors and weights (a rational field over a rational geometry) and
-    starts with zero coefficients.
+    Each direction of the geometry takes count - n uniform interior knots,
+    n being its basis count, through :func:`build_field_from_knots`.
+    Raises :class:`PreconditionError` for a count below n.
     """
     counts = per_direction(counts, geometry.dim, "counts")
-    have = geometry.spline.shape
-    for axis, (target, n) in enumerate(zip(counts, have)):
-        if target < n:
+    knots = []
+    for axis, (target, kv) in enumerate(zip(counts, geometry.kvs)):
+        if target < kv.n_basis:
             raise PreconditionError(
                 f"requested {target} basis functions in direction {axis}, "
-                f"geometry already has {n}"
+                f"geometry already has {kv.n_basis}"
             )
-    refined = geometry.spline.refine_uniform(tuple(t - n for t, n in zip(counts, have)))
-    return _zero_field(refined, components)
-
-
-def _zero_field(refined: TensorSpline, components: int) -> TensorSpline:
-    """Field with zero coefficients on the knot vectors and weights of ``refined``."""
-    return TensorSpline(refined.kvs, np.zeros(refined.shape + (components,)), refined.weights)
+        knots.append(_uniform_knots(kv, target - kv.n_basis))
+    return build_field_from_knots(geometry, knots, components)
 
 
 def build_field_from_knots(
@@ -180,9 +181,10 @@ def build_field_from_knots(
 ) -> TensorSpline:
     """Unknown field obtained by inserting explicit interior knots per direction.
 
-    In 1D a flat sequence of knots is the one direction's. Raises
-    :class:`PreconditionError` naming both counts unless there is one knot
-    list per direction.
+    The field has the refined geometry's knot vectors and weights and zero
+    coefficients. In 1D a flat sequence of knots is the one direction's.
+    Raises :class:`PreconditionError` naming both counts unless there is
+    one knot list per direction.
     """
     interior_knots = tuple(interior_knots)
     if geometry.dim == 1 and (not interior_knots or np.ndim(interior_knots[0]) == 0):
@@ -195,7 +197,7 @@ def build_field_from_knots(
     refined = geometry.spline
     for axis, knots in enumerate(interior_knots):
         refined = refined.insert_knots(axis, knots)
-    return _zero_field(refined, components)
+    return TensorSpline(refined.kvs, np.zeros(refined.shape + (components,)), refined.weights)
 
 
 @dataclass(frozen=True)
@@ -252,6 +254,7 @@ def assemble(
     boundary rows; equalizing the scales keeps the boundary conditions
     enforced as the point count grows. A square system's solution is
     unaffected by the scaling. A numeric weight must be positive and finite.
+    Each axis of ``points`` must span its knot vector's range exactly.
 
     Geometry comes from one pullback of the collocation lattice. The
     operator's and the conditions' probed coefficients
@@ -275,12 +278,23 @@ def assemble(
         raise PreconditionError(
             "field degree must exceed the operator order in every direction"
         )
-    if boundary_weight != "auto":
-        boundary_weight = float(boundary_weight)
-        if not 0.0 < boundary_weight < np.inf:
-            raise PreconditionError(
-                f"boundary_weight must be positive and finite, got {boundary_weight!r}"
+    for a, (kv, axis) in enumerate(zip(field.kvs, points.axes)):
+        if axis[[0, -1]].tolist() != [kv.start, kv.end]:
+            raise InvalidSchemeError(
+                f"collocation axis {a} spans {axis[[0, -1]].tolist()}, but the field's "
+                f"direction {a} spans {[kv.start, kv.end]}"
             )
+    if boundary_weight != "auto":
+        try:
+            weight = float(boundary_weight)
+        except (TypeError, ValueError):
+            weight = np.nan
+        if not 0.0 < weight < np.inf:
+            raise PreconditionError(
+                'boundary_weight must be "auto" or a positive finite number, '
+                f"got {boundary_weight!r}"
+            )
+        boundary_weight = weight
     try:
         x, _, inv, _, second = lattice_pullbacks(problem.geometry, points.axes)
     except SingularGeometryError as exc:
@@ -401,10 +415,3 @@ def assemble(
         csr=A, rhs=b, row_point=row_point, row_kind=row_kind,
         row_component=row_component, row_face=row_face,
     )
-
-
-def coefficients_to_field(field: TensorSpline, x: np.ndarray) -> TensorSpline:
-    """Reshape a solved coefficient vector back onto the field's tensor layout."""
-    c = field.ncomp
-    coeffs = np.asarray(x, dtype=float).reshape(field.shape + (c,))
-    return field.with_coefficients(coeffs)

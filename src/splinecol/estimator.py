@@ -19,7 +19,6 @@ from .collocation import (
     assemble,
     build_field,
     build_field_from_knots,
-    coefficients_to_field,
     generate_collocation_points,
 )
 from .errors import InvalidSchemeError, PreconditionError
@@ -76,7 +75,7 @@ class CollocationSolver:
         solves the normal equations by band Cholesky.
         ``"igal_variable"`` derives the point counts as n + 2 per direction.
     n_per_dir:
-        Control-point count per direction (int or tuple). Ignored when
+        Control-point count per direction (int or tuple); must be None when
         ``interior_knots`` is given.
     m_per_dir:
         Collocation-point count per direction for ``igal_fixed``; ``igac``
@@ -150,6 +149,11 @@ class CollocationSolver:
         stamps = [time.perf_counter()]
 
         if self.interior_knots is not None:
+            if self.n_per_dir is not None:
+                raise InvalidSchemeError(
+                    f"n_per_dir {self.n_per_dir!r} and interior_knots both fix the "
+                    "field's basis counts; set one of them"
+                )
             field = build_field_from_knots(
                 problem.geometry, self.interior_knots, components=c
             )
@@ -174,7 +178,7 @@ class CollocationSolver:
         self.points_ = points
         self.system_ = system
         self.solve_report_ = report
-        self.field_ = coefficients_to_field(field, report.coefficients)
+        self.field_ = field.with_coefficients(report.coefficients)
         self.timings_ = stage_timings(
             f"fit {problem.example_id} {self.method}", FIT_STAGES, stamps
         )

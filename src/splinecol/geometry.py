@@ -135,11 +135,8 @@ def boundary_normals(inv_jac, axis: int, side: int) -> np.ndarray:
     ``inv_jac`` holds the inverse Jacobians (N, d, d) at points on the face;
     ``side`` is 0 for the lower face and 1 for the upper face.
     """
-    if inv_jac.shape[-1] == 1:
-        n = np.ones((len(inv_jac), 1))
-    else:
-        n = inv_jac[:, axis]  # row a of J^{-1} = grad_x theta_a
-        n = n / np.linalg.norm(n, axis=1, keepdims=True)
+    n = inv_jac[:, axis]  # row a of J^{-1} = grad_x theta_a
+    n = n / np.linalg.norm(n, axis=1, keepdims=True)
     return n if side == 1 else -n
 
 

@@ -140,7 +140,15 @@ def absolute_error_field(problem: BvpDefinition, field: TensorSpline, sample_cou
     computed once per problem, parametric box and ``sample_counts``, and
     kept on the problem only after the pullback and every callback have
     succeeded; ``points`` is read-only and ``analytic`` must be pure.
+    Raises :class:`PreconditionError` naming both counts when the field's
+    dimension or component count is not the problem's.
     """
+    want = (problem.dim, problem.field_components)
+    if (field.dim, field.ncomp) != want:
+        raise PreconditionError(
+            f"field has dimension {field.dim} and {field.ncomp} components; example "
+            f"{problem.example_id} needs dimension {want[0]} and {want[1]} components"
+        )
     if problem.analytic_solution is None:
         raise UndefinedMetricError(
             f"example {problem.example_id} carries no analytic solution"

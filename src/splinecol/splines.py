@@ -1,8 +1,8 @@
 """B-spline / NURBS fundamentals.
 
 Knot vectors, basis-function evaluation with derivatives, Greville
-abscissae, knot insertion and uniform refinement, and tensor-product
-(rational) spline objects of dimension 1 to 3.
+abscissae, knot insertion, and tensor-product (rational) spline objects
+of dimension 1 to 3.
 
 A tensor spline is evaluated in two ways, both batched: field jets on a
 lattice of parameters (``TensorSpline.evaluate_lattice``) and, at
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._validation import as_float_array, as_points, per_direction
+from ._validation import as_float_array, as_points
 from .errors import (
     DomainError,
     InvalidRefinementError,
@@ -231,13 +231,14 @@ class KnotVector:
         return int(span) if span.ndim == 0 else span
 
     def greville_abscissae(self) -> np.ndarray:
-        """Per-basis averages of degree consecutive knots (collocation sites)."""
+        """Per-basis averages of degree consecutive knots; the end sites are the end knots."""
         p = self.degree
         if p == 0:
             raise PreconditionError("Greville abscissae are undefined for degree 0")
         windows = np.lib.stride_tricks.sliding_window_view(self.knots[1:-1], p)
-        # Rounding must not push boundary sites outside the knot range.
-        return np.clip(windows[: self.n_basis].mean(axis=1), self.start, self.end)
+        sites = windows[: self.n_basis].mean(axis=1)
+        sites[[0, -1]] = self.start, self.end
+        return sites
 
     def insert(self, knots) -> "KnotVector":
         """New knot vector with ``knots`` (one value or several) inserted, no coefficient update.
@@ -396,8 +397,10 @@ class TensorSpline:
         return bool(np.all(self.weights == 1.0))
 
     def with_coefficients(self, coeffs) -> "TensorSpline":
-        """Same basis and weights, different coefficients."""
-        return TensorSpline(self.kvs, coeffs, self.weights)
+        """Same basis and weights, ``coeffs`` (a solve's flat vector, say) in this shape."""
+        if np.size(coeffs) != self.coeffs.size:
+            raise PreconditionError(f"need {self.coeffs.size} coefficients, got {np.size(coeffs)}")
+        return TensorSpline(self.kvs, np.reshape(coeffs, self.coeffs.shape), self.weights)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -567,14 +570,6 @@ class TensorSpline:
             return TensorSpline.polynomial(kvs, out)
         weights = out[..., -1]
         return TensorSpline(kvs, out[..., :-1] / weights[..., None], weights)
-
-    def refine_uniform(self, counts) -> "TensorSpline":
-        """Uniformly insert interior knots: one count, or one count per direction."""
-        s = self
-        for a, count in enumerate(per_direction(counts, self.dim, "counts", 0)):
-            lo, hi = s.kvs[a].start, s.kvs[a].end
-            s = s.insert_knots(a, lo + np.arange(1, count + 1) * (hi - lo) / (count + 1))
-        return s
 
 
 def _oslo_rows(tau, t, p):

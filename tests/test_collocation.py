@@ -9,10 +9,10 @@ import pytest
 from oracles import naive_basis, point_assemble, push_hessian
 from splinecol.collocation import (
     CollocationScheme,
+    CollocationSet,
     assemble,
     build_field,
     build_field_from_knots,
-    coefficients_to_field,
     collocation_knot_vector,
     empty_cells,
     generate_collocation_points,
@@ -30,6 +30,7 @@ from splinecol.geometry import (
     lattice_pullbacks,
     lattice_push_gradient,
 )
+from splinecol.metrics import error_report
 from splinecol.problems import (
     STABILITY_KNOTS,
     PointConstraint,
@@ -100,6 +101,37 @@ class TestPointGeneration:
         centre_idx = [i for i, p in enumerate(pts.lattice) if tuple(p) == (0.5, 0.5)]
         assert not pts.faces[centre_idx[0]].any()
 
+    @pytest.mark.parametrize(
+        "kvs,scheme",
+        [
+            ((CUBIC,), CollocationScheme("greville", (7,))),
+            ((CUBIC, CUBIC), CollocationScheme("uniform", (3, 5))),
+            ((CUBIC, CUBIC, CUBIC), CollocationScheme("greville", (4, 5, 6))),
+        ],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_set_from_axes_matches_lattice_and_faces_built_from_the_knots(self, kvs, scheme):
+        # The lattice and faces as the generator built them before they
+        # were computed from the axes: faces by equality with the knot
+        # vectors' ends.
+        axes = generate_collocation_points(kvs, scheme).axes
+        lattice = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        faces = np.empty((len(lattice), 2 * len(kvs)), dtype=bool)
+        faces[:, 0::2] = lattice == [kv.start for kv in kvs]
+        faces[:, 1::2] = (lattice == [kv.end for kv in kvs]) & ~faces[:, 0::2]
+        pts = CollocationSet(tuple(axes))
+        assert np.array_equal(pts.lattice, lattice)
+        assert np.array_equal(pts.faces, faces)
+
+    def test_set_coerces_its_axes(self):
+        pts = CollocationSet(([0, 1], [0, 0.5, 1]))
+        assert all(a.dtype == float and a.ndim == 1 for a in pts.axes)
+        assert pts.lattice.shape == (6, 2)
+        with pytest.raises(PreconditionError, match=r"axes\[0\] must be 1-dimensional"):
+            CollocationSet(([[0, 1]],))
+        with pytest.raises(PreconditionError, match="needs at least one point"):
+            CollocationSet(([0, 1], []))
+
     def test_collocation_knot_vector_uniform_interior(self):
         kv = collocation_knot_vector(CUBIC, 16)
         assert kv.n_basis == 16
@@ -136,6 +168,68 @@ class TestPointGeneration:
         assert empty_cells(pts, field.kvs) == expected
 
 
+def shifted_example_1(lo, hi):
+    """Example I with its geometry parametrised over [lo, hi] instead of [0, 1]."""
+    base = example_1d_dirichlet()
+    kv = KnotVector([lo] * 4 + [hi] * 4, 3)
+    curve = TensorSpline.polynomial((kv,), base.geometry.spline.coeffs)
+    return replace(base, geometry=GeometryMap(curve))
+
+
+class TestParameterRange:
+    """A parametric range other than [0, 1] still gives every end point its condition."""
+
+    def test_greville_end_sites_are_the_end_knots(self):
+        # Averages of p copies of 0.1 and 0.7 round to 0.10000000000000002
+        # and 0.6999999999999998.
+        kv = collocation_knot_vector(KnotVector([0.1] * 4 + [0.7] * 4, 3), 16)
+        sites = kv.greville_abscissae()
+        assert (sites[0], sites[-1]) == (0.1, 0.7)
+
+    def test_points_on_a_shifted_range_mark_both_ends(self):
+        field = build_field(shifted_example_1(0.1, 0.7).geometry, 10)
+        pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (16,)))
+        assert pts.on_boundary.sum() == 2
+        assert pts.lattice[pts.on_boundary, 0].tolist() == [0.1, 0.7]
+
+    @pytest.mark.parametrize(
+        "params",
+        [dict(method="igac", n_per_dir=10), dict(method="igal_fixed", n_per_dir=10, m_per_dir=16)],
+        ids=["igac", "igal_fixed"],
+    )
+    def test_example_1_on_a_shifted_range_matches_the_unit_range(self, params):
+        # An affine reparametrisation changes nothing but roundoff; without
+        # boundary rows e_T read 552 (igac) and 697 (igal_fixed).
+        errors = []
+        for prob in (example_1d_dirichlet(), shifted_example_1(0.1, 0.7)):
+            solver = CollocationSolver(**params).fit(prob)
+            assert (solver.system_.row_kind == "boundary").sum() == 2
+            errors.append(error_report(prob, solver.field_).e_T)
+        np.testing.assert_allclose(errors[1], errors[0], rtol=1e-12)
+
+    def test_reversed_curve_takes_the_outward_normal(self):
+        # Example V on the unit interval traversed from x = 1 to x = 0: the
+        # Neumann face theta = 1 sits at x = 0, where the outward derivative
+        # of sin(2 pi x) is -2 pi. With a +1 normal e_T read 7.35.
+        prob = example_1d_mixed()
+        spline = prob.geometry.spline
+        reversed_curve = GeometryMap(
+            TensorSpline.polynomial(spline.kvs, 1 - spline.kvs[0].greville_abscissae())
+        )
+        dirichlet, neumann = prob.boundary_conditions
+        flipped = replace(
+            prob,
+            geometry=reversed_curve,
+            boundary_conditions=(
+                dirichlet, replace(neumann, value=lambda x: np.full_like(x, -2 * np.pi))
+            ),
+        )
+        solver = CollocationSolver(method="igal_fixed", n_per_dir=20, m_per_dir=30)
+        errors = [error_report(p, solver.fit(p).field_).e_T for p in (prob, flipped)]
+        assert errors[0] < 2e-3
+        np.testing.assert_allclose(errors[1], errors[0], rtol=1e-9)
+
+
 @dataclass(frozen=True)
 class FirstOrder:
     """The first-order operator T + dT/dx_0."""
@@ -157,9 +251,13 @@ class TestBuildField:
     def test_weights_follow_refined_geometry(self):
         # The field copies knot vectors and weights from the refined
         # geometry, giving a rational solution space over rational patches.
+        # Four uniform interior knots per direction take the annulus' 4 x 4
+        # control net to 8 x 8.
         geo = example_2d_annulus().geometry
         field = build_field(geo, (8, 8))
-        refined = geo.spline.refine_uniform((4, 4))
+        refined = geo.spline
+        for axis in range(2):
+            refined = refined.insert_knots(axis, np.arange(1, 5) / 5)
         assert np.allclose(field.weights, refined.weights)
         assert field.kvs == refined.kvs
 
@@ -280,7 +378,7 @@ class TestAssembly:
         )
         system = assemble(prob, field, pts, boundary_weight=weight)
         coeffs = rng.normal(size=system.shape[1])
-        trial = coefficients_to_field(field, coeffs)
+        trial = field.with_coefficients(coeffs)
         _, _, inv, _, second = lattice_pullbacks(prob.geometry, pts.axes)
         jet = trial.evaluate_lattice(pts.axes, 2)
         d = prob.dim
@@ -355,7 +453,7 @@ class TestAssembly:
         )
         rng = np.random.default_rng(3)
         coeffs = rng.normal(size=8)
-        trial = coefficients_to_field(field, coeffs)
+        trial = field.with_coefficients(coeffs)
         deriv = trial.evaluate_lattice([[1.0]], 1).grad[0, 0, 0]
         assert np.isclose(system.matrix[row] @ coeffs, deriv, atol=1e-12)
         assert np.isclose(system.rhs[row], 2 * np.pi)
@@ -544,8 +642,6 @@ class TestLinearityGuard:
     def test_operator_that_is_not_linear_is_named(self, term):
         from dataclasses import replace
 
-        from splinecol.metrics import error_report
-
         prob = replace(example_2d_annulus(), operator=NonlinearOperator(term))
         field = build_field(prob.geometry, (6, 6))
         pts = generate_collocation_points(field.kvs, CollocationScheme("greville", (8, 8)))
@@ -625,11 +721,9 @@ class TestRowCounts:
 
     def test_operator_error_checks_the_row_count(self):
         # e_DT compares the operator's rows with the source's c columns.
-        from splinecol.metrics import error_report
-
         prob = replace(example_2d_annulus(), operator=RepeatedLaplacian(2))
         field = build_field(prob.geometry, (6, 6))
-        field = coefficients_to_field(field, np.random.default_rng(3).normal(size=field.n_coeffs))
+        field = field.with_coefficients(np.random.default_rng(3).normal(size=field.n_coeffs))
         message = "operator RepeatedLaplacian gives 2 rows per point, expected 1"
         with pytest.raises(PreconditionError, match=message):
             error_report(prob, field)

@@ -20,7 +20,7 @@ count give 1.99 and 2.05.
 import numpy as np
 import pytest
 
-from splinecol.collocation import CollocationSet, assemble, build_field, coefficients_to_field
+from splinecol.collocation import CollocationSet, assemble, build_field
 from splinecol.estimator import CollocationSolver
 from splinecol.metrics import error_report
 from splinecol.problems import make_example
@@ -52,11 +52,7 @@ def gauss_points(kvs, per_cell=2):
     for kv in kvs:
         lo, hi = kv.breakpoints[:-1, None], kv.breakpoints[1:, None]
         axes.append(np.concatenate([[kv.start], (lo + (hi - lo) * nodes).ravel(), [kv.end]]))
-    lattice = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    faces = np.empty((len(lattice), 2 * len(kvs)), dtype=bool)
-    faces[:, 0::2] = lattice == [kv.start for kv in kvs]
-    faces[:, 1::2] = lattice == [kv.end for kv in kvs]
-    return CollocationSet(tuple(axes), lattice, faces)
+    return CollocationSet(tuple(axes))
 
 
 @pytest.mark.parametrize("example", ["I", "II"])
@@ -67,7 +63,7 @@ def test_gauss_points_reach_order_p_plus_1_in_the_cell_count(example):
         field = build_field(prob.geometry, n, components=prob.field_components)
         system = assemble(prob, field, gauss_points(field.kvs))
         solve = solve_normal_equations(system.csr, system.rhs)
-        errors.append(error_report(prob, coefficients_to_field(field, solve.coefficients)).e_T)
+        errors.append(error_report(prob, field.with_coefficients(solve.coefficients)).e_T)
         cells.append(len(field.kvs[0].breakpoints) - 1)
     order = np.log(errors[-2] / errors[-1]) / np.log(cells[-1] / cells[-2])
     print(f"{example} Gauss points: finest-pair e_T order {order:.3f} in the cell count")

@@ -12,10 +12,12 @@ import scipy.sparse as sp
 
 from splinecol.collocation import (
     CollocationScheme,
+    CollocationSet,
     assemble,
     build_field,
     generate_collocation_points,
 )
+from splinecol.estimator import CollocationSolver
 from splinecol.errors import (
     InvalidSchemeError,
     PreconditionError,
@@ -25,7 +27,12 @@ from splinecol.errors import (
 )
 from splinecol.geometry import GeometryMap
 from splinecol.metrics import ErrorReport, error_report
-from splinecol.problems import FieldQuantity, example_1d_dirichlet, example_2d_annulus
+from splinecol.problems import (
+    FieldQuantity,
+    example_1d_dirichlet,
+    example_2d_annulus,
+    make_example,
+)
 from splinecol.solvers import solve_square
 from splinecol.splines import KnotVector, TensorSpline
 
@@ -46,7 +53,51 @@ def _zero_quantity():
     error_report(replace(prob, quantities=(zero,)), build_field(prob.geometry, (6,)))
 
 
+def _assemble_on_annulus(points=None, boundary_weight="auto"):
+    prob = example_2d_annulus()
+    field = build_field(prob.geometry, (6, 6))
+    if points is None:
+        points = generate_collocation_points(field.kvs, CollocationScheme("greville", (6, 6)))
+    assemble(prob, field, points, boundary_weight=boundary_weight)
+
+
 CASES = {
+    "assemble-axis-span": (
+        lambda: _assemble_on_annulus(CollocationSet(([0.0, 0.5, 1.0], [0.1, 0.5, 0.9]))),
+        InvalidSchemeError,
+        r"collocation axis 1 spans \[0\.1, 0\.9\], but the field's direction 1 "
+        r"spans \[0\.0, 1\.0\]",
+    ),
+    "assemble-weight-string": (
+        lambda: _assemble_on_annulus(boundary_weight="x"),
+        PreconditionError, "boundary_weight must be \"auto\" or a positive finite number, got 'x'",
+    ),
+    "assemble-weight-none": (
+        lambda: _assemble_on_annulus(boundary_weight=None),
+        PreconditionError, "boundary_weight .* got None",
+    ),
+    "report-field-components": (
+        lambda: error_report(make_example("IV"), build_field(make_example("IV").geometry, 6)),
+        PreconditionError, "field has dimension 2 and 1 components; example IV needs "
+        "dimension 2 and 2 components",
+    ),
+    "report-field-dimension": (
+        lambda: error_report(example_1d_dirichlet(), build_field(example_2d_annulus().geometry, 6)),
+        PreconditionError, "field has dimension 2 and 1 components; example I needs "
+        "dimension 1 and 1 components",
+    ),
+    "fit-counts-twice": (
+        lambda: CollocationSolver(n_per_dir=50, interior_knots=[0.5]).fit(example_1d_dirichlet()),
+        InvalidSchemeError, "n_per_dir 50 and interior_knots both fix",
+    ),
+    "field-count-below-geometry": (
+        lambda: build_field(example_2d_annulus().geometry, (8, 3)),
+        PreconditionError, "requested 3 basis functions in direction 1, geometry already has 4",
+    ),
+    "with-coefficients-size": (
+        lambda: LINE.with_coefficients(np.zeros(5)),
+        PreconditionError, "need 4 coefficients, got 5",
+    ),
     "scheme-one-point": (
         lambda: CollocationScheme("greville", (1,)),
         InvalidSchemeError, "at least 2 collocation points",

@@ -274,6 +274,15 @@ class TestPhysicalDerivatives:
         inv = lattice_pullbacks(geo, [[0.0], [0.5]])[2]
         assert np.allclose(boundary_normals(inv, 0, 0), [[-1, 0]], atol=1e-13)
 
+    def test_boundary_normals_follow_a_curve_s_orientation(self):
+        # A curve from x = 1 to x = 0 has its theta = 1 end at x = 0, where
+        # the outward normal is -1, and its theta = 0 end at x = 1.
+        g = curve_unit_interval().spline
+        for coeffs, sign in ((g.coeffs, 1.0), (1 - g.coeffs, -1.0)):
+            inv = lattice_pullbacks(GeometryMap(g.with_coefficients(coeffs)), [[0.0, 1.0]])[2]
+            assert boundary_normals(inv[1:], 0, 1).tolist() == [[sign]]
+            assert boundary_normals(inv[:1], 0, 0).tolist() == [[-sign]]
+
     def test_boundary_normals_on_annulus_are_unit_and_outward(self):
         # On the outer arc (u = 1) the outward normal is the radial direction.
         geo = patch_quarter_annulus()

@@ -239,17 +239,25 @@ def test_refinement_preserves_geometry_and_matches_sequential_insertion(case):
 def test_uniform_refinement_at_benchmark_size_matches_sequential_insertion(example, n):
     # The benchmark's largest fields: hundreds of knots in one pass, along
     # every direction.
-    spline = make_example(example).geometry.spline
-    counts = [n - kv.n_basis for kv in spline.kvs]
-    refined = spline.refine_uniform(counts)
+    geometry = make_example(example).geometry
+    spline = geometry.spline
+    knots = [
+        kv.start + np.arange(1, n - kv.n_basis + 1) * (kv.end - kv.start) / (n - kv.n_basis + 1)
+        for kv in spline.kvs
+    ]
+    refined = spline
+    for axis, uniform in enumerate(knots):
+        refined = refined.insert_knots(axis, uniform)
+    field = build_field(geometry, n)
+    assert field.kvs == refined.kvs and np.array_equal(field.weights, refined.weights)
 
     w = spline.weights[..., None]
     expected = np.concatenate([w * spline.coeffs, w], axis=-1)
-    for axis, (kv, count) in enumerate(zip(spline.kvs, counts)):
+    for axis, (kv, uniform) in enumerate(zip(spline.kvs, knots)):
         hom = np.moveaxis(expected, axis, 0)
         flat = hom.reshape(len(hom), -1)
         seq = kv.knots
-        for u in kv.start + np.arange(1, count + 1) * (kv.end - kv.start) / (count + 1):
+        for u in uniform:
             seq, flat = boehm_insert(seq, kv.degree, flat, u)
         assert np.array_equal(refined.kvs[axis].knots, seq)
         expected = np.moveaxis(flat.reshape((len(flat),) + hom.shape[1:]), 0, axis)
