@@ -247,12 +247,10 @@ def _parallel_jobs() -> int:
     raw = os.environ.get("SPLINECOL_JOBS", "1")
     try:
         jobs = int(raw)
-        if jobs < 0:
-            raise ValueError
     except ValueError:
-        raise ConfigError(
-            f"SPLINECOL_JOBS must be a non-negative integer, got {raw!r}"
-        ) from None
+        jobs = None
+    if jobs is None or jobs < 0:
+        raise ConfigError(f"SPLINECOL_JOBS must be a non-negative integer, got {raw!r}")
     if jobs == 0:
         return os.cpu_count() or 1
     return jobs

@@ -4,7 +4,9 @@ Relative solution and operator errors are L2-type integrals evaluated by
 Gauss-Legendre quadrature per knot cell of the discrete field, weighted by
 the geometry Jacobian; absolute error fields are sampled on a dense
 parametric lattice mapped to physical space. Reductions are ordered and
-deterministic so repeated runs produce identical numbers.
+deterministic so repeated runs produce identical numbers. What does not
+depend on the field, on each lattice, is a reference the problem holds
+(:func:`_reference`).
 """
 
 from __future__ import annotations
@@ -90,27 +92,44 @@ def _physical_gradient(problem, field, inv, jet):
     return lattice_push_gradient(inv, jet.grad.reshape(-1, field.dim, field.ncomp))
 
 
-#: Points per block of :func:`_operator_values`. A block's pulled-back
-#: coefficients and temporaries take under 2 MB and are reused by the next
-#: block, where one pass over a large lattice faults in fresh pages for
-#: each temporary. Placed by timing the quadrature lattices of III igac 12
-#: and II igal_variable 60 (in process, one BLAS thread, medians of 11, ms):
-#: 4096 points 8.2 / 2.7, 16384 7.0 / 2.2, 65536 7.4 / 2.4, one block
-#: 8.1 / 2.6.
+#: Points per block of the operator's pulled-back coefficients. A block's
+#: contraction temporaries take under 2 MB and are reused by the next block,
+#: where one pass over a large lattice faults in fresh pages for each
+#: temporary. Placed by timing the quadrature lattices of III igac 12 and
+#: II igal_variable 60 when each report pulled the coefficients back (in
+#: process, one BLAS thread, medians of 11, ms): 4096 points 8.2 / 2.7,
+#: 16384 7.0 / 2.2, 65536 7.4 / 2.4, one block 8.1 / 2.6.
 OPERATOR_BLOCK = 1 << 14
 
 
-def _operator_values(problem, jet, inv, second):
-    """The interior operator applied to a field's order-2 lattice jet, as (N, c).
+def _pulled_back_operator(problem, inv, second):
+    """The operator's coefficients at each lattice point, pulled back to the parameter domain.
 
-    The operator's coefficients are pulled back to the parameter domain
-    and contracted with the jet's value, gradient and Hessian blocks, one
-    block of ``OPERATOR_BLOCK`` points at a time.
+    Returns one (E, c, c, points) block per ``OPERATOR_BLOCK`` lattice
+    points, in lattice order: entry [e, r, k] weighs the parametric jet
+    entry e of component k in output row r.
     """
-    d, c, n = problem.dim, jet.value.shape[-1], len(inv)
+    c = problem.field_components
     coeffs = row_coefficients(problem)
     entries = len(coeffs)
     coeffs = coeffs.reshape(entries, c * c, 1)
+    blocks = []
+    for start in range(0, len(inv), OPERATOR_BLOCK):
+        at = slice(start, start + OPERATOR_BLOCK)
+        block = pull_back_coefficients(coeffs, inv[at], second[at])
+        blocks.append(block.reshape(entries, c, c, -1))
+    return tuple(blocks)
+
+
+def _operator_values(operator, jet):
+    """The interior operator applied to a field's order-2 lattice jet, as (N, c).
+
+    ``operator`` holds the blocks of :func:`_pulled_back_operator`; each is
+    contracted with the matching points of the jet's value, gradient and
+    Hessian blocks.
+    """
+    d, c = jet.value.ndim - 1, jet.value.shape[-1]
+    n = jet.value.size // c
     # Each block of the jet is a view of its (entries, c, lattice) buffer rows.
     value, grad, hess = (
         np.moveaxis(x, range(d), range(-d, 0)).reshape(x.shape[d:] + (n,))
@@ -118,14 +137,75 @@ def _operator_values(problem, jet, inv, second):
     )
     hess = hess.reshape(d * d, c, n)
     out = np.empty((c, n))
-    for start in range(0, n, OPERATOR_BLOCK):
+    for start, k in zip(range(0, n, OPERATOR_BLOCK), operator):
         at = slice(start, start + OPERATOR_BLOCK)
-        k = pull_back_coefficients(coeffs, inv[at], second[at]).reshape(entries, c, c, -1)
         block = np.einsum("rkn,kn->rn", k[0], value[:, at], out=out[:, at])
         part = np.einsum("arkn,akn->rn", k[1 : 1 + d], grad[..., at])
         block += part
         block += np.einsum("arkn,akn->rn", k[1 + d :], hess[..., at], out=part)
     return out.T
+
+
+def _reference(problem, kind, key, build):
+    """The problem's reference of ``kind`` for ``key``, built by ``build()`` when not held.
+
+    A problem holds one reference per kind (``"samples"`` or
+    ``"quadrature"``) in its private ``_references`` slot, and a new
+    ``key`` replaces the held one. ``build()`` returns the entry and the
+    arrays in it, which are made read-only; nothing is kept when it raises.
+    """
+    held = problem._references.get(kind)
+    if held is not None and held[0] == key:
+        return held[1]
+    entry, arrays = build()
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+    problem._references[kind] = key, entry
+    return entry
+
+
+@dataclass(frozen=True)
+class _QuadratureReference:
+    """What :func:`error_report` reads on one quadrature lattice besides the field.
+
+    ``weights`` (N,) are |det J| times the quadrature weights, ``exact``
+    maps each quantity's name to its exact values, ``source`` (N, c) holds
+    the source values, ``operator`` the blocks of
+    :func:`_pulled_back_operator` and ``inv`` the inverse Jacobians
+    (N, d, d), None when no quantity reads a gradient.
+    """
+
+    weights: np.ndarray
+    exact: dict
+    source: np.ndarray
+    operator: tuple
+    inv: np.ndarray | None
+
+
+def _quadrature_reference(problem, field, axes, w, order):
+    """The problem's :class:`_QuadratureReference` on the quadrature lattice ``axes``.
+
+    It is keyed by the field's breakpoints and the quadrature order, from
+    which ``axes`` and ``w`` follow, and built from the geometry's order-2
+    pullback, which raises :class:`SingularGeometryError` first.
+    """
+    key = order, tuple(kv.breakpoints.tobytes() for kv in field.kvs)
+
+    def build():
+        x, _, inv, det, second = lattice_pullbacks(problem.geometry, axes, max_deriv=2)
+        ref = _QuadratureReference(
+            weights=np.abs(det) * w,
+            exact={
+                qty.name: np.asarray(qty.analytic(x), dtype=float) for qty in problem.quantities
+            },
+            source=callback_values(problem.source, x, problem.field_components, "source"),
+            operator=_pulled_back_operator(problem, inv, second),
+            inv=inv if any(qty.needs_gradient for qty in problem.quantities) else None,
+        )
+        return ref, (ref.weights, ref.source, ref.inv, *ref.exact.values(), *ref.operator)
+
+    return _reference(problem, "quadrature", key, build)
 
 
 def absolute_error_field(problem: BvpDefinition, field: TensorSpline, sample_counts=None):
@@ -137,9 +217,11 @@ def absolute_error_field(problem: BvpDefinition, field: TensorSpline, sample_cou
     checked for a singular Jacobian, only when a quantity reads a gradient.
 
     The points, their inverse Jacobians (if read) and the exact values are
-    computed once per problem, parametric box and ``sample_counts``, and
-    kept on the problem only after the pullback and every callback have
-    succeeded; ``points`` is read-only and ``analytic`` must be pure.
+    the problem's sample reference: computed once per parametric box and
+    ``sample_counts``, held until other counts replace them, and kept only
+    after the pullback and every callback have succeeded (see
+    :func:`_reference`); ``points`` is read-only and ``analytic`` must be
+    pure.
     Raises :class:`PreconditionError` naming both counts when the field's
     dimension or component count is not the problem's.
     """
@@ -160,17 +242,15 @@ def absolute_error_field(problem: BvpDefinition, field: TensorSpline, sample_cou
     key = tuple((kv.start, kv.end, m) for kv, m in zip(field.kvs, sample_counts))
     axes = [np.linspace(*lattice) for lattice in key]
     needs_grad = any(qty.needs_gradient for qty in problem.quantities)
-    entry = problem._samples.get(key)
-    if entry is None:
+
+    def build():
         pts, _, inv, _, _ = lattice_pullbacks(problem.geometry, axes, max_deriv=int(needs_grad))
         exact = {
             qty.name: np.asarray(qty.analytic(pts), dtype=float) for qty in problem.quantities
         }
-        for array in (pts, inv):
-            if array is not None:
-                array.flags.writeable = False
-        entry = problem._samples[key] = pts, inv, exact
-    pts, inv, exact = entry
+        return (pts, inv, exact), (pts, inv, *exact.values())
+
+    pts, inv, exact = _reference(problem, "samples", key, build)
     jet = field.evaluate_lattice(axes, max_deriv=int(needs_grad))
     value = jet.value.reshape(-1, field.ncomp)
     grad_x = _physical_gradient(problem, field, inv, jet)
@@ -195,11 +275,14 @@ class ErrorReport:
     ``timings`` holds the ``perf_counter`` seconds of each stage of
     :func:`error_report`, keyed by ``REPORT_STAGES``: ``samples`` (the
     quadrature rule and the absolute-error lattice), ``pullback`` (the
-    geometry on the quadrature lattice), ``evaluate`` (the field's
-    parametric jets, and its physical gradient when a quantity reads one)
-    and ``integrate`` (the relative errors, and e_DT through the operator's
-    pulled-back coefficients). Comparisons cover the scalar results only:
-    the timings vary from run to run.
+    problem's quadrature reference: when the problem does not hold it for
+    the field's knot cells, the geometry's order-2 pullback, the exact and
+    source values and the operator's pulled-back coefficients; a lookup
+    otherwise), ``evaluate`` (the field's parametric jets, and its physical
+    gradient when a quantity reads one) and ``integrate`` (the relative
+    errors, and e_DT by contracting the jet with the pulled-back
+    coefficients). Comparisons cover the scalar results only: the timings
+    vary from run to run.
     """
 
     example_id: str
@@ -263,28 +346,29 @@ def error_report(
     far the discrete field is from satisfying the strong-form equation; it
     is None when the source has zero L2 norm. The absolute errors are
     sampled on a separate lattice (:func:`absolute_error_field`).
+
+    What the quadrature lattice gives apart from the field is computed once
+    per problem, knot cells and quadrature order (:func:`_quadrature_reference`),
+    so a report of a second field on the same knots evaluates only the field.
     """
     stamps = [time.perf_counter()]
     axes, w, order = quadrature_rule(field, quad_order)
     _, abs_errors = absolute_error_field(problem, field, sample_counts)
     stamps.append(time.perf_counter())
-    x, _, inv, det, second = lattice_pullbacks(problem.geometry, axes, max_deriv=2)
+    ref = _quadrature_reference(problem, field, axes, w, order)
     stamps.append(time.perf_counter())
     jet = field.evaluate_lattice(axes, max_deriv=2)
-    grad_x = _physical_gradient(problem, field, inv, jet)
+    grad_x = _physical_gradient(problem, field, ref.inv, jet)
     stamps.append(time.perf_counter())
     value = jet.value.reshape(-1, field.ncomp)
-    dw = np.abs(det) * w
     quantities = []
     for qty in problem.quantities:
-        exact = np.asarray(qty.analytic(x), dtype=float)
         approx = np.asarray(qty.extract(value, grad_x), dtype=float)
-        rel = _relative_l2(exact, approx, dw)
+        rel = _relative_l2(ref.exact[qty.name], approx, ref.weights)
         if rel is None:
             raise UndefinedMetricError(f"quantity {qty.name!r} has zero L2 norm")
         quantities.append(QuantityError(qty.name, rel, float(abs_errors[qty.name].max())))
-    source = callback_values(problem.source, x, field.ncomp, "source")
-    e_dt = _relative_l2(source, _operator_values(problem, jet, inv, second), dw)
+    e_dt = _relative_l2(ref.source, _operator_values(ref.operator, jet), ref.weights)
     stamps.append(time.perf_counter())
     timings = stage_timings(f"error_report {problem.example_id}", REPORT_STAGES, stamps)
     return ErrorReport(

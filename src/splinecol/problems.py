@@ -22,7 +22,7 @@ coefficient, and a condition's rows per point are the probe's row count.
 Assembly and the operator error both apply only those coefficients, pulled
 back to the parameter domain (:func:`splinecol.geometry.pull_back_coefficients`),
 so the rows of the system and the operator error cannot disagree. The
-plane-stress law is written once too, in :func:`plane_stress`.
+plane-stress law is written once too, in :func:`plane_stress_component`.
 
 Callbacks (``source``, ``analytic_solution``, boundary-condition ``value``
 and ``PointConstraint.value``) take physical points of shape (N, d) and
@@ -91,19 +91,21 @@ class MaterialParams:
         return self.youngs_modulus / (2.0 * (1.0 + self.poisson_ratio))
 
 
-def plane_stress(material: MaterialParams, grad):
-    """Plane-stress (sigma_x, sigma_y, tau_xy) of displacement gradients.
+def plane_stress_component(material: MaterialParams, grad, i: int):
+    """Plane stress i (0: sigma_x, 1: sigma_y, 2: tau_xy) of displacement gradients.
 
-    ``grad`` (..., 2, 2) holds ``grad[..., a, k]`` = d u_k / d x_a; each
+    ``grad`` (..., 2, 2) holds ``grad[..., a, k]`` = d u_k / d x_a; the
     stress has the leading shape of ``grad``.
     """
-    c1, nu = material.stiffness, material.poisson_ratio
-    ex, ey = grad[..., 0, 0], grad[..., 1, 1]
-    return (
-        c1 * (ex + nu * ey),
-        c1 * (ey + nu * ex),
-        material.shear_modulus * (grad[..., 1, 0] + grad[..., 0, 1]),
-    )
+    if i == 2:
+        return material.shear_modulus * (grad[..., 1, 0] + grad[..., 0, 1])
+    j = 1 - i
+    return material.stiffness * (grad[..., i, i] + material.poisson_ratio * grad[..., j, j])
+
+
+def plane_stress(material: MaterialParams, grad):
+    """Plane-stress (sigma_x, sigma_y, tau_xy) of displacement gradients, as a tuple."""
+    return tuple(plane_stress_component(material, grad, i) for i in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +333,13 @@ class FieldQuantity:
 class BvpDefinition:
     """A strong-form boundary value problem on a mapped domain.
 
-    Callbacks must be pure: ``absolute_error_field`` computes its sample
-    reference (read-only points, exact values) once per problem and sample
-    counts, and keeps it in a private slot that comparisons skip and that
-    a ``dataclasses.replace`` copy starts empty.
+    Callbacks must be pure: ``error_report`` computes what it reads on each
+    lattice and not from the field (the geometry pullback, the exact and
+    source values and, on the quadrature lattice, the pulled-back operator)
+    once per lattice, and holds it read-only in a private slot, one entry
+    for the quadrature lattice and one for the absolute-error samples. A
+    report on another lattice replaces the entry of its kind. Comparisons
+    skip the slot, and a ``dataclasses.replace`` copy starts with it empty.
     """
 
     example_id: str
@@ -346,7 +351,7 @@ class BvpDefinition:
     quantities: tuple
     point_constraints: tuple = ()
     field_components: int = 1
-    _samples: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _references: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         covered = sorted(bc.face for bc in self.boundary_conditions)
@@ -658,7 +663,7 @@ def example_beam(
         constraints = ()
 
     def stress(i):
-        return lambda value, grad: plane_stress(params, grad)[i]
+        return lambda value, grad: plane_stress_component(params, grad, i)
 
     quantities = tuple(
         FieldQuantity(name, analytic=analytic, extract=stress(i), needs_gradient=True)

@@ -90,18 +90,12 @@ def raised(tree):
                 yield exc.id, node.lineno
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "_validation.py", "collocation.py", "estimator.py", "geometry.py", "metrics.py",
-        "problems.py", "solvers.py", "splines.py",
-    ],
-)
-def test_no_bare_value_error(name):
-    # Input checks raise PreconditionError, a SplineColError that callers
-    # such as a benchmark cell catch; a bare ValueError escapes them.
-    bare = sorted(line for exc, line in raised(parse(SOURCE / name)) if exc == "ValueError")
-    assert not bare, f"{name} raises a bare ValueError at lines {bare}"
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_bare_value_error(path):
+    # Input checks raise PreconditionError or ConfigError, SplineColErrors
+    # that callers such as a benchmark cell catch; a bare ValueError escapes them.
+    bare = sorted(line for exc, line in raised(parse(path)) if exc == "ValueError")
+    assert not bare, f"{path.name} raises a bare ValueError at lines {bare}"
 
 def readme_references():
     """Backticked ``owner.name`` spans of README.md outside code blocks.

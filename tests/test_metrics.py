@@ -11,10 +11,10 @@ import pytest
 from oracles import field_l2_norm, lapack_det_inv, push_gradient, push_hessian
 from splinecol import metrics
 from splinecol.collocation import build_field
-from splinecol.errors import PreconditionError, UndefinedMetricError
+from splinecol.errors import PreconditionError, SingularGeometryError, UndefinedMetricError
 from splinecol.estimator import CollocationSolver
 from splinecol.metrics import absolute_error_field, error_report
-from splinecol.geometry import lattice_pullbacks
+from splinecol.geometry import GeometryMap, lattice_pullbacks
 from splinecol.problems import (
     BvpDefinition,
     DirichletBC,
@@ -27,6 +27,7 @@ from splinecol.problems import (
     example_3d_cube,
     make_example,
 )
+from splinecol.splines import TensorSpline
 
 
 def cubic_exact_problem(scale=1.0):
@@ -411,8 +412,9 @@ class TestSampleReference:
 
     def test_second_report_skips_the_sample_lattice(self, monkeypatch):
         # The beam's samples need the geometry to order 1 and three
-        # analytic stresses; a warm report asks for neither on its samples,
-        # while new sample counts make a new entry.
+        # analytic stresses; a warm report asks for neither on either
+        # lattice, while new sample counts pull back the new sample lattice
+        # alone, since the quadrature lattice's knot cells are unchanged.
         prob, analytic_calls = self.counted("IV")
         prob, field = self.fitted("IV", prob)
         error_report(prob, field, sample_counts=(11, 13))
@@ -424,18 +426,13 @@ class TestSampleReference:
             return pullbacks(geometry, axes, max_deriv)
 
         monkeypatch.setattr(metrics, "lattice_pullbacks", counting)
-        quad_axes, _, _ = metrics.quadrature_rule(field)
-        quad_lattice = tuple(len(a) for a in quad_axes)
-        quad_points = int(np.prod(quad_lattice))
         analytic_calls.clear()
         error_report(prob, field, sample_counts=(11, 13))
-        assert lattices == [quad_lattice]
-        assert analytic_calls == [quad_points] * 3
-        lattices.clear()
-        analytic_calls.clear()
+        assert lattices == []
+        assert analytic_calls == []
         error_report(prob, field, sample_counts=(12, 13))
-        assert sorted(lattices) == sorted([quad_lattice, (12, 13)])
-        assert sorted(analytic_calls) == sorted([quad_points] * 3 + [12 * 13] * 3)
+        assert lattices == [(12, 13)]
+        assert analytic_calls == [12 * 13] * 3
 
     def test_replaced_problem_gets_its_own_reference(self):
         # Against a zero field the errors are |exact|, so a copy whose
@@ -482,3 +479,136 @@ class TestSampleReference:
         state["broken"] = False
         _, errors = absolute_error_field(flaky_prob, field)
         np.testing.assert_array_equal(errors["T"], absolute_error_field(prob, field)[1]["T"])
+
+
+class TestQuadratureReference:
+    """The quadrature reference is computed once per problem, knot cells and order."""
+
+    @staticmethod
+    def sweep(example_id, problem=None):
+        """Two least-squares fields on the same knots (an m-sweep) and one on other knots."""
+        prob = problem or make_example(example_id)
+        n = 5 if example_id == "III" else 7
+
+        def fit(n, m):
+            solver = CollocationSolver(method="igal_fixed", n_per_dir=n, m_per_dir=m)
+            return solver.fit(prob).field_
+
+        return prob, fit(n, n + 1), fit(n, n + 2), fit(n + 1, n + 2)
+
+    @staticmethod
+    def answers(report):
+        return repr(
+            (report.e_T, report.e_DT, [(q.name, q.relative, q.max_abs) for q in report.quantities])
+        )
+
+    @staticmethod
+    def held_arrays(prob):
+        _, ref = prob._references["quadrature"]
+        arrays = [ref.weights, ref.source, *ref.exact.values(), *ref.operator]
+        return arrays + ([] if ref.inv is None else [ref.inv])
+
+    @pytest.mark.parametrize("example_id", ["II", "III", "IV"])
+    def test_cold_and_warm_reports_are_bit_identical(self, example_id):
+        prob, first, second, _ = self.sweep(example_id)
+        error_report(prob, first)
+        for field in (first, second):
+            warm = error_report(prob, field)
+            cold = error_report(replace(prob), field)
+            assert self.answers(warm) == self.answers(cold)
+            assert warm == cold
+
+    def test_warm_report_makes_no_pullback_and_no_callback(self, monkeypatch):
+        # The beam reads gradients, so its reference also holds the
+        # quadrature lattice's inverse Jacobians.
+        calls = []
+
+        def recording(name, fn):
+            def callback(x):
+                calls.append(name)
+                return fn(x)
+
+            return callback
+
+        prob = make_example("IV")
+        prob = replace(
+            prob,
+            source=recording("source", prob.source),
+            quantities=tuple(
+                replace(q, analytic=recording(q.name, q.analytic)) for q in prob.quantities
+            ),
+        )
+        prob, first, second, _ = self.sweep("IV", prob)
+        error_report(prob, first)
+        assert "source" in calls
+        calls.clear()
+        for name in ("lattice_pullbacks", "pull_back_coefficients", "row_coefficients"):
+            monkeypatch.setattr(metrics, name, lambda *a, name=name, **k: calls.append(name))
+        error_report(prob, first)
+        error_report(prob, second)
+        assert calls == []
+
+    def test_other_knots_replace_the_entry(self):
+        prob, first, _, other = self.sweep("II")
+        error_report(prob, first)
+        key, ref = prob._references["quadrature"]
+        error_report(prob, other)
+        assert sorted(prob._references) == ["quadrature", "samples"]
+        other_key, other_ref = prob._references["quadrature"]
+        assert other_key != key and other_ref is not ref
+        assert error_report(prob, first) == error_report(replace(prob), first)
+        assert prob._references["quadrature"][0] == key
+
+    def test_replaced_copy_starts_empty(self):
+        prob, first, _, _ = self.sweep("II")
+        error_report(prob, first)
+        held = dict(prob._references)
+        copy = replace(prob)
+        assert copy._references == {}
+        error_report(copy, first)
+        assert prob._references == held
+        assert copy._references["quadrature"][1] is not held["quadrature"][1]
+
+    def test_failing_source_raises_on_every_call(self):
+        prob, first, _, _ = self.sweep("II")
+        state = {"broken": True, "calls": 0}
+
+        def flaky(x):
+            state["calls"] += 1
+            if state["broken"]:
+                raise RuntimeError("source failed")
+            return prob.source(x)
+
+        flaky_prob = replace(prob, source=flaky)
+        for calls in (1, 2):
+            with pytest.raises(RuntimeError, match="source failed"):
+                error_report(flaky_prob, first)
+            assert state["calls"] == calls
+            assert "quadrature" not in flaky_prob._references
+        state["broken"] = False
+        assert error_report(flaky_prob, first) == error_report(prob, first)
+        assert state["calls"] == 3
+
+    def test_singular_geometry_raises_on_every_call(self):
+        # A geometry collapsed to a point: the annulus's samples read values
+        # only, so the quadrature lattice's order-2 pullback is the first
+        # to find the singular Jacobian.
+        prob, first, _, _ = self.sweep("II")
+        kvs = prob.geometry.kvs
+        collapsed = GeometryMap(TensorSpline.polynomial(kvs, np.zeros((4, 4, 2))))
+        singular = replace(prob, geometry=collapsed)
+        for _ in range(2):
+            with pytest.raises(SingularGeometryError, match="singular"):
+                error_report(singular, first)
+            assert "quadrature" not in singular._references
+
+    @pytest.mark.parametrize("example_id", ["II", "IV"])
+    def test_held_arrays_are_read_only(self, example_id):
+        prob, first, second, _ = self.sweep(example_id)
+        for field in (first, second):
+            error_report(prob, field)
+            arrays = self.held_arrays(prob)
+            assert (prob._references["quadrature"][1].inv is not None) == (example_id == "IV")
+            assert not any(array.flags.writeable for array in arrays)
+            with pytest.raises(ValueError, match="read-only"):
+                arrays[0][0] = 1.0

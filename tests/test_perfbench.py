@@ -8,6 +8,7 @@ that every layer of the benchmark's per-layer split is still seen.
 Nothing is timed.
 """
 
+import dataclasses
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -31,7 +32,10 @@ def test_smoke_workload_has_no_failing_cell(monkeypatch):
 
 
 def test_traced_smoke_pass_sees_every_layer(monkeypatch):
-    # As ``perfbench/run.py --smoke`` traces its passes.
+    # As ``perfbench/run.py --smoke`` traces its passes, one cell at a
+    # time on a cold copy of its problem: a problem holds its quadrature
+    # and sample references, so a cell on the knots of the one before it
+    # would make no pullback.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import cells
     from tracing import Tracer
@@ -40,14 +44,17 @@ def test_traced_smoke_pass_sees_every_layer(monkeypatch):
     problems = cells.make_problems(SMOKE)
     thetas = cells.predict_points(SMOKE, problems, seed=0)
     tracer = Tracer()
-    wrapped = {example: tracer.wrap_problem(p) for example, p in problems.items()}
-    result = cells.run_pass(SMOKE, wrapped, thetas, tracer, pass_index=1)
-    assert len(result["cells"]) == len(SMOKE.cells)
-    failures = {c["cell"]: c["failure"] for c in result["cells"] if "failure" in c}
+    results = []
+    for cell, theta in zip(SMOKE.cells, thetas):
+        one = dataclasses.replace(SMOKE, cells=(cell,))
+        cold = {cell.example: tracer.wrap_problem(problems[cell.example])}
+        results += cells.run_pass(one, cold, [theta], tracer, pass_index=1)["cells"]
+    assert len(results) == len(SMOKE.cells)
+    failures = {c["cell"]: c["failure"] for c in results if "failure" in c}
     assert not failures
     unseen = {
         (c["cell"], name)
-        for c in result["cells"]
+        for c in results
         for name in TRACED_CALLS
         if c["trace"]["counts"].get(f"{name}.calls", 0) < 1
     }
