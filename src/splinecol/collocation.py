@@ -28,7 +28,7 @@ from .errors import (
 )
 from .geometry import GeometryMap, boundary_normals, lattice_pullbacks, pull_back_coefficients
 from .problems import BvpDefinition, callback_values, row_coefficients
-from .splines import KnotVector, TensorSpline, jet_size
+from .splines import KnotVector, TensorSpline, _refine, jet_size
 
 SCHEME_KINDS = ("greville", "uniform")
 
@@ -181,10 +181,13 @@ def build_field_from_knots(
 ) -> TensorSpline:
     """Unknown field obtained by inserting explicit interior knots per direction.
 
-    The field has the refined geometry's knot vectors and weights and zero
-    coefficients. In 1D a flat sequence of knots is the one direction's.
-    Raises :class:`PreconditionError` naming both counts unless there is
-    one knot list per direction.
+    The field has the geometry's knot vectors with the knots inserted,
+    zero coefficients and unit weights, or over a rational geometry its
+    weights refined alone (never its control points), so that field and
+    geometry share one weight function. In 1D a flat sequence of knots is
+    the one direction's. Raises :class:`PreconditionError` naming both
+    counts unless there is one knot list per direction, and
+    :class:`InvalidRefinementError` naming the direction of a bad knot.
     """
     interior_knots = tuple(interior_knots)
     if geometry.dim == 1 and (not interior_knots or np.ndim(interior_knots[0]) == 0):
@@ -194,10 +197,13 @@ def build_field_from_knots(
             f"need one interior knot list per direction ({geometry.dim}), "
             f"got {len(interior_knots)}"
         )
-    refined = geometry.spline
+    spline = geometry.spline
+    kvs, weights = list(spline.kvs), None if spline.is_polynomial else spline.weights
     for axis, knots in enumerate(interior_knots):
-        refined = refined.insert_knots(axis, knots)
-    return TensorSpline(refined.kvs, np.zeros(refined.shape + (components,)), refined.weights)
+        kvs[axis], weights = _refine(weights, kvs[axis], knots, axis)
+    shape = tuple(kv.n_basis for kv in kvs)
+    weights = np.ones(shape) if weights is None else weights
+    return TensorSpline(kvs, np.zeros(shape + (components,)), weights)
 
 
 @dataclass(frozen=True)

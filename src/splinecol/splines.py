@@ -547,29 +547,42 @@ class TensorSpline:
     def insert_knots(self, direction: int, knots) -> "TensorSpline":
         """Insert ``knots`` along ``direction`` in one pass; geometry is preserved exactly.
 
-        Each new coefficient is a combination of p+1 old ones, weighted by
-        a row of the Oslo knot-insertion matrix (:func:`_oslo_rows`); one
-        gather and one contraction apply all rows. A rational spline is
-        refined in homogeneous coordinates, a B-spline through its
-        coefficients alone, so its weights stay exactly 1.
+        :func:`_refine` refines the coefficients: a rational spline's in
+        homogeneous coordinates, a B-spline's alone, so its weights stay
+        exactly 1.
         """
         if not 0 <= direction < self.dim:
             raise PreconditionError(f"direction {direction} out of range for dim {self.dim}")
-        kv = self.kvs[direction]
-        new_kv = kv.insert(knots)  # validates range and multiplicity
+        polynomial = self.is_polynomial
+        kv, x = self.kvs[direction], self.coeffs if polynomial else self._homogeneous()
+        new_kv, out = _refine(x, kv, knots, direction)
         if new_kv.n_basis == kv.n_basis:
             return self
-        first, rows = _oslo_rows(kv.knots, new_kv.knots, kv.degree)
-        polynomial = self.is_polynomial
-        x = np.moveaxis(self.coeffs if polynomial else self._homogeneous(), direction, 0)
-        flat = x.reshape(kv.n_basis, -1)[first[:, None] + np.arange(kv.degree + 1)]
-        out = np.einsum("nk,nkr->nr", rows, flat).reshape((new_kv.n_basis,) + x.shape[1:])
-        out = np.moveaxis(out, 0, direction)
         kvs = self.kvs[:direction] + (new_kv,) + self.kvs[direction + 1 :]
         if polynomial:
             return TensorSpline.polynomial(kvs, out)
         weights = out[..., -1]
         return TensorSpline(kvs, out[..., :-1] / weights[..., None], weights)
+
+
+def _refine(x, kv, knots, direction):
+    """``kv`` with ``knots`` inserted, and ``x`` (n1, ..., nd, ...) refined along ``direction``.
+
+    One gather and one contraction apply the Oslo rows (:func:`_oslo_rows`)
+    to ``x``, unless it is None or no knot is new. The errors of
+    :meth:`KnotVector.insert` name the direction.
+    """
+    try:
+        new_kv = kv.insert(knots)
+    except InvalidRefinementError as exc:
+        raise InvalidRefinementError(f"direction {direction}: {exc}") from None
+    if x is None or new_kv.n_basis == kv.n_basis:
+        return new_kv, x
+    first, rows = _oslo_rows(kv.knots, new_kv.knots, kv.degree)
+    x = np.moveaxis(x, direction, 0)
+    flat = x.reshape(kv.n_basis, -1)[first[:, None] + np.arange(kv.degree + 1)]
+    out = np.einsum("nk,nkr->nr", rows, flat).reshape((new_kv.n_basis,) + x.shape[1:])
+    return new_kv, np.moveaxis(out, 0, direction)
 
 
 def _oslo_rows(tau, t, p):

@@ -6,10 +6,11 @@ Householder QR, dense LAPACK LU and Cholesky solves, a best-approximation
 fit, per-point spline, pullback and assembly code, LAPACK Jacobian
 determinants and inverses with einsum chain-rule pushes, single-knot
 insertion, and the package's earlier vectorised basis kernel. They share no code with the package so they can serve as
-oracles for it. The last section holds three small
+oracles for it. The last section holds four small
 helpers that are built on the package instead: the local basis table of a
-knot vector, a knot-vector fixture builder and the L2 norm under the
-quadrature of ``error_report``.
+knot vector, a knot-vector fixture builder, the L2 norm under the
+quadrature of ``error_report`` and the knot vectors and weights of a
+whole refined geometry.
 """
 
 import itertools
@@ -670,3 +671,17 @@ def field_l2_norm(problem, func, field, quad_order=None):
     pts, _, _, det, _ = lattice_pullbacks(problem.geometry, axes)
     vals = np.asarray(func(pts), dtype=float).reshape(len(pts), -1)
     return float(np.sqrt(np.sum((vals**2).sum(axis=1) * np.abs(det) * w)))
+
+
+def refined_geometry_space(geometry, interior_knots):
+    """Knot vectors and weights of ``geometry`` refined by ``insert_knots``, one list per direction.
+
+    The whole geometry, coordinates and weights, passes through each
+    insertion, so a rational one is refined in homogeneous coordinates:
+    the reference for a field's space, which refines only its knot vectors
+    and a rational geometry's weights.
+    """
+    refined = geometry.spline
+    for axis, knots in enumerate(interior_knots):
+        refined = refined.insert_knots(axis, knots)
+    return refined.kvs, refined.weights

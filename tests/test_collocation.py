@@ -6,10 +6,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from oracles import naive_basis, point_assemble, push_hessian
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import naive_basis, point_assemble, push_hessian, refined_geometry_space
+from splinecol import collocation, splines
 from splinecol.collocation import (
     CollocationScheme,
     CollocationSet,
+    _uniform_knots,
     assemble,
     build_field,
     build_field_from_knots,
@@ -20,6 +24,7 @@ from splinecol.collocation import (
 from splinecol.errors import (
     AssemblyError,
     CallbackError,
+    InvalidRefinementError,
     InvalidSchemeError,
     PreconditionError,
 )
@@ -258,7 +263,7 @@ class TestBuildField:
         refined = geo.spline
         for axis in range(2):
             refined = refined.insert_knots(axis, np.arange(1, 5) / 5)
-        assert np.allclose(field.weights, refined.weights)
+        assert np.array_equal(field.weights, refined.weights)
         assert field.kvs == refined.kvs
 
     def test_degree_precondition(self):
@@ -324,6 +329,103 @@ class TestBuildField:
             example_1d_dirichlet().geometry, (0.25, 0.5, 0.75)
         )
         assert field.kvs[0].n_basis == 7
+
+
+def count_refinements(monkeypatch):
+    """Count the Oslo products of ``build_field_from_knots``; returns the refined arrays' shapes.
+
+    Each call of ``splines._oslo_rows`` appends the shape of the array that
+    ``build_field_from_knots`` passed to ``_refine`` last, or None before
+    its first such call.
+    """
+    arrays, shapes, refine, oslo_rows = [], [], collocation._refine, splines._oslo_rows
+
+    def counted_refine(x, *args):
+        arrays.append(np.shape(x))
+        return refine(x, *args)
+
+    def counted_oslo_rows(*args):
+        shapes.append(arrays[-1] if arrays else None)
+        return oslo_rows(*args)
+
+    monkeypatch.setattr(collocation, "_refine", counted_refine)
+    monkeypatch.setattr(splines, "_oslo_rows", counted_oslo_rows)
+    return shapes
+
+
+class TestFieldSpace:
+    """A field refines its knot vectors and a rational geometry's weights, never the geometry."""
+
+    @pytest.mark.parametrize("example", ["I", "II", "III", "IV", "V"])
+    @pytest.mark.parametrize("extra", [1, 5, 11])
+    def test_uniform_counts_match_the_refined_geometry(self, example, extra):
+        geo = make_example(example).geometry
+        field = build_field(geo, [kv.n_basis + extra for kv in geo.kvs])
+        kvs, weights = refined_geometry_space(geo, [_uniform_knots(kv, extra) for kv in geo.kvs])
+        assert field.kvs == kvs
+        assert np.array_equal(field.weights, weights)
+
+    @pytest.mark.parametrize("example", ["I", "II", "III", "IV", "V"])
+    def test_stability_knots_match_the_refined_geometry(self, example):
+        geo = make_example(example).geometry
+        knots = [STABILITY_KNOTS] * geo.dim
+        field = build_field_from_knots(geo, knots)
+        kvs, weights = refined_geometry_space(geo, knots)
+        assert field.kvs == kvs
+        assert np.array_equal(field.weights, weights)
+
+    @settings(max_examples=40, deadline=None)
+    @given(knots=st.lists(st.lists(st.floats(0.01, 0.99), max_size=12), min_size=2, max_size=2))
+    def test_random_knots_on_a_rational_geometry(self, knots):
+        # A cubic takes each interior knot at most three times.
+        geo = example_2d_annulus().geometry
+        knots = [[k for k in ks if ks.count(k) <= 3] for ks in knots]
+        field = build_field_from_knots(geo, knots)
+        kvs, weights = refined_geometry_space(geo, knots)
+        assert field.kvs == kvs
+        assert np.array_equal(field.weights, weights)
+
+    @pytest.mark.parametrize("example", ["I", "III", "IV", "V"])
+    def test_polynomial_geometry_makes_no_oslo_product(self, example, monkeypatch):
+        shapes = count_refinements(monkeypatch)
+        geo = make_example(example).geometry
+        field = build_field(geo, [kv.n_basis + 6 for kv in geo.kvs])
+        assert field.shape == tuple(kv.n_basis + 6 for kv in geo.kvs)
+        assert shapes == []
+
+    def test_rational_geometry_refines_its_weights_alone(self, monkeypatch):
+        # One Oslo product per refined direction, each on the (n1, n2)
+        # weights without a component axis.
+        shapes = count_refinements(monkeypatch)
+        geo = example_2d_annulus().geometry
+        build_field(geo, (9, 7))
+        assert shapes == [(4, 4), (9, 4)]
+
+    @pytest.mark.parametrize("knots", [[(0.5,), ()], [(), (0.2, 0.7)], [(), ()]])
+    def test_empty_knot_list_on_a_rational_geometry(self, knots, monkeypatch):
+        shapes = count_refinements(monkeypatch)
+        geo = example_2d_annulus().geometry
+        field = build_field_from_knots(geo, knots)
+        assert len(shapes) == sum(len(k) > 0 for k in knots)
+        kvs, weights = refined_geometry_space(geo, knots)
+        assert field.kvs == kvs
+        assert np.array_equal(field.weights, weights)
+
+    @pytest.mark.parametrize(
+        "knots,message",
+        [
+            ([(0.5,), (1.0,)], "direction 1: insertion parameter 1.0 must lie strictly"),
+            ([(0.3,) * 4, ()], "direction 0: inserting 0.3 would raise its multiplicity"),
+            ([(), (0.4, np.nan)], "direction 1: insertion parameter nan must lie strictly"),
+        ],
+    )
+    @pytest.mark.parametrize("example", ["II", "IV"])
+    def test_bad_knot_names_its_direction(self, example, knots, message):
+        geo = make_example(example).geometry
+        with pytest.raises(InvalidRefinementError, match=f"^{message}"):
+            build_field_from_knots(geo, knots)
+        with pytest.raises(InvalidRefinementError, match=f"^{message}"):
+            refined_geometry_space(geo, knots)
 
 
 class TestAssembly:

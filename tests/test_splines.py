@@ -660,3 +660,9 @@ class TestKnotInsertion:
         curve = TensorSpline.polynomial((CUBIC,), np.zeros(4))
         with pytest.raises(InvalidRefinementError, match=named):
             curve.insert_knots(0, knots)
+
+    @pytest.mark.parametrize("direction", [0, 1])
+    def test_bad_knot_names_its_direction(self, direction):
+        surf = TensorSpline.polynomial((CUBIC, CUBIC), np.zeros((4, 4)))
+        with pytest.raises(InvalidRefinementError, match=rf"^direction {direction}: .* 1\.5"):
+            surf.insert_knots(direction, [0.5, 1.5])
