@@ -199,8 +199,13 @@ def build_field_from_knots(
         )
     spline = geometry.spline
     kvs, weights = list(spline.kvs), None if spline.is_polynomial else spline.weights
+    # An isotropic field refines equal knot vectors by equal knots: once.
+    done = []
     for axis, knots in enumerate(interior_knots):
-        kvs[axis], weights = _refine(weights, kvs[axis], knots, axis)
+        kv = kvs[axis]
+        known = [r[2:] for r in done if r[0] == kv and np.array_equal(r[1], knots)]
+        kvs[axis], weights, oslo = _refine(weights, kv, knots, axis, *known[:1])
+        done.append((kv, knots, kvs[axis], oslo))
     shape = tuple(kv.n_basis for kv in kvs)
     weights = np.ones(shape) if weights is None else weights
     return TensorSpline(kvs, np.zeros(shape + (components,)), weights)

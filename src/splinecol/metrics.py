@@ -5,8 +5,8 @@ Gauss-Legendre quadrature per knot cell of the discrete field, weighted by
 the geometry Jacobian; absolute error fields are sampled on a dense
 parametric lattice mapped to physical space. Reductions are ordered and
 deterministic so repeated runs produce identical numbers. What does not
-depend on the field, on each lattice, is a reference the problem holds
-(:func:`_reference`).
+depend on the field's coefficients, on each lattice, is a reference the
+problem holds (:func:`_reference`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,13 @@ from ._validation import per_direction, whole_number
 from .errors import PreconditionError, UndefinedMetricError
 from .geometry import lattice_pullbacks, lattice_push_gradient, pull_back_coefficients
 from .problems import BvpDefinition, callback_values, row_coefficients
-from .splines import TensorSpline
+from .splines import (
+    TensorSpline,
+    _jet_rows,
+    _lattice_jet,
+    _lattice_operators,
+    _weight_sums,
+)
 
 DEFAULT_ABS_SAMPLES = {1: 1001, 2: 201, 3: 41}
 REPORT_STAGES = ("samples", "pullback", "evaluate", "integrate")
@@ -103,31 +109,38 @@ OPERATOR_BLOCK = 1 << 14
 
 
 def _pulled_back_operator(problem, inv, second):
-    """The operator's coefficients at each lattice point, pulled back to the parameter domain.
+    """The operator's coefficients, pulled back to the parameter domain, as ``(value, blocks)``.
 
-    Returns one (E, c, c, points) block per ``OPERATOR_BLOCK`` lattice
-    points, in lattice order: entry [e, r, k] weighs the parametric jet
-    entry e of component k in output row r.
+    ``value`` (c, c) weighs the field's value, which the pullback leaves
+    as it is. ``blocks`` holds one (P, c, c, points) block per
+    ``OPERATOR_BLOCK`` lattice points, in lattice order: entry [e, r, k]
+    weighs partial e of component k in output row r, over the first and
+    second partials of :func:`_jet_rows` in its order. A mixed partial's
+    entry is the sum of the coefficients of its (a, b) and (b, a) jet
+    entries.
     """
     c = problem.field_components
     coeffs = row_coefficients(problem)
-    entries = len(coeffs)
-    coeffs = coeffs.reshape(entries, c * c, 1)
+    coeffs = coeffs.reshape(len(coeffs), c * c, 1)
+    rows = list(_jet_rows(inv.shape[1], 2).values())[1:]
     blocks = []
     for start in range(0, len(inv), OPERATOR_BLOCK):
         at = slice(start, start + OPERATOR_BLOCK)
         block = pull_back_coefficients(coeffs, inv[at], second[at])
-        blocks.append(block.reshape(entries, c, c, -1))
-    return tuple(blocks)
+        block = np.stack([block[r[0]] + block[r[1]] if r[1:] else block[r[0]] for r in rows])
+        blocks.append(block.reshape(len(rows), c, c, -1))
+    return coeffs[0].reshape(c, c), tuple(blocks)
 
 
 def _operator_values(operator, jet):
     """The interior operator applied to a field's order-2 lattice jet, as (N, c).
 
-    ``operator`` holds the blocks of :func:`_pulled_back_operator`; each is
-    contracted with the matching points of the jet's value, gradient and
-    Hessian blocks.
+    ``operator`` is the pair of :func:`_pulled_back_operator`. Each block
+    is contracted with the matching points of the jet's first partials,
+    then of its distinct second partials one at a time, each read as a
+    view of the jet's buffer.
     """
+    value_coeff, blocks = operator
     d, c = jet.value.ndim - 1, jet.value.shape[-1]
     n = jet.value.size // c
     # Each block of the jet is a view of its (entries, c, lattice) buffer rows.
@@ -135,14 +148,18 @@ def _operator_values(operator, jet):
         np.moveaxis(x, range(d), range(-d, 0)).reshape(x.shape[d:] + (n,))
         for x in (jet.value, jet.grad, jet.hess)
     )
-    hess = hess.reshape(d * d, c, n)
+    entries = [*grad, *hess.reshape(d * d, c, n)]
+    second = [entries[r[0] - 1] for r in list(_jet_rows(d, 2).values())[1 + d :]]
     out = np.empty((c, n))
-    for start, k in zip(range(0, n, OPERATOR_BLOCK), operator):
+    for start, k in zip(range(0, n, OPERATOR_BLOCK), blocks):
         at = slice(start, start + OPERATOR_BLOCK)
-        block = np.einsum("rkn,kn->rn", k[0], value[:, at], out=out[:, at])
-        part = np.einsum("arkn,akn->rn", k[1 : 1 + d], grad[..., at])
+        block = np.einsum("rk,kn->rn", value_coeff, value[:, at], out=out[:, at])
+        part = np.einsum("arkn,akn->rn", k[:d], grad[..., at])
         block += part
-        block += np.einsum("arkn,akn->rn", k[1 + d :], hess[..., at], out=part)
+        np.einsum("rkn,kn->rn", k[d], second[0][:, at], out=part)
+        for coeff, partial in zip(k[d + 1 :], second[1:]):
+            part += np.einsum("rkn,kn->rn", coeff, partial[:, at])
+        block += part
     return out.T
 
 
@@ -167,13 +184,16 @@ def _reference(problem, kind, key, build):
 
 @dataclass(frozen=True)
 class _QuadratureReference:
-    """What :func:`error_report` reads on one quadrature lattice besides the field.
+    """What :func:`error_report` reads on one quadrature lattice besides the field's numerator.
 
     ``weights`` (N,) are |det J| times the quadrature weights, ``exact``
     maps each quantity's name to its exact values, ``source`` (N, c) holds
-    the source values, ``operator`` the blocks of
+    the source values, ``operator`` the pair of
     :func:`_pulled_back_operator` and ``inv`` the inverse Jacobians
-    (N, d, d), None when no quantity reads a gradient.
+    (N, d, d), None when no quantity reads a gradient. ``weight`` holds
+    the partials of a rational field's weight function W up to order 2
+    (:func:`splines._weight_sums`), one lattice array each, and is None
+    for a B-spline field.
     """
 
     weights: np.ndarray
@@ -181,16 +201,20 @@ class _QuadratureReference:
     source: np.ndarray
     operator: tuple
     inv: np.ndarray | None
+    weight: np.ndarray | None
 
 
-def _quadrature_reference(problem, field, axes, w, order):
+def _quadrature_reference(problem, field, axes, w, order, ops):
     """The problem's :class:`_QuadratureReference` on the quadrature lattice ``axes``.
 
-    It is keyed by the field's breakpoints and the quadrature order, from
-    which ``axes`` and ``w`` follow, and built from the geometry's order-2
-    pullback, which raises :class:`SingularGeometryError` first.
+    It is keyed by the quadrature order, the field's knot vectors, from
+    which ``axes`` and ``w`` follow, and the bytes of its weights, so a
+    field with other weights on the same knots misses. It is built from the
+    geometry's order-2 pullback, which raises
+    :class:`SingularGeometryError` first, and W's sums against ``ops``,
+    the field's direction operators on ``axes``.
     """
-    key = order, tuple(kv.breakpoints.tobytes() for kv in field.kvs)
+    key = order, field.kvs, field.weights.tobytes()
 
     def build():
         x, _, inv, det, second = lattice_pullbacks(problem.geometry, axes, max_deriv=2)
@@ -202,8 +226,11 @@ def _quadrature_reference(problem, field, axes, w, order):
             source=callback_values(problem.source, x, problem.field_components, "source"),
             operator=_pulled_back_operator(problem, inv, second),
             inv=inv if any(qty.needs_gradient for qty in problem.quantities) else None,
+            weight=None if field.is_polynomial else _weight_sums(field, ops, 2),
         )
-        return ref, (ref.weights, ref.source, ref.inv, *ref.exact.values(), *ref.operator)
+        value, blocks = ref.operator
+        arrays = (ref.weights, ref.source, ref.inv, ref.weight, value, *blocks)
+        return ref, arrays + tuple(ref.exact.values())
 
     return _reference(problem, "quadrature", key, build)
 
@@ -274,15 +301,16 @@ class ErrorReport:
 
     ``timings`` holds the ``perf_counter`` seconds of each stage of
     :func:`error_report`, keyed by ``REPORT_STAGES``: ``samples`` (the
-    quadrature rule and the absolute-error lattice), ``pullback`` (the
-    problem's quadrature reference: when the problem does not hold it for
-    the field's knot cells, the geometry's order-2 pullback, the exact and
-    source values and the operator's pulled-back coefficients; a lookup
-    otherwise), ``evaluate`` (the field's parametric jets, and its physical
-    gradient when a quantity reads one) and ``integrate`` (the relative
-    errors, and e_DT by contracting the jet with the pulled-back
-    coefficients). Comparisons cover the scalar results only: the timings
-    vary from run to run.
+    quadrature rule, its basis tables and the absolute-error lattice),
+    ``pullback`` (the problem's quadrature reference: when the problem does
+    not hold it for the field's knots and weights, the geometry's order-2
+    pullback, the exact and source values, the operator's pulled-back
+    coefficients and a rational field's W; a lookup otherwise),
+    ``evaluate`` (the field's parametric jets from its numerator w q, and
+    its physical gradient when a quantity reads one) and ``integrate``
+    (the relative errors, and e_DT by contracting the jet with the
+    pulled-back coefficients). Comparisons cover the scalar results only:
+    the timings vary from run to run.
     """
 
     example_id: str
@@ -347,17 +375,21 @@ def error_report(
     is None when the source has zero L2 norm. The absolute errors are
     sampled on a separate lattice (:func:`absolute_error_field`).
 
-    What the quadrature lattice gives apart from the field is computed once
-    per problem, knot cells and quadrature order (:func:`_quadrature_reference`),
-    so a report of a second field on the same knots evaluates only the field.
+    What the quadrature lattice gives apart from the field's numerator is
+    computed once per problem, quadrature order, knots and weights
+    (:func:`_quadrature_reference`), W's partials among it. So a report of
+    a second field on the same knots and weights evaluates only the field:
+    it contracts w q alone, on a cold report as on a warm one, and divides
+    by the held W.
     """
     stamps = [time.perf_counter()]
     axes, w, order = quadrature_rule(field, quad_order)
+    ops = _lattice_operators(field.kvs, axes, 2)
     _, abs_errors = absolute_error_field(problem, field, sample_counts)
     stamps.append(time.perf_counter())
-    ref = _quadrature_reference(problem, field, axes, w, order)
+    ref = _quadrature_reference(problem, field, axes, w, order, ops)
     stamps.append(time.perf_counter())
-    jet = field.evaluate_lattice(axes, max_deriv=2)
+    jet = _lattice_jet(field, ops, 2, ref.weight)
     grad_x = _physical_gradient(problem, field, ref.inv, jet)
     stamps.append(time.perf_counter())
     value = jet.value.reshape(-1, field.ncomp)

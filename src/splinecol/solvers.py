@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
-from scipy.sparse.linalg import LinearOperator, onenormest, splu
+from scipy.sparse.linalg import splu
 
 from .errors import PreconditionError, RankDeficientError, SingularSystemError
 
@@ -201,12 +201,35 @@ def _exactly_singular(A):
 def _condition_estimate(n, solve, solve_transposed, matrix_norm):
     """1-norm condition estimate ||M||_1 ||M^-1||_1 of a factored n x n matrix M.
 
-    ``onenormest`` with one probe vector (Hager and Higham's estimator, as
-    in LAPACK's xGECON) applies the factor's solves with M and M^T and
-    draws no random numbers, so the estimate is deterministic.
+    Hager's estimator with Higham's stopping tests (Higham and Tisseur's
+    block algorithm with one column, as in LAPACK's xGECON and scipy's
+    ``onenormest(t=1)``) estimates ||M^-1||_1 from the factor's solves
+    with M and M^T, applied to (n, 1) columns. It starts from the uniform
+    vector, then follows unit vectors while the estimate grows, for at
+    most five transposed solves. It draws no random numbers, so the
+    estimate is deterministic.
     """
-    inverse = LinearOperator((n, n), matvec=solve, rmatvec=solve_transposed, dtype=float)
-    return float(matrix_norm * onenormest(inverse, t=1))
+    x = np.full((n, 1), 1.0 / n)
+    estimate, sign, j = 0.0, np.zeros(n), None
+    for step in range(6):
+        y = solve(x)
+        est = np.sum(np.abs(y), axis=0)[0]
+        if j is not None and est <= estimate:
+            break
+        estimate = est
+        if step == 5:
+            break
+        # A sign vector repeated means the walk has converged.
+        previous, sign = sign, np.where(y[:, 0] == 0, 1.0, np.sign(y[:, 0]))
+        if np.dot(sign, previous) == n:
+            break
+        h = np.abs(solve_transposed(sign.reshape(n, 1)))[:, 0]
+        if j is not None and h.max() == h[j]:
+            break
+        j = np.argsort(h)[-1]
+        x = np.zeros((n, 1))
+        x[j] = 1.0
+    return float(matrix_norm * estimate)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,83 @@ def _jet_views(buf, dim, order):
     return tuple(views + [None] * (2 - order))
 
 
+def _lattice_operators(kvs, axes, order):
+    """Each direction's operators (:func:`_direction_operators`) up to ``order`` at ``axes``.
+
+    Isotropic fields repeat a knot vector and axis; each table is built once.
+    """
+    ops = []
+    for kv, pts in zip(kvs, axes):
+        same = [o for k, p, o in zip(kvs, axes, ops) if k == kv and np.array_equal(p, pts)]
+        ops.append(same[0] if same else _direction_operators(kv, pts, order))
+    return ops
+
+
+def _lattice_sums(x, ops, order):
+    """Sums of coefficients ``x`` (n1, ..., nd, k) and their partials up to ``order`` on a lattice.
+
+    ``ops`` holds each direction's operators (:func:`_lattice_operators`).
+    Returns a jet buffer (rows, k, m1, ..., md) in the layout of
+    :class:`LatticeJet` whose first row of each partial is filled. Each
+    step is one matrix product that contracts the leading basis axis and
+    appends the lattice axis, so after d steps a partial is laid out
+    (k, m1, ..., md), its block of the buffer, and the last step writes it
+    there. Prefixes are shared: direction 0 is contracted once per order,
+    direction 1 once per pair of orders, and so on.
+    """
+    d, shape = len(ops), x.shape[: len(ops)]
+    lattice = tuple(o[0].shape[0] for o in ops)
+    rows = _jet_rows(d, order)
+    sums = np.empty((jet_size(d, order), x.shape[d]) + lattice)
+    prefixes = {(): x.reshape(shape[0], -1)}
+    for a in range(d - 1):
+        prefixes = {
+            prefix + (k,): _contract_leading(ops[a][k], y).reshape(shape[a + 1], -1)
+            for prefix, y in prefixes.items()
+            for k in range(order - sum(prefix) + 1)
+        }
+    # The last step's block is sized from y, as -1 is ambiguous when md = 0.
+    for prefix, y in prefixes.items():
+        for k in range(order - sum(prefix) + 1):
+            out = sums[rows[prefix + (k,)][0]].reshape(y.shape[1], lattice[-1])
+            _contract_leading(ops[-1][k], y, out)
+    return sums
+
+
+def _weight_sums(spline, ops, order):
+    """W's partials up to ``order`` on the lattice of ``ops``, as (partials, m1, ..., md).
+
+    W is the sum of ``spline``'s weights against its basis; its partials
+    come in the order of :func:`_jet_rows`, the first row of each.
+    """
+    sums = _lattice_sums(spline.weights[..., None], ops, order)
+    return sums[[r[0] for r in _jet_rows(spline.dim, order).values()], 0]
+
+
+def _lattice_jet(spline, ops, order, weight=None):
+    """``spline``'s jet up to ``order`` on the lattice of ``ops`` (see ``evaluate_lattice``).
+
+    A B-spline contracts its coefficients. A rational spline contracts its
+    homogeneous coefficients [w q | w], or only w q when ``weight`` holds
+    W's partials (:func:`_weight_sums` on the same ``ops``), and solves
+    the Leibniz system forward for its partials.
+    """
+    d, c = spline.dim, spline.ncomp
+    if spline.is_polynomial:
+        return LatticeJet(*_jet_views(_lattice_sums(spline.coeffs, ops, order), d, order))
+    rows = _jet_rows(d, order)
+    first = [r[0] for r in rows.values()]
+    if weight is None:
+        sums = _lattice_sums(spline._homogeneous(), ops, order)
+        buf = np.empty((len(sums), c) + sums.shape[2:])
+        weight, sums = [sums[i, c:] for i in first], sums[:, :c]
+    else:
+        buf = sums = _lattice_sums(spline.weights[..., None] * spline.coeffs, ops, order)
+    plan = _leibniz_plan(tuple(rows))
+    _solve_leibniz(plan, weight, [sums[i] for i in first], out=[buf[i] for i in first])
+    return LatticeJet(*_jet_views(buf, d, order))
+
+
 @dataclass(frozen=True)
 class TensorSpline:
     """Tensor-product NURBS object (all weights 1 means a plain B-spline).
@@ -412,15 +489,10 @@ class TensorSpline:
         """Jet on the tensor lattice spanned by per-direction parameter arrays.
 
         The field is contracted one direction at a time with 1D derivative
-        tables (sum factorization). Each step is one matrix product that
-        contracts the leading basis axis and appends the lattice axis, so
-        after d steps a partial is laid out (c, m1, ..., md), its block of
-        the jet's buffer (see :class:`LatticeJet`), and the last step
-        writes it there. Prefixes are shared: direction 0 is contracted
-        once per order, direction 1 once per pair of orders, and so on.
-        A direction whose dense table would exceed ``DENSE_TABLE_LIMIT``
-        entries is contracted through its band. A rational field's partials
-        q_f solve the Leibniz system of its homogeneous sums P = q W forward:
+        tables (sum factorization, :func:`_lattice_sums`), once, on its
+        coefficients or, for a rational field, on its homogeneous
+        coefficients [w q | w]. A rational field's partials q_f then solve
+        the Leibniz system of its homogeneous sums P = q W forward:
         q_f = (P_f - sum_{g < f} C(f, g) W_(f-g) q_g) / W_0. Rational
         derivatives are supported up to order 2; B-splines with unit
         weights accept any order, but the jet holds partials up to order 2
@@ -429,48 +501,14 @@ class TensorSpline:
         axes = [as_float_array(a, f"axes[{i}]", ndim=1) for i, a in enumerate(axes)]
         if len(axes) != self.dim:
             raise PreconditionError(f"expected {self.dim} axes, got {len(axes)}")
-        polynomial = self.is_polynomial
-        if max_deriv > 2 and not polynomial:
+        if max_deriv > 2 and not self.is_polynomial:
             raise UnsupportedDerivativeError(
                 "rational derivatives are supported up to order 2"
             )
 
         # The jet exposes partials up to order 2, so none above it is computed.
-        d, c, order = self.dim, self.ncomp, min(max_deriv, 2)
-        # Isotropic fields repeat a knot vector and axis; build each table once.
-        ops = []
-        for kv, pts in zip(self.kvs, axes):
-            same = [o for k, p, o in zip(self.kvs, axes, ops) if k == kv and np.array_equal(p, pts)]
-            ops.append(same[0] if same else _direction_operators(kv, pts, order))
-
-        # One buffer, entry-major then component-major: each partial is a
-        # contiguous (c, m1, ..., md) row that its last product writes.
-        lattice = tuple(len(a) for a in axes)
-        rows = _jet_rows(d, order)
-        buf = np.empty((jet_size(d, order), c) + lattice)
-        source = self.coeffs if polynomial else self._homogeneous()
-        sums = buf if polynomial else np.empty((len(buf), c + 1) + lattice)
-        prefixes = {(): source.reshape(self.shape[0], -1)}
-        for a in range(d - 1):
-            prefixes = {
-                prefix + (k,): _contract_leading(ops[a][k], x).reshape(self.shape[a + 1], -1)
-                for prefix, x in prefixes.items()
-                for k in range(order - sum(prefix) + 1)
-            }
-        # The last step's block is sized from x, as -1 is ambiguous when md = 0.
-        for prefix, x in prefixes.items():
-            for k in range(order - sum(prefix) + 1):
-                out = sums[rows[prefix + (k,)][0]].reshape(x.shape[1], lattice[-1])
-                _contract_leading(ops[-1][k], x, out)
-        if not polynomial:
-            first = [r[0] for r in rows.values()]
-            _solve_leibniz(
-                _leibniz_plan(tuple(rows)),
-                [sums[i, c:] for i in first],
-                [sums[i, :c] for i in first],
-                out=[buf[i] for i in first],
-            )
-        return LatticeJet(*_jet_views(buf, d, order))
+        order = min(max_deriv, 2)
+        return _lattice_jet(self, _lattice_operators(self.kvs, axes, order), order)
 
     def row_table(self, theta, coeffs):
         """Rows sum_e K_e d^e R_l of the nonzero basis functions R_l at N points.
@@ -555,7 +593,7 @@ class TensorSpline:
             raise PreconditionError(f"direction {direction} out of range for dim {self.dim}")
         polynomial = self.is_polynomial
         kv, x = self.kvs[direction], self.coeffs if polynomial else self._homogeneous()
-        new_kv, out = _refine(x, kv, knots, direction)
+        new_kv, out, _ = _refine(x, kv, knots, direction)
         if new_kv.n_basis == kv.n_basis:
             return self
         kvs = self.kvs[:direction] + (new_kv,) + self.kvs[direction + 1 :]
@@ -565,24 +603,29 @@ class TensorSpline:
         return TensorSpline(kvs, out[..., :-1] / weights[..., None], weights)
 
 
-def _refine(x, kv, knots, direction):
+def _refine(x, kv, knots, direction, known=None):
     """``kv`` with ``knots`` inserted, and ``x`` (n1, ..., nd, ...) refined along ``direction``.
 
-    One gather and one contraction apply the Oslo rows (:func:`_oslo_rows`)
-    to ``x``, unless it is None or no knot is new. The errors of
+    Returns the new knot vector, the refined ``x`` and the Oslo rows
+    (:func:`_oslo_rows`), which one gather and one contraction apply to
+    ``x``; they are None when ``x`` is None or no knot is new. ``known``,
+    the new knot vector and Oslo rows of an earlier refinement of ``kv``
+    by the same knots, stands in for both. The errors of
     :meth:`KnotVector.insert` name the direction.
     """
-    try:
-        new_kv = kv.insert(knots)
-    except InvalidRefinementError as exc:
-        raise InvalidRefinementError(f"direction {direction}: {exc}") from None
+    if known is None:
+        try:
+            known = kv.insert(knots), None
+        except InvalidRefinementError as exc:
+            raise InvalidRefinementError(f"direction {direction}: {exc}") from None
+    new_kv, oslo = known
     if x is None or new_kv.n_basis == kv.n_basis:
-        return new_kv, x
-    first, rows = _oslo_rows(kv.knots, new_kv.knots, kv.degree)
+        return new_kv, x, oslo
+    first, rows = oslo = oslo or _oslo_rows(kv.knots, new_kv.knots, kv.degree)
     x = np.moveaxis(x, direction, 0)
     flat = x.reshape(kv.n_basis, -1)[first[:, None] + np.arange(kv.degree + 1)]
     out = np.einsum("nk,nkr->nr", rows, flat).reshape((new_kv.n_basis,) + x.shape[1:])
-    return new_kv, np.moveaxis(out, 0, direction)
+    return new_kv, np.moveaxis(out, 0, direction), oslo
 
 
 def _oslo_rows(tau, t, p):

@@ -2,7 +2,8 @@
 
 These are deliberately naive: the recursive Cox-de Boor definition, the
 textbook derivative recursion, finite differences, a hand-rolled
-Householder QR, dense LAPACK LU and Cholesky solves, a best-approximation
+Householder QR, dense LAPACK LU and Cholesky solves, scipy's ``onenormest``
+condition estimate, a best-approximation
 fit, per-point spline, pullback and assembly code, LAPACK Jacobian
 determinants and inverses with einsum chain-rule pushes, single-knot
 insertion, and the package's earlier vectorised basis kernel. They share no code with the package so they can serve as
@@ -18,6 +19,7 @@ from functools import reduce
 
 import numpy as np
 from scipy.linalg import lapack
+from scipy.sparse.linalg import LinearOperator, onenormest
 
 from splinecol.errors import UnsupportedDerivativeError
 from splinecol.geometry import lattice_pullbacks
@@ -161,6 +163,16 @@ def dense_normal_cholesky_solve(A, b):
         x = x + dx
     rcond, _ = lapack.dpocon(chol, np.linalg.norm(G, 1), uplo=b"L")
     return x, 1.0 / rcond
+
+
+def onenormest_condition(n, solve, solve_transposed, matrix_norm):
+    """``matrix_norm`` times scipy's ``onenormest`` (one probe vector) of an inverse.
+
+    ``solve`` and ``solve_transposed`` apply the inverse of a factored
+    n x n matrix and of its transpose.
+    """
+    inverse = LinearOperator((n, n), matvec=solve, rmatvec=solve_transposed, dtype=float)
+    return float(matrix_norm * onenormest(inverse, t=1))
 
 
 def best_l2_relative_error(knot_vectors, weights, axes, target, measure):

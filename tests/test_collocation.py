@@ -401,6 +401,27 @@ class TestFieldSpace:
         build_field(geo, (9, 7))
         assert shapes == [(4, 4), (9, 4)]
 
+    def test_equal_directions_share_one_refinement(self, monkeypatch):
+        # The annulus's two directions have equal knot vectors, so equal
+        # counts insert equal knots: one Oslo product serves both.
+        shapes = count_refinements(monkeypatch)
+        inserts = []
+        insert = KnotVector.insert
+
+        def counted_insert(kv, knots):
+            inserts.append(kv)
+            return insert(kv, knots)
+
+        monkeypatch.setattr(KnotVector, "insert", counted_insert)
+        geo = example_2d_annulus().geometry
+        field = build_field(geo, (15, 15))
+        assert shapes == [(4, 4)]
+        assert len(inserts) == 1
+        assert field.kvs[0] is field.kvs[1]
+        kvs, weights = refined_geometry_space(geo, [_uniform_knots(kv, 11) for kv in geo.kvs])
+        assert field.kvs == kvs
+        assert np.array_equal(field.weights, weights)
+
     @pytest.mark.parametrize("knots", [[(0.5,), ()], [(), (0.2, 0.7)], [(), ()]])
     def test_empty_knot_list_on_a_rational_geometry(self, knots, monkeypatch):
         shapes = count_refinements(monkeypatch)

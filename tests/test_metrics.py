@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import field_l2_norm, lapack_det_inv, push_gradient, push_hessian
-from splinecol import metrics
+from splinecol import metrics, splines
 from splinecol.collocation import build_field
 from splinecol.errors import PreconditionError, SingularGeometryError, UndefinedMetricError
 from splinecol.estimator import CollocationSolver
@@ -271,24 +271,30 @@ def test_error_report_memory_stays_bounded():
 class TestSinglePass:
     def test_one_pullback_and_field_evaluation_per_lattice(self, monkeypatch):
         # The quadrature lattice serves every relative error and e_DT; the
-        # absolute-error samples have their own lattice.
+        # absolute-error samples have their own lattice. The field is
+        # contracted once on each, counted at the helper that every
+        # lattice jet goes through: on the samples its homogeneous
+        # coefficients [w q | w], on the quadrature lattice w q alone,
+        # since the reference holds W.
         prob = example_2d_annulus()
         field = CollocationSolver(method="igac", n_per_dir=6).fit(prob).field_
+        numerator = field.weights[..., None] * field.coeffs
         lattices, evaluations = [], []
         pullbacks = metrics.lattice_pullbacks
-        evaluate = type(field).evaluate_lattice
+        lattice_sums = splines._lattice_sums
 
         def counting_pullbacks(geometry, axes, max_deriv=2):
             lattices.append(tuple(len(a) for a in axes))
             return pullbacks(geometry, axes, max_deriv)
 
-        def counting_evaluate(spline, axes, max_deriv=0):
-            if spline is field:
-                evaluations.append(tuple(len(a) for a in axes))
-            return evaluate(spline, axes, max_deriv)
+        def counting_sums(x, ops, order):
+            sums = lattice_sums(x, ops, order)
+            if x.shape[:-1] == field.shape and np.array_equal(x[..., : field.ncomp], numerator):
+                evaluations.append(sums.shape[2:])
+            return sums
 
         monkeypatch.setattr(metrics, "lattice_pullbacks", counting_pullbacks)
-        monkeypatch.setattr(type(field), "evaluate_lattice", counting_evaluate)
+        monkeypatch.setattr(splines, "_lattice_sums", counting_sums)
         report = error_report(prob, field, sample_counts=(11, 13))
         quad_axes, _, _ = metrics.quadrature_rule(field)
         quad_lattice = tuple(len(a) for a in quad_axes)
@@ -505,10 +511,11 @@ class TestQuadratureReference:
     @staticmethod
     def held_arrays(prob):
         _, ref = prob._references["quadrature"]
-        arrays = [ref.weights, ref.source, *ref.exact.values(), *ref.operator]
-        return arrays + ([] if ref.inv is None else [ref.inv])
+        value, blocks = ref.operator
+        arrays = [ref.weights, ref.source, *ref.exact.values(), value, *blocks]
+        return arrays + [x for x in (ref.inv, ref.weight) if x is not None]
 
-    @pytest.mark.parametrize("example_id", ["II", "III", "IV"])
+    @pytest.mark.parametrize("example_id", ["I", "II", "III", "IV", "V"])
     def test_cold_and_warm_reports_are_bit_identical(self, example_id):
         prob, first, second, _ = self.sweep(example_id)
         error_report(prob, first)
@@ -604,11 +611,51 @@ class TestQuadratureReference:
 
     @pytest.mark.parametrize("example_id", ["II", "IV"])
     def test_held_arrays_are_read_only(self, example_id):
+        # The beam reads gradients; the annulus's field is rational, so its
+        # reference holds W's sums.
         prob, first, second, _ = self.sweep(example_id)
         for field in (first, second):
             error_report(prob, field)
             arrays = self.held_arrays(prob)
-            assert (prob._references["quadrature"][1].inv is not None) == (example_id == "IV")
+            ref = prob._references["quadrature"][1]
+            assert (ref.inv is not None) == (example_id == "IV")
+            assert (ref.weight is not None) == (example_id == "II")
             assert not any(array.flags.writeable for array in arrays)
             with pytest.raises(ValueError, match="read-only"):
                 arrays[0][0] = 1.0
+
+    def test_other_weights_on_the_same_knots_miss(self):
+        # W follows from the field's weights, not from its knots: a field
+        # with other positive weights on the same knots gets a new entry and
+        # the answer of a cold report.
+        prob, first, _, _ = self.sweep("II")
+        error_report(prob, first)
+        key, _ = prob._references["quadrature"]
+        bump = 1.0 + 0.25 * np.sin(np.arange(first.weights.size)).reshape(first.weights.shape)
+        other = TensorSpline(first.kvs, first.coeffs, first.weights * bump)
+        warm = error_report(prob, other)
+        assert prob._references["quadrature"][0] != key
+        cold = error_report(replace(prob), other)
+        assert self.answers(warm) == self.answers(cold)
+        assert warm != error_report(prob, first)
+
+    def test_report_jet_matches_evaluate_lattice(self, monkeypatch):
+        # The report contracts w q alone and divides by the held W; its
+        # order-2 jet is evaluate_lattice's, which contracts [w q | w].
+        prob, first, second, _ = self.sweep("II")
+        jets = []
+        operator_values = metrics._operator_values
+
+        def recording(operator, jet):
+            jets.append(jet)
+            return operator_values(operator, jet)
+
+        monkeypatch.setattr(metrics, "_operator_values", recording)
+        for field in (first, second):
+            error_report(prob, field)
+            axes, _, _ = metrics.quadrature_rule(field)
+            want = field.evaluate_lattice(axes, max_deriv=2)
+            got = jets.pop()
+            for part in ("value", "grad", "hess"):
+                x, y = getattr(got, part), getattr(want, part)
+                assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()

@@ -9,10 +9,23 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_lu_solve, dense_normal_cholesky_solve, householder_qr_solve
+from scipy.linalg import lapack
+from scipy.sparse.linalg import splu
+
+from oracles import (
+    dense_lu_solve,
+    dense_normal_cholesky_solve,
+    householder_qr_solve,
+    onenormest_condition,
+)
 from splinecol import CollocationSolver, make_example
 from splinecol.errors import PreconditionError, RankDeficientError, SingularSystemError
-from splinecol.solvers import flop_cost_model, solve_normal_equations, solve_square
+from splinecol.solvers import (
+    _condition_estimate,
+    flop_cost_model,
+    solve_normal_equations,
+    solve_square,
+)
 
 
 class TestSolveSquare:
@@ -276,6 +289,59 @@ def test_normal_equations_half_bandwidth(example, method, n, m, kd):
     # Lexicographic coefficients with interleaved components.
     strides = [int(np.prod(counts[a + 1 :])) for a in range(len(counts))]
     assert half_bandwidth(fit.system_.csr) == kd == c * p * sum(strides) + c - 1
+
+
+class TestConditionEstimate:
+    """The estimator's own Hager-Higham loop against scipy's ``onenormest``."""
+
+    @staticmethod
+    def same_as_onenormest(n, solve, solve_transposed):
+        """The estimate of ||M^-1||_1, once it is onenormest's in no more solves."""
+        calls = {"ours": 0, "onenormest": 0}
+
+        def counted(fn, who):
+            def counting(y):
+                calls[who] += 1
+                return fn(y)
+
+            return counting
+
+        ours = _condition_estimate(
+            n, counted(solve, "ours"), counted(solve_transposed, "ours"), 1.0
+        )
+        reference = onenormest_condition(
+            n, counted(solve, "onenormest"), counted(solve_transposed, "onenormest"), 1.0
+        )
+        assert ours == reference
+        assert 2 <= calls["ours"] <= calls["onenormest"]
+        return ours
+
+    def test_superlu_factor(self):
+        fit = CollocationSolver(method="igac", n_per_dir=6).fit(make_example("III"))
+        A, b = sp.csc_array(fit.system_.csr), fit.system_.rhs
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+        estimate = self.same_as_onenormest(A.shape[0], lu.solve, lambda y: lu.solve(y, trans="T"))
+        anorm = abs(A).sum(axis=0).max()
+        assert solve_square(A, b).condition_estimate == pytest.approx(anorm * estimate, rel=1e-13)
+
+    def test_band_factor(self):
+        fit = CollocationSolver(method="igal_fixed", n_per_dir=7, m_per_dir=9)
+        fit = fit.fit(make_example("II"))
+        A, b = fit.system_.csr, fit.system_.rhs
+        G, kd = (A.T @ A).toarray(), half_bandwidth(A)
+        ab = np.zeros((kd + 1, len(G)), order="F")
+        for k in range(kd + 1):
+            ab[kd - k, k:] = np.diagonal(G, k)
+        factor, info = lapack.dpbtrf(ab)
+        assert info == 0
+
+        def solve(y):
+            return lapack.dpbtrs(factor, y)[0]
+
+        estimate = self.same_as_onenormest(len(G), solve, solve)
+        gnorm = np.abs(G).sum(axis=0).max()
+        report = solve_normal_equations(A, b)
+        assert report.condition_estimate == pytest.approx(gnorm * estimate, rel=1e-13)
 
 
 @pytest.mark.parametrize("example,n", [("II", 12), ("III", 5)])
