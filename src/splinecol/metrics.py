@@ -226,7 +226,7 @@ def _quadrature_reference(problem, field, axes, w, order, ops):
             source=callback_values(problem.source, x, problem.field_components, "source"),
             operator=_pulled_back_operator(problem, inv, second),
             inv=inv if any(qty.needs_gradient for qty in problem.quantities) else None,
-            weight=None if field.is_polynomial else _weight_sums(field, ops, 2),
+            weight=None if field.is_polynomial else np.concatenate(_weight_sums(field, ops, 2)),
         )
         value, blocks = ref.operator
         arrays = (ref.weights, ref.source, ref.inv, ref.weight, value, *blocks)
@@ -377,10 +377,10 @@ def error_report(
 
     What the quadrature lattice gives apart from the field's numerator is
     computed once per problem, quadrature order, knots and weights
-    (:func:`_quadrature_reference`), W's partials among it. So a report of
-    a second field on the same knots and weights evaluates only the field:
-    it contracts w q alone, on a cold report as on a warm one, and divides
-    by the held W.
+    (:func:`_quadrature_reference`), W's partials among it. A rational jet
+    contracts w q alone and divides by W's sums; on the quadrature lattice
+    these are the held ones, cold or warm, so a report of a second field on
+    the same knots and weights contracts only its numerator there.
     """
     stamps = [time.perf_counter()]
     axes, w, order = quadrature_rule(field, quad_order)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._validation import as_float_array, as_points
+from ._validation import as_float_array, as_points, whole_number
 from .errors import (
     DomainError,
     InvalidRefinementError,
@@ -372,37 +372,32 @@ def _lattice_sums(x, ops, order):
 
 
 def _weight_sums(spline, ops, order):
-    """W's partials up to ``order`` on the lattice of ``ops``, as (partials, m1, ..., md).
+    """W's partials up to ``order`` on the lattice of ``ops``, one (1, m1, ..., md) view each.
 
     W is the sum of ``spline``'s weights against its basis; its partials
     come in the order of :func:`_jet_rows`, the first row of each.
     """
     sums = _lattice_sums(spline.weights[..., None], ops, order)
-    return sums[[r[0] for r in _jet_rows(spline.dim, order).values()], 0]
+    return [sums[r[0]] for r in _jet_rows(spline.dim, order).values()]
 
 
 def _lattice_jet(spline, ops, order, weight=None):
     """``spline``'s jet up to ``order`` on the lattice of ``ops`` (see ``evaluate_lattice``).
 
     A B-spline contracts its coefficients. A rational spline contracts its
-    homogeneous coefficients [w q | w], or only w q when ``weight`` holds
-    W's partials (:func:`_weight_sums` on the same ``ops``), and solves
-    the Leibniz system forward for its partials.
+    numerator w q and solves the Leibniz system forward, in place, against
+    W's partials: ``weight`` when the caller holds them, else
+    :func:`_weight_sums` on the same ``ops``.
     """
-    d, c = spline.dim, spline.ncomp
+    d = spline.dim
     if spline.is_polynomial:
         return LatticeJet(*_jet_views(_lattice_sums(spline.coeffs, ops, order), d, order))
     rows = _jet_rows(d, order)
-    first = [r[0] for r in rows.values()]
-    if weight is None:
-        sums = _lattice_sums(spline._homogeneous(), ops, order)
-        buf = np.empty((len(sums), c) + sums.shape[2:])
-        weight, sums = [sums[i, c:] for i in first], sums[:, :c]
-    else:
-        buf = sums = _lattice_sums(spline.weights[..., None] * spline.coeffs, ops, order)
-    plan = _leibniz_plan(tuple(rows))
-    _solve_leibniz(plan, weight, [sums[i] for i in first], out=[buf[i] for i in first])
-    return LatticeJet(*_jet_views(buf, d, order))
+    weight = _weight_sums(spline, ops, order) if weight is None else weight
+    sums = _lattice_sums(spline.weights[..., None] * spline.coeffs, ops, order)
+    partials = [sums[r[0]] for r in rows.values()]
+    _solve_leibniz(_leibniz_plan(tuple(rows)), weight, partials)
+    return LatticeJet(*_jet_views(sums, d, order))
 
 
 @dataclass(frozen=True)
@@ -481,26 +476,24 @@ class TensorSpline:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _homogeneous(self):
-        w = self.weights[..., None]
-        return np.concatenate([w * self.coeffs, w], axis=-1)
-
     def evaluate_lattice(self, axes, max_deriv: int = 0) -> LatticeJet:
         """Jet on the tensor lattice spanned by per-direction parameter arrays.
 
         The field is contracted one direction at a time with 1D derivative
-        tables (sum factorization, :func:`_lattice_sums`), once, on its
-        coefficients or, for a rational field, on its homogeneous
-        coefficients [w q | w]. A rational field's partials q_f then solve
-        the Leibniz system of its homogeneous sums P = q W forward:
-        q_f = (P_f - sum_{g < f} C(f, g) W_(f-g) q_g) / W_0. Rational
-        derivatives are supported up to order 2; B-splines with unit
-        weights accept any order, but the jet holds partials up to order 2
-        only.
+        tables (sum factorization, :func:`_lattice_sums`) on its
+        coefficients or, for a rational field, on its numerator w q and,
+        apart, on its weights. A rational field's partials q_f then solve the
+        Leibniz system of the numerator's sums P = q W forward:
+        q_f = (P_f - sum_{g < f} C(f, g) W_(f-g) q_g) / W_0. ``max_deriv``
+        is a whole number >= 0, else :class:`UnsupportedDerivativeError` is
+        raised. Rational derivatives are supported up to order 2; B-splines
+        with unit weights accept any order, but the jet holds partials up to
+        order 2 only.
         """
         axes = [as_float_array(a, f"axes[{i}]", ndim=1) for i, a in enumerate(axes)]
         if len(axes) != self.dim:
             raise PreconditionError(f"expected {self.dim} axes, got {len(axes)}")
+        max_deriv = whole_number(max_deriv, "max_deriv", 0, UnsupportedDerivativeError)
         if max_deriv > 2 and not self.is_polynomial:
             raise UnsupportedDerivativeError(
                 "rational derivatives are supported up to order 2"
@@ -536,6 +529,10 @@ class TensorSpline:
         theta = as_points(theta, self.dim)
         coeffs = np.asarray(coeffs, dtype=float)
         d, n = self.dim, len(theta)
+        if coeffs.ndim < 2 or coeffs.shape[-1] != n:
+            raise PreconditionError(
+                f"row coefficients for {n} points need shape (E, ..., {n}), got {coeffs.shape}"
+            )
         orders = {1: 0, 1 + d: 1, 1 + d + d * d: 2}
         if len(coeffs) not in orders:
             raise UnsupportedDerivativeError(
@@ -585,22 +582,23 @@ class TensorSpline:
     def insert_knots(self, direction: int, knots) -> "TensorSpline":
         """Insert ``knots`` along ``direction`` in one pass; geometry is preserved exactly.
 
-        :func:`_refine` refines the coefficients: a rational spline's in
-        homogeneous coordinates, a B-spline's alone, so its weights stay
-        exactly 1.
+        :func:`_refine` refines a B-spline's coefficients alone, so its
+        weights stay exactly 1. A rational spline's numerator w q is refined,
+        then its weights alone by the same Oslo rows, and q is their quotient.
         """
+        direction = whole_number(direction, "direction")
         if not 0 <= direction < self.dim:
             raise PreconditionError(f"direction {direction} out of range for dim {self.dim}")
-        polynomial = self.is_polynomial
-        kv, x = self.kvs[direction], self.coeffs if polynomial else self._homogeneous()
-        new_kv, out, _ = _refine(x, kv, knots, direction)
+        polynomial, kv = self.is_polynomial, self.kvs[direction]
+        x = self.coeffs if polynomial else self.weights[..., None] * self.coeffs
+        new_kv, out, oslo = _refine(x, kv, knots, direction)
         if new_kv.n_basis == kv.n_basis:
             return self
         kvs = self.kvs[:direction] + (new_kv,) + self.kvs[direction + 1 :]
         if polynomial:
             return TensorSpline.polynomial(kvs, out)
-        weights = out[..., -1]
-        return TensorSpline(kvs, out[..., :-1] / weights[..., None], weights)
+        _, weights, _ = _refine(self.weights, kv, knots, direction, (new_kv, oslo))
+        return TensorSpline(kvs, out / weights[..., None], weights)
 
 
 def _refine(x, kv, knots, direction, known=None):
@@ -691,20 +689,19 @@ def _leibniz_plan(alphas):
     )
 
 
-def _solve_leibniz(terms, w, rhs, out=None, transpose=False):
+def _solve_leibniz(terms, w, rhs, transpose=False):
     """Solve L x = rhs, or L^T x = rhs, in place for the Leibniz system L of :func:`_leibniz_plan`.
 
     ``terms`` is the plan, and ``w`` (the jet of W) and ``rhs`` are lists in
     the order of its multi-indices whose arrays broadcast against each
     other. L is solved forward over the entries and L^T backward over the
-    same entries in reverse; W_0 is the only divisor. The arrays of ``rhs``
-    are overwritten, and each x_f is written into ``out[f]`` when ``out``
-    is given. Returns the list of x_f.
+    same entries in reverse; W_0 is the only divisor. Each x_f overwrites
+    the array of ``rhs`` it replaces, and the list of x_f is returned.
     """
     x = list(rhs)
     for f, g, scale, h in reversed(terms) if transpose else terms:
         if f == g:
-            x[f] = np.divide(x[f], w[0], out=x[f] if out is None else out[f])
+            np.divide(x[f], w[0], out=x[f])
         else:
             i, j = (g, f) if transpose else (f, g)
             x[i] -= (w[h] if scale == 1 else scale * w[h]) * x[j]

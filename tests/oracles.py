@@ -7,11 +7,12 @@ condition estimate, a best-approximation
 fit, per-point spline, pullback and assembly code, LAPACK Jacobian
 determinants and inverses with einsum chain-rule pushes, single-knot
 insertion, and the package's earlier vectorised basis kernel. They share no code with the package so they can serve as
-oracles for it. The last section holds four small
-helpers that are built on the package instead: the local basis table of a
-knot vector, a knot-vector fixture builder, the L2 norm under the
-quadrature of ``error_report`` and the knot vectors and weights of a
-whole refined geometry.
+oracles for it. The last section holds helpers that are built on the
+package instead: the local basis table of a knot vector, a knot-vector
+fixture builder, the L2 norm under the quadrature of ``error_report``,
+the package's earlier homogeneous rational path, which contracts and
+refines the stacked coefficients [w q | w] of a NURBS object, and the
+knot vectors and weights of a whole geometry refined by it.
 """
 
 import itertools
@@ -24,7 +25,18 @@ from scipy.sparse.linalg import LinearOperator, onenormest
 from splinecol.errors import UnsupportedDerivativeError
 from splinecol.geometry import lattice_pullbacks
 from splinecol.metrics import quadrature_rule
-from splinecol.splines import _direction_tables
+from splinecol.splines import (
+    LatticeJet,
+    TensorSpline,
+    _direction_tables,
+    _jet_rows,
+    _jet_views,
+    _lattice_operators,
+    _lattice_sums,
+    _leibniz_plan,
+    _refine,
+    _solve_leibniz,
+)
 
 
 def naive_basis(knots, p, i, u):
@@ -685,15 +697,54 @@ def field_l2_norm(problem, func, field, quad_order=None):
     return float(np.sqrt(np.sum((vals**2).sum(axis=1) * np.abs(det) * w)))
 
 
+def homogeneous_lattice_jet(spline, axes, max_deriv=0):
+    """A rational ``spline``'s ``evaluate_lattice`` jet by the homogeneous path it replaced.
+
+    One contraction of the stacked coefficients [w q | w] gives the sums of
+    the numerator and of W side by side; the Leibniz system is then solved
+    forward, in place, on the numerator's sums against W's.
+    """
+    d, c = spline.dim, spline.ncomp
+    order = min(max_deriv, 2)
+    ops = _lattice_operators(spline.kvs, [np.asarray(a, dtype=float) for a in axes], order)
+    w = spline.weights[..., None]
+    sums = _lattice_sums(np.concatenate([w * spline.coeffs, w], axis=-1), ops, order)
+    rows = _jet_rows(d, order)
+    first = [r[0] for r in rows.values()]
+    plan = _leibniz_plan(tuple(rows))
+    _solve_leibniz(plan, [sums[i, c:] for i in first], [sums[i, :c] for i in first])
+    return LatticeJet(*_jet_views(sums[:, :c], d, order))
+
+
+def homogeneous_insert_knots(spline, direction, knots):
+    """``spline.insert_knots`` by the path it replaced: one refinement of [w q | w].
+
+    A B-spline refines its coefficients alone, so its weights stay exactly
+    1. A NURBS object refines its stacked coefficients; the weights are
+    the last column of the result, and the coefficients its other columns
+    divided by them.
+    """
+    polynomial, w = spline.is_polynomial, spline.weights[..., None]
+    x = spline.coeffs if polynomial else np.concatenate([w * spline.coeffs, w], axis=-1)
+    kv, out, _ = _refine(x, spline.kvs[direction], knots, direction)
+    if kv.n_basis == spline.kvs[direction].n_basis:
+        return spline
+    kvs = spline.kvs[:direction] + (kv,) + spline.kvs[direction + 1 :]
+    if polynomial:
+        return TensorSpline.polynomial(kvs, out)
+    weights = out[..., -1]
+    return TensorSpline(kvs, out[..., :-1] / weights[..., None], weights)
+
+
 def refined_geometry_space(geometry, interior_knots):
-    """Knot vectors and weights of ``geometry`` refined by ``insert_knots``, one list per direction.
+    """Knot vectors and weights of ``geometry`` refined whole, one list of knots per direction.
 
     The whole geometry, coordinates and weights, passes through each
-    insertion, so a rational one is refined in homogeneous coordinates:
+    insertion in homogeneous coordinates (:func:`homogeneous_insert_knots`):
     the reference for a field's space, which refines only its knot vectors
     and a rational geometry's weights.
     """
     refined = geometry.spline
     for axis, knots in enumerate(interior_knots):
-        refined = refined.insert_knots(axis, knots)
+        refined = homogeneous_insert_knots(refined, axis, knots)
     return refined.kvs, refined.weights

@@ -2,6 +2,8 @@
 
 Each case below is a check that the rest of the suite and the benchmark
 never reach; the call triggers it and the message names what is wrong.
+The kernels' malformed inputs, and their well-formed neighbours, either
+succeed or raise a :class:`SplineColError`, never an error from numpy.
 """
 
 from dataclasses import replace
@@ -24,8 +26,9 @@ from splinecol.errors import (
     SingularSystemError,
     SplineColError,
     UndefinedMetricError,
+    UnsupportedDerivativeError,
 )
-from splinecol.geometry import GeometryMap
+from splinecol.geometry import GeometryMap, lattice_pullbacks
 from splinecol.metrics import ErrorReport, error_report
 from splinecol.problems import (
     FieldQuantity,
@@ -162,6 +165,23 @@ CASES = {
         lambda: LINE.insert_knots(1, [0.5]),
         PreconditionError, "direction 1 out of range for dim 1",
     ),
+    "insert-knots-fractional-direction": (
+        lambda: LINE.insert_knots(0.5, [0.3]),
+        PreconditionError, "direction must be an integer, got 0.5",
+    ),
+    "lattice-negative-order": (
+        lambda: LINE.evaluate_lattice([[0.5]], -1),
+        UnsupportedDerivativeError, "max_deriv must be an integer >= 0, got -1",
+    ),
+    "lattice-fractional-order": (
+        lambda: LINE.evaluate_lattice([[0.5]], 1.5),
+        UnsupportedDerivativeError, "max_deriv must be an integer >= 0, got 1.5",
+    ),
+    "row-table-point-count": (
+        lambda: LINE.row_table(np.full(5, 0.5), np.ones((1, 3))),
+        PreconditionError, r"row coefficients for 5 points need shape \(E, \.\.\., 5\), "
+        r"got \(1, 3\)",
+    ),
 }
 
 
@@ -172,3 +192,49 @@ def test_refusal_raises_its_documented_error(call, error, match):
     # Only a missing key is a plain KeyError; every other refusal is one
     # the package's callers can catch as a SplineColError.
     assert isinstance(caught.value, SplineColError) or error is KeyError
+
+
+ANNULUS = example_2d_annulus().geometry
+AXES = ([0.2, 0.6], [0.3])
+
+
+def _rows(points, coeffs):
+    return ANNULUS.spline.row_table(np.full((points, 2), 0.5), coeffs)
+
+
+# Malformed input to the kernels, and its neighbours that are well formed:
+# derivative orders, directions and point counts.
+KERNEL_INPUTS = {
+    **{
+        f"lattice-order-{order!r}": lambda order=order: LINE.evaluate_lattice([[0.5]], order)
+        for order in (-1, 0, 1.0, 1.5, 2, 3, np.int64(2), "1", None)
+    },
+    "lattice-rational-order-3": lambda: ANNULUS.spline.evaluate_lattice(AXES, 3),
+    **{
+        f"pullback-order-{order!r}": lambda order=order: lattice_pullbacks(ANNULUS, AXES, order)
+        for order in (-1, 0, 1.0, 1.5, 2, 3, "1", None)
+    },
+    **{
+        f"row-table-{points}-points-coefficients-for-{shape}": (
+            lambda points=points, shape=shape: _rows(points, np.ones(shape))
+        )
+        for points, shape in ((5, (1, 5)), (5, (1, 3)), (3, (1, 5)), (5, (3, 2, 5)),
+                              (5, (3, 2, 4)), (5, (5,)), (1, (1,)), (5, (2, 5)))
+    },
+    **{
+        f"insert-direction-{direction!r}": (
+            lambda direction=direction: ANNULUS.spline.insert_knots(direction, [0.3])
+        )
+        for direction in (0, 1.0, 0.5, -1, 2, np.int64(1), "0", None)
+    },
+}
+
+
+@pytest.mark.parametrize("call", KERNEL_INPUTS.values(), ids=KERNEL_INPUTS.keys())
+def test_kernel_input_succeeds_or_raises_a_splinecol_error(call):
+    # A call may refuse its input, but only with the package's own errors:
+    # never an IndexError, TypeError or broadcast error from inside numpy.
+    try:
+        call()
+    except SplineColError:
+        pass

@@ -10,6 +10,7 @@ from oracles import (
     all_basis_derivs,
     basis_values,
     boehm_insert,
+    homogeneous_lattice_jet,
     point_basis_ders,
     point_basis_jets,
     point_find_span,
@@ -162,13 +163,17 @@ def test_batched_basis_jets_match_per_point_oracle(case):
 
 
 @st.composite
-def rational_lattices(draw):
-    """A random rational 1-3D spline with two components, lattice axes and an order up to 2."""
+def rational_lattices(draw, components=st.just(2)):
+    """A random rational 1-3D spline, lattice axes and an order up to 2.
+
+    The spline has two components unless ``components`` draws others.
+    """
     dim = draw(st.integers(1, 3))
     kvs = tuple(draw(knot_vectors(max_degree=4 if dim < 3 else 3)) for _ in range(dim))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = tuple(kv.n_basis for kv in kvs)
-    spline = TensorSpline(kvs, rng.normal(size=shape + (2,)), rng.uniform(0.5, 2.0, shape))
+    c = draw(components)
+    spline = TensorSpline(kvs, rng.normal(size=shape + (c,)), rng.uniform(0.5, 2.0, shape))
     axes = [np.append(rng.uniform(0.0, 1.0, draw(st.integers(0, 3))), 1.0) for _ in kvs]
     return spline, axes, draw(st.integers(0, 2))
 
@@ -176,7 +181,7 @@ def rational_lattices(draw):
 @SETTINGS
 @given(case=rational_lattices())
 def test_rational_lattice_jets_match_per_point_quotient_rule(case):
-    # evaluate_lattice solves the Leibniz system of the homogeneous sums
+    # evaluate_lattice solves the Leibniz system of the numerator's sums
     # forward; the oracle writes the quotient rule out term by term.
     spline, axes, order = case
     jet = spline.evaluate_lattice(axes, order)
@@ -191,6 +196,19 @@ def test_rational_lattice_jets_match_per_point_quotient_rule(case):
             else:
                 scale = max(1.0, np.abs(want).max())
                 assert np.allclose(got[index], want, rtol=0, atol=1e-11 * scale)
+
+
+@SETTINGS
+@given(case=rational_lattices(components=st.integers(1, 3)))
+def test_rational_lattice_jets_match_the_homogeneous_path(case):
+    # W contracted apart from w q rounds as the stacked [w q | w] did, to
+    # within a few units in the last place of each part's largest entry.
+    spline, axes, order = case
+    jet, oracle = spline.evaluate_lattice(axes, order), homogeneous_lattice_jet(spline, axes, order)
+    for got, want in zip((jet.value, jet.grad, jet.hess), (oracle.value, oracle.grad, oracle.hess)):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @st.composite

@@ -271,11 +271,10 @@ def test_error_report_memory_stays_bounded():
 class TestSinglePass:
     def test_one_pullback_and_field_evaluation_per_lattice(self, monkeypatch):
         # The quadrature lattice serves every relative error and e_DT; the
-        # absolute-error samples have their own lattice. The field is
-        # contracted once on each, counted at the helper that every
-        # lattice jet goes through: on the samples its homogeneous
-        # coefficients [w q | w], on the quadrature lattice w q alone,
-        # since the reference holds W.
+        # absolute-error samples have their own lattice. The field's
+        # numerator w q is contracted once on each, counted at the helper
+        # that every lattice jet goes through; W is contracted apart on the
+        # samples and held by the reference on the quadrature lattice.
         prob = example_2d_annulus()
         field = CollocationSolver(method="igac", n_per_dir=6).fit(prob).field_
         numerator = field.weights[..., None] * field.coeffs

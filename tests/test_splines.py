@@ -9,18 +9,22 @@ from oracles import (
     basis_values,
     fd_gradient,
     fd_hessian,
+    homogeneous_insert_knots,
+    homogeneous_lattice_jet,
     point_basis_jets,
     point_jet,
     uniform_refine,
 )
 from splinecol import splines
 from splinecol.collocation import build_field
+from splinecol.estimator import CollocationSolver
 from splinecol.errors import (
     DomainError,
     InvalidRefinementError,
     PreconditionError,
     UnsupportedDerivativeError,
 )
+from splinecol.metrics import DEFAULT_ABS_SAMPLES, quadrature_rule
 from splinecol.problems import EXAMPLES, make_example
 from splinecol.splines import KnotVector, TensorSpline
 
@@ -666,3 +670,80 @@ class TestKnotInsertion:
         surf = TensorSpline.polynomial((CUBIC, CUBIC), np.zeros((4, 4)))
         with pytest.raises(InvalidRefinementError, match=rf"^direction {direction}: .* 1\.5"):
             surf.insert_knots(direction, [0.5, 1.5])
+
+
+def assert_same_jet(jet, oracle, rtol=0.0):
+    """Each part of ``jet`` equals the ``oracle``'s to ``rtol`` of its largest entry.
+
+    ``rtol`` 0 asks for equal values.
+    """
+    for got, want in zip((jet.value, jet.grad, jet.hess), (oracle.value, oracle.grad, oracle.hess)):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestOneRationalPath:
+    """W is contracted and refined apart from w q, in agreement with the homogeneous path."""
+
+    # The (method, n, m) of the benchmark's Example II cells.
+    II_CELLS = [
+        ("igac", 8, None), ("igac", 10, None), ("igac", 12, None), ("igac", 15, None),
+        ("igac", 18, None), ("igal_fixed", 15, 16), ("igal_fixed", 15, 18),
+        ("igal_fixed", 15, 20), ("igal_variable", 60, None),
+    ]
+
+    @pytest.mark.parametrize("method,n,m", II_CELLS)
+    def test_benchmark_lattices_match_the_homogeneous_oracle(self, method, n, m):
+        # A fit and its report evaluate the geometry to order 2 at the
+        # collocation points and on the quadrature lattice and the field's
+        # values on the samples: bit for bit. The field's own order-2 jets
+        # there, which neither reads, agree to 1e-14: at n = 60 a GEMM over
+        # w q's 60 columns may round a few entries unlike one over 120.
+        prob = make_example("II")
+        solver = CollocationSolver(method=method, n_per_dir=n, m_per_dir=m).fit(prob)
+        field = solver.field_
+        quad_axes, _, _ = quadrature_rule(field)
+        samples = [np.linspace(kv.start, kv.end, DEFAULT_ABS_SAMPLES[2]) for kv in field.kvs]
+        cases = [(prob.geometry.spline, solver.points_.axes, 2, 0.0),
+                 (prob.geometry.spline, quad_axes, 2, 0.0),
+                 (prob.geometry.spline, samples, 0, 0.0),
+                 (field, samples, 0, 0.0),
+                 (field, solver.points_.axes, 2, 1e-14),
+                 (field, quad_axes, 2, 1e-14)]
+        for spline, axes, order, rtol in cases:
+            oracle = homogeneous_lattice_jet(spline, axes, order)
+            assert_same_jet(spline.evaluate_lattice(axes, order), oracle, rtol)
+
+    @pytest.mark.parametrize("components", [1, 2, 3])
+    def test_weights_and_numerator_are_contracted_apart(self, components, monkeypatch):
+        rng = np.random.default_rng(components)
+        kvs = (CUBIC5, wide_knot_vector(7, 2))
+        shape = tuple(kv.n_basis for kv in kvs)
+        coeffs, weights = rng.normal(size=shape + (components,)), rng.uniform(0.5, 2, shape)
+        spline = TensorSpline(kvs, coeffs, weights)
+        columns, lattice_sums = [], splines._lattice_sums
+
+        def counting_sums(x, ops, order):
+            columns.append(x.shape[-1])
+            return lattice_sums(x, ops, order)
+
+        monkeypatch.setattr(splines, "_lattice_sums", counting_sums)
+        for order in (0, 1, 2):
+            columns.clear()
+            spline.evaluate_lattice([[0.1, 0.5], [0.3, 0.7, 0.9]], order)
+            assert sorted(columns) == sorted([components, 1])
+
+    def test_insertion_on_the_annulus_matches_the_homogeneous_oracle(self):
+        # Random knots, one to twelve per direction, in both directions in turn.
+        rng = np.random.default_rng(33)
+        geometry = make_example("II").geometry.spline
+        for _ in range(25):
+            refined = oracle = geometry
+            for direction in (0, 1):
+                knots = rng.uniform(0.01, 0.99, int(rng.integers(1, 13)))
+                refined = refined.insert_knots(direction, knots)
+                oracle = homogeneous_insert_knots(oracle, direction, knots)
+                assert refined.kvs == oracle.kvs
+                assert np.array_equal(refined.weights, oracle.weights)
+                assert np.array_equal(refined.coeffs, oracle.coeffs)
